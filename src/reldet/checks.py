@@ -1,0 +1,245 @@
+"""Verification routines shared by ``reldet selftest`` and the acceptance tests.
+
+Each routine checks one part of the package against an independent oracle:
+central differences for gradients, brute force for the assignment solver,
+enumeration for average precision, closed-form GIoU properties and query
+permutation equivariance. A routine takes its sizes and an ``rng`` as
+parameters, draws from the ``rng`` in a fixed order, and returns
+``(checks, failures)``: how many checks ran and one message per failed check.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import numeric
+from .errors import ShapeError
+from .evaluation import average_precision
+from .geometry import Box, LossWeights, giou, iou
+from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
+from .model import ModelConfig, forward, init_params
+from .numeric import Tape, Tensor
+
+
+def grad_excess(analytic, fd, rtol: float, atol: float = 1e-7) -> float:
+    """Worst amount by which |a - f| exceeds atol + rtol*max(|a|, |f|); above 0 fails.
+
+    The absolute floor keeps near-zero gradients from blowing up the relative
+    error. A NaN entry counts as an infinite excess.
+    """
+    a = np.asarray(analytic, dtype=np.float64)
+    f = np.asarray(fd, dtype=np.float64)
+    if a.shape != f.shape:
+        raise ShapeError(f"gradient shape {a.shape} vs finite-difference shape {f.shape}")
+    excess = np.abs(a - f) - (atol + rtol * np.maximum(np.abs(a), np.abs(f)))
+    return float(np.max(np.where(np.isnan(excess), np.inf, excess)))
+
+
+def fd_excess(op, x_data, rng, rtol: float = 1e-4) -> float:
+    """grad_excess of d(sum(op(x) * r))/dx against central differences.
+
+    One random probe r, drawn from ``rng`` after the forward pass, exercises
+    the whole Jacobian through a single scalar.
+    """
+    x = Tensor(x_data, requires_grad=True)
+    with Tape():
+        y = op(x)
+        probe = Tensor(rng.standard_normal(y.shape))
+        loss = numeric.sum_all(numeric.mul(y, probe))
+    numeric.backward(loss)
+    fd = numeric.finite_diff_grad(lambda t: numeric.sum_all(numeric.mul(op(t), probe)), Tensor(x_data))
+    return grad_excess(x.grad, fd.data, rtol)
+
+
+def op_cases(rng) -> list:
+    """(name, op, input) for every differentiable primitive, with operands from ``rng``.
+
+    The primitives are looked up on ``numeric`` when this is called, so a
+    patched primitive is the one checked.
+    """
+    off = lambda a: a + np.sign(a + 0.5) * 0.05  # keep clear of relu/abs/max kinks
+    mat = rng.standard_normal((3, 4))
+    const = Tensor(rng.standard_normal((3, 4)))
+    sep = Tensor(off(rng.standard_normal((3, 4))) + 0.11)
+    rhs = Tensor(rng.standard_normal((4, 2)))
+    vec = Tensor(rng.standard_normal(4))
+    return [
+        ("add", lambda x: numeric.add(x, const), mat),
+        ("sub", lambda x: numeric.sub(const, x), mat),
+        ("mul", lambda x: numeric.mul(x, const), mat),
+        ("div", lambda x: numeric.div(x, Tensor(np.abs(mat) + 1.0)), mat),
+        ("neg", numeric.neg, mat),
+        ("absolute", numeric.absolute, off(mat)),
+        ("relu", numeric.relu, off(mat)),
+        ("sigmoid", numeric.sigmoid, mat),
+        ("log", numeric.log, np.abs(mat) + 0.5),
+        ("maximum", lambda x: numeric.maximum(x, sep), off(mat)),
+        ("minimum", lambda x: numeric.minimum(x, sep), off(mat)),
+        ("matmul", lambda x: numeric.matmul(x, rhs), mat),
+        ("softmax", lambda x: numeric.softmax(x, 1), mat),
+        ("layer_norm", numeric.layer_norm, mat),
+        ("mean", lambda x: numeric.reshape(numeric.mean(x), (1,)), mat),
+        ("sum_all", lambda x: numeric.reshape(numeric.sum_all(x), (1,)), mat),
+        ("concat", lambda x: numeric.concat([x, const], axis=1), mat),
+        ("narrow", lambda x: numeric.narrow(x, 1, 1, 2), mat),
+        ("reshape", lambda x: numeric.reshape(x, (6, 2)), mat),
+        ("transpose", numeric.transpose, mat),
+        ("take_rows", lambda x: numeric.take_rows(x, [2, 0, 2]), mat),
+        ("take_pairs", lambda x: numeric.take_pairs(x, [0, 2, 1], [3, 0, 0]), mat),
+        ("add_rowvec", lambda x: numeric.add_rowvec(x, vec), mat),
+        ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, 1, 1), mat),
+    ]
+
+
+def gradient_ops(rng):
+    """fd_excess of every op in op_cases, relative bound 1e-4."""
+    cases = op_cases(rng)
+    excess = [(name, fd_excess(op, x_data, rng)) for name, op, x_data in cases]
+    return len(cases), [f"{name} gradient off by {e:.2e} beyond tolerance" for name, e in excess if e > 0]
+
+
+def gradient_end_to_end(rng, config: ModelConfig, targets, samples: int):
+    """Backward through forward, matching and set loss against central differences.
+
+    Draws the image, then for each of ``samples`` checks a parameter tensor and
+    an entry in it; the relative bound is 1e-3 with an absolute floor of 1e-6.
+    """
+    params = init_params(config)
+    image = Tensor(rng.uniform(0, 1, (3, *config.image_size)))
+    gts = pad_targets(list(targets), config.num_queries)
+    w = LossWeights(2.0, 5.0)
+    with Tape():
+        out = forward(image, params, config)
+        assign = hungarian(build_cost_matrix(gts, out.predictions, w))
+        loss = hungarian_loss_terms(gts, out, assign, w, 0.1).total
+    numeric.backward(loss)
+
+    def loss_at():
+        return float(hungarian_loss_terms(gts, forward(image, params, config), assign, w, 0.1).total.data)
+
+    names = list(params)
+    failures = []
+    eps = 1e-5
+    for _ in range(samples):
+        name = names[int(rng.integers(0, len(names)))]
+        flat = params[name].data.reshape(-1)
+        idx = int(rng.integers(0, flat.size))
+        base = flat[idx]
+        flat[idx] = base + eps
+        up = loss_at()
+        flat[idx] = base - eps
+        dn = loss_at()
+        flat[idx] = base
+        fd = (up - dn) / (2 * eps)
+        analytic = params[name].grad.reshape(-1)[idx]
+        if grad_excess(analytic, fd, rtol=1e-3, atol=1e-6) > 0:
+            failures.append(f"{name}[{idx}]: backward {analytic:.6e} vs fd {fd:.6e}")
+    return samples, failures
+
+
+def hungarian_oracle(rng, max_n: int, trials_per_n: int):
+    """Hungarian total cost equals brute force exactly, for N = 2..max_n.
+
+    Every third matrix holds small integers, where tied assignments are common.
+    """
+    failures = []
+    for n in range(2, max_n + 1):
+        for trial in range(trials_per_n):
+            if trial % 3 == 2:
+                c = rng.integers(-3, 7, (n, n)).astype(np.float64)
+            else:
+                c = rng.uniform(-1.0, 1.0, (n, n))
+            if hungarian(c).total_cost != brute_force_assign(c).total_cost:
+                failures.append(f"cost mismatch on a random {n}x{n} matrix")
+    return (max_n - 1) * trials_per_n, failures
+
+
+FIXED_CASE = "fixed case"  # prefix of the failures of hand-derived cases
+
+
+def giou_invariants(rng, pairs: int):
+    """On random box pairs GIoU lies in (-1, 1], is at most IoU, is symmetric
+    and is 1 on identical boxes; plus two fixed cases, -5/63 and a side touch."""
+    failures = []
+    for _ in range(pairs):
+        w1, h1, w2, h2 = rng.uniform(0.02, 0.45, 4)
+        a = Box(rng.uniform(w1 / 2, 1 - w1 / 2), rng.uniform(h1 / 2, 1 - h1 / 2), w1, h1)
+        b = Box(rng.uniform(w2 / 2, 1 - w2 / 2), rng.uniform(h2 / 2, 1 - h2 / 2), w2, h2)
+        g = giou(a, b)
+        if not (-1.0 < g <= 1.0 and g <= iou(a, b) + 1e-15 and g == giou(b, a) and giou(a, a) == 1.0):
+            failures.append(f"giou invariant broken for {a} vs {b}")
+    if abs(giou(Box(1.0, 1.0, 2.0, 2.0), Box(2.0, 2.0, 2.0, 2.0)) - (-5 / 63)) >= 1e-15:
+        failures.append(f"{FIXED_CASE} -5/63 failed")
+    if giou(Box(0.5, 0.5, 1.0, 1.0), Box(1.5, 0.5, 1.0, 1.0)) != 0.0:
+        failures.append(f"{FIXED_CASE} side-touch 0 failed")
+    return pairs + 2, failures
+
+
+def softmax_properties(rng, trials: int):
+    """Softmax sums to 1, stays strictly inside (0, 1) and ignores a constant shift."""
+    failures = []
+    for _ in range(trials):
+        # scale kept moderate: a ~36 logit gap would round the winner to 1.0
+        x = rng.standard_normal(int(rng.integers(2, 7))) * 3
+        y = numeric.softmax(Tensor(x), 0).data
+        shifted = numeric.softmax(Tensor(x + rng.uniform(-50, 50)), 0).data
+        if abs(y.sum() - 1) > 1e-12 or np.abs(y - shifted).max() > 1e-12 or np.any(y <= 0) or np.any(y >= 1):
+            failures.append("softmax normalization or shift invariance failed")
+    return trials, failures
+
+
+def ap_enumerated(flags, num_gt: int) -> float:
+    """Brute-force AP of a ranked TP/FP list: the mean over recall levels
+    1/num_gt .. tp/num_gt of the best precision at that recall or beyond."""
+    tp = 0
+    prec, rec = [], []
+    for i, f in enumerate(flags):
+        tp += int(f)
+        prec.append(tp / (i + 1))
+        rec.append(tp / num_gt)
+    return sum(max(p for p, r in zip(prec, rec) if r >= level / num_gt) for level in range(1, tp + 1)) / num_gt
+
+
+def ap_oracle(rng, fixtures: int, max_gt: int, max_detections: int):
+    """average_precision is exactly 5/6 on [TP, FP, TP] with 2 ground truths, and
+    matches ap_enumerated to 1e-12 on random ranked lists."""
+    failures = []
+    if average_precision([True, False, True], 2) != 5 / 6:  # exact: AP sums rationals
+        failures.append(f"{FIXED_CASE} [TP, FP, TP] with 2 gts is not 5/6")
+    for _ in range(fixtures):
+        num_gt = int(rng.integers(1, max_gt + 1))
+        flags = list(rng.random(int(rng.integers(0, max_detections + 1))) < 0.5)
+        while sum(flags) > num_gt:
+            flags[max(i for i, f in enumerate(flags) if f)] = False
+        ap, expected = average_precision(flags, num_gt), ap_enumerated(flags, num_gt)
+        if abs(ap - expected) > 1e-12:
+            failures.append(f"AP {ap} != enumerated {expected}")
+    return fixtures + 1, failures
+
+
+def equivariance_deviations(rng, config: ModelConfig, trials: int, first_seed: int) -> list[float]:
+    """Permuting the query embeddings must permute the outputs the same way.
+
+    Per trial (parameters seeded ``first_seed + trial``, then a random image
+    and permutation), the largest deviation of the permuted run's class
+    probabilities and boxes from the permuted base run.
+    """
+    devs = []
+    for trial in range(trials):
+        params = init_params(config, seed=first_seed + trial)
+        image = Tensor(rng.uniform(0, 1, (3, *config.image_size)))
+        base = forward(image, params, config)
+        perm = rng.permutation(config.num_queries)
+        params["query_embed"] = Tensor(params["query_embed"].data[perm])
+        permuted = forward(image, params, config)
+        devs.append(max(
+            np.abs(permuted.class_probs.data - base.class_probs.data[perm]).max(),
+            np.abs(permuted.boxes.data - base.boxes.data[perm]).max(),
+        ))
+    return devs
+
+
+def query_equivariance(rng, config: ModelConfig, trials: int, first_seed: int = 0):
+    """equivariance_deviations at most 1e-9 on every trial."""
+    devs = equivariance_deviations(rng, config, trials, first_seed)
+    return trials, [f"trial {t}: deviation {d:.2e}" for t, d in enumerate(devs) if d > 1e-9]

@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data, train, eval, predict, selftest.
 
-Every command is deterministic given its flags. Exit codes: 0 success,
-1 selftest failure, 2 I/O or argument error, 3 numeric divergence,
-4 checkpoint mismatch.
+Every command is deterministic given its flags. ``selftest`` runs the
+``reldet.checks`` routines behind acceptance criteria A1-A3, A6 and A7 at
+smaller sizes. Exit codes: 0 success, 1 selftest failure, 2 I/O or argument
+error, 3 numeric divergence, 4 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, evaluation, numeric
-from .data import SceneConfig, class_color, generate_scene, load_dataset, read_ppm, save_dataset, write_ppm
+from . import checks, data, evaluation
+from .data import SceneConfig, class_color, generate_scene, load_catalog, load_dataset, read_ppm, save_dataset, write_ppm
 from .errors import (
     CapacityError,
     ContractError,
@@ -25,10 +26,10 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .geometry import Box, LossWeights, giou, iou
-from .matching import GroundTruth, brute_force_assign, hungarian, pad_targets
-from .model import ModelConfig, forward, init_params
-from .numeric import Tape, Tensor
+from .geometry import Box, LossWeights
+from .matching import GroundTruth
+from .model import ModelConfig, forward
+from .numeric import Tensor
 from .training import load_checkpoint, save_checkpoint, train, write_log
 
 
@@ -92,6 +93,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        print("train: --epochs must be positive (nothing to train)", file=sys.stderr)
+        return 2
     scenes, catalog = load_dataset(args.data)
     h, w = scenes[0].image.shape[1:]
     config = ModelConfig(
@@ -157,7 +161,7 @@ def cmd_predict(args) -> int:
         raise IntegrityError(f"image is {image.shape[1]}x{image.shape[2]} but the checkpoint expects {config.image_size}")
     cat_path = Path(args.checkpoint) / "catalog.json"
     if cat_path.exists():
-        catalog = json.loads(cat_path.read_text())
+        catalog = load_catalog(cat_path)
     else:
         catalog = [f"class_{i}" for i in range(config.num_classes)]
     out = forward(Tensor(image), params, config)
@@ -191,219 +195,38 @@ def cmd_predict(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest suites
+# selftest: the reldet.checks routines behind the acceptance criteria, at
+# sizes that run in about a second
 
 
-def _fd_check(op, x_data, rng, rtol=1e-4, atol=1e-7):
-    x = Tensor(x_data, requires_grad=True)
-    with Tape():
-        y = op(x)
-        probe = Tensor(rng.standard_normal(y.shape))
-        loss = numeric.sum_all(numeric.mul(y, probe))
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(lambda t: numeric.sum_all(numeric.mul(op(t), probe)), Tensor(x_data))
-    err = np.abs(x.grad - fd.data)
-    bound = atol + rtol * np.maximum(np.abs(x.grad), np.abs(fd.data))
-    return float((err - bound).max())
+_TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
+                    num_encoder_layers=1, num_decoder_layers=1, num_queries=5, num_classes=2,
+                    knn_k=2, seed=0)
 
-
-def _suite_hungarian(rng):
-    checks, failures = 0, []
-    for _ in range(150):
-        n = int(rng.integers(2, 7))
-        c = rng.uniform(-1, 1, (n, n)) if rng.random() < 0.7 else rng.integers(0, 5, (n, n)).astype(float)
-        checks += 1
-        if hungarian(c).total_cost != brute_force_assign(c).total_cost:
-            failures.append(f"cost mismatch on a random {n}x{n} matrix")
-    return checks, failures
-
-
-def _grad_op_cases(rng):
-    off = lambda a: a + np.sign(a + 0.5) * 0.05  # keep clear of relu/abs kinks
-    mat = rng.standard_normal((3, 4))
-    yield "add", lambda x: getattr(numeric, "add")(x, Tensor(mat)), mat * 0.5
-    yield "sub", lambda x: getattr(numeric, "sub")(Tensor(mat), x), mat * 0.3
-    yield "mul", lambda x: getattr(numeric, "mul")(x, Tensor(mat + 0.2)), mat
-    yield "div", lambda x: getattr(numeric, "div")(x, Tensor(np.abs(mat) + 1.0)), mat
-    yield "neg", getattr(numeric, "neg"), mat
-    yield "absolute", getattr(numeric, "absolute"), off(mat)
-    yield "relu", getattr(numeric, "relu"), off(mat)
-    yield "sigmoid", getattr(numeric, "sigmoid"), mat
-    yield "log", getattr(numeric, "log"), np.abs(mat) + 0.5
-    yield "maximum", lambda x: getattr(numeric, "maximum")(x, Tensor(off(mat).T.ravel().reshape(3, 4) + 0.11)), off(mat)
-    yield "minimum", lambda x: getattr(numeric, "minimum")(x, Tensor(off(mat) + 0.13)), off(mat)
-    rhs = Tensor(rng.standard_normal((4, 2)))
-    yield "matmul", lambda x: getattr(numeric, "matmul")(x, rhs), mat
-    yield "softmax", lambda x: getattr(numeric, "softmax")(x, 1), mat
-    yield "layer_norm", getattr(numeric, "layer_norm"), mat
-    yield "mean", lambda x: numeric.reshape(getattr(numeric, "mean")(x), (1,)), mat
-    yield "sum_all", lambda x: numeric.reshape(getattr(numeric, "sum_all")(x), (1,)), mat
-    yield "concat", lambda x: getattr(numeric, "concat")([x, Tensor(mat)], axis=0), mat + 0.1
-    yield "narrow", lambda x: getattr(numeric, "narrow")(x, 1, 1, 2), mat
-    yield "reshape", lambda x: getattr(numeric, "reshape")(x, (4, 3)), mat
-    yield "transpose", getattr(numeric, "transpose"), mat
-    yield "take_rows", lambda x: getattr(numeric, "take_rows")(x, [2, 0, 2]), mat
-    yield "take_pairs", lambda x: getattr(numeric, "take_pairs")(x, [0, 2], [3, 1]), mat
-    vec = Tensor(rng.standard_normal(4))
-    yield "add_rowvec", lambda x: getattr(numeric, "add_rowvec")(x, vec), mat
-    yield "im2col", lambda x: getattr(numeric, "im2col")(numeric.reshape(x, (1, 3, 4)), 2, 1, 1), mat
-
-
-def _suite_gradient_ops(rng):
-    checks, failures = 0, []
-    for name, op, x_data in _grad_op_cases(rng):
-        checks += 1
-        excess = _fd_check(op, x_data, rng)
-        if excess > 0:
-            failures.append(f"{name} gradient off by {excess:.2e} beyond tolerance")
-    return checks, failures
-
-
-def _suite_gradient_end_to_end(rng):
-    from .matching import build_cost_matrix, hungarian_loss
-
-    cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
-                      knn_k=1, seed=int(rng.integers(0, 1000)))
-    params = init_params(cfg)
-    image = Tensor(rng.uniform(0, 1, (3, 16, 16)))
-    gts = pad_targets([GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3))], cfg.num_queries)
-    w = LossWeights(2.0, 5.0)
-    with Tape():
-        out = forward(image, params, cfg)
-        assign = hungarian(build_cost_matrix(gts, out.predictions, w))
-        loss = hungarian_loss(gts, out, assign, w, 0.1)
-    numeric.backward(loss)
-
-    def loss_at():
-        out2 = forward(image, params, cfg)
-        return float(hungarian_loss(gts, out2, assign, w, 0.1).data)
-
-    checks, failures = 0, []
-    for name in ("backbone.conv1.weight", "decoder.0.cross_attn.wv", "box_head.w2"):
-        checks += 1
-        flat = params[name].data.reshape(-1)
-        idx = int(rng.integers(0, flat.size))
-        base = flat[idx]
-        eps = 1e-5
-        flat[idx] = base + eps
-        up = loss_at()
-        flat[idx] = base - eps
-        dn = loss_at()
-        flat[idx] = base
-        fd = (up - dn) / (2 * eps)
-        analytic = params[name].grad.reshape(-1)[idx]
-        if abs(analytic - fd) > 1e-6 + 1e-3 * max(abs(analytic), abs(fd)):
-            failures.append(f"{name}[{idx}]: backward {analytic:.6e} vs fd {fd:.6e}")
-    return checks, failures
-
-
-def _suite_giou(rng):
-    checks, failures = 0, []
-
-    def rand_box():
-        w, h = rng.uniform(0.02, 0.45, 2)
-        return Box(rng.uniform(w / 2, 1 - w / 2), rng.uniform(h / 2, 1 - h / 2), w, h)
-
-    for _ in range(2000):
-        a, b = rand_box(), rand_box()
-        g = giou(a, b)
-        checks += 1
-        if not (-1.0 < g <= 1.0 and g <= iou(a, b) + 1e-15 and g == giou(b, a) and giou(a, a) == 1.0):
-            failures.append(f"giou invariant broken for {a} vs {b}")
-    checks += 2
-    a = Box(1.0, 1.0, 2.0, 2.0)
-    b = Box(2.0, 2.0, 2.0, 2.0)
-    if abs(giou(a, b) - (-5 / 63)) > 1e-12:
-        failures.append("fixed case -5/63 failed")
-    if giou(Box(0.5, 0.5, 1.0, 1.0), Box(1.5, 0.5, 1.0, 1.0)) != 0.0:
-        failures.append("fixed side-touch case 0 failed")
-    return checks, failures
-
-
-def _suite_softmax(rng):
-    checks, failures = 0, []
-    for _ in range(300):
-        # scale kept moderate: a ~36 logit gap would round the winner to 1.0
-        x = rng.standard_normal(int(rng.integers(2, 7))) * 3
-        y = numeric.softmax(Tensor(x), 0).data
-        shifted = numeric.softmax(Tensor(x + rng.uniform(-50, 50)), 0).data
-        checks += 1
-        if abs(y.sum() - 1) > 1e-12 or np.abs(y - shifted).max() > 1e-12 or np.any(y <= 0) or np.any(y >= 1):
-            failures.append("softmax normalization or shift invariance failed")
-    return checks, failures
-
-
-def _suite_ap(rng):
-    from .evaluation import average_precision
-
-    checks, failures = 0, []
-    checks += 1
-    if average_precision([True, False, True], 2) != 5 / 6:  # exact: AP sums rationals
-        failures.append("AP fixture [TP, FP, TP] with 2 gts should be 5/6")
-    for _ in range(100):
-        num_gt = int(rng.integers(1, 7))
-        flags = list(rng.random(int(rng.integers(0, 10))) < 0.5)
-        while sum(flags) > num_gt:
-            flags[max(i for i, f in enumerate(flags) if f)] = False
-        ap = average_precision(flags, num_gt)
-        # brute-force PR recomputation
-        tp = 0
-        prec, rec = [], []
-        for i, f in enumerate(flags):
-            tp += int(f)
-            prec.append(tp / (i + 1))
-            rec.append(tp / num_gt)
-        expected = sum(max(p for p, r in zip(prec, rec) if r >= level / num_gt) for level in range(1, tp + 1)) / num_gt
-        checks += 1
-        if abs(ap - expected) > 1e-12:
-            failures.append(f"AP {ap} != enumerated {expected}")
-    return checks, failures
-
-
-def _suite_equivariance(rng):
-    cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, num_queries=5, num_classes=2,
-                      knn_k=2, seed=0)
-    checks, failures = 0, []
-    for trial in range(5):
-        params = init_params(cfg, seed=trial)
-        image = Tensor(rng.uniform(0, 1, (3, 16, 16)))
-        out = forward(image, params, cfg)
-        perm = rng.permutation(cfg.num_queries)
-        params["query_embed"] = Tensor(params["query_embed"].data[perm], requires_grad=True)
-        out_p = forward(image, params, cfg)
-        dev = max(
-            np.abs(out_p.class_probs.data - out.class_probs.data[perm]).max(),
-            np.abs(out_p.boxes.data - out.boxes.data[perm]).max(),
-        )
-        checks += 1
-        if dev > 1e-9:
-            failures.append(f"trial {trial}: deviation {dev:.2e}")
-    return checks, failures
+# (suite name, checks routine, sizes); every routine draws from one shared rng
+SELFTEST_SUITES = (
+    ("hungarian_vs_brute_force", checks.hungarian_oracle, {"max_n": 6, "trials_per_n": 30}),
+    ("gradient_ops", checks.gradient_ops, {}),
+    ("gradient_end_to_end", checks.gradient_end_to_end,
+     {"config": _TINY, "targets": [GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3))], "samples": 3}),
+    ("giou_invariants", checks.giou_invariants, {"pairs": 2000}),
+    ("softmax_properties", checks.softmax_properties, {"trials": 300}),
+    ("ap_oracle", checks.ap_oracle, {"fixtures": 100, "max_gt": 6, "max_detections": 9}),
+    ("permutation_equivariance", checks.query_equivariance, {"config": _TINY, "trials": 5}),
+)
 
 
 def cmd_selftest(args) -> int:
     rng = np.random.default_rng(args.seed)
-    suites = [
-        ("hungarian_vs_brute_force", _suite_hungarian),
-        ("gradient_ops", _suite_gradient_ops),
-        ("gradient_end_to_end", _suite_gradient_end_to_end),
-        ("giou_invariants", _suite_giou),
-        ("softmax_properties", _suite_softmax),
-        ("ap_oracle", _suite_ap),
-        ("permutation_equivariance", _suite_equivariance),
-    ]
-    passed = failed = 0
-    for name, suite in suites:
-        checks, failures = suite(rng)
+    failed = 0
+    for name, suite, sizes in SELFTEST_SUITES:
+        count, failures = suite(rng, **sizes)
         if failures:
             failed += 1
-            print(f"FAIL {name} ({checks} checks): {failures[0]}")
+            print(f"FAIL {name} ({count} checks): {failures[0]}")
         else:
-            passed += 1
-            print(f"PASS {name} ({checks} checks)")
-    print(f"{passed} suites passed, {failed} failed")
+            print(f"PASS {name} ({count} checks)")
+    print(f"{len(SELFTEST_SUITES) - failed} suites passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 

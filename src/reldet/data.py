@@ -193,14 +193,18 @@ def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
     stem.with_suffix(".json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ParseError(f"bad JSON in {path}: {e}") from e
+
+
 def load_scene(stem) -> Scene:
     """Read a <stem>.ppm / <stem>.json pair back into a Scene."""
     stem = Path(stem)
     image = read_ppm(stem.with_suffix(".ppm"))
-    try:
-        doc = json.loads(stem.with_suffix(".json").read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad annotation JSON in {stem.with_suffix('.json')}: {e}") from e
+    doc = _read_json(stem.with_suffix(".json"))
     h, w = image.shape[1:]
     if doc.get("width") != w or doc.get("height") != h:
         raise IntegrityError(f"annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
@@ -223,13 +227,21 @@ def save_dataset(scenes: list[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
     (out / "catalog.json").write_text(json.dumps(list(catalog), indent=1) + "\n")
 
 
+def load_catalog(path) -> list[str]:
+    """Class names from a catalog.json: a JSON list of strings."""
+    catalog = _read_json(Path(path))
+    if not isinstance(catalog, list) or not all(isinstance(name, str) for name in catalog):
+        raise ParseError(f"{path} is not a JSON list of class names")
+    return catalog
+
+
 def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
     root = Path(data_dir)
     cat_path = root / "catalog.json"
     if not cat_path.exists():
         raise ParseError(f"no catalog.json in {root}")
-    catalog = json.loads(cat_path.read_text())
+    catalog = load_catalog(cat_path)
     stems = sorted(p.with_suffix("") for p in root.glob("scene_*.ppm"))
     if not stems:
         raise ParseError(f"no scene_*.ppm files in {root}")
-    return [load_scene(stem) for stem in stems], list(catalog)
+    return [load_scene(stem) for stem in stems], catalog

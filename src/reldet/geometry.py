@@ -108,17 +108,12 @@ def giou(a: Box, b: Box) -> float:
     return iou_val - (enclose - union) / enclose
 
 
-def box_loss(b: Box, bhat, w: LossWeights):
+def box_loss(b: Box, bhat: Box, w: LossWeights) -> float:
     """lambda_iou * (1 - GIoU) + lambda_l1 * L1 over the 4 center coordinates.
 
-    ``bhat`` may be a Box (returns a float) or a 4-entry Tensor (returns a
-    scalar Tensor, differentiable through the prediction).
+    The scalar form used for matching costs; box_loss_pairwise is the
+    differentiable one.
     """
-    if isinstance(bhat, Tensor):
-        if bhat.shape not in ((4,), (1, 4)):
-            raise ContractError(f"box_loss expects a 4-entry prediction tensor, got shape {bhat.shape}")
-        row = numeric.reshape(bhat, (1, 4))
-        return numeric.reshape(box_loss_pairwise(b.as_array()[None, :], row, w), ())
     l1 = abs(b.cx - bhat.cx) + abs(b.cy - bhat.cy) + abs(b.w - bhat.w) + abs(b.h - bhat.h)
     return w.lambda_iou * (1.0 - giou(b, bhat)) + w.lambda_l1 * l1
 

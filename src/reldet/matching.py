@@ -182,7 +182,7 @@ class LossBreakdown:
     box: float = 0.0
 
 
-def hungarian_loss(gt_padded, preds, assign: Assignment, w: LossWeights, null_weight: float = 0.1) -> Tensor:
+def hungarian_loss_terms(gt_padded, preds, assign: Assignment, w: LossWeights, null_weight: float = 0.1) -> LossBreakdown:
     """Set-prediction loss under a fixed assignment; differentiable through preds.
 
     ``preds`` carries tensors: ``class_probs`` of shape [N, K+1] and ``boxes``
@@ -190,10 +190,6 @@ def hungarian_loss(gt_padded, preds, assign: Assignment, w: LossWeights, null_we
     ``null_weight`` on no-object slots); real slots add the box loss.
     Probabilities are clamped to 1e-12 before the log as a numeric guard.
     """
-    return hungarian_loss_terms(gt_padded, preds, assign, w, null_weight).total
-
-
-def hungarian_loss_terms(gt_padded, preds, assign: Assignment, w: LossWeights, null_weight: float = 0.1) -> LossBreakdown:
     probs: Tensor = preds.class_probs
     boxes: Tensor = preds.boxes
     n = len(gt_padded)

@@ -183,14 +183,6 @@ def flatten_hw(z: Tensor) -> Tensor:
     return numeric.transpose(numeric.reshape(z, (d, fh * fw)))
 
 
-def unflatten_hw(t: Tensor, hw: tuple[int, int]) -> Tensor:
-    fh, fw = hw
-    n, d = t.shape
-    if n != fh * fw:
-        raise ShapeError(f"cannot unflatten {n} rows into {fh}x{fw}")
-    return numeric.reshape(numeric.transpose(t), (d, fh, fw))
-
-
 def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
     """Fixed sin/cos positional encodings over a flat position index."""
     if d % 2:

@@ -64,9 +64,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     # arithmetic sugar; python scalars allowed on either side
     def __add__(self, other):
         return add(self, other)

@@ -159,12 +159,18 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         raise IntegrityError(f"no manifest.json in {root}") from None
     except json.JSONDecodeError as e:
         raise IntegrityError(f"bad manifest.json in {root}: {e}") from e
-    config = _config_from_dict(manifest["config"])
+    try:
+        config = _config_from_dict(manifest["config"])
+        listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise IntegrityError(f"bad config or tensors in {root / 'manifest.json'}: {e!r}") from e
     expected = [(name, tuple(shape)) for name, shape, _ in param_spec(config)]
-    listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
     if listed != expected:
         raise IntegrityError("manifest tensor list does not match the model layout for its config")
-    blob = (root / "weights.bin").read_bytes()
+    try:
+        blob = (root / "weights.bin").read_bytes()
+    except FileNotFoundError:
+        raise IntegrityError(f"no weights.bin in {root}") from None
     total = sum(int(np.prod(shape)) for _, shape in expected)
     if len(blob) != total * 8:
         raise IntegrityError(f"weights.bin holds {len(blob)} bytes, expected {total * 8}")

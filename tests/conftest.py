@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from reldet import numeric
+from reldet import checks
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -18,39 +18,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def assert_grad_close(analytic, fd, rtol, atol=1e-7, label=""):
-    """Gradient comparator: |a - f| <= atol + rtol*max(|a|, |f|) per entry.
-
-    The absolute floor keeps near-zero gradients from blowing up the relative
-    error; everywhere else this is the plain relative criterion.
-    """
-    a = np.asarray(analytic, dtype=np.float64)
-    f = np.asarray(fd, dtype=np.float64)
-    assert a.shape == f.shape, f"{label}: gradient shape {a.shape} vs fd shape {f.shape}"
-    bound = atol + rtol * np.maximum(np.abs(a), np.abs(f))
-    err = np.abs(a - f)
-    worst = float((err - bound).max())
-    assert np.all(err <= bound), f"{label}: gradient mismatch, worst excess {worst:.3e}"
+def assert_grad_close(analytic, fd, rtol, label=""):
+    """|a - f| <= 1e-7 + rtol*max(|a|, |f|) per entry (reldet.checks.grad_excess)."""
+    excess = checks.grad_excess(analytic, fd, rtol)
+    assert excess <= 0, f"{label}: gradient mismatch, worst excess {excess:.3e}"
 
 
-def gradcheck(op, x_data, rtol=1e-4, eps=1e-5, rng=None, label=""):
-    """Check d(sum(op(x) * r))/dx against central differences.
-
-    A random projection r exercises the full Jacobian with one scalar probe.
-    """
-    rng = rng or np.random.default_rng(0)
-    x = numeric.Tensor(x_data, requires_grad=True)
-    with numeric.Tape():
-        y = op(x)
-        r = numeric.Tensor(rng.standard_normal(y.shape))
-        loss = numeric.sum_all(numeric.mul(y, r))
-    numeric.backward(loss)
-
-    def scalar(t):
-        return numeric.sum_all(numeric.mul(op(t), r))
-
-    fd = numeric.finite_diff_grad(scalar, numeric.Tensor(x_data), eps=eps)
-    assert_grad_close(x.grad, fd.data, rtol=rtol, label=label or getattr(op, "__name__", "op"))
+def gradcheck(op, x_data, rng, rtol=1e-4, label=""):
+    """d(sum(op(x) * r))/dx against central differences (reldet.checks.fd_excess)."""
+    excess = checks.fd_excess(op, x_data, rng, rtol)
+    assert excess <= 0, f"{label}: gradient mismatch, worst excess {excess:.3e}"
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Acceptance criteria A1-A8, one test per criterion.
 
 Each test appends a PASS/FAIL line to the terminal summary (see conftest).
+The routines behind A1-A3, A6 and A7 live in ``reldet.checks``, which
+``reldet selftest`` runs at smaller sizes.
 The overfit run behind A4/A5 trains the default configuration once per
 session and is shared between both criteria.
 """
@@ -12,20 +14,12 @@ import numpy as np
 import pytest
 
 import conftest
-from reldet import cli, numeric
+from reldet import checks, cli
 from reldet.data import DEFAULT_CLASSES, SceneConfig, generate_scene
-from reldet.evaluation import average_precision, evaluate_dataset
-from reldet.geometry import Box, LossWeights, giou, iou
-from reldet.matching import (
-    GroundTruth,
-    brute_force_assign,
-    build_cost_matrix,
-    hungarian,
-    hungarian_loss,
-    pad_targets,
-)
-from reldet.model import ModelConfig, forward, init_params
-from reldet.numeric import Tape, Tensor
+from reldet.evaluation import evaluate_dataset
+from reldet.geometry import Box
+from reldet.matching import GroundTruth
+from reldet.model import ModelConfig
 from reldet.training import train
 
 
@@ -41,15 +35,8 @@ def record(criterion: str, ok: bool, detail: str):
 def test_a1_hungarian_oracle_equivalence():
     rng = np.random.default_rng(11)
     t0 = time.perf_counter()
-    mismatches = 0
-    for n in range(2, 8):
-        for trial in range(1000):
-            if trial % 3 == 2:
-                c = rng.integers(-3, 7, (n, n)).astype(np.float64)
-            else:
-                c = rng.uniform(-1.0, 1.0, (n, n))
-            if hungarian(c).total_cost != brute_force_assign(c).total_cost:
-                mismatches += 1
+    _, failures = checks.hungarian_oracle(rng, max_n=7, trials_per_n=1000)
+    mismatches = len(failures)
     elapsed = time.perf_counter() - t0
     record("A1", mismatches == 0 and elapsed < 10.0,
            f"6000 matrices (N=2..7), {mismatches} cost mismatches, {elapsed:.2f}s")
@@ -59,100 +46,22 @@ def test_a1_hungarian_oracle_equivalence():
 # A2: every differentiable op, and the end-to-end loss, match central differences
 
 
-def _op_cases(rng):
-    off = lambda a: a + np.sign(a + 0.5) * 0.05
-    mat = rng.standard_normal((3, 4))
-    const = Tensor(rng.standard_normal((3, 4)))
-    sep = Tensor(off(rng.standard_normal((3, 4))) + 0.11)
-    rhs = Tensor(rng.standard_normal((4, 2)))
-    vec = Tensor(rng.standard_normal(4))
-    return [
-        ("add", lambda x: numeric.add(x, const), mat),
-        ("sub", lambda x: numeric.sub(const, x), mat),
-        ("mul", lambda x: numeric.mul(x, const), mat),
-        ("div", lambda x: numeric.div(x, Tensor(np.abs(mat) + 1.0)), mat),
-        ("neg", numeric.neg, mat),
-        ("absolute", numeric.absolute, off(mat)),
-        ("relu", numeric.relu, off(mat)),
-        ("sigmoid", numeric.sigmoid, mat),
-        ("log", numeric.log, np.abs(mat) + 0.5),
-        ("maximum", lambda x: numeric.maximum(x, sep), off(mat)),
-        ("minimum", lambda x: numeric.minimum(x, sep), off(mat)),
-        ("matmul", lambda x: numeric.matmul(x, rhs), mat),
-        ("softmax", lambda x: numeric.softmax(x, 1), mat),
-        ("layer_norm", numeric.layer_norm, mat),
-        ("mean", lambda x: numeric.reshape(numeric.mean(x), (1,)), mat),
-        ("sum_all", lambda x: numeric.reshape(numeric.sum_all(x), (1,)), mat),
-        ("concat", lambda x: numeric.concat([x, const], axis=1), mat),
-        ("narrow", lambda x: numeric.narrow(x, 1, 1, 2), mat),
-        ("reshape", lambda x: numeric.reshape(x, (6, 2)), mat),
-        ("transpose", numeric.transpose, mat),
-        ("take_rows", lambda x: numeric.take_rows(x, [2, 0, 2]), mat),
-        ("take_pairs", lambda x: numeric.take_pairs(x, [0, 2, 1], [3, 0, 0]), mat),
-        ("add_rowvec", lambda x: numeric.add_rowvec(x, vec), mat),
-        ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, 1, 1), mat),
-    ]
-
-
-def _fd_excess(op, x_data, rng, rtol, atol=1e-7):
-    x = Tensor(x_data, requires_grad=True)
-    with Tape():
-        y = op(x)
-        probe = Tensor(rng.standard_normal(y.shape))
-        loss = numeric.sum_all(numeric.mul(y, probe))
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(lambda t: numeric.sum_all(numeric.mul(op(t), probe)), Tensor(x_data))
-    err = np.abs(x.grad - fd.data)
-    return float((err - (atol + rtol * np.maximum(np.abs(x.grad), np.abs(fd.data)))).max())
-
-
 def test_a2_gradient_suite():
     t0 = time.perf_counter()
-    failures = []
-    n_checks = 0
+    n_checks, failures = 0, []
     for draw in range(5):
-        rng = np.random.default_rng(600 + draw)
-        for name, op, x_data in _op_cases(rng):
-            n_checks += 1
-            excess = _fd_excess(op, x_data, rng, rtol=1e-4)
-            if excess > 0:
-                failures.append(f"{name} (draw {draw}): excess {excess:.2e}")
+        count, fails = checks.gradient_ops(np.random.default_rng(600 + draw))
+        n_checks += count
+        failures += [f"{f} (draw {draw})" for f in fails]
 
     # end-to-end: 16x16 image, d=8, N=4, 20 sampled parameters, rel <= 1e-3
     cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
                       num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
                       knn_k=1, seed=5)
-    rng = np.random.default_rng(77)
-    params = init_params(cfg)
-    image = Tensor(rng.uniform(0, 1, (3, 16, 16)))
-    gts = pad_targets([GroundTruth(0, Box(0.35, 0.4, 0.3, 0.3)), GroundTruth(1, Box(0.7, 0.6, 0.25, 0.2))], 4)
-    w = LossWeights(2.0, 5.0)
-    with Tape():
-        out = forward(image, params, cfg)
-        assign = hungarian(build_cost_matrix(gts, out.predictions, w))
-        loss = hungarian_loss(gts, out, assign, w, 0.1)
-    numeric.backward(loss)
-
-    def loss_at():
-        return float(hungarian_loss(gts, forward(image, params, cfg), assign, w, 0.1).data)
-
-    names = list(params)
-    for k in range(20):
-        n_checks += 1
-        name = names[int(rng.integers(0, len(names)))]
-        flat = params[name].data.reshape(-1)
-        idx = int(rng.integers(0, flat.size))
-        base = flat[idx]
-        eps = 1e-5
-        flat[idx] = base + eps
-        up = loss_at()
-        flat[idx] = base - eps
-        dn = loss_at()
-        flat[idx] = base
-        fd = (up - dn) / (2 * eps)
-        analytic = params[name].grad.reshape(-1)[idx]
-        if abs(analytic - fd) > 1e-6 + 1e-3 * max(abs(analytic), abs(fd)):
-            failures.append(f"end-to-end {name}[{idx}]: {analytic:.6e} vs {fd:.6e}")
+    gts = [GroundTruth(0, Box(0.35, 0.4, 0.3, 0.3)), GroundTruth(1, Box(0.7, 0.6, 0.25, 0.2))]
+    count, fails = checks.gradient_end_to_end(np.random.default_rng(77), cfg, gts, samples=20)
+    n_checks += count
+    failures += [f"end-to-end {f}" for f in fails]
     elapsed = time.perf_counter() - t0
     record("A2", not failures and elapsed < 60.0,
            f"{n_checks} gradient checks (op rel 1e-4, end-to-end rel 1e-3), "
@@ -166,18 +75,9 @@ def test_a2_gradient_suite():
 def test_a3_giou_invariants():
     rng = np.random.default_rng(21)
     t0 = time.perf_counter()
-    bad = 0
-    for _ in range(10000):
-        w1, h1, w2, h2 = rng.uniform(0.02, 0.45, 4)
-        a = Box(rng.uniform(w1 / 2, 1 - w1 / 2), rng.uniform(h1 / 2, 1 - h1 / 2), w1, h1)
-        b = Box(rng.uniform(w2 / 2, 1 - w2 / 2), rng.uniform(h2 / 2, 1 - h2 / 2), w2, h2)
-        g = giou(a, b)
-        if not (-1.0 < g <= 1.0 and g <= iou(a, b) + 1e-15 and g == giou(b, a) and giou(a, a) == 1.0):
-            bad += 1
-    fixed_ok = (
-        abs(giou(Box(1.0, 1.0, 2.0, 2.0), Box(2.0, 2.0, 2.0, 2.0)) - (-5 / 63)) < 1e-15
-        and giou(Box(0.5, 0.5, 1.0, 1.0), Box(1.5, 0.5, 1.0, 1.0)) == 0.0
-    )
+    _, failures = checks.giou_invariants(rng, pairs=10000)
+    bad = sum(not f.startswith(checks.FIXED_CASE) for f in failures)
+    fixed_ok = bad == len(failures)
     elapsed = time.perf_counter() - t0
     record("A3", bad == 0 and fixed_ok and elapsed < 5.0,
            f"10000 random pairs, {bad} violations, fixed cases (-5/63, 0) "
@@ -230,20 +130,7 @@ def test_a5_relation_ablation(overfit_runs):
 
 def test_a6_permutation_equivariance():
     cfg = ModelConfig()
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for trial in range(50):
-        params = init_params(cfg, seed=1000 + trial)
-        image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
-        base = forward(image, params, cfg)
-        perm = rng.permutation(cfg.num_queries)
-        params["query_embed"] = Tensor(params["query_embed"].data[perm], requires_grad=True)
-        permuted = forward(image, params, cfg)
-        dev = max(
-            np.abs(permuted.class_probs.data - base.class_probs.data[perm]).max(),
-            np.abs(permuted.boxes.data - base.boxes.data[perm]).max(),
-        )
-        worst = max(worst, dev)
+    worst = max(checks.equivariance_deviations(np.random.default_rng(31), cfg, trials=50, first_seed=1000))
     record("A6", worst <= 1e-9, f"50 trials, worst deviation {worst:.2e} (bound 1e-9)")
 
 
@@ -251,27 +138,10 @@ def test_a6_permutation_equivariance():
 # A7: AP fixture plus 200 random fixtures against brute-force recomputation
 
 
-def _ap_enumerated(flags, num_gt):
-    tp = 0
-    prec, rec = [], []
-    for i, f in enumerate(flags):
-        tp += int(f)
-        prec.append(tp / (i + 1))
-        rec.append(tp / num_gt)
-    return sum(max(p for p, r in zip(prec, rec) if r >= level / num_gt) for level in range(1, tp + 1)) / num_gt
-
-
 def test_a7_average_precision_oracle():
-    fixture_ok = average_precision([True, False, True], 2) == 5 / 6
-    rng = np.random.default_rng(41)
-    bad = 0
-    for _ in range(200):
-        num_gt = int(rng.integers(1, 9))
-        flags = list(rng.random(int(rng.integers(0, 14))) < 0.5)
-        while sum(flags) > num_gt:
-            flags[max(i for i, f in enumerate(flags) if f)] = False
-        if abs(average_precision(flags, num_gt) - _ap_enumerated(flags, num_gt)) > 1e-12:
-            bad += 1
+    _, failures = checks.ap_oracle(np.random.default_rng(41), fixtures=200, max_gt=8, max_detections=13)
+    bad = sum(not f.startswith(checks.FIXED_CASE) for f in failures)
+    fixture_ok = bad == len(failures)
     record("A7", fixture_ok and bad == 0,
            f"fixture [TP,FP,TP]/2gt == 5/6 exactly: {fixture_ok}; 200 random fixtures, {bad} mismatches")
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_train_writes_checkpoint_and_log(checkpoint):
         assert np.isfinite(float(parts[2]))
 
 
+def test_train_epochs_zero_exits_2(dataset, tmp_path):
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), "--epochs", "0") == 2
+
+
+def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path):
+    bad_ds = shutil.copytree(dataset, tmp_path / "ds")
+    (bad_ds / "catalog.json").write_text('["transformer", ')
+    assert run("train", "--data", str(bad_ds), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS) == 2
+    assert run("eval", "--data", str(bad_ds), "--checkpoint", str(checkpoint)) == 2
+    bad_ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    (bad_ckpt / "catalog.json").write_text("{}")
+    assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
+               "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / "p")) == 2
+
+
 def test_train_knn_zero_runs(dataset, tmp_path):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck0"),
                "--knn-k", "0", *TRAIN_FLAGS) == 0
@@ -105,6 +121,20 @@ def test_eval_mismatched_dataset_exits_4(checkpoint, tmp_path):
 
 def test_eval_missing_checkpoint_exits_4(dataset, tmp_path):
     assert run("eval", "--data", str(dataset), "--checkpoint", str(tmp_path / "nothing")) == 4
+
+
+def test_eval_missing_weights_exits_4(dataset, checkpoint, tmp_path):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    (ckpt / "weights.bin").unlink()
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+
+
+def test_eval_manifest_without_image_size_exits_4(dataset, checkpoint, tmp_path):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["config"]["image_size"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
 
 
 def test_predict_outputs(dataset, checkpoint, tmp_path):

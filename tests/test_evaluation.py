@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reldet.checks import ap_enumerated
 from reldet.errors import ContractError
 from reldet.evaluation import (
     ScoredDetection,
@@ -16,23 +17,6 @@ from reldet.geometry import Box, from_corners, iou
 from reldet.matching import GroundTruth
 from reldet.model import DetectionOutput
 from reldet.numeric import Tensor
-
-
-def ap_by_enumeration(flags, num_gt):
-    """Brute-force PR recomputation: max precision at each achieved recall level."""
-    if num_gt == 0:
-        return None
-    prec, rec = [], []
-    tp = 0
-    for i, f in enumerate(flags):
-        tp += int(f)
-        prec.append(tp / (i + 1))
-        rec.append(tp / num_gt)
-    total = 0.0
-    for level in range(1, tp + 1):
-        r = level / num_gt
-        total += max(p for p, q in zip(prec, rec) if q >= r)
-    return total / num_gt
 
 
 def det(cid, conf, box):
@@ -120,7 +104,7 @@ def test_average_precision_matches_enumeration(seed):
         while sum(flags) > num_gt:
             flags[max(i for i, f in enumerate(flags) if f)] = False
     ap = average_precision(flags, num_gt)
-    assert ap == pytest.approx(ap_by_enumeration(flags, num_gt), abs=1e-12)
+    assert ap == pytest.approx(ap_enumerated(flags, num_gt), abs=1e-12)
     assert 0.0 <= ap <= 1.0
 
 
@@ -185,7 +169,7 @@ def test_evaluate_detections_hand_built_two_scene_fixture():
     report = evaluate_detections(dets, gts, 1, 0.5)
     # pooled order by confidence: TP(0.95), TP(0.80), FP(0.60); 2 of 3 gts found
     assert report.per_class[0].tp == 2 and report.per_class[0].fp == 1
-    expected = ap_by_enumeration([True, True, False], 3)
+    expected = ap_enumerated([True, True, False], 3)
     assert report.per_class[0].ap == pytest.approx(expected, abs=1e-12)
     assert report.mean_ap == pytest.approx(expected, abs=1e-12)
 

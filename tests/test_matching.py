@@ -13,7 +13,6 @@ from reldet.matching import (
     brute_force_assign,
     build_cost_matrix,
     hungarian,
-    hungarian_loss,
     hungarian_loss_terms,
     match_cost,
     pad_targets,
@@ -158,7 +157,7 @@ def test_hungarian_loss_perfect_prediction_is_zero():
     probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     boxes = Tensor(np.array([b.as_array(), [0.0, 0.0, 0.0, 0.0]]))
     gts = pad_targets([GroundTruth(0, b)], 2)
-    loss = hungarian_loss(gts, FakeOutput(probs, boxes), Assignment((0, 1), 0.0), W, null_weight=1.0)
+    loss = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0, 1), 0.0), W, null_weight=1.0).total
     # p = 1 on both slots is clamped log(1) = 0; matched box is exact
     assert float(loss) == 0.0
 
@@ -167,10 +166,10 @@ def test_hungarian_loss_single_null_slot():
     probs = Tensor(np.array([[0.5, 0.5]]))
     boxes = Tensor(np.zeros((1, 4)))
     gts = pad_targets([], 1)
-    loss = hungarian_loss(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=1.0)
+    loss = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=1.0).total
     assert float(loss) == pytest.approx(np.log(2.0), abs=1e-12)
     # scaling null_weight to zero removes the only contribution
-    gone = hungarian_loss(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=0.0)
+    gone = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=0.0).total
     assert float(gone) == 0.0
 
 
@@ -193,7 +192,7 @@ def test_hungarian_loss_gradient_matches_fd(rng):
 
     def loss_from_logits(lg):
         probs = numeric.softmax(lg, 1)
-        return hungarian_loss(gts, FakeOutput(probs, Tensor(boxes0)), assign, W, null_weight=0.3)
+        return hungarian_loss_terms(gts, FakeOutput(probs, Tensor(boxes0)), assign, W, null_weight=0.3).total
 
     lg = Tensor(logits0, requires_grad=True)
     with Tape():
@@ -203,7 +202,8 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     assert_grad_close(lg.grad, fd.data, rtol=1e-4, label="loss/logits")
 
     def loss_from_boxes(bx):
-        return hungarian_loss(gts, FakeOutput(Tensor(numeric.softmax(Tensor(logits0), 1).data), bx), assign, W)
+        probs = Tensor(numeric.softmax(Tensor(logits0), 1).data)
+        return hungarian_loss_terms(gts, FakeOutput(probs, bx), assign, W).total
 
     bx = Tensor(boxes0, requires_grad=True)
     with Tape():
