@@ -62,7 +62,9 @@ def op_cases(rng) -> list:
     const = Tensor(rng.standard_normal((3, 4)))
     sep = Tensor(off(rng.standard_normal((3, 4))) + 0.11)
     rhs = Tensor(rng.standard_normal((4, 2)))
-    vec = Tensor(rng.standard_normal(4))
+    bias = Tensor(rng.standard_normal(2))
+    keys = Tensor(rng.standard_normal((5, 4)))
+    values = Tensor(rng.standard_normal((5, 4)))
     return [
         ("add", lambda x: numeric.add(x, const), mat),
         ("sub", lambda x: numeric.sub(const, x), mat),
@@ -86,7 +88,12 @@ def op_cases(rng) -> list:
         ("transpose", numeric.transpose, mat),
         ("take_rows", lambda x: numeric.take_rows(x, [2, 0, 2]), mat),
         ("take_pairs", lambda x: numeric.take_pairs(x, [0, 2, 1], [3, 0, 0]), mat),
-        ("add_rowvec", lambda x: numeric.add_rowvec(x, vec), mat),
+        ("linear/x", lambda x: numeric.linear(x, rhs, bias), mat),
+        ("linear/w", lambda w: numeric.linear(const, w, bias), rhs.data),
+        ("linear/b", lambda b: numeric.linear(const, rhs, b), bias.data),
+        ("attention/q", lambda q: numeric.attention(q, keys, values, 2), mat),
+        ("attention/k", lambda k: numeric.attention(const, k, values, 2), keys.data),
+        ("attention/v", lambda v: numeric.attention(const, keys, v, 2), values.data),
         ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, 1, 1), mat),
     ]
 

@@ -162,6 +162,8 @@ def cmd_predict(args) -> int:
     cat_path = Path(args.checkpoint) / "catalog.json"
     if cat_path.exists():
         catalog = load_catalog(cat_path)
+        if len(catalog) != config.num_classes:
+            raise IntegrityError(f"{cat_path} names {len(catalog)} classes but the checkpoint has {config.num_classes}")
     else:
         catalog = [f"class_{i}" for i in range(config.num_classes)]
     out = forward(Tensor(image), params, config)

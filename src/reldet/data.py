@@ -244,4 +244,12 @@ def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
     stems = sorted(p.with_suffix("") for p in root.glob("scene_*.ppm"))
     if not stems:
         raise ParseError(f"no scene_*.ppm files in {root}")
-    return [load_scene(stem) for stem in stems], catalog
+    scenes = [load_scene(stem) for stem in stems]
+    for stem, scene in zip(stems, scenes):
+        for g in scene.objects:
+            if not 0 <= g.class_id < len(catalog):
+                raise ParseError(
+                    f"{stem.with_suffix('.json')}: class_id {g.class_id} is outside the "
+                    f"{len(catalog)}-class catalog"
+                )
+    return scenes, catalog

@@ -9,7 +9,12 @@ features with its neighbors', and one further decoder layer refines the
 relation-fixed embeddings before the prediction heads.
 
 Positional encodings are added to attention queries and keys only, never to
-values, at every layer. Parameters live in an ordered name -> Tensor dict.
+values, at every layer. Attention projects queries, keys and values with one
+``numeric.linear`` each, runs every head in one ``numeric.attention`` op
+(heads are column blocks of width d / num_heads; per head softmax(Q K^T /
+sqrt(d / num_heads)) V, batched over heads) and maps the concatenated heads
+through an output ``linear``. Parameters live in an ordered name -> Tensor
+dict.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ def init_params(config: ModelConfig, seed: int | None = None) -> dict[str, Tenso
 
 def _conv3x3(x: Tensor, params, name: str, out_hw: tuple[int, int]) -> Tensor:
     cols = numeric.im2col(x, 3, stride=2, pad=1)
-    out = numeric.add_rowvec(numeric.matmul(cols, params[f"{name}.weight"]), params[f"{name}.bias"])
+    out = numeric.linear(cols, params[f"{name}.weight"], params[f"{name}.bias"])
     c_out = params[f"{name}.weight"].shape[1]
     return numeric.reshape(numeric.transpose(out), (c_out, *out_hw))
 
@@ -173,7 +178,7 @@ def channel_reduce(f: Tensor, params, config: ModelConfig) -> Tensor:
     if c != config.backbone_channels:
         raise ShapeError(f"feature map has {c} channels, expected {config.backbone_channels}")
     flat = numeric.transpose(numeric.reshape(f, (c, fh * fw)))
-    out = numeric.add_rowvec(numeric.matmul(flat, params["reduce.weight"]), params["reduce.bias"])
+    out = numeric.linear(flat, params["reduce.weight"], params["reduce.bias"])
     return numeric.reshape(numeric.transpose(out), (config.model_dim, fh, fw))
 
 
@@ -197,31 +202,22 @@ def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, prefix: str, num_heads: int) -> Tensor:
-    """Scaled dot-product attention with per-head column slices of d."""
+    """Project q, k, v, attend with all heads in one op, project the result."""
     d = q.shape[1]
     if d % num_heads:
         raise ShapeError(f"model width {d} not divisible by {num_heads} heads")
     if k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    dh = d // num_heads
-    qp = numeric.add_rowvec(numeric.matmul(q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    kp = numeric.add_rowvec(numeric.matmul(k, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    vp = numeric.add_rowvec(numeric.matmul(v, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    heads = []
-    scale = 1.0 / math.sqrt(dh)
-    for h in range(num_heads):
-        qh = numeric.narrow(qp, 1, h * dh, dh)
-        kh = numeric.narrow(kp, 1, h * dh, dh)
-        vh = numeric.narrow(vp, 1, h * dh, dh)
-        scores = numeric.mul(numeric.matmul(qh, numeric.transpose(kh)), scale)
-        heads.append(numeric.matmul(numeric.softmax(scores, 1), vh))
-    mixed = heads[0] if num_heads == 1 else numeric.concat(heads, axis=1)
-    return numeric.add_rowvec(numeric.matmul(mixed, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    qp = numeric.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    kp = numeric.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    mixed = numeric.attention(qp, kp, vp, num_heads)
+    return numeric.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(x: Tensor, params, prefix: str) -> Tensor:
-    h = numeric.relu(numeric.add_rowvec(numeric.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return numeric.add_rowvec(numeric.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = numeric.relu(numeric.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return numeric.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _encoder_layer(x: Tensor, pe: Tensor, params, prefix: str, heads: int) -> Tensor:
@@ -275,12 +271,11 @@ def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config:
 def predict_heads(embeddings: Tensor, params, config: ModelConfig) -> DetectionOutput:
     """Class head: one affine map to K+1 logits, softmax (last class = no object).
     Box head: 3-layer MLP with hidden width d, sigmoid into (0, 1)^4."""
-    logits = numeric.add_rowvec(numeric.matmul(embeddings, params["class_head.weight"]), params["class_head.bias"])
-    probs = numeric.softmax(logits, 1)
+    probs = numeric.softmax(numeric.linear(embeddings, params["class_head.weight"], params["class_head.bias"]), 1)
     h = embeddings
     for i in range(2):
-        h = numeric.relu(numeric.add_rowvec(numeric.matmul(h, params[f"box_head.w{i}"]), params[f"box_head.b{i}"]))
-    boxes = numeric.sigmoid(numeric.add_rowvec(numeric.matmul(h, params["box_head.w2"]), params["box_head.b2"]))
+        h = numeric.relu(numeric.linear(h, params[f"box_head.w{i}"], params[f"box_head.b{i}"]))
+    boxes = numeric.sigmoid(numeric.linear(h, params["box_head.w2"], params["box_head.b2"]))
     return DetectionOutput(probs, boxes)
 
 

@@ -8,11 +8,23 @@ distinct threads.
 
 Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
-go through the explicit ``add_rowvec`` op instead of silent broadcasting.
+happen only inside ``linear``, never by silent broadcasting.
+
+Two fused primitives record one tape entry for what would otherwise be a
+chain of small ops, with the same forward bits as that chain:
+
+- ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
+  backward ``(g @ w.T, x.T @ g, g.sum(axis=0))``.
+- ``attention(qp, kp, vp, num_heads)``: multi-head scaled dot-product
+  attention of projected queries [n, d] over projected keys and values
+  [m, d]. The heads are column blocks of width d / num_heads, computed as one
+  batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after the product, a
+  max-shifted softmax over the keys and one batched product with V.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -432,6 +444,65 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g @ db.T, da.T @ g))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an [m, k] matrix; the length-n bias b is
+    added to every row of the [m, n] product."""
+    x = _tensor_arg(x, "linear")
+    w = _tensor_arg(w, "linear")
+    b = _tensor_arg(b, "linear")
+    dx, dw = x.data, w.data
+    if dx.ndim != 2 or dw.ndim != 2 or b.data.ndim != 1 or dx.shape[1] != dw.shape[0] or dw.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
+    out = Tensor(dx @ dw + b.data[None, :])
+    return _record(out, (x, w, b), lambda g: (g @ dw.T, dx.T @ g, g.sum(axis=0)))
+
+
+def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of [n, d] queries over [m, d]
+    keys and values.
+
+    Head h owns columns [h*dh, (h+1)*dh) with dh = d / num_heads, and writes
+    softmax(Q_h K_h^T / sqrt(dh)) V_h into the same columns of the [n, d]
+    output; the scale multiplies the product and the softmax over the keys
+    is max-shifted. All heads run as one batched product each way.
+    """
+    qp = _tensor_arg(qp, "attention")
+    kp = _tensor_arg(kp, "attention")
+    vp = _tensor_arg(vp, "attention")
+    if qp.data.ndim != 2 or kp.data.ndim != 2 or kp.data.shape != vp.data.shape or qp.data.shape[1] != kp.data.shape[1]:
+        raise ShapeError(f"attention shapes disagree: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}")
+    (n, d), m = qp.data.shape, kp.data.shape[0]
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {num_heads} heads")
+    dh = d // num_heads
+    scale = 1.0 / math.sqrt(dh)
+    # per-head operands, each head's matrix C-contiguous: q [h,n,dh], k^T [h,dh,m], v [h,m,dh]
+    q = np.ascontiguousarray(qp.data.reshape(n, num_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(kp.data.reshape(m, num_heads, dh).transpose(1, 2, 0))
+    v = np.ascontiguousarray(vp.data.reshape(m, num_heads, dh).transpose(1, 0, 2))
+    s = (q @ kt) * scale
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    out = Tensor((p @ v).transpose(1, 0, 2).reshape(n, d))
+
+    def bwd(g):
+        go = g.reshape(n, num_heads, dh).transpose(1, 0, 2)
+        dp = go @ v.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        dq = ds @ kt.transpose(0, 2, 1)
+        dkt = q.transpose(0, 2, 1) @ ds
+        dv = p.transpose(0, 2, 1) @ go
+        # dk in C order: the reshape of dk^T is an F-order view, which would change
+        # the summation order of the bias sum and of the BLAS products downstream
+        return (
+            dq.transpose(1, 0, 2).reshape(n, d),
+            np.ascontiguousarray(dkt.transpose(2, 0, 1).reshape(m, d)),
+            dv.transpose(1, 0, 2).reshape(m, d),
+        )
+
+    return _record(out, (qp, kp, vp), bwd)
+
+
 def transpose(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "transpose")
     if x.data.ndim != 2:
@@ -537,16 +608,6 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
         return (z,)
 
     return _record(out, (x,), bwd)
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an m-by-n matrix (bias add)."""
-    x = _tensor_arg(x, "add_rowvec")
-    v = _tensor_arg(v, "add_rowvec")
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {x.data.shape} and {v.data.shape}")
-    out = Tensor(x.data + v.data[None, :])
-    return _record(out, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
 def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:

@@ -93,4 +93,4 @@ def aggregate(features: Tensor, g: RelationGraph, p: RelationLayerParams) -> Ten
         raise ShapeError(f"relation weight {p.weight.shape} does not match feature width {features.shape[1]}")
     nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
     h = numeric.concat([features, nbr], axis=1)
-    return numeric.relu(numeric.add_rowvec(numeric.matmul(h, numeric.transpose(p.weight)), p.bias))
+    return numeric.relu(numeric.linear(h, numeric.transpose(p.weight), p.bias))

@@ -79,6 +79,8 @@ def train_step(
     """One optimization step on one scene; returns the loss breakdown."""
     with Tape():
         out = forward(scene.image, params, config)
+        if not (np.all(np.isfinite(out.class_probs.data)) and np.all(np.isfinite(out.boxes.data))):
+            raise NumericError("non-finite model outputs (class probabilities or boxes)")
         # matching runs on detached floats; sigma is a constant to the tape
         gt_padded = pad_targets(scene.objects, config.num_queries)
         cost = build_cost_matrix(gt_padded, out.predictions, weights)

@@ -80,6 +80,36 @@ def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path):
                "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / "p")) == 2
 
 
+def _with_class_id(dataset, tmp_path, class_id):
+    ds = shutil.copytree(dataset, tmp_path / "ds")
+    scene = ds / "scene_00001.json"
+    doc = json.loads(scene.read_text())
+    doc["objects"][0]["class_id"] = class_id
+    scene.write_text(json.dumps(doc))
+    return ds
+
+
+@pytest.mark.parametrize("class_id", [99, -1])
+def test_train_out_of_catalog_class_id_exits_2(dataset, tmp_path, capsys, class_id):
+    ds = _with_class_id(dataset, tmp_path, class_id)
+    assert run("train", "--data", str(ds), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and f"class_id {class_id}" in err
+
+
+@pytest.mark.parametrize("class_id", [99, -1])
+def test_eval_out_of_catalog_class_id_exits_2(dataset, checkpoint, tmp_path, capsys, class_id):
+    ds = _with_class_id(dataset, tmp_path, class_id)
+    assert run("eval", "--data", str(ds), "--checkpoint", str(checkpoint)) == 2
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and f"class_id {class_id}" in err
+
+
+def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS, "--lr", "nan") == 3
+    assert capsys.readouterr().err.startswith("numeric divergence")
+
+
 def test_train_knn_zero_runs(dataset, tmp_path):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck0"),
                "--knn-k", "0", *TRAIN_FLAGS) == 0
@@ -171,6 +201,14 @@ def test_predict_deterministic(dataset, checkpoint, tmp_path):
                    "--checkpoint", str(checkpoint), "--out", str(tmp_path / name)) == 0
     assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
     assert (tmp_path / "p1.ppm").read_bytes() == (tmp_path / "p2.ppm").read_bytes()
+
+
+def test_predict_short_catalog_exits_4(dataset, checkpoint, tmp_path, capsys):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    (ckpt / "catalog.json").write_text('["a"]')
+    assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")) == 4
+    assert capsys.readouterr().err.startswith("checkpoint mismatch")
 
 
 def test_predict_unreadable_image_exits_2(checkpoint, tmp_path):

@@ -1,10 +1,13 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from reldet import checks, model, numeric
+from reldet import checks, data, model, numeric
 from reldet.errors import ContractError, ShapeError
-from reldet.geometry import Box
-from reldet.matching import GroundTruth
+from reldet.geometry import Box, LossWeights
+from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
 from reldet.model import (
     ModelConfig,
     backbone_forward,
@@ -157,6 +160,68 @@ def test_attention_invariant_to_joint_kv_permutation(rng):
     np.testing.assert_allclose(permuted, base, atol=1e-12)
 
 
+def _per_head_attention(q, k, v, params, prefix, num_heads):
+    """Reference: each head as its own column slices, matmuls and softmax,
+    concatenated, composed from unfused primitives."""
+    dh = q.shape[1] // num_heads
+    qp = numeric.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    kp = numeric.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    heads = []
+    for h in range(num_heads):
+        qh = numeric.narrow(qp, 1, h * dh, dh)
+        kh = numeric.narrow(kp, 1, h * dh, dh)
+        vh = numeric.narrow(vp, 1, h * dh, dh)
+        scores = numeric.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
+        heads.append(numeric.matmul(numeric.softmax(scores, 1), vh))
+    mixed = heads[0] if num_heads == 1 else numeric.concat(heads, axis=1)
+    return numeric.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+
+
+@pytest.mark.parametrize("num_queries", [16, 64])
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries):
+    rng = np.random.default_rng(40 + num_heads + num_queries)
+    cfg = ModelConfig()
+    x = rng.standard_normal((num_queries, cfg.model_dim))
+    memory = rng.standard_normal((16, cfg.model_dim))
+    probe = Tensor(rng.standard_normal((num_queries, cfg.model_dim)))
+    prefix = "decoder.0.cross_attn"
+    biases = {f"{prefix}.{b}": 0.1 * rng.standard_normal(cfg.model_dim) for b in ("bq", "bk", "bv", "bo")}
+    results = []
+    for attend in (_per_head_attention, multi_head_attention):
+        params = init_params(cfg)
+        for name, bias in biases.items():
+            params[name].data[:] = bias
+        q, kv = Tensor(x, requires_grad=True), Tensor(memory, requires_grad=True)
+        with numeric.Tape():
+            out = attend(q, kv, kv, params, prefix, num_heads)
+            loss = numeric.sum_all(numeric.mul(out, probe))
+        numeric.backward(loss)
+        grads = {name: p.grad for name, p in params.items() if name.startswith(prefix)}
+        results.append({"out": out.data, "q": q.grad, "kv": kv.grad, **grads})
+    reference, fused = results
+    for name in reference:
+        np.testing.assert_array_equal(fused[name], reference[name], err_msg=name)
+
+
+def test_default_step_tape_record_count():
+    # one taped default-config forward plus set loss; the fused linear and
+    # attention ops keep this at 189 (500 with per-head attention plumbing)
+    cfg = ModelConfig()
+    params = init_params(cfg)
+    scene = data.generate_scene(1)
+    w = LossWeights()
+    with numeric.Tape() as tape:
+        out = forward(scene.image, params, cfg)
+        forward_ops = Counter(fn.__qualname__.split(".")[0] for _, _, fn in tape.records)
+        gts = pad_targets(scene.objects, cfg.num_queries)
+        hungarian_loss_terms(gts, out, hungarian(build_cost_matrix(gts, out.predictions, w)), w, 0.1)
+    assert len(tape) == 189
+    assert forward_ops["attention"] == 8
+    assert forward_ops["narrow"] == 0
+
+
 def test_encoder_shape_token_equivariance_and_degenerate(rng):
     cfg = TINY
     params = init_params(cfg)
@@ -188,8 +253,8 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
     x = Tensor(tokens)
     qk = numeric.add(x, pe)
     x = numeric.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
-    h = numeric.relu(numeric.add_rowvec(numeric.matmul(x, params["encoder.0.ffn.w1"]), params["encoder.0.ffn.b1"]))
-    f = numeric.add_rowvec(numeric.matmul(h, params["encoder.0.ffn.w2"]), params["encoder.0.ffn.b2"])
+    h = numeric.relu(numeric.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
+    f = numeric.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
     composed = numeric.layer_norm(numeric.add(x, f)).data
     np.testing.assert_allclose(out, composed, atol=1e-12)
 

@@ -214,6 +214,18 @@ def test_narrow_out_of_range():
         numeric.narrow(Tensor(np.zeros((2, 3))), 1, 2, 2)
 
 
+def test_linear_and_attention_shape_errors():
+    z = lambda *shape: Tensor(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        numeric.linear(z(2, 3), z(2, 3), z(3))
+    with pytest.raises(ShapeError):
+        numeric.linear(z(2, 3), z(3, 4), z(3))
+    with pytest.raises(ShapeError):
+        numeric.attention(z(2, 4), z(3, 4), z(2, 4), 2)
+    with pytest.raises(ShapeError):
+        numeric.attention(z(2, 4), z(3, 4), z(3, 4), 3)
+
+
 def test_concat_roundtrip(rng):
     a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
     cat = numeric.concat([Tensor(a), Tensor(b)], axis=1)
@@ -312,7 +324,7 @@ def test_structural_gradients_match_fd(draw):
     rng = np.random.default_rng(400 + draw)
     other = Tensor(rng.standard_normal((3, 2)))
     gradcheck(lambda x: numeric.concat([x, other], axis=1), rng.standard_normal((3, 4)), rng=rng, label="concat")
-    vec = Tensor(rng.standard_normal(4))
-    gradcheck(lambda x: numeric.add_rowvec(x, vec), rng.standard_normal((3, 4)), rng=rng, label="add_rowvec/x")
-    mat = Tensor(rng.standard_normal((3, 4)))
-    gradcheck(lambda v: numeric.add_rowvec(mat, v), rng.standard_normal(4), rng=rng, label="add_rowvec/v")
+    x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
+    gradcheck(lambda t: numeric.linear(t, Tensor(w), Tensor(b)), x, rng=rng, label="linear/x")
+    gradcheck(lambda t: numeric.linear(Tensor(x), t, Tensor(b)), w, rng=rng, label="linear/w")
+    gradcheck(lambda t: numeric.linear(Tensor(x), Tensor(w), t), b, rng=rng, label="linear/b")
