@@ -83,6 +83,10 @@ def cmd_gen_data(args) -> int:
     if args.count <= 0:
         print("gen-data: --count must be positive (nothing to generate)", file=sys.stderr)
         return 2
+    if args.img_size < 8 or args.img_size % 8:
+        print(f"gen-data: --img-size {args.img_size} must be a positive multiple of 8 "
+              "(the model downsamples images by 8)", file=sys.stderr)
+        return 2
     catalog = tuple(name.strip() for name in args.classes.split(",") if name.strip())
     cfg = SceneConfig(image_size=(args.img_size, args.img_size), max_objects=args.max_objects, catalog=catalog)
     scenes = [generate_scene(args.seed + i, cfg) for i in range(args.count)]

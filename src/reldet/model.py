@@ -13,8 +13,15 @@ values, at every layer. Attention projects queries, keys and values with one
 ``numeric.linear`` each, runs every head in one ``numeric.attention`` op
 (heads are column blocks of width d / num_heads; per head softmax(Q K^T /
 sqrt(d / num_heads)) V, batched over heads) and maps the concatenated heads
-through an output ``linear``. Parameters live in an ordered name -> Tensor
-dict.
+through an output ``linear``.
+
+Parameters live in an ordered name -> Tensor dict whose tensors are views
+into one C-contiguous float64 buffer, the parameter arena, laid out in
+``param_spec`` order; their ``grad`` arrays are views into a matching
+gradient buffer. Adam and checkpoints work on the two buffers whole
+(``arena_of``). Rebinding a dict entry to a fresh Tensor takes that parameter
+out of the arena: fine for a forward-only experiment such as the query
+permutation in ``checks.equivariance_deviations``, refused by ``arena_of``.
 """
 
 from __future__ import annotations
@@ -132,20 +139,64 @@ def param_spec(config: ModelConfig):
     return spec
 
 
+def arena_views(layout, flat: np.ndarray) -> dict[str, Tensor]:
+    """Name -> requires_grad Tensor views of consecutive blocks of ``flat``.
+
+    ``layout`` lists (name, shape) in arena order; ``flat`` must be a 1-d
+    float64 array that owns its memory and holds exactly the layout's
+    entries. Each tensor's ``grad`` is the matching view of a fresh zeroed
+    gradient buffer of the same size.
+    """
+    if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.ndim == 1 and flat.base is None):
+        raise ContractError("a parameter arena must be a 1-d float64 array owning its memory")
+    sizes = [math.prod(shape) for _, shape in layout]
+    if sum(sizes) != flat.size:
+        raise ContractError(f"parameter arena holds {flat.size} entries, layout needs {sum(sizes)}")
+    grad = np.zeros_like(flat)
+    params: dict[str, Tensor] = {}
+    offset = 0
+    for (name, shape), size in zip(layout, sizes):
+        block = slice(offset, offset + size)
+        p = Tensor(flat[block].reshape(shape), requires_grad=True)
+        p.grad = grad[block].reshape(shape)
+        params[name] = p
+        offset += size
+    return params
+
+
+def arena_of(params: dict[str, Tensor], attr: str = "data") -> np.ndarray:
+    """The one buffer that every parameter's ``attr`` ("data" or "grad") views.
+
+    Raises ContractError when some parameter's array is not a view of it (a
+    rebound entry, say) or the buffer holds entries no parameter covers.
+    Order is not checked: ``arena_views`` makes the only views, in dict order.
+    """
+    arena = getattr(next(iter(params.values())), attr)
+    arena = None if arena is None else arena.base
+    size = 0
+    for name, p in params.items():
+        a = getattr(p, attr)
+        if a is None or a.base is not arena:
+            raise ContractError(f"{attr} of parameter {name} is not a view of the parameter arena")
+        size += a.size
+    if arena is None or arena.size != size:
+        raise ContractError("parameter arena holds entries that no parameter views")
+    return arena
+
+
 def init_params(config: ModelConfig, seed: int | None = None) -> dict[str, Tensor]:
     """Deterministic init: affine weights uniform +-1/sqrt(fan_in), biases zero,
-    query embeddings 0.02 * standard normal."""
+    query embeddings 0.02 * standard normal; views into one fresh arena."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    params: dict[str, Tensor] = {}
-    for name, shape, fan in param_spec(config):
-        if fan is None:
-            data = np.zeros(shape)
-        elif fan == "query":
-            data = 0.02 * rng.standard_normal(shape)
-        else:
+    spec = param_spec(config)
+    params = arena_views([(name, shape) for name, shape, _ in spec],
+                         np.zeros(sum(math.prod(shape) for _, shape, _ in spec)))
+    for name, shape, fan in spec:
+        if fan == "query":
+            params[name].data[...] = 0.02 * rng.standard_normal(shape)
+        elif fan is not None:
             bound = 1.0 / math.sqrt(fan)
-            data = rng.uniform(-bound, bound, shape)
-        params[name] = Tensor(data, requires_grad=True)
+            params[name].data[...] = rng.uniform(-bound, bound, shape)
     return params
 
 

@@ -3,8 +3,8 @@
 Every model and loss operation downstream is composed from the primitives
 here, so each primitive carries its own backward rule and can be checked
 against ``finite_diff_grad``. Tapes are rebuilt per forward pass
-(define-by-run) and are confined to one thread; distinct tapes may run on
-distinct threads.
+(define-by-run), are used up by one ``backward`` and are confined to one
+thread; distinct tapes may run on distinct threads.
 
 Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
@@ -187,11 +187,20 @@ def backward(loss: Tensor) -> None:
 
     Walks the tape in exact reverse recording order, accumulating (+=) across
     fan-out. Leaves recorded on the tape but unreachable from the loss get a
-    zero gradient. ``grad`` is overwritten, not accumulated, across calls.
+    zero gradient. ``grad`` is overwritten, not accumulated, across calls: a
+    leaf that already holds a ``grad`` array gets the new gradient copied into
+    it in place (so parameter gradients land in the model's gradient arena),
+    any other leaf gets a fresh array.
+
+    ``backward`` consumes the tape: it ends by dropping every record and
+    detaching every tensor from the tape, so the tape, its closures and its
+    intermediate arrays are freed by reference counting as soon as the caller
+    lets go of them. A second ``backward`` on the same tape raises
+    ``ContractError``.
     """
     tape = loss.tape
     if tape is None or loss.node_id is None or not tape.records:
-        raise ContractError("backward needs a loss recorded on a non-empty tape")
+        raise ContractError("backward needs a loss recorded on a non-empty tape (backward consumes its tape)")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
@@ -210,9 +219,17 @@ def backward(loss: Tensor) -> None:
             grads[nid] = ig if acc is None else acc + ig
     for nid, t in tensors.items():
         if t.requires_grad and nid in grads:
-            t.grad = np.array(grads[nid], copy=True)
+            if t.grad is None:
+                t.grad = np.array(grads[nid], copy=True)
+            else:
+                np.copyto(t.grad, grads[nid])
         elif t.requires_grad and t.grad is None:
             t.grad = np.zeros_like(t.data)
+        # a tensor pointing at the tape that holds it is a reference cycle
+        t.tape = None
+        t.node_id = None
+    tape.records.clear()
+    tensors.clear()
 
 
 def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> Tensor:

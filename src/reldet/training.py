@@ -8,6 +8,7 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -15,24 +16,31 @@ import numpy as np
 
 from . import numeric
 from .data import Scene
-from .errors import IntegrityError, NumericError
+from .errors import ContractError, IntegrityError, NumericError
 from .geometry import LossWeights
 from .matching import build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
-from .model import ModelConfig, forward, init_params, param_spec
+from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from .numeric import Tape, Tensor
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments keyed by parameter name, plus the shared step counter."""
+    """Adam hyperparameters, the shared step counter, and the first and second
+    moments ``m``/``v`` as flat arrays over the parameter arena.
+
+    The moments and the update's scratch buffers are allocated at the first
+    step, sized to the arena of the parameters it is given.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, repr=False)  # [2, arena size]
+    finite: np.ndarray | None = field(default=None, repr=False)  # bool, arena size
 
 
 @dataclass(frozen=True)
@@ -44,28 +52,47 @@ class TrainLogRow:
     box: float
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState):
-    """Standard bias-corrected first/second-moment update, in place."""
+def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
+    """Standard bias-corrected first/second-moment update from each
+    parameter's ``grad``, in place.
+
+    One pass over the whole parameter arena (``model.arena_of``) with
+    preallocated scratch and ``out=`` ufuncs, so a step allocates no
+    arena-sized temporaries. Every operation is elementwise, so the result is
+    bit-identical to updating each tensor on its own with the expressions
+    ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``,
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. A non-finite gradient
+    raises NumericError naming the parameter, before anything is updated.
+    """
+    p = arena_of(params, "data")
+    g = arena_of(params, "grad")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state.scratch = np.empty((2, p.size))
+        state.finite = np.empty(p.size, dtype=bool)
+    if not np.isfinite(g, out=state.finite).all():
+        name = next(n for n, t in params.items() if not np.all(np.isfinite(t.grad)))
+        raise NumericError(f"non-finite gradient for parameter {name}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    m, v = state.m, state.v
+    a, b = state.scratch
+    np.subtract(g, m, out=a)
+    a *= 1.0 - state.beta1
+    m += a
+    np.multiply(g, g, out=a)
+    a -= v
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += state.eps
+    np.divide(m, bc1, out=b)
+    b *= state.lr
+    b /= a
+    p -= b
 
 
 def train_step(
@@ -87,8 +114,7 @@ def train_step(
         assign = hungarian(cost)
         parts = hungarian_loss_terms(gt_padded, out, assign, weights, null_weight)
     numeric.backward(parts.total)
-    grads = {name: p.grad for name, p in params.items()}
-    adam_step(params, grads, state)
+    adam_step(params, state)
     return parts
 
 
@@ -139,17 +165,44 @@ def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
+def _write_atomic(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to a temporary file beside ``path``, flush it to disk
+    and rename it over ``path``; on any failure remove the temporary file.
+
+    The file is created by ``open`` (not ``mkstemp``, which makes it private),
+    so it gets the same permissions as a plain write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) -> None:
+    """Write ``weights.bin`` (the parameter arena as one little-endian float64
+    blob), then ``manifest.json``, each atomically: a save that fails part way
+    leaves any earlier file of the same name whole and no temporary file."""
+    flat = arena_of(params)
+    # weights.bin lists the tensors in manifest order, which is the dict order
+    start, offset = flat.__array_interface__["data"][0], 0
+    for name, p in params.items():
+        if p.data.__array_interface__["data"][0] != start + 8 * offset:
+            raise ContractError(f"parameter {name} is out of dict order in the parameter arena")
+        offset += p.size
     out = Path(ckpt_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": _config_to_dict(config),
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    with open(out / "weights.bin", "wb") as fh:
-        for p in params.values():
-            fh.write(p.data.astype("<f8").tobytes())
+    _write_atomic(out / "weights.bin", flat.astype("<f8", copy=False).tobytes())
+    _write_atomic(out / "manifest.json", (json.dumps(manifest, indent=1) + "\n").encode())
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
@@ -176,11 +229,6 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     total = sum(int(np.prod(shape)) for _, shape in expected)
     if len(blob) != total * 8:
         raise IntegrityError(f"weights.bin holds {len(blob)} bytes, expected {total * 8}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape in expected:
-        size = int(np.prod(shape))
-        params[name] = Tensor(flat[offset : offset + size].reshape(shape).copy(), requires_grad=True)
-        offset += size
+    # one copy of the blob is the arena; the parameters are views of it
+    params = arena_views(expected, np.frombuffer(blob, dtype="<f8").copy())
     return params, config

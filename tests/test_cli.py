@@ -50,6 +50,13 @@ def test_gen_data_count_zero_exits_2(tmp_path):
     assert run("gen-data", "--count", "0", "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("size", ["4", "12", "0", "-8"])
+def test_gen_data_img_size_not_multiple_of_8_exits_2(tmp_path, capsys, size):
+    assert run("gen-data", "--count", "1", "--out", str(tmp_path / "ds"), "--img-size", size) == 2
+    assert "multiple of 8" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_gen_data_unwritable_path_exits_2():
     assert run("gen-data", "--count", "1", "--out", "/proc/nope/ds") == 2
 

@@ -136,6 +136,28 @@ def test_backward_requires_tape():
         backward(y)
 
 
+def test_backward_consumes_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = numeric.sum_all(numeric.mul(x, x))
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert len(tape) == 0 and x.tape is None and loss.tape is None
+    with pytest.raises(ContractError, match="consumes"):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_writes_an_existing_grad_in_place():
+    x = Tensor([3.0], requires_grad=True)
+    held = x.grad = np.zeros(1)
+    with Tape():
+        loss = numeric.sum_all(numeric.mul(x, x))
+    backward(loss)
+    assert x.grad is held
+    np.testing.assert_array_equal(held, [6.0])
+
+
 def test_grad_shape_matches_data(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape():

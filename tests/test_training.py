@@ -1,13 +1,16 @@
+import gc
 import json
+import os
+import weakref
 
 import numpy as np
 import pytest
 
 from reldet import numeric, training
 from reldet.data import SceneConfig, generate_scene
-from reldet.errors import IntegrityError, NumericError
+from reldet.errors import ContractError, IntegrityError, NumericError
 from reldet.geometry import LossWeights
-from reldet.model import ModelConfig, forward, init_params
+from reldet.model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from reldet.numeric import Tensor
 from reldet.training import (
     OptimizerState,
@@ -28,29 +31,50 @@ def small_scene(seed=2):
     return generate_scene(seed, SceneConfig(image_size=(16, 16), max_objects=3))
 
 
+def arena(**arrays):
+    """Parameters name -> array copied into one arena, as init_params makes them."""
+    layout = [(name, np.shape(a)) for name, a in arrays.items()]
+    return arena_views(layout, np.concatenate([np.ravel(np.asarray(a, dtype=float)) for a in arrays.values()]))
+
+
+def adam_per_tensor(params, grads, state):
+    """The per-tensor Adam loop, kept as the bit-for-bit oracle of adam_step."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m += (1.0 - state.beta1) * (g - m)
+        v += (1.0 - state.beta2) * (g * g - v)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
 def test_adam_zero_grads_keep_params():
-    params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+    params = arena(w=[1.0, -2.0])
     state = OptimizerState()
-    adam_step(params, {"w": np.zeros(2)}, state)
+    adam_step(params, state)
     np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
-    params = {"w": Tensor(np.array([0.5, -0.5]), requires_grad=True)}
-    state = OptimizerState(lr=1e-3)
-    adam_step(params, {"w": np.array([0.3, -4.0])}, state)
+    params = arena(w=[0.5, -0.5])
+    params["w"].grad[...] = [0.3, -4.0]
+    adam_step(params, OptimizerState(lr=1e-3))
     # bias-corrected first step is -lr * g / (|g| + eps), about -lr * sign(g)
     np.testing.assert_allclose(params["w"].data, [0.5 - 1e-3, -0.5 + 1e-3], atol=1e-8)
 
 
 def test_adam_descends_quadratic():
-    params = {"x": Tensor(np.array([1.0]), requires_grad=True)}
+    params = arena(x=[1.0])
     state = OptimizerState(lr=1e-2)
     prev = 1.0
     for _ in range(100):
-        x = float(params["x"].data[0])
-        adam_step(params, {"x": np.array([2.0 * x])}, state)
+        params["x"].grad[...] = 2.0 * params["x"].data
+        adam_step(params, state)
         cur = abs(float(params["x"].data[0]))
         assert cur <= prev + 1e-12
         prev = cur
@@ -58,9 +82,39 @@ def test_adam_descends_quadratic():
 
 
 def test_adam_rejects_non_finite_gradients():
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    with pytest.raises(NumericError, match="w"):
-        adam_step(params, {"w": np.array([np.nan])}, OptimizerState())
+    params = arena(a=[1.0, 2.0], w=[1.0], z=[3.0])
+    params["w"].grad[...] = np.nan
+    state = OptimizerState()
+    with pytest.raises(NumericError, match="parameter w$"):
+        adam_step(params, state)
+    # nothing moved: the check runs over the whole arena before the update
+    np.testing.assert_array_equal(arena_of(params), [1.0, 2.0, 1.0, 3.0])
+    assert state.step == 0
+
+
+def test_adam_matches_per_tensor_oracle_bit_for_bit():
+    rng = np.random.default_rng(7)
+    flat_params, loop_params = init_params(CFG), init_params(CFG)
+    flat_state = OptimizerState(lr=3e-3)
+    loop_state = OptimizerState(lr=3e-3, m={}, v={})
+    names = list(flat_params)
+    for step in range(50):
+        grads = {}
+        for name, p in flat_params.items():
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads[name] = scale * rng.standard_normal(p.shape)
+        grads[names[3]] = np.zeros(flat_params[names[3]].shape)  # a parameter that never gets a gradient
+        if step % 10 == 4:
+            grads = {name: np.zeros(g.shape) for name, g in grads.items()}  # an all-zero step
+        for name, g in grads.items():
+            flat_params[name].grad[...] = g
+        adam_step(flat_params, flat_state)
+        adam_per_tensor(loop_params, grads, loop_state)
+    assert flat_state.step == loop_state.step == 50
+    for name in names:
+        assert flat_params[name].data.tobytes() == loop_params[name].data.tobytes(), name
+    assert flat_state.m.tobytes() == np.concatenate([loop_state.m[n].ravel() for n in names]).tobytes()
+    assert flat_state.v.tobytes() == np.concatenate([loop_state.v[n].ravel() for n in names]).tobytes()
 
 
 def test_train_step_finite_loss_and_progress():
@@ -139,12 +193,128 @@ def test_checkpoint_permuted_manifest_rejected(tmp_path):
 
 def test_step_with_identically_zero_gradient_keeps_params():
     # a loss that ignores the parameters leaves them untouched through adam
-    params = {"w": Tensor(np.array([1.5]), requires_grad=True)}
+    params = arena(w=[1.5])
     state = OptimizerState()
     with numeric.Tape():
         probe = Tensor(np.array([2.0]), requires_grad=True)
         _ = numeric.mul(params["w"], 1.0)  # on tape, but unused by the loss
         loss = numeric.sum_all(numeric.mul(probe, probe))
     numeric.backward(loss)
-    adam_step(params, {"w": params["w"].grad}, state)
+    adam_step(params, state)
     np.testing.assert_array_equal(params["w"].data, [1.5])
+
+
+def test_step_tape_freed_without_the_cyclic_collector(monkeypatch):
+    tapes = []
+
+    class WatchedTape(numeric.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", WatchedTape)
+    params, state = init_params(CFG), OptimizerState()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in (2, 3):
+            train_step(small_scene(seed), params, state, LossWeights(), 0.1, CFG)
+            assert tapes[-1]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(tapes) == 2
+
+
+def assert_arena_in_spec_order(params, config):
+    spec = [(name, shape) for name, shape, _ in param_spec(config)]
+    assert [(name, p.shape) for name, p in params.items()] == spec
+    for attr in ("data", "grad"):
+        flat = arena_of(params, attr)
+        assert flat.flags.c_contiguous and flat.dtype == np.float64
+        start, offset = flat.__array_interface__["data"][0], 0
+        for name, p in params.items():
+            view = getattr(p, attr)
+            assert view.base is flat, (attr, name)
+            assert view.__array_interface__["data"][0] == start + 8 * offset, (attr, name)
+            offset += view.size
+        assert offset == flat.size
+
+
+def test_params_are_views_of_one_arena_in_spec_order(tmp_path):
+    params = init_params(CFG)
+    assert_arena_in_spec_order(params, CFG)
+    save_checkpoint(tmp_path / "ckpt", params, CFG)
+    loaded, config = load_checkpoint(tmp_path / "ckpt")
+    assert_arena_in_spec_order(loaded, config)
+
+
+def test_rebound_parameter_is_refused_by_adam_and_save(tmp_path):
+    params = init_params(CFG)
+    params["query_embed"] = Tensor(params["query_embed"].data.copy(), requires_grad=True)
+    params["query_embed"].grad = np.zeros(params["query_embed"].shape)
+    with pytest.raises(ContractError, match="query_embed"):
+        adam_step(params, OptimizerState())
+    with pytest.raises(ContractError, match="query_embed"):
+        save_checkpoint(tmp_path / "ckpt", params, CFG)
+    assert not (tmp_path / "ckpt").exists()
+
+
+def write_checkpoint_per_tensor(ckpt_dir, params, config):
+    """The checkpoint writer before the arena: one write per tensor."""
+    ckpt_dir.mkdir(parents=True)
+    manifest = {
+        "config": training._config_to_dict(config),
+        "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
+    }
+    (ckpt_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    with open(ckpt_dir / "weights.bin", "wb") as fh:
+        for p in params.values():
+            fh.write(p.data.astype("<f8").tobytes())
+
+
+def test_per_tensor_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    params, _, _ = train([small_scene()], CFG, epochs=3, seed=4)
+    write_checkpoint_per_tensor(tmp_path / "old", params, CFG)
+    loaded, config = load_checkpoint(tmp_path / "old")
+    assert config == CFG
+    for name, p in params.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
+    save_checkpoint(tmp_path / "new", loaded, config)
+    for fname in ("weights.bin", "manifest.json"):
+        assert (tmp_path / "new" / fname).read_bytes() == (tmp_path / "old" / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("fail_at", ["weights write", "manifest rename"])
+def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, fail_at):
+    ckpt = tmp_path / "ckpt"
+    old = init_params(CFG, seed=1)
+    save_checkpoint(ckpt, old, CFG)
+    before = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+
+    if fail_at == "weights write":
+        def fsync(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(training.os, "fsync", fsync)
+    else:
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("manifest.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+        monkeypatch.setattr(training.os, "replace", replace)
+    new = init_params(CFG, seed=2)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, new, CFG)
+    monkeypatch.undo()
+
+    assert sorted(f.name for f in ckpt.iterdir()) == sorted(before)  # no temporary file left
+    loaded, config = load_checkpoint(ckpt)
+    assert config == CFG
+    # the weights rename happens before the manifest's: a later failure keeps the new weights
+    expected = old if fail_at == "weights write" else new
+    for name, p in expected.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
+    if fail_at == "weights write":
+        assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
