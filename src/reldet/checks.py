@@ -16,7 +16,7 @@ from . import numeric
 from .errors import ShapeError
 from .evaluation import average_precision
 from .geometry import Box, LossWeights, giou, iou
-from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
+from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, forward, init_params
 from .numeric import Tape, Tensor
 
@@ -113,11 +113,11 @@ def gradient_end_to_end(rng, config: ModelConfig, targets, samples: int):
     """
     params = init_params(config)
     image = Tensor(rng.uniform(0, 1, (3, *config.image_size)))
-    gts = pad_targets(list(targets), config.num_queries)
+    gts = list(targets)
     w = LossWeights(2.0, 5.0)
     with Tape():
         out = forward(image, params, config)
-        assign = hungarian(build_cost_matrix(gts, out.predictions, w))
+        assign = hungarian(build_cost_matrix(gts, out.class_probs.data, out.boxes.data, w))
         loss = hungarian_loss_terms(gts, out, assign, w, 0.1).total
     numeric.backward(loss)
 
@@ -159,6 +159,33 @@ def hungarian_oracle(rng, max_n: int, trials_per_n: int):
             if hungarian(c).total_cost != brute_force_assign(c).total_cost:
                 failures.append(f"cost mismatch on a random {n}x{n} matrix")
     return (max_n - 1) * trials_per_n, failures
+
+
+def rectangular_oracle(rng, max_n: int, trials_per_shape: int):
+    """The rectangular solve of a G x N matrix, G < N <= max_n, against brute
+    force over the matrix padded with zero rows to N x N.
+
+    The total costs must be equal exactly. On continuous costs the
+    permutations must be equal too: the zero rows take the unmatched columns
+    in ascending order, the first optimum brute force meets. Every third
+    matrix holds small integers, where only the total is compared.
+    """
+    failures = []
+    checks = 0
+    for n in range(2, max_n + 1):
+        for g in range(1, n):
+            for trial in range(trials_per_shape):
+                ties = trial % 3 == 2
+                if ties:
+                    c = rng.integers(-3, 7, (g, n)).astype(np.float64)
+                else:
+                    c = rng.uniform(-1.0, 1.0, (g, n))
+                got = hungarian(c)
+                ref = brute_force_assign(np.vstack([c, np.zeros((n - g, n))]))
+                if got.total_cost != ref.total_cost or not (ties or got.perm == ref.perm):
+                    failures.append(f"rectangular {g}x{n} solve differs from the zero-padded brute force")
+                checks += 1
+    return checks, failures
 
 
 FIXED_CASE = "fixed case"  # prefix of the failures of hand-derived cases

@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, data, evaluation
-from .data import SceneConfig, class_color, generate_scene, load_catalog, load_dataset, read_ppm, save_dataset, write_ppm
+from .data import (
+    SceneConfig,
+    class_color,
+    encode_ppm,
+    generate_scene,
+    load_catalog,
+    load_dataset,
+    read_ppm,
+    save_dataset,
+    write_atomic,
+)
 from .errors import (
     CapacityError,
     ContractError,
@@ -117,7 +127,7 @@ def cmd_train(args) -> int:
     params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr, args.seed)
     out = Path(args.out)
     save_checkpoint(out, params, config)
-    (out / "catalog.json").write_text(json.dumps(list(catalog), indent=1) + "\n")
+    write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())
     log_path = Path(args.log) if args.log else out / "train_log.csv"
     write_log(rows, log_path)
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
@@ -140,7 +150,7 @@ def cmd_eval(args) -> int:
     report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh, names=list(catalog))
     print(report.to_table())
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=1) + "\n")
+        write_atomic(args.json, (json.dumps(report.to_json_dict(), indent=1) + "\n").encode())
     return 0
 
 
@@ -191,11 +201,11 @@ def cmd_predict(args) -> int:
     }
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".json").write_text(json.dumps(doc, indent=1) + "\n")
+    write_atomic(prefix.with_suffix(".json"), (json.dumps(doc, indent=1) + "\n").encode())
     rendered = image.copy()
     for d in dets:
         _draw_outline(rendered, d.box, class_color(d.class_id))
-    write_ppm(rendered, prefix.with_suffix(".ppm"))
+    write_atomic(prefix.with_suffix(".ppm"), encode_ppm(rendered))
     print(f"{len(dets)} detections; wrote {prefix.with_suffix('.json').name} and {prefix.with_suffix('.ppm').name}")
     return 0
 
@@ -212,6 +222,7 @@ _TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_h
 # (suite name, checks routine, sizes); every routine draws from one shared rng
 SELFTEST_SUITES = (
     ("hungarian_vs_brute_force", checks.hungarian_oracle, {"max_n": 6, "trials_per_n": 30}),
+    ("rectangular_vs_padded", checks.rectangular_oracle, {"max_n": 6, "trials_per_shape": 6}),
     ("gradient_ops", checks.gradient_ops, {}),
     ("gradient_end_to_end", checks.gradient_end_to_end,
      {"config": _TINY, "targets": [GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3))], "samples": 3}),

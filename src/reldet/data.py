@@ -10,6 +10,7 @@ a catalog.json naming the classes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,18 +105,47 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
 
 
 # ---------------------------------------------------------------------------
+# atomic file writes
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Write ``blob`` to a temporary file beside ``path``, flush it to disk
+    and rename it over ``path``; on any failure remove the temporary file, so
+    an earlier file at ``path`` stays whole. Checkpoints and reports are
+    written this way.
+
+    The file is created by ``open`` (not ``mkstemp``, which makes it private),
+    so it gets the same permissions as a plain write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # PPM codec (P6, 8-bit)
 
 
-def write_ppm(image: np.ndarray | Tensor, path) -> None:
+def encode_ppm(image: np.ndarray | Tensor) -> bytes:
+    """The P6 file bytes of a [3, H, W] image in [0, 1], rounded to 8 bits."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ContractError(f"expected a [3, H, W] image, got shape {arr.shape}")
     _, h, w = arr.shape
     raster = np.rint(np.clip(arr, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(raster.transpose(1, 2, 0).tobytes())
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + raster.transpose(1, 2, 0).tobytes()
+
+
+def write_ppm(image: np.ndarray | Tensor, path) -> None:
+    Path(path).write_bytes(encode_ppm(image))
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:

@@ -3,9 +3,10 @@
 Boxes are (cx, cy, w, h). Detector outputs live in the unit square, but the
 math here works at any scale, so the functions only require w >= 0, h >= 0.
 Each scoring function exists in two forms: a scalar float path over ``Box``
-values (used for matching costs and evaluation, never differentiated) and a
-tensor path over [M, 4] rows (used inside the training loss). The two are
-cross-checked in the test suite.
+values (used by evaluation, never differentiated) and a tensor path over
+[M, 4] rows (used inside the training loss). The two are cross-checked in the
+test suite; the scalar path is also the oracle for the array form of the
+matching cost in ``matching.build_cost_matrix``.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def giou(a: Box, b: Box) -> float:
 def box_loss(b: Box, bhat: Box, w: LossWeights) -> float:
     """lambda_iou * (1 - GIoU) + lambda_l1 * L1 over the 4 center coordinates.
 
-    The scalar form used for matching costs; box_loss_pairwise is the
-    differentiable one.
+    The scalar form; box_loss_pairwise is the differentiable one, and
+    matching.build_cost_matrix computes it for all target/prediction pairs.
     """
     l1 = abs(b.cx - bhat.cx) + abs(b.cy - bhat.cy) + abs(b.w - bhat.w) + abs(b.h - bhat.h)
     return w.lambda_iou * (1.0 - giou(b, bhat)) + w.lambda_l1 * l1

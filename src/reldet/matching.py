@@ -1,9 +1,13 @@
 """Bipartite matching between predictions and ground truth, and the set loss.
 
-Targets are padded with no-object slots to the query count N, a square cost
-matrix is built from class probability and box distance, and an exact
-assignment solver picks the permutation of minimum total cost. The training
-loss then scores log-probabilities and box terms under that fixed assignment.
+A scene's G real targets are matched to the model's N >= G predictions: a
+[G, N] cost matrix is built from class probability and box distance, and an
+exact assignment solver picks the G distinct predictions of minimum total
+cost. The other N - G predictions answer the no-object slots, which take the
+unmatched predictions in ascending index order. That is the assignment the
+DETR-style square problem gives when the targets are padded to N with
+no-object rows of cost zero, without solving the zero rows. The training loss
+then scores log-probabilities and box terms under that fixed assignment.
 Matching itself runs on detached floats and never touches the gradient tape.
 """
 
@@ -15,42 +19,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .errors import CapacityError, ContractError, ShapeError
-from .geometry import Box, LossWeights, box_loss, box_loss_pairwise
+from .errors import CapacityError, ContractError, DomainError, ShapeError
+from .geometry import Box, LossWeights, box_loss_pairwise
 from .numeric import Tensor
 
-# class id reserved for the no-object slot; predictions keep its probability
-# in their last column, so python's negative indexing lines up for free
+# class id of a no-object slot; predictions keep its probability in their
+# last column, so python's negative indexing lines up for free
 NULL_CLASS = -1
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """One annotated object: class id and box (NULL_CLASS marks a padded slot)."""
+    """One annotated object: class id and box."""
 
     class_id: int
     box: Box
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """One decoded query: probabilities over K+1 classes (last = no object) and a box."""
-
-    class_probs: np.ndarray
-    box: Box
-
-    def __post_init__(self):
-        p = np.asarray(self.class_probs, dtype=np.float64)
-        object.__setattr__(self, "class_probs", p)
-        if p.ndim != 1 or p.size < 2:
-            raise ContractError(f"class_probs must be a vector over at least 2 classes, got shape {p.shape}")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ContractError("class_probs must be nonnegative and sum to 1")
-
-
-@dataclass(frozen=True)
 class Assignment:
-    """A permutation sigma: target slot i is matched to prediction sigma(i)."""
+    """A permutation sigma over the N slots: slot i is answered by prediction
+    sigma(i). Slots 0..G-1 are the real targets, the rest no-object slots."""
 
     perm: tuple
     total_cost: float
@@ -60,76 +49,97 @@ class Assignment:
             raise ContractError(f"perm {self.perm} is not a permutation")
 
 
-def pad_targets(gt: list[GroundTruth], n: int) -> list[GroundTruth]:
-    """Extend the target list to n slots with no-object entries."""
+def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarray, w: LossWeights) -> np.ndarray:
+    """[G, N] matrix with entry (i, j) = -p_j(class of target i) + box_loss(target i, prediction j).
+
+    ``probs`` [N, K+1] holds each prediction's class probabilities (last
+    column = no object) and ``boxes`` [N, 4] its (cx, cy, w, h). The raw
+    probability is used, not its log. Every entry is computed with the same
+    IEEE operations as the scalar ``geometry.box_loss`` (corners as c -+ w/2,
+    the same degenerate-box branches, L1 summed cx, cy, w, h from left to
+    right), so it equals the scalar cost bit for bit.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] < 2 or boxes.shape != (probs.shape[0], 4):
+        raise ShapeError(f"need probs [N, K+1] with K >= 1 and boxes [N, 4], got {probs.shape} and {boxes.shape}")
+    n = probs.shape[0]
     if len(gt) > n:
         raise CapacityError(f"{len(gt)} ground-truth objects exceed {n} prediction slots")
-    padding = [GroundTruth(NULL_CLASS, Box(0.0, 0.0, 0.0, 0.0)) for _ in range(n - len(gt))]
-    return list(gt) + padding
+    if not np.all(np.isfinite(boxes)):
+        raise DomainError("predicted boxes have non-finite fields")
+    if np.any(boxes[:, 2:] < 0):
+        raise DomainError("predicted boxes have negative size")
+    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+        raise ContractError("class probabilities must be nonnegative and sum to 1")
+    cls = np.array([y.class_id for y in gt], dtype=np.intp)
+    if np.any((cls < 0) | (cls >= probs.shape[1] - 1)):
+        raise ContractError(f"target class ids {cls.tolist()} outside [0, {probs.shape[1] - 1})")
+    t = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt], dtype=np.float64).reshape(-1, 4)
+    # targets down the rows, predictions across the columns
+    acx, acy, aw, ah = (t[:, k : k + 1] for k in range(4))
+    bcx, bcy, bw, bh = boxes.T
+    ax1, ay1, ax2, ay2 = acx - aw / 2, acy - ah / 2, acx + aw / 2, acy + ah / 2
+    bx1, by1, bx2, by2 = bcx - bw / 2, bcy - bh / 2, bcx + bw / 2, bcy + bh / 2
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    enclose = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (np.maximum(ay2, by2) - np.minimum(ay1, by1))
+    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    slack = (enclose - union) / np.where(enclose > 0, enclose, 1.0)
+    # a degenerate enclosing box scores 1 if the boxes are identical, else 0
+    same = (acx == bcx) & (acy == bcy) & (aw == bw) & (ah == bh)
+    g = np.where(enclose > 0, iou - slack, np.where(same, 1.0, 0.0))
+    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
+    return -probs[:, cls].T + (w.lambda_iou * (1.0 - g) + w.lambda_l1 * l1)
 
 
-def match_cost(y: GroundTruth, yhat: Prediction, w: LossWeights) -> float:
-    """Pairwise matching cost: -p(class) + box distance, zero for no-object slots.
-
-    Uses the raw class probability (not its log); padded slots cost 0 against
-    every prediction, which keeps square padding cost-neutral.
-    """
-    if y.class_id == NULL_CLASS:
-        return 0.0
-    return -float(yhat.class_probs[y.class_id]) + box_loss(y.box, yhat.box, w)
-
-
-def build_cost_matrix(gt_padded: list[GroundTruth], preds: list[Prediction], w: LossWeights) -> np.ndarray:
-    """Square matrix with entry (i, j) = match_cost(target i, prediction j)."""
-    if len(gt_padded) != len(preds):
-        raise ShapeError(f"need equal counts, got {len(gt_padded)} targets and {len(preds)} predictions")
-    n = len(preds)
-    c = np.zeros((n, n))
-    for i, y in enumerate(gt_padded):
-        if y.class_id == NULL_CLASS:
-            continue  # whole row stays 0
-        for j, p in enumerate(preds):
-            c[i, j] = match_cost(y, p, w)
-    return c
-
-
-def _check_square_finite(c: np.ndarray) -> np.ndarray:
+def _finite_matrix(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ContractError(f"cost matrix must be square, got shape {c.shape}")
+    if c.ndim != 2:
+        raise ContractError(f"cost matrix must be 2-d, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ContractError("cost matrix must be finite")
     return c
 
 
 def hungarian(c: np.ndarray) -> Assignment:
-    """Exact minimum-cost assignment via shortest augmenting paths.
+    """Exact minimum-cost assignment of the n rows of an [n, m] matrix,
+    n <= m, to distinct columns, via shortest augmenting paths.
 
-    The classic O(n^3) potentials formulation: rows are inserted one at a
+    The classic potentials formulation, O(n^2 m): rows are inserted one at a
     time and each insertion grows the matching along a shortest augmenting
-    path in the reduced-cost graph. Handles negative entries.
+    path in the reduced-cost graph. Handles negative entries. The returned
+    permutation covers all m columns: row i takes column perm[i], and the
+    m - n unassigned columns follow in ascending order, as zero rows padding
+    the matrix to a square would take them. ``total_cost`` sums the n rows'
+    entries in row order.
     """
-    c = _check_square_finite(c)
-    n = c.shape[0]
+    c = _finite_matrix(c)
+    n, m = c.shape
+    if n > m:
+        raise ContractError(f"cost matrix has more rows than columns: shape {c.shape}")
+    cost = c.tolist()  # python floats: the scalar loop below runs faster on them than on numpy scalars
     inf = float("inf")
     u = [0.0] * (n + 1)  # row potentials (index 0 is a virtual row)
-    v = [0.0] * (n + 1)  # column potentials
-    match_col = [0] * (n + 1)  # match_col[j] = row matched to column j, 1-based
-    way = [0] * (n + 1)
+    v = [0.0] * (m + 1)  # column potentials
+    match_col = [0] * (m + 1)  # match_col[j] = row matched to column j, 1-based; 0 = free
+    way = [0] * (m + 1)
 
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match_col[j0]
             delta = inf
             j1 = 0
-            row = c[i0 - 1]
+            row = cost[i0 - 1]
             ui0 = u[i0]
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur = row[j - 1] - ui0 - v[j]
@@ -139,7 +149,7 @@ def hungarian(c: np.ndarray) -> Assignment:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match_col[j]] += delta
                     v[j] -= delta
@@ -154,16 +164,21 @@ def hungarian(c: np.ndarray) -> Assignment:
             j0 = j1
 
     perm = [0] * n
-    for j in range(1, n + 1):
-        perm[match_col[j] - 1] = j - 1
-    total = sum(c[i, perm[i]] for i in range(n))
+    for j in range(1, m + 1):
+        if match_col[j]:
+            perm[match_col[j] - 1] = j - 1
+    perm += [j - 1 for j in range(1, m + 1) if not match_col[j]]
+    total = sum((cost[i][perm[i]] for i in range(n)), 0.0)
     return Assignment(tuple(perm), total)
 
 
 def brute_force_assign(c: np.ndarray) -> Assignment:
-    """Exhaustive minimum over all n! permutations; the oracle for hungarian."""
-    c = _check_square_finite(c)
+    """Exhaustive minimum over all n! permutations of a square matrix; the
+    oracle for hungarian."""
+    c = _finite_matrix(c)
     n = c.shape[0]
+    if c.shape[1] != n:
+        raise ContractError(f"brute force needs a square matrix, got shape {c.shape}")
     if n > 9:
         raise CapacityError(f"brute force over {n}! permutations is off the table")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -182,33 +197,37 @@ class LossBreakdown:
     box: float = 0.0
 
 
-def hungarian_loss_terms(gt_padded, preds, assign: Assignment, w: LossWeights, null_weight: float = 0.1) -> LossBreakdown:
+def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: LossWeights,
+                         null_weight: float = 0.1) -> LossBreakdown:
     """Set-prediction loss under a fixed assignment; differentiable through preds.
 
-    ``preds`` carries tensors: ``class_probs`` of shape [N, K+1] and ``boxes``
-    of shape [N, 4]. Every slot contributes -log p(class) (down-weighted by
-    ``null_weight`` on no-object slots); real slots add the box loss.
-    Probabilities are clamped to 1e-12 before the log as a numeric guard.
+    ``gt`` lists the G real targets; ``preds`` carries tensors:
+    ``class_probs`` of shape [N, K+1] and ``boxes`` of shape [N, 4]; ``assign``
+    covers all N slots, the G real ones first. Every slot contributes
+    -log p(class) (down-weighted by ``null_weight`` on the N - G no-object
+    slots); real slots add the box loss. Probabilities are clamped to 1e-12
+    before the log as a numeric guard.
     """
     probs: Tensor = preds.class_probs
     boxes: Tensor = preds.boxes
-    n = len(gt_padded)
-    if len(assign.perm) != n or probs.shape[0] != n:
+    n, g = probs.shape[0], len(gt)
+    if len(assign.perm) != n or g > n:
         raise ContractError(
-            f"assignment covers {len(assign.perm)} slots but got {n} targets and {probs.shape[0]} predictions"
+            f"assignment covers {len(assign.perm)} slots but got {g} targets and {n} predictions"
         )
     rows = np.asarray(assign.perm, dtype=np.intp)
-    cols = np.array([y.class_id for y in gt_padded], dtype=np.intp)  # NULL_CLASS=-1 hits the last column
-    slot_w = np.where(cols == NULL_CLASS, float(null_weight), 1.0)
+    cols = np.full(n, NULL_CLASS, dtype=np.intp)  # NULL_CLASS=-1 hits the last column
+    cols[:g] = [y.class_id for y in gt]
+    slot_w = np.full(n, float(null_weight))
+    slot_w[:g] = 1.0
 
     picked = numeric.take_pairs(probs, rows, cols)
     logp = numeric.log(numeric.maximum(picked, 1e-12))
     cls_term = numeric.neg(numeric.sum_all(numeric.mul(logp, Tensor(slot_w))))
 
-    real = np.flatnonzero(cols != NULL_CLASS)
-    if real.size:
-        gt_rows = np.stack([gt_padded[i].box.as_array() for i in real])
-        pred_rows = numeric.take_rows(boxes, rows[real])
+    if g:
+        gt_rows = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt])
+        pred_rows = numeric.take_rows(boxes, rows[:g])
         box_term = numeric.sum_all(box_loss_pairwise(gt_rows, pred_rows, w))
     else:
         box_term = Tensor(0.0)

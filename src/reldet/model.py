@@ -33,8 +33,6 @@ import numpy as np
 
 from . import numeric
 from .errors import ContractError, ShapeError
-from .geometry import Box
-from .matching import Prediction
 from .numeric import Tensor
 from .relation import RelationLayerParams, aggregate, build_knn_graph
 
@@ -81,12 +79,6 @@ class DetectionOutput:
 
     class_probs: Tensor
     boxes: Tensor
-
-    @property
-    def predictions(self) -> list[Prediction]:
-        probs = self.class_probs.data
-        boxes = self.boxes.data
-        return [Prediction(probs[i].copy(), Box(*boxes[i])) for i in range(probs.shape[0])]
 
 
 def _attention_param_names(prefix: str, d: int):

@@ -188,9 +188,9 @@ def backward(loss: Tensor) -> None:
     Walks the tape in exact reverse recording order, accumulating (+=) across
     fan-out. Leaves recorded on the tape but unreachable from the loss get a
     zero gradient. ``grad`` is overwritten, not accumulated, across calls: a
-    leaf that already holds a ``grad`` array gets the new gradient copied into
-    it in place (so parameter gradients land in the model's gradient arena),
-    any other leaf gets a fresh array.
+    leaf that already holds a ``grad`` array gets the new gradient (or the
+    zeros) written into it in place, so parameter gradients land in the
+    model's gradient arena; any other leaf gets a fresh array.
 
     ``backward`` consumes the tape: it ends by dropping every record and
     detaching every tensor from the tape, so the tape, its closures and its
@@ -206,25 +206,24 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     tensors = tape._tensors
     for out_id, in_ids, fn in reversed(tape.records):
-        g = grads.pop(out_id, None)
+        # a requires_grad output keeps its gradient for the final pass
+        g = grads.get(out_id) if tensors[out_id].requires_grad else grads.pop(out_id, None)
         if g is None:
             continue
-        t_out = tensors[out_id]
-        if t_out.requires_grad:
-            t_out.grad = np.array(g, copy=True)
         for nid, ig in zip(in_ids, fn(g)):
             if nid is None or ig is None:
                 continue
             acc = grads.get(nid)
             grads[nid] = ig if acc is None else acc + ig
     for nid, t in tensors.items():
-        if t.requires_grad and nid in grads:
+        if t.requires_grad:
+            g = grads.get(nid)
             if t.grad is None:
-                t.grad = np.array(grads[nid], copy=True)
+                t.grad = np.zeros_like(t.data) if g is None else np.array(g, copy=True)
+            elif g is None:
+                t.grad.fill(0.0)  # unreachable from the loss; stays a view of its buffer
             else:
-                np.copyto(t.grad, grads[nid])
-        elif t.requires_grad and t.grad is None:
-            t.grad = np.zeros_like(t.data)
+                np.copyto(t.grad, g)
         # a tensor pointing at the tape that holds it is a reference cycle
         t.tape = None
         t.node_id = None

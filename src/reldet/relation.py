@@ -17,22 +17,17 @@ from .errors import ContractError, ShapeError
 from .numeric import Tensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationGraph:
-    """Undirected kNN graph: node count, neighbor budget, canonical edge pairs."""
+    """Undirected kNN graph: node count, neighbor budget and the symmetric
+    boolean adjacency [n, n] (False on the diagonal)."""
 
     n: int
     k: int
-    edges: frozenset  # of (i, j) tuples with i < j
+    adjacency: np.ndarray
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return np.flatnonzero(self.adjacency[i]).tolist()
 
 
 @dataclass(frozen=True)
@@ -58,31 +53,26 @@ def build_knn_graph(centers, k: int) -> RelationGraph:
         raise ContractError(f"neighbor budget k must be nonnegative, got {k}")
     pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
-    edges = set()
+    adj = np.zeros((n, n), dtype=bool)
     if n > 1 and k > 0:
-        deltas = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((deltas * deltas).sum(axis=2))
-        take = min(k, n - 1)
-        for i in range(n):
-            order = sorted(j for j in range(n) if j != i)
-            order.sort(key=lambda j: dist[i, j])  # stable, so index order breaks ties
-            for j in order[:take]:
-                edges.add((i, j) if i < j else (j, i))
-    return RelationGraph(n, k, frozenset(edges))
+        dx = pts[:, 0, None] - pts[None, :, 0]
+        dy = pts[:, 1, None] - pts[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        np.fill_diagonal(dist, np.inf)  # a node is never its own neighbor
+        rows = np.arange(n)
+        for _ in range(min(k, n - 1)):
+            # argmin returns the first of equal minima, so ties go to the lower index
+            nearest = dist.argmin(axis=1)
+            adj[rows, nearest] = True
+            dist[rows, nearest] = np.inf
+        adj |= adj.T
+    return RelationGraph(n, k, adj)
 
 
 def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
     """Row-stochastic-by-neighborhood matrix M with (M f)_i = mean of f over N(i)."""
-    m = np.zeros((g.n, g.n))
-    degree = np.zeros(g.n)
-    for a, b in g.edges:
-        m[a, b] = 1.0
-        m[b, a] = 1.0
-        degree[a] += 1
-        degree[b] += 1
-    nz = degree > 0
-    m[nz] /= degree[nz, None]
-    return m
+    degree = g.adjacency.sum(axis=1)
+    return g.adjacency / np.maximum(degree, 1)[:, None]
 
 
 def aggregate(features: Tensor, g: RelationGraph, p: RelationLayerParams) -> Tensor:

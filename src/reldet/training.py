@@ -8,17 +8,16 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numeric
-from .data import Scene
+from .data import Scene, write_atomic
 from .errors import ContractError, IntegrityError, NumericError
 from .geometry import LossWeights
-from .matching import build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
+from .matching import build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from .numeric import Tape, Tensor
 
@@ -109,10 +108,9 @@ def train_step(
         if not (np.all(np.isfinite(out.class_probs.data)) and np.all(np.isfinite(out.boxes.data))):
             raise NumericError("non-finite model outputs (class probabilities or boxes)")
         # matching runs on detached floats; sigma is a constant to the tape
-        gt_padded = pad_targets(scene.objects, config.num_queries)
-        cost = build_cost_matrix(gt_padded, out.predictions, weights)
+        cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, weights)
         assign = hungarian(cost)
-        parts = hungarian_loss_terms(gt_padded, out, assign, weights, null_weight)
+        parts = hungarian_loss_terms(scene.objects, out, assign, weights, null_weight)
     numeric.backward(parts.total)
     adam_step(params, state)
     return parts
@@ -146,7 +144,7 @@ def write_log(rows: list[TrainLogRow], path) -> None:
     lines = ["epoch,scene,total,cls,box"]
     for r in rows:
         lines.append(f"{r.epoch},{r.scene},{r.total!r},{r.cls!r},{r.box!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +161,6 @@ def _config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
     d["image_size"] = tuple(d["image_size"])
     return ModelConfig(**d)
-
-
-def _write_atomic(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to a temporary file beside ``path``, flush it to disk
-    and rename it over ``path``; on any failure remove the temporary file.
-
-    The file is created by ``open`` (not ``mkstemp``, which makes it private),
-    so it gets the same permissions as a plain write."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) -> None:
@@ -201,8 +180,8 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
         "config": _config_to_dict(config),
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
-    _write_atomic(out / "weights.bin", flat.astype("<f8", copy=False).tobytes())
-    _write_atomic(out / "manifest.json", (json.dumps(manifest, indent=1) + "\n").encode())
+    write_atomic(out / "weights.bin", flat.astype("<f8", copy=False).tobytes())
+    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=1) + "\n").encode())
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:

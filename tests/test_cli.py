@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 
 import numpy as np
@@ -138,6 +139,34 @@ def test_eval_prints_table_and_json(dataset, checkpoint, tmp_path, capsys):
     doc = json.loads(json_path.read_text())
     assert 0.0 <= doc["map"] <= 1.0
     assert {c["name"] for c in doc["classes"]} == {"transformer", "insulator", "bushing", "robot", "uav"}
+
+
+@pytest.mark.parametrize("command, target", [
+    ("train", "train_log.csv"), ("train", "catalog.json"), ("eval", "report.json"),
+    ("predict", "pred.json"), ("predict", "pred.ppm"),
+])
+def test_failed_report_write_keeps_the_earlier_file(dataset, checkpoint, tmp_path, monkeypatch, command, target):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / target).write_bytes(b"earlier report")
+    argv = {
+        "train": ["train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS],
+        "eval": ["eval", "--data", str(dataset), "--checkpoint", str(checkpoint), "--json", str(out / target)],
+        "predict": ["predict", "--image", str(dataset / "scene_00000.ppm"), "--checkpoint", str(checkpoint),
+                    "--out", str(out / "pred")],
+    }[command]
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        # fail once the target's temporary file holds the new bytes, before it is renamed
+        if any(out.glob(f".{target}.*.tmp")):
+            raise OSError("disk full")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert run(*argv) == 2
+    assert (out / target).read_bytes() == b"earlier report"
+    assert not [f.name for f in out.iterdir() if f.name.startswith(".")]  # no temporary file left
 
 
 def test_eval_higher_threshold_never_gains(dataset, checkpoint, capsys):

@@ -7,7 +7,7 @@ import pytest
 from reldet import checks, data, model, numeric
 from reldet.errors import ContractError, ShapeError
 from reldet.geometry import Box, LossWeights
-from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms, pad_targets
+from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms
 from reldet.model import (
     ModelConfig,
     backbone_forward,
@@ -215,8 +215,8 @@ def test_default_step_tape_record_count():
     with numeric.Tape() as tape:
         out = forward(scene.image, params, cfg)
         forward_ops = Counter(fn.__qualname__.split(".")[0] for _, _, fn in tape.records)
-        gts = pad_targets(scene.objects, cfg.num_queries)
-        hungarian_loss_terms(gts, out, hungarian(build_cost_matrix(gts, out.predictions, w)), w, 0.1)
+        cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
+        hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
     assert len(tape) == 189
     assert forward_ops["attention"] == 8
     assert forward_ops["narrow"] == 0
@@ -337,7 +337,8 @@ def test_forward_returns_n_deterministic_predictions(rng):
     image = Tensor(rng.uniform(0, 1, (3, 16, 16)))
     out1 = forward(image, params, cfg)
     out2 = forward(image, params, cfg)
-    assert len(out1.predictions) == cfg.num_queries
+    assert out1.class_probs.shape == (cfg.num_queries, cfg.num_classes + 1)
+    assert out1.boxes.shape == (cfg.num_queries, 4)
     np.testing.assert_array_equal(out1.class_probs.data, out2.class_probs.data)
     np.testing.assert_array_equal(out1.boxes.data, out2.boxes.data)
 

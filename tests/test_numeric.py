@@ -158,6 +158,22 @@ def test_backward_writes_an_existing_grad_in_place():
     np.testing.assert_array_equal(held, [6.0])
 
 
+def test_unreached_leaf_with_a_grad_is_zeroed_in_place():
+    x = Tensor([1.0], requires_grad=True)
+    with Tape():
+        loss = numeric.sum_all(numeric.mul(x, 3.0))
+    backward(loss)
+    held = x.grad
+    np.testing.assert_array_equal(held, [3.0])
+    y = Tensor([2.0], requires_grad=True)
+    with Tape():
+        _ = numeric.mul(x, 1.0)  # x is on the tape but not part of the loss
+        loss = numeric.sum_all(numeric.mul(y, y))
+    backward(loss)
+    assert x.grad is held
+    np.testing.assert_array_equal(x.grad, [0.0])
+
+
 def test_grad_shape_matches_data(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape():

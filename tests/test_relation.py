@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from reldet import numeric
 from reldet.errors import ContractError, ShapeError
 from reldet.numeric import Tape, Tensor
-from reldet.relation import RelationGraph, RelationLayerParams, aggregate, build_knn_graph
+from reldet.relation import RelationGraph, RelationLayerParams, aggregate, build_knn_graph, neighbor_mean_matrix
 
 from conftest import assert_grad_close
 
@@ -14,18 +14,64 @@ def params_from(w, b):
     return RelationLayerParams(Tensor(w), Tensor(b))
 
 
+def knn_adjacency_oracle(centers, k):
+    """The sort-per-node loop that the argsort replaced: each node links to
+    its k nearest others by a stable sort over the other indices."""
+    pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    adj = np.zeros((n, n), dtype=bool)
+    if n > 1 and k > 0:
+        deltas = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((deltas * deltas).sum(axis=2))
+        for i in range(n):
+            order = sorted(j for j in range(n) if j != i)
+            order.sort(key=lambda j: dist[i, j])  # stable, so index order breaks ties
+            for j in order[: min(k, n - 1)]:
+                adj[i, j] = adj[j, i] = True
+    return adj
+
+
 def test_complete_and_empty_graphs(rng):
     pts = rng.uniform(0, 1, (5, 2))
     g = build_knn_graph(pts, 4)
-    assert len(g.edges) == 10  # 5 choose 2
-    assert build_knn_graph(pts, 99).edges == g.edges
-    assert build_knn_graph(pts[:1], 3).edges == frozenset()
-    assert build_knn_graph(pts, 0).edges == frozenset()
+    np.testing.assert_array_equal(g.adjacency, ~np.eye(5, dtype=bool))  # all 5 choose 2 edges
+    np.testing.assert_array_equal(build_knn_graph(pts, 99).adjacency, g.adjacency)
+    assert not build_knn_graph(pts[:1], 3).adjacency.any()
+    assert not build_knn_graph(pts, 0).adjacency.any()
+    assert build_knn_graph(np.zeros((0, 2)), 3).adjacency.shape == (0, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_knn_adjacency_matches_sort_per_node_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 65))
+    pts = rng.uniform(0, 1, (n, 2))
+    if seed % 2:
+        # a coarse grid and repeated rows make equal distances and duplicate centers
+        pts = np.round(pts * 3) / 3
+        pts[n // 2 :] = pts[: n - n // 2]
+    for k in (1, 2, 3, 5, n - 1, n + 2):
+        np.testing.assert_array_equal(build_knn_graph(pts, k).adjacency, knn_adjacency_oracle(pts, k))
+
+
+def test_knn_duplicate_centers_tie_to_lower_index():
+    pts = [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.9, 0.9)]
+    g = build_knn_graph(pts, 1)
+    # nodes 1 and 2 pick node 0 (distance 0, lowest index); node 0 picks 1; node 3 picks 0
+    assert [g.neighbors(i) for i in range(4)] == [[1, 2, 3], [0], [0], [0]]
+    np.testing.assert_array_equal(g.adjacency, knn_adjacency_oracle(pts, 1))
+
+
+def test_neighbor_mean_matrix_rows():
+    adj = np.array([[False, True, True], [True, False, False], [True, False, False]])
+    m = neighbor_mean_matrix(RelationGraph(3, 1, adj))
+    np.testing.assert_array_equal(m, [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert not neighbor_mean_matrix(RelationGraph(2, 0, np.zeros((2, 2), dtype=bool))).any()
 
 
 def test_knn_fixed_example():
     g = build_knn_graph([(0.0, 0.0), (0.0, 0.1), (0.9, 0.9)], 1)
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    np.testing.assert_array_equal(g.adjacency, [[False, True, False], [True, False, True], [False, True, False]])
     assert g.neighbors(1) == [0, 2]
 
 
@@ -49,10 +95,13 @@ def test_directed_out_degree_before_symmetrization(rng):
 def test_graph_symmetry_canonical_pairs(seed, n, k):
     pts = np.random.default_rng(seed).uniform(0, 1, (n, 2))
     g = build_knn_graph(pts, k)
-    for a, b in g.edges:
-        assert a < b
-        assert 0 <= a < n and 0 <= b < n
-        assert b in g.neighbors(a) and a in g.neighbors(b)
+    assert g.adjacency.shape == (n, n) and g.adjacency.dtype == bool
+    np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
+    assert not g.adjacency.diagonal().any()
+    for a in range(n):
+        for b in g.neighbors(a):
+            assert 0 <= b < n and b != a
+            assert a in g.neighbors(b)
 
 
 def test_node_permutation_equivariance(rng):
@@ -83,7 +132,7 @@ def test_aggregate_neighbor_mean_example():
     # node 0 sees neighbors [1, 1] and [3, 3]; picking only the neighbor half
     # of the concat returns their mean [2, 2]
     feats = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0]])
-    g = RelationGraph(3, 2, frozenset({(0, 1), (0, 2)}))
+    g = RelationGraph(3, 2, np.array([[False, True, True], [True, False, False], [True, False, False]]))
     nbr_only = params_from(np.hstack([np.zeros((2, 2)), np.eye(2)]), np.zeros(2))
     out = aggregate(Tensor(feats), g, nbr_only).data
     np.testing.assert_allclose(out[0], [2.0, 2.0], atol=1e-15)

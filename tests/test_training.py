@@ -295,7 +295,7 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
     if fail_at == "weights write":
         def fsync(fd):
             raise OSError("disk full")
-        monkeypatch.setattr(training.os, "fsync", fsync)
+        monkeypatch.setattr(os, "fsync", fsync)
     else:
         real_replace = os.replace
 
@@ -303,7 +303,7 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
             if str(dst).endswith("manifest.json"):
                 raise OSError("disk full")
             real_replace(src, dst)
-        monkeypatch.setattr(training.os, "replace", replace)
+        monkeypatch.setattr(os, "replace", replace)
     new = init_params(CFG, seed=2)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ckpt, new, CFG)
