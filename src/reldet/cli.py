@@ -93,6 +93,9 @@ def cmd_gen_data(args) -> int:
     if args.count <= 0:
         print("gen-data: --count must be positive (nothing to generate)", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("gen-data: --seed must be nonnegative", file=sys.stderr)
+        return 2
     if args.img_size < 8 or args.img_size % 8:
         print(f"gen-data: --img-size {args.img_size} must be a positive multiple of 8 "
               "(the model downsamples images by 8)", file=sys.stderr)
@@ -144,6 +147,9 @@ def _check_compatible(config: ModelConfig, scenes, catalog) -> None:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou_thresh <= 1.0:
+        print(f"eval: --iou-thresh {args.iou_thresh} must lie in (0, 1]", file=sys.stderr)
+        return 2
     params, config = load_checkpoint(args.checkpoint)
     scenes, catalog = load_dataset(args.data)
     _check_compatible(config, scenes, catalog)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, IntegrityError, ParseError
+from .errors import ContractError, DomainError, IntegrityError, ParseError
 from .geometry import Box
 from .matching import GroundTruth
 from .numeric import Tensor
@@ -230,20 +230,35 @@ def _read_json(path: Path):
         raise ParseError(f"bad JSON in {path}: {e}") from e
 
 
+def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
+    """One entry of an annotation's ``objects`` list; ParseError names the file."""
+    fields = ("class_id", "cx", "cy", "w", "h")
+    if not isinstance(rec, dict) or any(k not in rec for k in fields):
+        raise ParseError(f"{path}: object {i} is not an object with fields {', '.join(fields)}")
+    cid, vals = rec["class_id"], [rec[k] for k in fields[1:]]
+    if type(cid) is not int or any(type(v) not in (int, float) for v in vals):
+        raise ParseError(f"{path}: object {i} needs an integer class_id and numeric cx, cy, w, h")
+    try:
+        box = Box(*vals)
+    except DomainError as e:
+        raise ParseError(f"{path}: object {i}: {e}") from e
+    if not box.inside_unit():
+        raise IntegrityError(f"object box {box} leaves the unit square")
+    return GroundTruth(cid, box)
+
+
 def load_scene(stem) -> Scene:
     """Read a <stem>.ppm / <stem>.json pair back into a Scene."""
     stem = Path(stem)
     image = read_ppm(stem.with_suffix(".ppm"))
-    doc = _read_json(stem.with_suffix(".json"))
+    path = stem.with_suffix(".json")
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("objects", []), list):
+        raise ParseError(f"{path} is not an annotation object with an objects list")
     h, w = image.shape[1:]
     if doc.get("width") != w or doc.get("height") != h:
         raise IntegrityError(f"annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
-    objects = []
-    for rec in doc.get("objects", []):
-        box = Box(rec["cx"], rec["cy"], rec["w"], rec["h"])
-        if not box.inside_unit():
-            raise IntegrityError(f"object box {box} leaves the unit square")
-        objects.append(GroundTruth(int(rec["class_id"]), box))
+    objects = [_annotation_object(rec, path, i) for i, rec in enumerate(doc.get("objects", []))]
     if not objects:
         raise IntegrityError(f"scene {stem} has no objects")
     return Scene(Tensor(image), objects)

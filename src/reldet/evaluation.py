@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Scene
 from .errors import ContractError
-from .geometry import Box, iou
+from .geometry import Box, box_pairs, box_rows
 from .matching import GroundTruth
 from .model import DetectionOutput, ModelConfig, forward
 
@@ -87,7 +87,9 @@ def match_detections(dets: list[ScoredDetection], gts: list[GroundTruth], iou_th
     Internally walks detections in descending confidence (ties by input
     index); each detection claims the highest-IoU unmatched same-class ground
     truth at or above the threshold, and each ground truth matches only once.
+    The IoUs come from one [D, G] ``box_pairs`` grid.
     """
+    overlap = box_pairs(box_rows(d.box for d in dets), box_rows(g.box for g in gts), grid=True).iou().tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     taken = [False] * len(gts)
     flags = [False] * len(dets)
@@ -95,10 +97,9 @@ def match_detections(dets: list[ScoredDetection], gts: list[GroundTruth], iou_th
         det = dets[i]
         best_j = -1
         best_v = -1.0
-        for j, gt in enumerate(gts):
+        for j, (gt, v) in enumerate(zip(gts, overlap[i])):
             if taken[j] or gt.class_id != det.class_id:
                 continue
-            v = iou(det.box, gt.box)
             if v >= iou_thresh and v > best_v:
                 best_v = v
                 best_j = j
@@ -141,18 +142,21 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
     """Score already-extracted detections; the model-free core of evaluation."""
     if names is None:
         names = [f"class_{c}" for c in range(num_classes)]
+    if len(per_scene_dets) != len(per_scene_gts):
+        raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
+    # classes never compete for a ground truth, so one greedy pass per scene
+    # gives every class the flags a pass over that class alone would
+    per_scene_flags = [match_detections(dets, gts, iou_thresh) for dets, gts in zip(per_scene_dets, per_scene_gts)]
     per_class: dict[int, ClassResult] = {}
     aps = []
     for cid in range(num_classes):
-        pooled: list[tuple[float, int, int, bool]] = []
-        gt_count = 0
-        for s, (dets, gts) in enumerate(zip(per_scene_dets, per_scene_gts)):
-            cls_idx = [i for i, d in enumerate(dets) if d.class_id == cid]
-            cls_dets = [dets[i] for i in cls_idx]
-            cls_gts = [g for g in gts if g.class_id == cid]
-            gt_count += len(cls_gts)
-            flags = match_detections(cls_dets, cls_gts, iou_thresh)
-            pooled.extend((d.confidence, s, i, f) for d, i, f in zip(cls_dets, cls_idx, flags))
+        pooled = [
+            (d.confidence, s, i, f)
+            for s, (dets, flags) in enumerate(zip(per_scene_dets, per_scene_flags))
+            for i, (d, f) in enumerate(zip(dets, flags))
+            if d.class_id == cid
+        ]
+        gt_count = sum(g.class_id == cid for gts in per_scene_gts for g in gts)
         pooled.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
         ordered_flags = [rec[3] for rec in pooled]
         ap = average_precision(ordered_flags, gt_count)

@@ -1,25 +1,33 @@
-"""Bounding boxes in center format, IoU/GIoU, and the combined box loss.
+"""Bounding boxes in center format and the one box-pair kernel.
 
 Boxes are (cx, cy, w, h). Detector outputs live in the unit square, but the
-math here works at any scale, so the functions only require w >= 0, h >= 0.
-Each scoring function exists in two forms: a scalar float path over ``Box``
-values (used by evaluation, never differentiated) and a tensor path over
-[M, 4] rows (used inside the training loss). The two are cross-checked in the
-test suite; the scalar path is also the oracle for the array form of the
-matching cost in ``matching.build_cost_matrix``.
+math here works at any scale, so boxes only require w >= 0, h >= 0.
+
+``box_pairs`` is the only implementation of box overlap geometry: one array
+computation over two stacks of boxes, either over the grid of every first box
+against every second box or over aligned rows. It returns the corners, the
+intersection, union and enclosing-box areas and the per-coordinate
+difference. Each caller applies its own degenerate-box guards and its own L1
+reduction:
+
+- ``matching.build_cost_matrix``: GIoU with the exact degenerate branches of
+  ``BoxPairs.giou`` and L1 summed cx, cy, w, h from left to right, on the
+  [G, N] grid of targets against predictions;
+- ``numeric.set_loss``: GIoU with 1e-12 denominator floors and L1 as a
+  product with a ones vector, on the G matched rows, with an analytic
+  backward;
+- ``evaluation.match_detections``: ``BoxPairs.iou`` on the [D, G] grid of a
+  scene's detections against its ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import numeric
 from .errors import ContractError, DomainError
-from .numeric import Tensor
-
-_TINY = 1e-12  # denominator guard on the tensor path; scalar path handles degenerates exactly
 
 
 @dataclass(frozen=True)
@@ -74,97 +82,73 @@ def from_corners(x1: float, y1: float, x2: float, y2: float) -> Box:
     return Box((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
 
 
-def _areas(a: Box, b: Box):
-    ax1, ay1, ax2, ay2 = to_corners(a)
-    bx1, by1, bx2, by2 = to_corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = iw * ih if (iw > 0 and ih > 0) else 0.0
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    enclose = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    return inter, union, enclose
+def box_rows(boxes) -> np.ndarray:
+    """[M, 4] float64 rows (cx, cy, w, h) of a sequence of ``Box``."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union in [0, 1]; 0 when the union is empty."""
-    inter, union, _ = _areas(a, b)
-    if union <= 0:
-        return 0.0
-    return inter / union
+class BoxPairs(NamedTuple):
+    """Overlap terms of box pairs; every array has the pair shape.
 
-
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU in (-1, 1]: IoU minus the enclosing-box slack.
-
-    Degenerate corners: a degenerate enclosing box means both boxes collapsed
-    to the same geometry up to a point or segment, so the value is 1 when the
-    boxes coincide and 0 otherwise.
+    ``a`` and ``b`` are the corners (x1, y1, x2, y2) of the first and second
+    boxes, as c -+ w/2. ``iw``/``ih`` are the overlap extents
+    min(x2) - max(x1) and min(y2) - max(y1), negative when the boxes are
+    apart; ``inter`` is iw * ih when both are positive, else 0. ``ew``/``eh``
+    are the sides of the enclosing box and ``enclose`` = ew * eh. ``delta`` is
+    b - a per coordinate (cx, cy, w, h), with a trailing axis of 4.
     """
-    inter, union, enclose = _areas(a, b)
-    if enclose <= 0:
-        return 1.0 if a == b else 0.0
-    iou_val = inter / union if union > 0 else 0.0
-    return iou_val - (enclose - union) / enclose
+
+    a: tuple
+    b: tuple
+    iw: np.ndarray
+    ih: np.ndarray
+    inter: np.ndarray
+    union: np.ndarray
+    ew: np.ndarray
+    eh: np.ndarray
+    enclose: np.ndarray
+    delta: np.ndarray
+
+    def iou(self) -> np.ndarray:
+        """Intersection over union in [0, 1]; 0 where the union is empty."""
+        ok = self.union > 0
+        return np.where(ok, self.inter / np.where(ok, self.union, 1.0), 0.0)
+
+    def giou(self) -> np.ndarray:
+        """Generalized IoU in (-1, 1]: IoU minus the enclosing-box slack.
+
+        A degenerate enclosing box means both boxes collapsed to the same
+        point or segment, so the value is 1 where the boxes are identical and
+        0 otherwise.
+        """
+        ok = self.enclose > 0
+        slack = (self.enclose - self.union) / np.where(ok, self.enclose, 1.0)
+        return np.where(ok, self.iou() - slack, np.where(np.all(self.delta == 0, axis=-1), 1.0, 0.0))
 
 
-def box_loss(b: Box, bhat: Box, w: LossWeights) -> float:
-    """lambda_iou * (1 - GIoU) + lambda_l1 * L1 over the 4 center coordinates.
+def box_pairs(a, b, grid: bool = False) -> BoxPairs:
+    """Overlap terms of boxes ``a`` [G, 4] against ``b`` [N, 4].
 
-    The scalar form; box_loss_pairwise is the differentiable one, and
-    matching.build_cost_matrix computes it for all target/prediction pairs.
+    With ``grid`` the pairs are every row of ``a`` against every row of ``b``,
+    shape [G, N]; otherwise ``a`` and ``b`` have the same row count M and row
+    i pairs with row i, shape [M].
     """
-    l1 = abs(b.cx - bhat.cx) + abs(b.cy - bhat.cy) + abs(b.w - bhat.w) + abs(b.h - bhat.h)
-    return w.lambda_iou * (1.0 - giou(b, bhat)) + w.lambda_l1 * l1
-
-
-# ---------------------------------------------------------------------------
-# tensor path: rows of (cx, cy, w, h)
-
-
-def _corner_cols(t: Tensor):
-    cx = numeric.narrow(t, 1, 0, 1)
-    cy = numeric.narrow(t, 1, 1, 1)
-    hw = numeric.mul(numeric.narrow(t, 1, 2, 1), 0.5)
-    hh = numeric.mul(numeric.narrow(t, 1, 3, 1), 0.5)
-    return (
-        numeric.sub(cx, hw),
-        numeric.sub(cy, hh),
-        numeric.add(cx, hw),
-        numeric.add(cy, hh),
-    )
-
-
-def giou_pairwise(a, b) -> Tensor:
-    """Row-wise GIoU of two [M, 4] stacks; differentiable through both."""
-    at = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=np.float64))
-    bt = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=np.float64))
-    if at.shape != bt.shape or len(at.shape) != 2 or at.shape[1] != 4:
-        raise ContractError(f"giou_pairwise expects matching [M, 4] stacks, got {at.shape} and {bt.shape}")
-    ax1, ay1, ax2, ay2 = _corner_cols(at)
-    bx1, by1, bx2, by2 = _corner_cols(bt)
-    iw = numeric.relu(numeric.sub(numeric.minimum(ax2, bx2), numeric.maximum(ax1, bx1)))
-    ih = numeric.relu(numeric.sub(numeric.minimum(ay2, by2), numeric.maximum(ay1, by1)))
-    inter = numeric.mul(iw, ih)
-    area_a = numeric.mul(numeric.sub(ax2, ax1), numeric.sub(ay2, ay1))
-    area_b = numeric.mul(numeric.sub(bx2, bx1), numeric.sub(by2, by1))
-    union = numeric.sub(numeric.add(area_a, area_b), inter)
-    iou_col = numeric.div(inter, numeric.maximum(union, _TINY))
-    ew = numeric.sub(numeric.maximum(ax2, bx2), numeric.minimum(ax1, bx1))
-    eh = numeric.sub(numeric.maximum(ay2, by2), numeric.minimum(ay1, by1))
-    enclose = numeric.mul(ew, eh)
-    slack = numeric.div(numeric.sub(enclose, union), numeric.maximum(enclose, _TINY))
-    return numeric.reshape(numeric.sub(iou_col, slack), (at.shape[0],))
-
-
-def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
-    """Row-wise box loss of ground-truth rows against predicted rows."""
-    b_arr = np.asarray(b, dtype=np.float64)
-    if b_arr.shape != bhat.shape:
-        raise ContractError(f"box_loss_pairwise shapes differ: {b_arr.shape} vs {bhat.shape}")
-    g = giou_pairwise(Tensor(b_arr), bhat)
-    giou_term = numeric.mul(numeric.sub(1.0, g), w.lambda_iou)
-    diffs = numeric.absolute(numeric.sub(bhat, Tensor(b_arr)))
-    l1 = numeric.reshape(numeric.matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
-    return numeric.add(giou_term, numeric.mul(l1, w.lambda_l1))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4 or not (grid or a.shape == b.shape):
+        raise ContractError(f"box_pairs needs [G, 4] and [N, 4] boxes (equal row counts unless grid), "
+                            f"got {a.shape} and {b.shape}")
+    if grid:
+        a = a[:, None, :]  # first boxes down the rows, second boxes across the columns
+    acx, acy, aw, ah = (a[..., k] for k in range(4))
+    bcx, bcy, bw, bh = (b[..., k] for k in range(4))
+    ahw, ahh, bhw, bhh = aw / 2, ah / 2, bw / 2, bh / 2
+    ax1, ay1, ax2, ay2 = acx - ahw, acy - ahh, acx + ahw, acy + ahh
+    bx1, by1, bx2, by2 = bcx - bhw, bcy - bhh, bcx + bhw, bcy + bhh
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    ew = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    eh = np.maximum(ay2, by2) - np.minimum(ay1, by1)
+    return BoxPairs((ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2), iw, ih, inter, union, ew, eh, ew * eh, b - a)

@@ -20,12 +20,8 @@ import numpy as np
 
 from . import numeric
 from .errors import CapacityError, ContractError, DomainError, ShapeError
-from .geometry import Box, LossWeights, box_loss_pairwise
+from .geometry import Box, LossWeights, box_pairs, box_rows
 from .numeric import Tensor
-
-# class id of a no-object slot; predictions keep its probability in their
-# last column, so python's negative indexing lines up for free
-NULL_CLASS = -1
 
 
 @dataclass(frozen=True)
@@ -50,14 +46,14 @@ class Assignment:
 
 
 def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarray, w: LossWeights) -> np.ndarray:
-    """[G, N] matrix with entry (i, j) = -p_j(class of target i) + box_loss(target i, prediction j).
+    """[G, N] matrix with entry (i, j) = -p_j(class of target i) + box loss(target i, prediction j).
 
     ``probs`` [N, K+1] holds each prediction's class probabilities (last
     column = no object) and ``boxes`` [N, 4] its (cx, cy, w, h). The raw
-    probability is used, not its log. Every entry is computed with the same
-    IEEE operations as the scalar ``geometry.box_loss`` (corners as c -+ w/2,
-    the same degenerate-box branches, L1 summed cx, cy, w, h from left to
-    right), so it equals the scalar cost bit for bit.
+    probability is used, not its log. The box loss is lambda_iou * (1 - GIoU)
+    + lambda_l1 * L1 on the ``geometry.box_pairs`` grid, with the exact
+    degenerate-box branches of ``BoxPairs.giou`` and L1 summed cx, cy, w, h
+    from left to right.
     """
     probs = np.asarray(probs, dtype=np.float64)
     boxes = np.asarray(boxes, dtype=np.float64)
@@ -75,24 +71,10 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     cls = np.array([y.class_id for y in gt], dtype=np.intp)
     if np.any((cls < 0) | (cls >= probs.shape[1] - 1)):
         raise ContractError(f"target class ids {cls.tolist()} outside [0, {probs.shape[1] - 1})")
-    t = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt], dtype=np.float64).reshape(-1, 4)
-    # targets down the rows, predictions across the columns
-    acx, acy, aw, ah = (t[:, k : k + 1] for k in range(4))
-    bcx, bcy, bw, bh = boxes.T
-    ax1, ay1, ax2, ay2 = acx - aw / 2, acy - ah / 2, acx + aw / 2, acy + ah / 2
-    bx1, by1, bx2, by2 = bcx - bw / 2, bcy - bh / 2, bcx + bw / 2, bcy + bh / 2
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    enclose = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (np.maximum(ay2, by2) - np.minimum(ay1, by1))
-    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    slack = (enclose - union) / np.where(enclose > 0, enclose, 1.0)
-    # a degenerate enclosing box scores 1 if the boxes are identical, else 0
-    same = (acx == bcx) & (acy == bcy) & (aw == bw) & (ah == bh)
-    g = np.where(enclose > 0, iou - slack, np.where(same, 1.0, 0.0))
-    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
-    return -probs[:, cls].T + (w.lambda_iou * (1.0 - g) + w.lambda_l1 * l1)
+    pairs = box_pairs(box_rows(y.box for y in gt), boxes, grid=True)
+    d = np.abs(pairs.delta)
+    l1 = d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+    return -probs[:, cls].T + (w.lambda_iou * (1.0 - pairs.giou()) + w.lambda_l1 * l1)
 
 
 def _finite_matrix(c: np.ndarray) -> np.ndarray:
@@ -206,30 +188,14 @@ def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: Lo
     covers all N slots, the G real ones first. Every slot contributes
     -log p(class) (down-weighted by ``null_weight`` on the N - G no-object
     slots); real slots add the box loss. Probabilities are clamped to 1e-12
-    before the log as a numeric guard.
+    before the log as a numeric guard. The loss is one ``numeric.set_loss``
+    record.
     """
-    probs: Tensor = preds.class_probs
-    boxes: Tensor = preds.boxes
-    n, g = probs.shape[0], len(gt)
+    n, g = preds.class_probs.shape[0], len(gt)
     if len(assign.perm) != n or g > n:
         raise ContractError(
             f"assignment covers {len(assign.perm)} slots but got {g} targets and {n} predictions"
         )
-    rows = np.asarray(assign.perm, dtype=np.intp)
-    cols = np.full(n, NULL_CLASS, dtype=np.intp)  # NULL_CLASS=-1 hits the last column
-    cols[:g] = [y.class_id for y in gt]
-    slot_w = np.full(n, float(null_weight))
-    slot_w[:g] = 1.0
-
-    picked = numeric.take_pairs(probs, rows, cols)
-    logp = numeric.log(numeric.maximum(picked, 1e-12))
-    cls_term = numeric.neg(numeric.sum_all(numeric.mul(logp, Tensor(slot_w))))
-
-    if g:
-        gt_rows = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt])
-        pred_rows = numeric.take_rows(boxes, rows[:g])
-        box_term = numeric.sum_all(box_loss_pairwise(gt_rows, pred_rows, w))
-    else:
-        box_term = Tensor(0.0)
-    total = numeric.add(cls_term, box_term)
-    return LossBreakdown(total, float(cls_term.data), float(box_term.data))
+    total, cls, box = numeric.set_loss(preds.class_probs, preds.boxes, assign.perm, [y.class_id for y in gt],
+                                       box_rows(y.box for y in gt), null_weight, w)
+    return LossBreakdown(total, cls, box)

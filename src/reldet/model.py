@@ -27,7 +27,7 @@ permutation in ``checks.equivariance_deviations``, refused by ``arena_of``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,15 +53,27 @@ class ModelConfig:
     seed: int = 3
 
     def __post_init__(self):
-        h, w = self.image_size
+        """The one validation of a model config, for ``train``'s flags and for
+        checkpoint manifests alike; raises ContractError."""
+        ints = [getattr(self, f.name) for f in fields(self) if f.name != "image_size"]
+        size = self.image_size
+        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in (*size, *ints)):
+            raise ContractError(f"model config fields must be integers and image_size a pair of them: {self}")
+        h, w = size
         if h % 8 or w % 8 or h < 8 or w < 8:
             raise ContractError(f"image size {self.image_size} must be a multiple of 8 in both extents")
+        if self.num_heads < 1:
+            raise ContractError(f"need at least one attention head, got {self.num_heads}")
+        if self.model_dim < 2 or self.model_dim % 2:
+            raise ContractError(f"model_dim {self.model_dim} must be positive and even (sin/cos encodings)")
         if self.model_dim % self.num_heads:
             raise ContractError(f"model_dim {self.model_dim} not divisible by {self.num_heads} heads")
+        if self.backbone_channels < 1 or self.num_encoder_layers < 0 or self.num_decoder_layers < 0:
+            raise ContractError("need at least one backbone channel and no negative layer count")
         if self.num_queries < 1 or self.num_classes < 1:
             raise ContractError("need at least one query and one class")
-        if self.knn_k < 0:
-            raise ContractError("knn_k must be nonnegative")
+        if self.knn_k < 0 or self.seed < 0:
+            raise ContractError("knn_k and seed must be nonnegative")
 
     @property
     def feature_hw(self) -> tuple[int, int]:
@@ -265,8 +277,8 @@ def _ffn(x: Tensor, params, prefix: str) -> Tensor:
 
 def _encoder_layer(x: Tensor, pe: Tensor, params, prefix: str, heads: int) -> Tensor:
     qk = numeric.add(x, pe)
-    x = numeric.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, f"{prefix}.attn", heads)))
-    return numeric.layer_norm(numeric.add(x, _ffn(x, params, f"{prefix}.ffn")))
+    x = numeric.add_layer_norm(x, multi_head_attention(qk, qk, x, params, f"{prefix}.attn", heads))
+    return numeric.add_layer_norm(x, _ffn(x, params, f"{prefix}.ffn"))
 
 
 def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> Tensor:
@@ -280,12 +292,12 @@ def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> 
 
 def _decoder_layer(x: Tensor, qe: Tensor, memory: Tensor, mem_pe: Tensor, params, prefix: str, heads: int) -> Tensor:
     qk = numeric.add(x, qe)
-    x = numeric.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, f"{prefix}.self_attn", heads)))
+    x = numeric.add_layer_norm(x, multi_head_attention(qk, qk, x, params, f"{prefix}.self_attn", heads))
     mem_k = numeric.add(memory, mem_pe)
-    x = numeric.layer_norm(
-        numeric.add(x, multi_head_attention(numeric.add(x, qe), mem_k, memory, params, f"{prefix}.cross_attn", heads))
+    x = numeric.add_layer_norm(
+        x, multi_head_attention(numeric.add(x, qe), mem_k, memory, params, f"{prefix}.cross_attn", heads)
     )
-    return numeric.layer_norm(numeric.add(x, _ffn(x, params, f"{prefix}.ffn")))
+    return numeric.add_layer_norm(x, _ffn(x, params, f"{prefix}.ffn"))
 
 
 def decode_stack(x: Tensor, queries: Tensor, memory: Tensor, mem_pe: Tensor, params, prefixes, heads: int) -> Tensor:

@@ -10,7 +10,7 @@ Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
 happen only inside ``linear``, never by silent broadcasting.
 
-Two fused primitives record one tape entry for what would otherwise be a
+Four fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain:
 
 - ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
@@ -20,6 +20,13 @@ chain of small ops, with the same forward bits as that chain:
   [m, d]. The heads are column blocks of width d / num_heads, computed as one
   batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after the product, a
   max-shifted softmax over the keys and one batched product with V.
+- ``add_layer_norm(x, r)``: the residual layer norm ``layer_norm(x + r)``
+  over the last axis; both operands get the same gradient.
+- ``set_loss(probs, boxes, ...)``: DETR's set-prediction loss under a fixed
+  assignment, the class NLL over every slot plus GIoU and L1 on the matched
+  boxes (through ``geometry.box_pairs``). Its backward replays the backward
+  rules of the elementwise chain it replaces, so its gradients are that
+  chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
+from .geometry import box_pairs
 
 _TLS = threading.local()
 
@@ -82,25 +90,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -110,12 +103,6 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -288,16 +275,6 @@ def add(a, b) -> Tensor:
     return _record(out, (t,), lambda g: (g,))
 
 
-def sub(a, b) -> Tensor:
-    ta, tb, da, db = _as_pair(a, b, "sub")
-    out = Tensor(da - db)
-    if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g, -g))
-    if ta is not None:
-        return _record(out, (ta,), lambda g: (g,))
-    return _record(out, (tb,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     ta, tb, da, db = _as_pair(a, b, "mul")
     out = Tensor(da * db)
@@ -308,40 +285,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (tb,), lambda g: (g * da,))
 
 
-def div(a, b) -> Tensor:
-    ta, tb, da, db = _as_pair(a, b, "div")
-    out = Tensor(da / db)
-    if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g / db, -g * da / (db * db)))
-    if ta is not None:
-        return _record(out, (ta,), lambda g: (g / db,))
-    return _record(out, (tb,), lambda g: (-g * da / (db * db),))
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first operand."""
-    ta, tb, da, db = _as_pair(a, b, "maximum")
-    out = Tensor(np.maximum(da, db))
-    mask = da >= db
-    if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
-    if ta is not None:
-        return _record(out, (ta,), lambda g: (g * mask,))
-    return _record(out, (tb,), lambda g: (g * ~mask,))
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min; ties route the gradient to the first operand."""
-    ta, tb, da, db = _as_pair(a, b, "minimum")
-    out = Tensor(np.minimum(da, db))
-    mask = da <= db
-    if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
-    if ta is not None:
-        return _record(out, (ta,), lambda g: (g * mask,))
-    return _record(out, (tb,), lambda g: (g * ~mask,))
-
-
 # ---------------------------------------------------------------------------
 # unary elementwise ops
 
@@ -350,18 +293,6 @@ def _tensor_arg(x, op: str) -> Tensor:
     if not isinstance(x, Tensor):
         raise ContractError(f"{op}: expected a Tensor, got {type(x).__name__}")
     return x
-
-
-def neg(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "neg")
-    return _record(Tensor(-x.data), (x,), lambda g: (-g,))
-
-
-def absolute(x: Tensor) -> Tensor:
-    """|x| with subgradient sign(x), 0 at the kink."""
-    x = _tensor_arg(x, "absolute")
-    s = np.sign(x.data)
-    return _record(Tensor(np.abs(x.data)), (x,), lambda g: (g * s,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -381,23 +312,8 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(Tensor(y), (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def log(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "log")
-    if np.any(x.data <= 0):
-        raise DomainError(f"log of non-positive value (min entry {x.data.min()!r})")
-    d = x.data
-    return _record(Tensor(np.log(d)), (x,), lambda g: (g / d,))
-
-
 # ---------------------------------------------------------------------------
 # reductions and normalizations
-
-
-def mean(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "mean")
-    shape, size = x.data.shape, x.data.size
-    out = Tensor(x.data.mean())
-    return _record(out, (x,), lambda g: (np.full(shape, float(g) / size),))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -425,23 +341,32 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _record(Tensor(y), (x,), bwd)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean, unit variance (no affine)."""
-    x = _tensor_arg(x, "layer_norm")
-    if x.data.ndim < 1:
-        raise ShapeError("layer_norm needs rank >= 1")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+def add_layer_norm(x: Tensor, r: Tensor, eps: float = 1e-5) -> Tensor:
+    """Residual layer norm: x + r normalized over the last axis to zero mean
+    and unit variance (no affine).
+
+    One record for ``layer_norm(add(x, r))``: the add's backward hands its
+    gradient to both operands unchanged, so both get the layer norm's input
+    gradient. Means are ``np.add.reduce(., axis=-1, keepdims=True) / n``, the
+    same IEEE operations as ``ndarray.mean`` at less call overhead.
+    """
+    x = _tensor_arg(x, "add_layer_norm")
+    r = _tensor_arg(r, "add_layer_norm")
+    if x.data.shape != r.data.shape or x.data.ndim < 1:
+        raise ShapeError(f"add_layer_norm needs two equal shapes of rank >= 1, got {x.data.shape} and {r.data.shape}")
+    s = x.data + r.data
+    n = s.shape[-1]
+    xc = s - np.add.reduce(s, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
     y = xc * inv
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+        gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
+        gs = inv * (g - gm - y * gym)
+        return (gs, gs)
 
-    return _record(Tensor(y), (x,), bwd)
+    return _record(Tensor(y), (x, r), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -558,74 +483,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(ts), bwd)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along ``axis``."""
-    x = _tensor_arg(x, "narrow")
-    rank = x.data.ndim
-    if not -rank <= axis < rank:
-        raise ShapeError(f"narrow axis {axis} out of range for rank {rank}")
-    axis = axis % rank
-    dim = x.data.shape[axis]
-    if start < 0 or length < 0 or start + length > dim:
-        raise ShapeError(f"narrow [{start}:{start + length}] on axis {axis} exceeds extent {dim}")
-    sl = [slice(None)] * rank
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    shape = x.data.shape
-    out = Tensor(x.data[sl].copy())
-
-    def bwd(g):
-        z = np.zeros(shape)
-        z[sl] = g
-        return (z,)
-
-    return _record(out, (x,), bwd)
-
-
-def take_rows(x: Tensor, rows) -> Tensor:
-    """Gather rows of a matrix by index; backward scatter-adds."""
-    x = _tensor_arg(x, "take_rows")
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a rank-2 tensor, got shape {x.data.shape}")
-    idx = np.asarray(rows, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows needs a 1-d index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ShapeError(f"take_rows index out of range for {x.data.shape[0]} rows")
-    shape = x.data.shape
-    out = Tensor(x.data[idx])
-
-    def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _record(out, (x,), bwd)
-
-
-def take_pairs(x: Tensor, rows, cols) -> Tensor:
-    """Gather entries x[rows[i], cols[i]] into a vector; backward scatter-adds."""
-    x = _tensor_arg(x, "take_pairs")
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_pairs needs a rank-2 tensor, got shape {x.data.shape}")
-    ri = np.asarray(rows, dtype=np.intp)
-    ci = np.asarray(cols, dtype=np.intp)
-    if ri.shape != ci.shape or ri.ndim != 1:
-        raise ShapeError("take_pairs needs matching 1-d row and column index lists")
-    m, n = x.data.shape
-    if ri.size and (ri.min() < 0 or ri.max() >= m or ci.min() < -1 or ci.max() >= n):
-        raise ShapeError(f"take_pairs index out of range for shape {x.data.shape}")
-    shape = x.data.shape
-    out = Tensor(x.data[ri, ci])
-
-    def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, (ri, ci), g)
-        return (z,)
-
-    return _record(out, (x,), bwd)
-
-
 def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     """Unfold a [C,H,W] tensor into rows of k*k patches.
 
@@ -661,3 +518,102 @@ def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
         return (dp,)
 
     return _record(out, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# the set-prediction loss
+
+_FLOOR = 1e-12  # probability clamp before the log; floor of the GIoU denominators
+_ONES4 = np.ones((4, 1))  # sums |delta| over cx, cy, w, h as one BLAS product
+
+
+def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: float, weights):
+    """DETR's set loss under a fixed assignment, as one record.
+
+    Slot i is answered by prediction ``perm[i]``. Slots 0..G-1 hold the G
+    targets (``classes`` [G] ids, ``targets`` [G, 4] boxes), the other slots
+    the no-object class, the last column of ``probs`` [N, K+1]. The class
+    term is -sum_i w_i log max(p, 1e-12) over all N slots, w_i = 1 on target
+    slots and ``null_weight`` on the rest. The box term sums, over the target
+    slots, lambda_iou * (1 - GIoU) + lambda_l1 * L1 of the target against
+    ``boxes`` [N, 4] row ``perm[i]`` (``weights`` carries the lambdas). GIoU
+    floors its denominators at 1e-12 and L1 is |delta| times a ones vector.
+
+    Returns (class term + box term as a tensor, class term, box term). The
+    forward runs the IEEE operations of the chain of elementwise tape ops it
+    replaces; the backward replays that chain's backward rules, including
+    the order in which fan-out gradients are summed and the tie masks of the
+    min/max and relu ops, so the gradients are the chain's bit for bit.
+    """
+    probs = _tensor_arg(probs, "set_loss")
+    boxes = _tensor_arg(boxes, "set_loss")
+    rows = np.asarray(perm, dtype=np.intp)
+    cls_ids = np.asarray(classes, dtype=np.intp)
+    t = np.asarray(targets, dtype=np.float64)
+    n, g = rows.size, cls_ids.size
+    if probs.data.ndim != 2 or probs.data.shape[0] != n or boxes.data.shape != (n, 4) \
+            or rows.shape != (n,) or t.shape != (g, 4) or g > n:
+        raise ShapeError(f"set_loss shapes disagree: probs {probs.data.shape}, boxes {boxes.data.shape}, "
+                         f"perm {rows.shape}, classes {cls_ids.shape}, targets {t.shape}")
+    if sorted(rows.tolist()) != list(range(n)):
+        raise ContractError(f"set_loss needs a permutation of the {n} predictions")
+    if g and (cls_ids.min() < 0 or cls_ids.max() >= probs.data.shape[1] - 1):
+        raise ContractError(f"target class ids {cls_ids.tolist()} outside [0, {probs.data.shape[1] - 1})")
+    cols = np.full(n, -1, dtype=np.intp)  # -1 is the no-object column
+    cols[:g] = cls_ids
+    slot_w = np.full(n, float(null_weight))
+    slot_w[:g] = 1.0
+    picked = probs.data[rows, cols]
+    clamped = np.maximum(picked, _FLOOR)
+    cls = -(np.log(clamped) * slot_w).sum()
+    box = 0.0
+    if g:
+        p = box_pairs(t, boxes.data[rows[:g]])
+        umx = np.maximum(p.union, _FLOOR)
+        den = np.maximum(p.enclose, _FLOOR)
+        num = p.enclose - p.union
+        giou = p.inter / umx - num / den
+        l1 = (np.abs(p.delta) @ _ONES4).reshape(g)
+        box = ((1.0 - giou) * weights.lambda_iou + l1 * weights.lambda_l1).sum()
+    out = Tensor(cls + box)
+
+    def bwd(go):
+        gp = np.zeros(probs.data.shape)
+        np.add.at(gp, (rows, cols), np.full(n, float(-go)) * slot_w / clamped * (picked >= _FLOOR))
+        if not g:
+            return (gp, None)
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = p.a, p.b
+        gv = np.full(g, float(go))
+        g_delta = ((gv * weights.lambda_l1).reshape(g, 1) @ _ONES4.T) * np.sign(p.delta)
+        # GIoU = inter / umx - num / den, one line per backward rule of the
+        # elementwise chain in reverse record order: a fan-out sum adds each new
+        # term to the earlier sum, min/max route a tie to the target's corner
+        # (the prediction's corner gets g * ~mask) and relu passes nothing at 0
+        g_iou = -(gv * weights.lambda_iou)
+        g_num = -g_iou / den
+        g_enc = g_iou * num / (den * den) * (p.enclose >= _FLOOR) + g_num
+        g_ew, g_eh = g_enc * p.eh, g_enc * p.ew
+        g_by1 = -g_eh * ~(ay1 <= by1)
+        g_by2 = g_eh * ~(ay2 >= by2)
+        g_bx1 = -g_ew * ~(ax1 <= bx1)
+        g_bx2 = g_ew * ~(ax2 >= bx2)
+        g_union = -g_num + -g_iou * p.inter / (umx * umx) * (p.union >= _FLOOR)
+        g_inter = g_iou / umx + -g_union
+        g_dxb, g_dyb = g_union * (by2 - by1), g_union * (bx2 - bx1)
+        g_by2 = g_by2 + g_dyb
+        g_by1 = g_by1 + -g_dyb
+        g_bx2 = g_bx2 + g_dxb
+        g_bx1 = g_bx1 + -g_dxb
+        iw_pos, ih_pos = p.iw > 0, p.ih > 0
+        g_ih = g_inter * (p.iw * iw_pos) * ih_pos
+        g_iw = g_inter * (p.ih * ih_pos) * iw_pos
+        g_by1 = g_by1 + -g_ih * ~(ay1 >= by1)
+        g_by2 = g_by2 + g_ih * ~(ay2 <= by2)
+        g_bx1 = g_bx1 + -g_iw * ~(ax1 >= bx1)
+        g_bx2 = g_bx2 + g_iw * ~(ax2 <= bx2)
+        g_corner = np.stack([g_bx2 + g_bx1, g_by2 + g_by1, (g_bx2 + -g_bx1) * 0.5, (g_by2 + -g_by1) * 0.5], axis=1)
+        gb = np.zeros(boxes.data.shape)
+        np.add.at(gb, rows[:g], g_delta + g_corner)
+        return (gp, gb)
+
+    return _record(out, (probs, boxes), bwd), float(cls), float(box)

@@ -210,4 +210,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         raise IntegrityError(f"weights.bin holds {len(blob)} bytes, expected {total * 8}")
     # one copy of the blob is the arena; the parameters are views of it
     params = arena_views(expected, np.frombuffer(blob, dtype="<f8").copy())
+    bad = [name for name, p in params.items() if not np.all(np.isfinite(p.data))]
+    if bad:
+        raise IntegrityError(f"weights.bin holds non-finite values (first in {bad[0]})")
     return params, config

@@ -1,0 +1,304 @@
+"""The computations the fused primitives replace, kept as test oracles.
+
+- the elementwise tape primitives the set loss and the residual layer norm
+  used to be built from (``sub``, ``div``, ``maximum``, ``minimum``, ``neg``,
+  ``absolute``, ``log``, ``mean``, ``layer_norm``, ``narrow``, ``take_rows``,
+  ``take_pairs``), each with its own backward rule;
+- ``hungarian_loss_chain``: the set loss as a chain of those ops (55 tape
+  records on a 5-object scene), and ``add_layer_norm_chain``, the residual
+  layer norm as ``layer_norm(add(x, r))``; ``numeric.set_loss`` and
+  ``numeric.add_layer_norm`` must equal them bit for bit, forward and
+  backward;
+- scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
+  ``geometry.box_pairs``.
+"""
+
+import numpy as np
+
+from reldet import numeric
+from reldet.errors import ContractError, DomainError, ShapeError
+from reldet.geometry import Box, LossWeights, to_corners
+from reldet.matching import LossBreakdown
+from reldet.numeric import Tensor, _as_pair, _record, _tensor_arg, add, mul
+
+_TINY = 1e-12
+
+
+def sub(a, b) -> Tensor:
+    ta, tb, da, db = _as_pair(a, b, "sub")
+    out = Tensor(da - db)
+    if ta is not None and tb is not None:
+        return _record(out, (ta, tb), lambda g: (g, -g))
+    if ta is not None:
+        return _record(out, (ta,), lambda g: (g,))
+    return _record(out, (tb,), lambda g: (-g,))
+
+
+def div(a, b) -> Tensor:
+    ta, tb, da, db = _as_pair(a, b, "div")
+    out = Tensor(da / db)
+    if ta is not None and tb is not None:
+        return _record(out, (ta, tb), lambda g: (g / db, -g * da / (db * db)))
+    if ta is not None:
+        return _record(out, (ta,), lambda g: (g / db,))
+    return _record(out, (tb,), lambda g: (-g * da / (db * db),))
+
+
+def maximum(a, b) -> Tensor:
+    """Elementwise max; ties route the gradient to the first operand."""
+    ta, tb, da, db = _as_pair(a, b, "maximum")
+    out = Tensor(np.maximum(da, db))
+    mask = da >= db
+    if ta is not None and tb is not None:
+        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
+    if ta is not None:
+        return _record(out, (ta,), lambda g: (g * mask,))
+    return _record(out, (tb,), lambda g: (g * ~mask,))
+
+
+def minimum(a, b) -> Tensor:
+    """Elementwise min; ties route the gradient to the first operand."""
+    ta, tb, da, db = _as_pair(a, b, "minimum")
+    out = Tensor(np.minimum(da, db))
+    mask = da <= db
+    if ta is not None and tb is not None:
+        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
+    if ta is not None:
+        return _record(out, (ta,), lambda g: (g * mask,))
+    return _record(out, (tb,), lambda g: (g * ~mask,))
+
+
+def neg(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "neg")
+    return _record(Tensor(-x.data), (x,), lambda g: (-g,))
+
+
+def absolute(x: Tensor) -> Tensor:
+    """|x| with subgradient sign(x), 0 at the kink."""
+    x = _tensor_arg(x, "absolute")
+    s = np.sign(x.data)
+    return _record(Tensor(np.abs(x.data)), (x,), lambda g: (g * s,))
+
+
+def log(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "log")
+    if np.any(x.data <= 0):
+        raise DomainError(f"log of non-positive value (min entry {x.data.min()!r})")
+    d = x.data
+    return _record(Tensor(np.log(d)), (x,), lambda g: (g / d,))
+
+
+def mean(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "mean")
+    shape, size = x.data.shape, x.data.size
+    out = Tensor(x.data.mean())
+    return _record(out, (x,), lambda g: (np.full(shape, float(g) / size),))
+
+
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis to zero mean, unit variance (no affine)."""
+    x = _tensor_arg(x, "layer_norm")
+    if x.data.ndim < 1:
+        raise ShapeError("layer_norm needs rank >= 1")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - y * gym),)
+
+    return _record(Tensor(y), (x,), bwd)
+
+
+def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice [start, start+length) along ``axis``."""
+    x = _tensor_arg(x, "narrow")
+    rank = x.data.ndim
+    if not -rank <= axis < rank:
+        raise ShapeError(f"narrow axis {axis} out of range for rank {rank}")
+    axis = axis % rank
+    dim = x.data.shape[axis]
+    if start < 0 or length < 0 or start + length > dim:
+        raise ShapeError(f"narrow [{start}:{start + length}] on axis {axis} exceeds extent {dim}")
+    sl = [slice(None)] * rank
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+    shape = x.data.shape
+    out = Tensor(x.data[sl].copy())
+
+    def bwd(g):
+        z = np.zeros(shape)
+        z[sl] = g
+        return (z,)
+
+    return _record(out, (x,), bwd)
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Gather rows of a matrix by index; backward scatter-adds."""
+    x = _tensor_arg(x, "take_rows")
+    if x.data.ndim != 2:
+        raise ShapeError(f"take_rows needs a rank-2 tensor, got shape {x.data.shape}")
+    idx = np.asarray(rows, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError("take_rows needs a 1-d index list")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
+        raise ShapeError(f"take_rows index out of range for {x.data.shape[0]} rows")
+    shape = x.data.shape
+    out = Tensor(x.data[idx])
+
+    def bwd(g):
+        z = np.zeros(shape)
+        np.add.at(z, idx, g)
+        return (z,)
+
+    return _record(out, (x,), bwd)
+
+
+def take_pairs(x: Tensor, rows, cols) -> Tensor:
+    """Gather entries x[rows[i], cols[i]] into a vector; backward scatter-adds."""
+    x = _tensor_arg(x, "take_pairs")
+    if x.data.ndim != 2:
+        raise ShapeError(f"take_pairs needs a rank-2 tensor, got shape {x.data.shape}")
+    ri = np.asarray(rows, dtype=np.intp)
+    ci = np.asarray(cols, dtype=np.intp)
+    if ri.shape != ci.shape or ri.ndim != 1:
+        raise ShapeError("take_pairs needs matching 1-d row and column index lists")
+    m, n = x.data.shape
+    if ri.size and (ri.min() < 0 or ri.max() >= m or ci.min() < -1 or ci.max() >= n):
+        raise ShapeError(f"take_pairs index out of range for shape {x.data.shape}")
+    shape = x.data.shape
+    out = Tensor(x.data[ri, ci])
+
+    def bwd(g):
+        z = np.zeros(shape)
+        np.add.at(z, (ri, ci), g)
+        return (z,)
+
+    return _record(out, (x,), bwd)
+
+
+# scalar oracles over Box values
+
+
+def _areas(a: Box, b: Box):
+    ax1, ay1, ax2, ay2 = to_corners(a)
+    bx1, by1, bx2, by2 = to_corners(b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    inter = iw * ih if (iw > 0 and ih > 0) else 0.0
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    union = area_a + area_b - inter
+    enclose = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
+    return inter, union, enclose
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union in [0, 1]; 0 when the union is empty."""
+    inter, union, _ = _areas(a, b)
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def giou(a: Box, b: Box) -> float:
+    """Generalized IoU in (-1, 1]: IoU minus the enclosing-box slack.
+
+    Degenerate corners: a degenerate enclosing box means both boxes collapsed
+    to the same geometry up to a point or segment, so the value is 1 when the
+    boxes coincide and 0 otherwise.
+    """
+    inter, union, enclose = _areas(a, b)
+    if enclose <= 0:
+        return 1.0 if a == b else 0.0
+    iou_val = inter / union if union > 0 else 0.0
+    return iou_val - (enclose - union) / enclose
+
+
+def box_loss(b: Box, bhat: Box, w: LossWeights) -> float:
+    """lambda_iou * (1 - GIoU) + lambda_l1 * L1 over the 4 center coordinates.
+
+    The scalar form of an entry's box term in ``matching.build_cost_matrix``.
+    """
+    l1 = abs(b.cx - bhat.cx) + abs(b.cy - bhat.cy) + abs(b.w - bhat.w) + abs(b.h - bhat.h)
+    return w.lambda_iou * (1.0 - giou(b, bhat)) + w.lambda_l1 * l1
+
+
+# the set loss's box term as a chain of tape ops
+
+
+def _corner_cols(t: Tensor):
+    cx = narrow(t, 1, 0, 1)
+    cy = narrow(t, 1, 1, 1)
+    hw = numeric.mul(narrow(t, 1, 2, 1), 0.5)
+    hh = numeric.mul(narrow(t, 1, 3, 1), 0.5)
+    return (
+        sub(cx, hw),
+        sub(cy, hh),
+        numeric.add(cx, hw),
+        numeric.add(cy, hh),
+    )
+
+
+def giou_pairwise(a, b) -> Tensor:
+    """Row-wise GIoU of two [M, 4] stacks; differentiable through both."""
+    at = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=np.float64))
+    bt = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=np.float64))
+    if at.shape != bt.shape or len(at.shape) != 2 or at.shape[1] != 4:
+        raise ContractError(f"giou_pairwise expects matching [M, 4] stacks, got {at.shape} and {bt.shape}")
+    ax1, ay1, ax2, ay2 = _corner_cols(at)
+    bx1, by1, bx2, by2 = _corner_cols(bt)
+    iw = numeric.relu(sub(minimum(ax2, bx2), maximum(ax1, bx1)))
+    ih = numeric.relu(sub(minimum(ay2, by2), maximum(ay1, by1)))
+    inter = numeric.mul(iw, ih)
+    area_a = numeric.mul(sub(ax2, ax1), sub(ay2, ay1))
+    area_b = numeric.mul(sub(bx2, bx1), sub(by2, by1))
+    union = sub(numeric.add(area_a, area_b), inter)
+    iou_col = div(inter, maximum(union, _TINY))
+    ew = sub(maximum(ax2, bx2), minimum(ax1, bx1))
+    eh = sub(maximum(ay2, by2), minimum(ay1, by1))
+    enclose = numeric.mul(ew, eh)
+    slack = div(sub(enclose, union), maximum(enclose, _TINY))
+    return numeric.reshape(sub(iou_col, slack), (at.shape[0],))
+
+
+def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
+    """Row-wise box loss of ground-truth rows against predicted rows."""
+    b_arr = np.asarray(b, dtype=np.float64)
+    if b_arr.shape != bhat.shape:
+        raise ContractError(f"box_loss_pairwise shapes differ: {b_arr.shape} vs {bhat.shape}")
+    g = giou_pairwise(Tensor(b_arr), bhat)
+    giou_term = numeric.mul(sub(1.0, g), w.lambda_iou)
+    diffs = absolute(sub(bhat, Tensor(b_arr)))
+    l1 = numeric.reshape(numeric.matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
+    return numeric.add(giou_term, numeric.mul(l1, w.lambda_l1))
+
+
+def hungarian_loss_chain(gt, preds, assign, w: LossWeights, null_weight: float = 0.1) -> LossBreakdown:
+    """``matching.hungarian_loss_terms`` as a chain of elementwise tape ops."""
+    probs, boxes = preds.class_probs, preds.boxes
+    n, g = probs.shape[0], len(gt)
+    rows = np.asarray(assign.perm, dtype=np.intp)
+    cols = np.full(n, -1, dtype=np.intp)
+    cols[:g] = [y.class_id for y in gt]
+    slot_w = np.full(n, float(null_weight))
+    slot_w[:g] = 1.0
+    picked = take_pairs(probs, rows, cols)
+    logp = log(maximum(picked, 1e-12))
+    cls_term = neg(numeric.sum_all(mul(logp, Tensor(slot_w))))
+    if g:
+        gt_rows = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt])
+        box_term = numeric.sum_all(box_loss_pairwise(gt_rows, take_rows(boxes, rows[:g]), w))
+    else:
+        box_term = Tensor(0.0)
+    total = add(cls_term, box_term)
+    return LossBreakdown(total, float(cls_term.data), float(box_term.data))
+
+
+def add_layer_norm_chain(x, r):
+    return layer_norm(add(x, r))

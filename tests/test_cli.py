@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import shutil
+import tempfile
+import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from reldet import cli, numeric
 from reldet.data import read_ppm
@@ -273,6 +278,166 @@ def test_selftest_broken_gradient_exits_1(monkeypatch, capsys):
     assert "FAIL gradient_ops" in capsys.readouterr().out
 
 
+def test_train_zero_heads_exits_2(dataset, tmp_path, capsys):
+    # the last --heads wins
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS, "--heads", "0") == 2
+    assert "head" in capsys.readouterr().err
+
+
+def test_eval_manifest_with_zero_heads_exits_4(dataset, checkpoint, tmp_path, capsys):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["num_heads"] = 0
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    assert capsys.readouterr().err.startswith("checkpoint mismatch")
+
+
+def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    weights = np.frombuffer((ckpt / "weights.bin").read_bytes(), dtype="<f8").copy()
+    weights[len(weights) // 2] = np.nan
+    (ckpt / "weights.bin").write_bytes(weights.tobytes())
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thresh", ["2", "0", "-0.5", "nan", "1.0000001"])
+def test_eval_iou_threshold_outside_unit_interval_exits_2(dataset, checkpoint, capsys, thresh):
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(checkpoint), "--iou-thresh", thresh) == 2
+    assert "--iou-thresh" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_2():
     assert run("train", "--no-such-flag") == 2
     assert run() == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: corrupted annotations, manifests and flags end with a documented
+# exit code and a one-line error, never a traceback
+
+FUZZ_FLAGS = ["--epochs", "1", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
+              "--dec-layers", "1", "--queries", "4", "--seed", "0"]
+
+# JSON values a corrupted field may hold: numbers around the valid ones,
+# non-finite floats, and values of the wrong type
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(-2.0, 2.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.just({"a": 1}),
+)
+DROP = object()  # deletes the field instead of overwriting it
+
+
+def run_captured(*argv):
+    """Exit code and standard error of one command, as the console script
+    would give them: an exception that escapes ``main`` prints a traceback
+    and exits 1."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, f"exit {code}: {err}"
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run("gen-data", "--seed", "5", "--count", "2", "--out", str(root / "ds"), "--img-size", "16") == 0
+    assert run("train", "--data", str(root / "ds"), "--out", str(root / "ckpt"), *FUZZ_FLAGS) == 0
+    return root
+
+
+def _corrupt(doc, path, value):
+    """``doc`` with the field at ``path`` (keys and list indices) set to
+    ``value`` or deleted; an empty path replaces the whole document."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+ANNOTATION_PATHS = [(), ("width",), ("objects",), ("objects", 0)] + [
+    ("objects", 0, field) for field in ("class_id", "cx", "cy", "w", "h")
+]
+
+
+@given(st.sampled_from(ANNOTATION_PATHS), st.one_of(JUNK, st.just(DROP)), st.sampled_from(["train", "eval"]))
+def test_fuzzed_annotation_exits_cleanly(fuzz_base, path, value, command):
+    if value is DROP and not path:
+        value = None
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = shutil.copytree(fuzz_base / "ds", os.path.join(tmp, "ds"))
+        target = os.path.join(ds, "scene_00001.json")
+        with open(target) as fh:
+            doc = _corrupt(json.load(fh), path, value)
+        with open(target, "w") as fh:
+            json.dump(doc, fh)
+        if command == "train":
+            argv = ["train", "--data", ds, "--out", os.path.join(tmp, "ck"), *FUZZ_FLAGS]
+        else:
+            argv = ["eval", "--data", ds, "--checkpoint", str(fuzz_base / "ckpt")]
+        assert_clean_exit(*run_captured(*argv))
+
+
+CONFIG_FIELDS = ["image_size", "backbone_channels", "model_dim", "num_heads", "num_encoder_layers",
+                 "num_decoder_layers", "num_queries", "num_classes", "knn_k", "seed"]
+
+
+@given(st.sampled_from(CONFIG_FIELDS), st.one_of(JUNK, st.just(DROP), st.lists(st.integers(-8, 24), max_size=3)),
+       st.integers(-1, 300))
+def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, field, value, nan_at):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = shutil.copytree(fuzz_base / "ckpt", os.path.join(tmp, "ckpt"))
+        manifest_path = os.path.join(ckpt, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = _corrupt(json.load(fh), ("config", field), value)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        if nan_at >= 0:  # also poison one weight
+            weights_path = os.path.join(ckpt, "weights.bin")
+            weights = np.fromfile(weights_path, dtype="<f8")
+            weights[nan_at % weights.size] = np.nan
+            weights.tofile(weights_path)
+        assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt))
+
+
+FLAGS = {
+    "train": ["--lr", "--d-model", "--heads", "--enc-layers", "--dec-layers", "--queries", "--knn-k",
+              "--lambda-iou", "--lambda-l1", "--null-weight", "--seed", "--epochs"],
+    "eval": ["--iou-thresh"],
+    "gen-data": ["--seed", "--count", "--img-size", "--max-objects", "--classes"],
+}
+FLAG_VALUES = st.sampled_from(["-1", "0", "1", "2", "3", "7", "nan", "inf", "-inf", "0.5", "x", "", ",a,a"])
+
+
+@given(st.data())
+def test_fuzzed_flags_exit_cleanly(fuzz_base, data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(FLAGS[command]), FLAG_VALUES), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "train":
+            argv = ["train", "--data", str(fuzz_base / "ds"), "--out", os.path.join(tmp, "ck"), *FUZZ_FLAGS]
+        elif command == "eval":
+            argv = ["eval", "--data", str(fuzz_base / "ds"), "--checkpoint", str(fuzz_base / "ckpt")]
+        else:
+            argv = ["gen-data", "--count", "1", "--img-size", "8", "--out", os.path.join(tmp, "ds")]
+        for flag, value in edits:  # a repeated flag overrides the earlier one
+            if flag in ("--epochs", "--count") and value == "7":
+                value = "2"  # keep the run short
+            argv += [flag, value]
+        assert_clean_exit(*run_captured(*argv))

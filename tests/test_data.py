@@ -155,3 +155,45 @@ def test_load_dataset_requires_catalog_and_scenes(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ParseError):
         load_dataset(tmp_path / "empty")
+
+
+def _edited_scene(tmp_path, edit):
+    scene = generate_scene(1, SceneConfig())
+    save_scene(scene, tmp_path / "scene_00000")
+    path = tmp_path / "scene_00000.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return tmp_path / "scene_00000"
+
+
+def _set_first(field, value):
+    def edit(doc):
+        doc["objects"][0][field] = value
+        return doc
+
+    return edit
+
+
+def _drop_first_cx(doc):
+    del doc["objects"][0]["cx"]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [doc],  # a top-level list, not an object
+    _drop_first_cx,
+    _set_first("class_id", "x"),
+    _set_first("w", "big"),
+    _set_first("class_id", True),
+    lambda doc: {**doc, "objects": {"cx": 0.5}},
+    lambda doc: {**doc, "objects": [3]},
+], ids=["list", "no-cx", "class-id-x", "w-big", "class-id-bool", "objects-not-list", "object-not-dict"])
+def test_malformed_annotation_raises_parse_error_naming_the_file(tmp_path, edit):
+    stem = _edited_scene(tmp_path, edit)
+    with pytest.raises(ParseError, match="scene_00000.json"):
+        load_scene(stem)
+
+
+def test_non_finite_annotation_box_raises_parse_error(tmp_path):
+    stem = _edited_scene(tmp_path, _set_first("h", float("nan")))
+    with pytest.raises(ParseError, match="non-finite"):
+        load_scene(stem)

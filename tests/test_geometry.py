@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reldet import geometry, numeric
+from reldet import numeric
 from reldet.errors import ContractError, DomainError
-from reldet.geometry import Box, LossWeights, box_loss, box_loss_pairwise, from_corners, giou, iou, to_corners
+from reldet.geometry import Box, LossWeights, box_pairs, box_rows, from_corners, to_corners
 from reldet.numeric import Tensor
 
 from conftest import gradcheck
+from tape_chains import box_loss, giou, iou
 
 
 def random_box(rng, lo=0.02, hi=0.45):
@@ -102,29 +103,42 @@ def test_box_loss_zero_on_self(seed):
     assert box_loss(b, b, w) == 0.0
 
 
+def _box_term(target: Box, pred_rows, w: LossWeights) -> Tensor:
+    """The set loss's box term for one target matched to prediction 0 of
+    ``pred_rows``, with the class term switched off."""
+    n = pred_rows.shape[0]
+    probs = Tensor(np.tile([1.0, 0.0], (n, 1)))
+    perm = list(range(n))
+    return numeric.set_loss(probs, pred_rows, perm, [0], box_rows([target]), 0.0, w)[0]
+
+
 def test_tensor_path_matches_scalar_path(rng):
+    # the kernel's GIoU equals the scalar oracle's bit for bit; the set loss's
+    # box term (1e-12 floors, L1 as a BLAS product) equals it to rounding
     w = LossWeights(2.0, 5.0)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        g_scalar = giou(a, b)
-        g_tensor = geometry.giou_pairwise(a.as_array()[None, :], Tensor(b.as_array()[None, :]))
-        assert g_tensor.data[0] == pytest.approx(g_scalar, abs=1e-12)
-        l_scalar = box_loss(a, b, w)
-        l_tensor = box_loss_pairwise(a.as_array()[None, :], Tensor(b.as_array()[None, :]), w)
-        assert l_tensor.data[0] == pytest.approx(l_scalar, abs=1e-12)
+        assert box_pairs([a.as_array()], [b.as_array()]).giou()[0] == giou(a, b)
+        l_tensor = _box_term(a, Tensor(b.as_array()[None, :]), w)
+        assert float(l_tensor) == pytest.approx(box_loss(a, b, w), abs=1e-12)
 
 
 def test_box_loss_gradient_matches_fd(rng):
     w = LossWeights(2.0, 5.0)
     for trial in range(10):
-        b = random_box(rng).as_array()[None, :]
+        b = random_box(rng)
         bh_data = random_box(rng).as_array()[None, :]
-        gradcheck(lambda t: box_loss_pairwise(b, t, w), bh_data, rng=rng, label=f"box_loss trial {trial}")
+        gradcheck(lambda t: numeric.reshape(_box_term(b, t, w), (1,)), bh_data, rng=rng,
+                  label=f"box_loss trial {trial}")
 
 
 def test_giou_pairwise_batch_consistency(rng):
     a = np.stack([random_box(rng).as_array() for _ in range(64)])
     b = np.stack([random_box(rng).as_array() for _ in range(64)])
-    batch = geometry.giou_pairwise(a, Tensor(b)).data
+    rows, grid = box_pairs(a, b), box_pairs(a, b, grid=True)
     for i in range(64):
-        assert batch[i] == pytest.approx(giou(Box(*a[i]), Box(*b[i])), abs=1e-12)
+        assert rows.giou()[i] == giou(Box(*a[i]), Box(*b[i]))
+        assert rows.iou()[i] == iou(Box(*a[i]), Box(*b[i]))
+        for j in range(0, 64, 7):
+            assert grid.giou()[i, j] == giou(Box(*a[i]), Box(*b[j]))
+            assert grid.iou()[i, j] == iou(Box(*a[i]), Box(*b[j]))

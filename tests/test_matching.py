@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from reldet import numeric
 from reldet.errors import CapacityError, ContractError, DomainError, ShapeError
-from reldet.geometry import Box, LossWeights, box_loss
+from reldet.geometry import Box, LossWeights
 from reldet.matching import (
     Assignment,
     GroundTruth,
@@ -16,6 +16,7 @@ from reldet.matching import (
 from reldet.numeric import Tape, Tensor
 
 from conftest import assert_grad_close
+from tape_chains import box_loss
 
 W = LossWeights(2.0, 5.0)
 

@@ -25,6 +25,8 @@ from reldet.model import (
 )
 from reldet.numeric import Tensor
 
+import tape_chains as chain
+
 
 TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
                    num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
@@ -169,9 +171,9 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
     vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     heads = []
     for h in range(num_heads):
-        qh = numeric.narrow(qp, 1, h * dh, dh)
-        kh = numeric.narrow(kp, 1, h * dh, dh)
-        vh = numeric.narrow(vp, 1, h * dh, dh)
+        qh = chain.narrow(qp, 1, h * dh, dh)
+        kh = chain.narrow(kp, 1, h * dh, dh)
+        vh = chain.narrow(vp, 1, h * dh, dh)
         scores = numeric.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
         heads.append(numeric.matmul(numeric.softmax(scores, 1), vh))
     mixed = heads[0] if num_heads == 1 else numeric.concat(heads, axis=1)
@@ -206,8 +208,10 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 
 def test_default_step_tape_record_count():
-    # one taped default-config forward plus set loss; the fused linear and
-    # attention ops keep this at 189 (500 with per-head attention plumbing)
+    # one taped default-config forward plus set loss; the fused linear,
+    # attention, residual layer norm and set loss ops keep this at 122 (189
+    # with the layer norms after separate adds and the set loss as 55
+    # elementwise ops, 500 with per-head attention plumbing as well)
     cfg = ModelConfig()
     params = init_params(cfg)
     scene = data.generate_scene(1)
@@ -217,9 +221,11 @@ def test_default_step_tape_record_count():
         forward_ops = Counter(fn.__qualname__.split(".")[0] for _, _, fn in tape.records)
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
-    assert len(tape) == 189
+        ops = Counter(fn.__qualname__.split(".")[0] for _, _, fn in tape.records)
+    assert len(tape) == 122
     assert forward_ops["attention"] == 8
-    assert forward_ops["narrow"] == 0
+    assert forward_ops["add_layer_norm"] == 13
+    assert ops - forward_ops == Counter(set_loss=1)
 
 
 def test_encoder_shape_token_equivariance_and_degenerate(rng):
@@ -239,7 +245,7 @@ def test_encoder_shape_token_equivariance_and_degenerate(rng):
     for name in params:
         if name.startswith("encoder.0"):
             degen[name] = Tensor(np.zeros_like(params[name].data))
-    expected = numeric.layer_norm(numeric.layer_norm(Tensor(tokens))).data
+    expected = chain.layer_norm(chain.layer_norm(Tensor(tokens))).data
     np.testing.assert_allclose(encoder_forward(Tensor(tokens), pe, degen, cfg).data, expected, atol=1e-12)
 
 
@@ -252,10 +258,10 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
 
     x = Tensor(tokens)
     qk = numeric.add(x, pe)
-    x = numeric.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
+    x = chain.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
     h = numeric.relu(numeric.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
     f = numeric.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
-    composed = numeric.layer_norm(numeric.add(x, f)).data
+    composed = chain.layer_norm(numeric.add(x, f)).data
     np.testing.assert_allclose(out, composed, atol=1e-12)
 
 

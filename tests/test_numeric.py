@@ -4,8 +4,12 @@ from hypothesis import given, strategies as st
 
 from reldet import numeric
 from reldet.errors import ContractError, DomainError, ShapeError
+from reldet.geometry import Box, LossWeights
+from reldet.matching import Assignment, GroundTruth, hungarian_loss_terms
+from reldet.model import DetectionOutput
 from reldet.numeric import Tape, Tensor, backward, finite_diff_grad
 
+import tape_chains as chain
 from conftest import assert_grad_close, gradcheck
 
 
@@ -80,7 +84,8 @@ def test_relu_sigmoid_layernorm_definitions():
     np.testing.assert_array_equal(numeric.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert numeric.sigmoid(Tensor([0.0])).data[0] == 0.5
     # zero variance is absorbed by eps, output is exactly zero
-    np.testing.assert_array_equal(numeric.layer_norm(Tensor([1.0, 1.0, 1.0])).data, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(numeric.add_layer_norm(Tensor([1.0, 1.0, 1.0]), Tensor([0.5, 0.5, 0.5])).data,
+                                  [0.0, 0.0, 0.0])
 
 
 def test_sigmoid_stable_at_extremes():
@@ -92,7 +97,7 @@ def test_sigmoid_stable_at_extremes():
 
 def test_log_domain_error():
     with pytest.raises(DomainError):
-        numeric.log(Tensor([1.0, 0.0]))
+        chain.log(Tensor([1.0, 0.0]))
 
 
 def test_backward_product_rule():
@@ -177,7 +182,7 @@ def test_unreached_leaf_with_a_grad_is_zeroed_in_place():
 def test_grad_shape_matches_data(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape():
-        loss = numeric.mean(numeric.relu(x))
+        loss = chain.mean(numeric.relu(x))
     backward(loss)
     assert x.grad.shape == x.data.shape
 
@@ -199,7 +204,7 @@ def test_backward_random_composite_matches_fd(rng):
         h = numeric.matmul(t, Tensor(w))
         h = numeric.relu(h)
         h = numeric.add(h, 0.5)
-        return numeric.mean(numeric.mul(h, h))
+        return chain.mean(numeric.mul(h, h))
 
     x = Tensor(rng.standard_normal((2, 4)) + 0.1, requires_grad=True)
     with Tape():
@@ -237,9 +242,9 @@ def test_nested_tape_rejected():
 def test_scalar_operand_broadcast():
     x = Tensor([1.0, -2.0])
     np.testing.assert_array_equal((x + 1.0).data, [2.0, -1.0])
-    np.testing.assert_array_equal((3.0 - x).data, [2.0, 5.0])
+    np.testing.assert_array_equal((3.0 + x).data, [4.0, 1.0])
     np.testing.assert_array_equal((x * 2.0).data, [2.0, -4.0])
-    np.testing.assert_array_equal((x / 2.0).data, [0.5, -1.0])
+    np.testing.assert_array_equal((2.0 * x).data, [2.0, -4.0])
 
 
 def test_exact_shape_rule_rejects_general_broadcast():
@@ -249,7 +254,7 @@ def test_exact_shape_rule_rejects_general_broadcast():
 
 def test_narrow_out_of_range():
     with pytest.raises(ShapeError):
-        numeric.narrow(Tensor(np.zeros((2, 3))), 1, 2, 2)
+        chain.narrow(Tensor(np.zeros((2, 3))), 1, 2, 2)
 
 
 def test_linear_and_attention_shape_errors():
@@ -295,20 +300,20 @@ def _away_from_kinks(arr, gap=0.05):
 
 
 UNARY_CASES = [
-    ("neg", numeric.neg, None),
-    ("absolute", numeric.absolute, _away_from_kinks),
+    ("neg", chain.neg, None),
+    ("absolute", chain.absolute, _away_from_kinks),
     ("relu", numeric.relu, _away_from_kinks),
     ("sigmoid", numeric.sigmoid, None),
-    ("log", numeric.log, lambda a: np.abs(a) + 0.5),
-    ("mean", lambda x: numeric.reshape(numeric.mean(x), (1,)), None),
+    ("log", chain.log, lambda a: np.abs(a) + 0.5),
+    ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
     ("sum_all", lambda x: numeric.reshape(numeric.sum_all(x), (1,)), None),
     ("softmax", lambda x: numeric.softmax(x, 1), None),
-    ("layer_norm", numeric.layer_norm, None),
+    ("layer_norm", lambda x: numeric.add_layer_norm(x, Tensor(np.zeros((3, 4)))), None),
     ("transpose", numeric.transpose, None),
     ("reshape", lambda x: numeric.reshape(x, (6, 2)), None),
-    ("narrow", lambda x: numeric.narrow(x, 1, 1, 2), None),
-    ("take_rows", lambda x: numeric.take_rows(x, [2, 0, 2]), None),
-    ("take_pairs", lambda x: numeric.take_pairs(x, [0, 2, 1], [3, 0, 0]), None),
+    ("narrow", lambda x: chain.narrow(x, 1, 1, 2), None),
+    ("take_rows", lambda x: chain.take_rows(x, [2, 0, 2]), None),
+    ("take_pairs", lambda x: chain.take_pairs(x, [0, 2, 1], [3, 0, 0]), None),
     ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, stride=1, pad=1), None),
 ]
 
@@ -325,11 +330,11 @@ def test_unary_gradients_match_fd(name, op, prep, draw):
 
 BINARY_CASES = [
     ("add", numeric.add),
-    ("sub", numeric.sub),
+    ("sub", chain.sub),
     ("mul", numeric.mul),
-    ("div", lambda a, b: numeric.div(a, numeric.add(numeric.mul(b, 0.1), 2.0))),
-    ("maximum", numeric.maximum),
-    ("minimum", numeric.minimum),
+    ("div", lambda a, b: chain.div(a, numeric.add(numeric.mul(b, 0.1), 2.0))),
+    ("maximum", chain.maximum),
+    ("minimum", chain.minimum),
 ]
 
 
@@ -366,3 +371,99 @@ def test_structural_gradients_match_fd(draw):
     gradcheck(lambda t: numeric.linear(t, Tensor(w), Tensor(b)), x, rng=rng, label="linear/x")
     gradcheck(lambda t: numeric.linear(Tensor(x), t, Tensor(b)), w, rng=rng, label="linear/w")
     gradcheck(lambda t: numeric.linear(Tensor(x), Tensor(w), t), b, rng=rng, label="linear/b")
+
+
+# ---------------------------------------------------------------------------
+# fused primitives against the chains of elementwise ops they replace
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((rows, 32)), rng.standard_normal((rows, 32)) * 3
+        probe = Tensor(rng.standard_normal((rows, 32)))
+        got = []
+        for op in (numeric.add_layer_norm, chain.add_layer_norm_chain):
+            x, r = Tensor(xs[0], requires_grad=True), Tensor(xs[1], requires_grad=True)
+            with Tape():
+                y = op(x, r)
+                loss = numeric.sum_all(numeric.mul(y, probe))
+            backward(loss)
+            got.append((_bits(y.data), _bits(x.grad), _bits(r.grad)))
+        assert got[0] == got[1]
+        assert got[0][1] == got[0][2]
+
+
+def _set_loss_problem(rng, n, ties):
+    """A random scene of up to 12 targets on n queries; with ``ties`` the
+    matched predictions repeat their targets, boxes sit on a 1/8 grid (shared
+    edges, min/max and relu ties) and some predictions have zero size."""
+    g = int(rng.integers(0, min(n, 12) + 1))
+    logits = rng.standard_normal((n, 6)) * 3
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    probs[0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # zeros reach the 1e-12 clamp
+    boxes = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0, 0.5, (n, 2))])
+    gts = []
+    for _ in range(g):
+        w, h = rng.uniform(0.05, 0.4, 2)
+        box = Box(rng.uniform(w / 2, 1 - w / 2), rng.uniform(h / 2, 1 - h / 2), w, h)
+        gts.append(GroundTruth(int(rng.integers(0, 5)), box))
+    perm = tuple(int(j) for j in rng.permutation(n))
+    if ties:
+        boxes = np.round(boxes * 8) / 8
+        boxes[n // 2 :, 2:] = 0.0
+        gts = [GroundTruth(y.class_id, Box(*(np.round(y.box.as_array() * 8) / 8))) for y in gts]
+        for i, y in enumerate(gts[::2]):
+            boxes[perm[2 * i]] = y.box.as_array()
+    return gts, probs, boxes, Assignment(perm, 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("ties", [False, True])
+def test_set_loss_equals_the_chain_bit_for_bit(n, ties):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        gts, probs, boxes, assign = _set_loss_problem(rng, n, ties)
+        w, null_weight, scale = LossWeights(*rng.uniform(0.5, 6.0, 2)), rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0)
+        got = []
+        for loss_fn in (hungarian_loss_terms, chain.hungarian_loss_chain):
+            # softmax and sigmoid outputs on the tape, as in training
+            lg, bl = Tensor(np.log(probs + 1e-300), requires_grad=True), Tensor(boxes, requires_grad=True)
+            with Tape():
+                out = DetectionOutput(numeric.softmax(lg, 1), numeric.add(bl, 0.0))
+                parts = loss_fn(gts, out, assign, w, null_weight)
+                loss = numeric.mul(parts.total, scale)
+            backward(loss)
+            got.append((_bits(parts.total.data), parts.cls, parts.box, _bits(lg.grad), _bits(bl.grad)))
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+def test_fused_backward_rules_are_named_after_their_ops():
+    x = Tensor(np.ones((2, 4)), requires_grad=True)
+    probs, boxes = Tensor(np.full((2, 2), 0.5), requires_grad=True), Tensor(np.full((2, 4), 0.5), requires_grad=True)
+    with Tape() as tape:
+        numeric.add_layer_norm(x, x)
+        numeric.set_loss(probs, boxes, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights())
+    names = [rule.__qualname__.split(".", 1)[0] for _, _, rule in tape.records]
+    assert names == ["add_layer_norm", "set_loss"]
+
+
+def test_set_loss_validates_its_inputs():
+    probs, boxes = Tensor(np.full((3, 3), 1 / 3)), Tensor(np.full((3, 4), 0.5))
+    target = [[0.5, 0.5, 0.2, 0.2]]
+    w = LossWeights()
+    with pytest.raises(ShapeError):
+        numeric.set_loss(probs, Tensor(np.zeros((2, 4))), [0, 1, 2], [0], target, 0.1, w)
+    with pytest.raises(ShapeError):
+        numeric.set_loss(probs, boxes, [0, 1, 2], [0, 1], target, 0.1, w)
+    with pytest.raises(ContractError):
+        numeric.set_loss(probs, boxes, [0, 0, 2], [0], target, 0.1, w)
+    with pytest.raises(ContractError):
+        numeric.set_loss(probs, boxes, [0, 1, 2], [2], target, 0.1, w)
+    with pytest.raises(ShapeError):
+        numeric.add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))

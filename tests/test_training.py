@@ -22,6 +22,8 @@ from reldet.training import (
     write_log,
 )
 
+import tape_chains as chain
+
 CFG = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
                   num_encoder_layers=1, num_decoder_layers=1, num_queries=6, num_classes=5,
                   knn_k=2, seed=0)
@@ -318,3 +320,22 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
         assert loaded[name].data.tobytes() == p.data.tobytes(), name
     if fail_at == "weights write":
         assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
+
+
+@pytest.mark.parametrize("num_queries,max_objects", [(16, 3), (64, 12)])
+def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, monkeypatch):
+    # 200 steps with the fused residual layer norm and set loss against the same
+    # steps with the chains of elementwise ops they replace
+    scenes = [generate_scene(50 + i, SceneConfig(max_objects=max_objects)) for i in range(20)]
+    cfg = ModelConfig(num_queries=num_queries)
+
+    def run():
+        params, state = init_params(cfg), OptimizerState()
+        losses = [train_step(scenes[k % 20], params, state, LossWeights(), 0.1, cfg) for k in range(200)]
+        rows = [(float(p.total.data), p.cls, p.box) for p in losses]
+        return rows, arena_of(params).tobytes(), arena_of(params, "grad").tobytes()
+
+    fused = run()
+    monkeypatch.setattr(numeric, "add_layer_norm", chain.add_layer_norm_chain)
+    monkeypatch.setattr(training, "hungarian_loss_terms", chain.hungarian_loss_chain)
+    assert run() == fused
