@@ -10,6 +10,8 @@ parameters, draws from the ``rng`` in a fixed order, and returns
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import numeric
@@ -265,7 +267,7 @@ def equivariance_deviations(rng, config: ModelConfig, trials: int, first_seed: i
     """
     devs = []
     for trial in range(trials):
-        params = init_params(config, seed=first_seed + trial)
+        params = init_params(replace(config, seed=first_seed + trial))
         image = Tensor(rng.uniform(0, 1, (3, *config.image_size)))
         base = forward(image, params, config)
         perm = rng.permutation(config.num_queries)

@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     weights = LossWeights(args.lambda_iou, args.lambda_l1)
-    params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr, args.seed)
+    params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
     out = Path(args.out)
     save_checkpoint(out, params, config)
     write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())

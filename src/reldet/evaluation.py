@@ -64,8 +64,8 @@ class APReport:
         return "\n".join(lines)
 
 
-def extract_detections(out: DetectionOutput, conf_floor: float = 0.0) -> list[ScoredDetection]:
-    """Argmax each query over K+1 classes; drop no-object rows and low scores."""
+def extract_detections(out: DetectionOutput) -> list[ScoredDetection]:
+    """Argmax each query over K+1 classes; drop no-object rows."""
     probs = out.class_probs.data
     boxes = out.boxes.data
     null_col = probs.shape[1] - 1
@@ -74,10 +74,7 @@ def extract_detections(out: DetectionOutput, conf_floor: float = 0.0) -> list[Sc
         cid = int(np.argmax(probs[i]))  # ties go to the lowest index
         if cid == null_col:
             continue
-        conf = float(probs[i, cid])
-        if conf < conf_floor:
-            continue
-        dets.append(ScoredDetection(cid, conf, Box(*boxes[i])))
+        dets.append(ScoredDetection(cid, float(probs[i, cid]), Box(*boxes[i])))
     return dets
 
 
@@ -169,7 +166,7 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
 
 
 def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thresh: float = 0.5,
-                     names=None, conf_floor: float = 0.0) -> APReport:
+                     names=None) -> APReport:
     """Run the detector over every scene and score pooled detections."""
     if not dataset:
         raise ContractError("evaluate_dataset needs a nonempty dataset")
@@ -177,6 +174,6 @@ def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thre
     per_scene_gts = []
     for scene in dataset:
         out = forward(scene.image, params, config)
-        per_scene_dets.append(extract_detections(out, conf_floor))
+        per_scene_dets.append(extract_detections(out))
         per_scene_gts.append(scene.objects)
     return evaluate_detections(per_scene_dets, per_scene_gts, config.num_classes, iou_thresh, names)

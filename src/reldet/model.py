@@ -34,7 +34,7 @@ import numpy as np
 from . import numeric
 from .errors import ContractError, ShapeError
 from .numeric import Tensor
-from .relation import RelationLayerParams, aggregate, build_knn_graph
+from .relation import aggregate, build_knn_graph
 
 _FFN_MULT = 2  # feed-forward hidden width, in units of model_dim
 
@@ -188,10 +188,11 @@ def arena_of(params: dict[str, Tensor], attr: str = "data") -> np.ndarray:
     return arena
 
 
-def init_params(config: ModelConfig, seed: int | None = None) -> dict[str, Tensor]:
-    """Deterministic init: affine weights uniform +-1/sqrt(fan_in), biases zero,
-    query embeddings 0.02 * standard normal; views into one fresh arena."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def init_params(config: ModelConfig) -> dict[str, Tensor]:
+    """Deterministic init from ``config.seed``: affine weights uniform
+    +-1/sqrt(fan_in), biases zero, query embeddings 0.02 * standard normal;
+    views into one fresh arena."""
+    rng = np.random.default_rng(config.seed)
     spec = param_spec(config)
     params = arena_views([(name, shape) for name, shape, _ in spec],
                          np.zeros(sum(math.prod(shape) for _, shape, _ in spec)))
@@ -318,7 +319,7 @@ def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config:
     x1 = decode_stack(x0, queries, memory, pe, params, prefixes, config.num_heads)
     prelim = predict_heads(x1, params, config)
     graph = build_knn_graph(prelim.boxes.data[:, :2], config.knn_k)
-    fixed = aggregate(x1, graph, RelationLayerParams(params["relation.weight"], params["relation.bias"]))
+    fixed = aggregate(x1, graph, params["relation.weight"], params["relation.bias"])
     x2 = decode_stack(fixed, queries, memory, pe, params, ["refine.0"], config.num_heads)
     return x2, prelim
 

@@ -6,6 +6,12 @@ against ``finite_diff_grad``. Tapes are rebuilt per forward pass
 (define-by-run), are used up by one ``backward`` and are confined to one
 thread; distinct tapes may run on distinct threads.
 
+A tape keeps two lists: its records, each (output node id, input node ids,
+backward closure over the arrays that rule needs), and the requires_grad
+leaves it has seen. It keeps no op output, so an intermediate tensor is freed
+by reference counting as soon as the forward drops it, and a training step
+leaves the cyclic garbage collector next to nothing to track.
+
 Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
 happen only inside ``linear``, never by silent broadcasting.
@@ -51,9 +57,11 @@ class Tensor:
     """A dense float64 array plus gradient metadata.
 
     ``node_id``/``tape`` locate the tensor on the tape that recorded it (or
-    are None for constants and fresh leaves). After ``backward``, every
-    requires_grad tensor that participated in the pass holds ``grad`` with
-    the same shape as ``data``.
+    are None for constants and fresh leaves). A leaf is a requires_grad
+    tensor that no op on the tape produced; op outputs are created without
+    ``requires_grad``, and only leaves receive ``grad``. After ``backward``,
+    every leaf that took part in the pass holds ``grad`` with the same shape
+    as ``data``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "tape")
@@ -81,34 +89,8 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    # arithmetic sugar; python scalars allowed on either side
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __float__(self) -> float:
         return self.item()
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -117,13 +99,16 @@ class Tensor:
 class Tape:
     """Ordered record of executed ops; backward replays it exactly reversed.
 
+    The tape holds its records and the leaves it has seen, never an op
+    output: an intermediate tensor is freed as soon as the forward drops it,
+    and only the arrays its backward rule needs live on in the record.
     Usable as a context manager; only one tape may be active per thread.
     """
 
     def __init__(self):
         # each record is (output node id, input node ids, backward rule)
         self.records: list[tuple[int, tuple, Callable]] = []
-        self._tensors: dict[int, Tensor] = {}
+        self.leaves: list[Tensor] = []
         self._n = 0
 
     def __enter__(self) -> "Tape":
@@ -137,13 +122,10 @@ class Tape:
         return False
 
     def _node(self, t: Tensor) -> int:
-        if t.tape is self and t.node_id is not None:
-            return t.node_id
         nid = self._n
         self._n += 1
         t.tape = self
         t.node_id = nid
-        self._tensors[nid] = t
         return nid
 
     def __len__(self) -> int:
@@ -154,68 +136,69 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Ten
     tape = getattr(_TLS, "tape", None)
     if tape is None:
         return out
-    tracked = False
+    ids = []
     for t in inputs:
-        if t.requires_grad or (t.tape is tape and t.node_id is not None):
-            tracked = True
-            break
-    if not tracked:
+        if t.tape is tape:
+            ids.append(t.node_id)
+        elif t.requires_grad:
+            ids.append(tape._node(t))
+            tape.leaves.append(t)
+        else:
+            ids.append(None)
+    if ids.count(None) == len(ids):  # nothing to differentiate: the output is a constant
         return out
-    ids = tuple(
-        tape._node(t) if (t.requires_grad or (t.tape is tape and t.node_id is not None)) else None
-        for t in inputs
-    )
-    tape.records.append((tape._node(out), ids, backward_fn))
+    tape.records.append((tape._node(out), tuple(ids), backward_fn))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad tensor.
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf on the loss's tape.
 
     Walks the tape in exact reverse recording order, accumulating (+=) across
-    fan-out. Leaves recorded on the tape but unreachable from the loss get a
-    zero gradient. ``grad`` is overwritten, not accumulated, across calls: a
-    leaf that already holds a ``grad`` array gets the new gradient (or the
-    zeros) written into it in place, so parameter gradients land in the
-    model's gradient arena; any other leaf gets a fresh array.
+    fan-out; the gradients live in a list indexed by node id. Leaves recorded
+    on the tape but unreachable from the loss get a zero gradient. ``grad`` is
+    overwritten, not accumulated, across calls: a leaf that already holds a
+    ``grad`` array gets the new gradient (or the zeros) written into it in
+    place, so parameter gradients land in the model's gradient arena; any
+    other leaf gets a fresh array. An op output is not a leaf and gets no
+    ``grad``, even if its ``requires_grad`` was set after the op.
 
-    ``backward`` consumes the tape: it ends by dropping every record and
-    detaching every tensor from the tape, so the tape, its closures and its
-    intermediate arrays are freed by reference counting as soon as the caller
-    lets go of them. A second ``backward`` on the same tape raises
-    ``ContractError``.
+    ``backward`` consumes the tape: it ends by detaching the leaves and the
+    loss from the tape and dropping every record, so the closures and the
+    arrays they saved are freed by reference counting. A second ``backward``
+    on the same tape raises ``ContractError``.
     """
     tape = loss.tape
     if tape is None or loss.node_id is None or not tape.records:
         raise ContractError("backward needs a loss recorded on a non-empty tape (backward consumes its tape)")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    tensors = tape._tensors
+    grads: list[Optional[np.ndarray]] = [None] * tape._n
+    grads[loss.node_id] = np.ones_like(loss.data)
     for out_id, in_ids, fn in reversed(tape.records):
-        # a requires_grad output keeps its gradient for the final pass
-        g = grads.get(out_id) if tensors[out_id].requires_grad else grads.pop(out_id, None)
+        g = grads[out_id]
         if g is None:
             continue
+        grads[out_id] = None
         for nid, ig in zip(in_ids, fn(g)):
             if nid is None or ig is None:
                 continue
-            acc = grads.get(nid)
+            acc = grads[nid]
             grads[nid] = ig if acc is None else acc + ig
-    for nid, t in tensors.items():
-        if t.requires_grad:
-            g = grads.get(nid)
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data) if g is None else np.array(g, copy=True)
-            elif g is None:
-                t.grad.fill(0.0)  # unreachable from the loss; stays a view of its buffer
-            else:
-                np.copyto(t.grad, g)
-        # a tensor pointing at the tape that holds it is a reference cycle
+    for t in tape.leaves:
+        g = grads[t.node_id]
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data) if g is None else np.array(g, copy=True)
+        elif g is None:
+            t.grad.fill(0.0)  # unreachable from the loss; stays a view of its buffer
+        else:
+            np.copyto(t.grad, g)
         t.tape = None
         t.node_id = None
+    loss.tape = None
+    loss.node_id = None
     tape.records.clear()
-    tensors.clear()
+    tape.leaves.clear()
 
 
 def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> Tensor:

@@ -30,19 +30,6 @@ class RelationGraph:
         return np.flatnonzero(self.adjacency[i]).tolist()
 
 
-@dataclass(frozen=True)
-class RelationLayerParams:
-    """Affine map applied to concat(self, neighbor mean): weight [d, 2d], bias [d]."""
-
-    weight: Tensor
-    bias: Tensor
-
-    def __post_init__(self):
-        w, b = self.weight.shape, self.bias.shape
-        if len(w) != 2 or w[1] != 2 * w[0] or b != (w[0],):
-            raise ShapeError(f"relation layer needs weight [d, 2d] and bias [d], got {w} and {b}")
-
-
 def build_knn_graph(centers, k: int) -> RelationGraph:
     """Link every node to its k nearest others; ties broken by lower index.
 
@@ -75,12 +62,13 @@ def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
     return g.adjacency / np.maximum(degree, 1)[:, None]
 
 
-def aggregate(features: Tensor, g: RelationGraph, p: RelationLayerParams) -> Tensor:
-    """relu(W @ concat(self, neighbor mean) + b) per node, differentiable."""
+def aggregate(features: Tensor, g: RelationGraph, weight: Tensor, bias: Tensor) -> Tensor:
+    """relu(weight @ concat(self, neighbor mean) + bias) per node, differentiable;
+    weight [d, 2d] and bias [d] for features [n, d]."""
     if len(features.shape) != 2 or features.shape[0] != g.n:
         raise ShapeError(f"features {features.shape} do not match graph with {g.n} nodes")
-    if p.weight.shape != (features.shape[1], 2 * features.shape[1]):
-        raise ShapeError(f"relation weight {p.weight.shape} does not match feature width {features.shape[1]}")
+    if weight.shape != (features.shape[1], 2 * features.shape[1]):
+        raise ShapeError(f"relation weight {weight.shape} does not match feature width {features.shape[1]}")
     nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
     h = numeric.concat([features, nbr], axis=1)
-    return numeric.relu(numeric.linear(h, numeric.transpose(p.weight), p.bias))
+    return numeric.relu(numeric.linear(h, numeric.transpose(weight), bias))

@@ -123,10 +123,10 @@ def train(
     weights: LossWeights = LossWeights(),
     null_weight: float = 0.1,
     lr: float = 1e-3,
-    seed: int | None = None,
 ) -> tuple[dict[str, Tensor], OptimizerState, list[TrainLogRow]]:
-    """Train from a fresh init over the dataset in order; deterministic."""
-    params = init_params(config, seed)
+    """Train from a fresh init (seeded by ``config.seed``) over the dataset
+    in order; deterministic."""
+    params = init_params(config)
     state = OptimizerState(lr=lr)
     rows: list[TrainLogRow] = []
     for epoch in range(epochs):

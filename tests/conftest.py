@@ -30,6 +30,12 @@ def gradcheck(op, x_data, rng, rtol=1e-4, label=""):
     assert excess <= 0, f"{label}: gradient mismatch, worst excess {excess:.3e}"
 
 
+def op_names(tape) -> list[str]:
+    """The op behind each tape record, read off its backward rule's
+    ``__qualname__`` (``relu.<locals>.<lambda>`` -> ``relu``)."""
+    return [rule.__qualname__.split(".", 1)[0] for _, _, rule in tape.records]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -46,9 +46,6 @@ def test_extract_detections_paths():
     one = extract_detections(output_from([[0.1, 0.7, 0.2]], [[0.5, 0.5, 0.2, 0.2]]))
     assert one[0].class_id == 1 and one[0].confidence == pytest.approx(0.7)
 
-    # conf_floor drops weak detections
-    assert extract_detections(output_from([[0.1, 0.7, 0.2]], [[0.5, 0.5, 0.2, 0.2]]), conf_floor=0.75) == []
-
 
 def test_match_detections_rules():
     g = Box(0.3, 0.3, 0.2, 0.2)

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from reldet import numeric
 from reldet.errors import ContractError, ShapeError
 from reldet.numeric import Tape, Tensor
-from reldet.relation import RelationGraph, RelationLayerParams, aggregate, build_knn_graph, neighbor_mean_matrix
+from reldet.relation import RelationGraph, aggregate, build_knn_graph, neighbor_mean_matrix
 
 from conftest import assert_grad_close
 
 
 def params_from(w, b):
-    return RelationLayerParams(Tensor(w), Tensor(b))
+    """aggregate's (weight, bias) tensors from arrays."""
+    return Tensor(w), Tensor(b)
 
 
 def knn_adjacency_oracle(centers, k):
@@ -109,10 +110,10 @@ def test_node_permutation_equivariance(rng):
     pts = rng.uniform(0, 1, (n, 2))
     feats = rng.standard_normal((n, d))
     p = params_from(rng.standard_normal((d, 2 * d)), rng.standard_normal(d))
-    out = aggregate(Tensor(feats), build_knn_graph(pts, k), p).data
+    out = aggregate(Tensor(feats), build_knn_graph(pts, k), *p).data
 
     perm = rng.permutation(n)
-    out_p = aggregate(Tensor(feats[perm]), build_knn_graph(pts[perm], k), p).data
+    out_p = aggregate(Tensor(feats[perm]), build_knn_graph(pts[perm], k), *p).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -122,10 +123,10 @@ def test_aggregate_degenerate_weights(rng):
     g = build_knn_graph(rng.uniform(0, 1, (n, 2)), 2)
 
     zero = params_from(np.zeros((d, 2 * d)), np.zeros(d))
-    np.testing.assert_array_equal(aggregate(Tensor(feats), g, zero).data, np.zeros((n, d)))
+    np.testing.assert_array_equal(aggregate(Tensor(feats), g, *zero).data, np.zeros((n, d)))
 
     self_only = params_from(np.hstack([np.eye(d), np.zeros((d, d))]), np.zeros(d))
-    np.testing.assert_allclose(aggregate(Tensor(feats), g, self_only).data, feats, atol=1e-15)
+    np.testing.assert_allclose(aggregate(Tensor(feats), g, *self_only).data, feats, atol=1e-15)
 
 
 def test_aggregate_neighbor_mean_example():
@@ -134,7 +135,7 @@ def test_aggregate_neighbor_mean_example():
     feats = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0]])
     g = RelationGraph(3, 2, np.array([[False, True, True], [True, False, False], [True, False, False]]))
     nbr_only = params_from(np.hstack([np.zeros((2, 2)), np.eye(2)]), np.zeros(2))
-    out = aggregate(Tensor(feats), g, nbr_only).data
+    out = aggregate(Tensor(feats), g, *nbr_only).data
     np.testing.assert_allclose(out[0], [2.0, 2.0], atol=1e-15)
 
 
@@ -144,7 +145,7 @@ def test_isolated_nodes_use_zero_neighbor_mean(rng):
     g = build_knn_graph(rng.uniform(0, 1, (n, 2)), 0)  # k=0 isolates everyone
     w = rng.standard_normal((d, 2 * d))
     b = rng.standard_normal(d)
-    out = aggregate(Tensor(feats), g, params_from(w, b)).data
+    out = aggregate(Tensor(feats), g, *params_from(w, b)).data
     expected = np.maximum(np.hstack([feats, np.zeros((n, d))]) @ w.T + b, 0.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -153,9 +154,11 @@ def test_aggregate_shape_mismatch():
     g = build_knn_graph([(0.1, 0.1), (0.9, 0.9)], 1)
     p = params_from(np.zeros((3, 6)), np.zeros(3))
     with pytest.raises(ShapeError):
-        aggregate(Tensor(np.zeros((4, 3))), g, p)
+        aggregate(Tensor(np.zeros((4, 3))), g, *p)
     with pytest.raises(ShapeError):
-        aggregate(Tensor(np.zeros((2, 5))), g, p)
+        aggregate(Tensor(np.zeros((2, 5))), g, *p)
+    with pytest.raises(ShapeError):  # a bias of the wrong length fails in linear
+        aggregate(Tensor(np.zeros((2, 3))), g, p[0], Tensor(np.zeros(6)))
 
 
 def test_aggregate_gradients_match_fd(rng):
@@ -167,8 +170,7 @@ def test_aggregate_gradients_match_fd(rng):
     probe = Tensor(rng.standard_normal((n, d)))
 
     def though_feats(f):
-        p = params_from(w0, b0)
-        return numeric.sum_all(numeric.mul(aggregate(f, g, p), probe))
+        return numeric.sum_all(numeric.mul(aggregate(f, g, Tensor(w0), Tensor(b0)), probe))
 
     feats = Tensor(feats0, requires_grad=True)
     with Tape():
@@ -178,8 +180,7 @@ def test_aggregate_gradients_match_fd(rng):
     assert_grad_close(feats.grad, fd.data, rtol=1e-4, label="aggregate/features")
 
     def through_weight(wt):
-        p = RelationLayerParams(wt, Tensor(b0))
-        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, p), probe))
+        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, wt, Tensor(b0)), probe))
 
     wt = Tensor(w0, requires_grad=True)
     with Tape():
@@ -189,8 +190,7 @@ def test_aggregate_gradients_match_fd(rng):
     assert_grad_close(wt.grad, fd.data, rtol=1e-4, label="aggregate/weight")
 
     def through_bias(bt):
-        p = RelationLayerParams(Tensor(w0), bt)
-        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, p), probe))
+        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, Tensor(w0), bt), probe))
 
     bt = Tensor(b0, requires_grad=True)
     with Tape():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -139,14 +140,15 @@ def test_train_step_zero_weights_reduce_to_classification():
 
 def test_overfit_single_scene_decreases_loss():
     scene = small_scene(5)
-    params, state, rows = train([scene], CFG, epochs=200, lr=1e-3, seed=0)
+    params, state, rows = train([scene], CFG, epochs=200, lr=1e-3)
     assert rows[-1].total < rows[0].total
 
 
 def test_training_deterministic():
     scenes = [small_scene(s) for s in range(3)]
-    _, _, rows_a = train(scenes, CFG, epochs=2, seed=1)
-    _, _, rows_b = train(scenes, CFG, epochs=2, seed=1)
+    cfg = dataclasses.replace(CFG, seed=1)
+    _, _, rows_a = train(scenes, cfg, epochs=2)
+    _, _, rows_b = train(scenes, cfg, epochs=2)
     assert rows_a == rows_b
 
 
@@ -276,10 +278,11 @@ def write_checkpoint_per_tensor(ckpt_dir, params, config):
 
 
 def test_per_tensor_checkpoint_loads_and_resaves_byte_identical(tmp_path):
-    params, _, _ = train([small_scene()], CFG, epochs=3, seed=4)
-    write_checkpoint_per_tensor(tmp_path / "old", params, CFG)
+    cfg = dataclasses.replace(CFG, seed=4)
+    params, _, _ = train([small_scene()], cfg, epochs=3)
+    write_checkpoint_per_tensor(tmp_path / "old", params, cfg)
     loaded, config = load_checkpoint(tmp_path / "old")
-    assert config == CFG
+    assert config == cfg
     for name, p in params.items():
         assert loaded[name].data.tobytes() == p.data.tobytes(), name
     save_checkpoint(tmp_path / "new", loaded, config)
@@ -290,7 +293,7 @@ def test_per_tensor_checkpoint_loads_and_resaves_byte_identical(tmp_path):
 @pytest.mark.parametrize("fail_at", ["weights write", "manifest rename"])
 def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, fail_at):
     ckpt = tmp_path / "ckpt"
-    old = init_params(CFG, seed=1)
+    old = init_params(dataclasses.replace(CFG, seed=1))
     save_checkpoint(ckpt, old, CFG)
     before = {f.name: f.read_bytes() for f in ckpt.iterdir()}
 
@@ -306,7 +309,7 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
                 raise OSError("disk full")
             real_replace(src, dst)
         monkeypatch.setattr(os, "replace", replace)
-    new = init_params(CFG, seed=2)
+    new = init_params(dataclasses.replace(CFG, seed=2))
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ckpt, new, CFG)
     monkeypatch.undo()
