@@ -82,9 +82,9 @@ def op_cases(rng) -> list:
         ("relu", numeric.relu, off(mat)),
         ("sigmoid", numeric.sigmoid, mat),
         ("matmul", lambda x: numeric.matmul(x, rhs), mat),
-        ("softmax", lambda x: numeric.softmax(x, 1), mat),
+        ("softmax", numeric.softmax, mat),
         ("sum_all", lambda x: numeric.reshape(numeric.sum_all(x), (1,)), mat),
-        ("concat", lambda x: numeric.concat([x, const], axis=1), mat),
+        ("concat", lambda x: numeric.concat([x, const]), mat),
         ("reshape", lambda x: numeric.reshape(x, (6, 2)), mat),
         ("transpose", numeric.transpose, mat),
         ("linear/x", lambda x: numeric.linear(x, rhs, bias), mat),
@@ -222,8 +222,8 @@ def softmax_properties(rng, trials: int):
     for _ in range(trials):
         # scale kept moderate: a ~36 logit gap would round the winner to 1.0
         x = rng.standard_normal(int(rng.integers(2, 7))) * 3
-        y = numeric.softmax(Tensor(x), 0).data
-        shifted = numeric.softmax(Tensor(x + rng.uniform(-50, 50)), 0).data
+        y = numeric.softmax(Tensor(x)).data
+        shifted = numeric.softmax(Tensor(x + rng.uniform(-50, 50))).data
         if abs(y.sum() - 1) > 1e-12 or np.abs(y - shifted).max() > 1e-12 or np.any(y <= 0) or np.any(y >= 1):
             failures.append("softmax normalization or shift invariance failed")
     return trials, failures

@@ -91,15 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_data(args) -> int:
     if args.count <= 0:
-        print("gen-data: --count must be positive (nothing to generate)", file=sys.stderr)
-        return 2
+        raise ContractError("gen-data: --count must be positive (nothing to generate)")
     if args.seed < 0:
-        print("gen-data: --seed must be nonnegative", file=sys.stderr)
-        return 2
+        raise ContractError("gen-data: --seed must be nonnegative")
     if args.img_size < 8 or args.img_size % 8:
-        print(f"gen-data: --img-size {args.img_size} must be a positive multiple of 8 "
-              "(the model downsamples images by 8)", file=sys.stderr)
-        return 2
+        raise ContractError(f"gen-data: --img-size {args.img_size} must be a positive multiple of 8 "
+                            "(the model downsamples images by 8)")
     catalog = tuple(name.strip() for name in args.classes.split(",") if name.strip())
     cfg = SceneConfig(image_size=(args.img_size, args.img_size), max_objects=args.max_objects, catalog=catalog)
     scenes = [generate_scene(args.seed + i, cfg) for i in range(args.count)]
@@ -111,8 +108,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     if args.epochs < 1:
-        print("train: --epochs must be positive (nothing to train)", file=sys.stderr)
-        return 2
+        raise ContractError("train: --epochs must be positive (nothing to train)")
     scenes, catalog = load_dataset(args.data)
     h, w = scenes[0].image.shape[1:]
     config = ModelConfig(
@@ -148,8 +144,7 @@ def _check_compatible(config: ModelConfig, scenes, catalog) -> None:
 
 def cmd_eval(args) -> int:
     if not 0.0 < args.iou_thresh <= 1.0:
-        print(f"eval: --iou-thresh {args.iou_thresh} must lie in (0, 1]", file=sys.stderr)
-        return 2
+        raise ContractError(f"eval: --iou-thresh {args.iou_thresh} must lie in (0, 1]")
     params, config = load_checkpoint(args.checkpoint)
     scenes, catalog = load_dataset(args.data)
     _check_compatible(config, scenes, catalog)

@@ -3,10 +3,10 @@
 A small three-stage stride-2 convolutional backbone produces a feature map,
 a 1x1 channel reduction and a flatten turn it into encoder tokens, and a
 transformer encoder/decoder transforms N learned query embeddings into N
-predictions. The decoder runs in two passes: a standard stack decodes
-preliminary detections, a kNN graph over their box centers mixes each query's
-features with its neighbors', and one further decoder layer refines the
-relation-fixed embeddings before the prediction heads.
+predictions. The decoder runs in two passes: a standard stack and the box
+head decode preliminary boxes, a kNN graph over their centers mixes each
+query's features with its neighbors', and one further decoder layer refines
+the relation-fixed embeddings before the prediction heads.
 
 Positional encodings are added to attention queries and keys only, never to
 values, at every layer. Attention projects queries, keys and values with one
@@ -258,12 +258,8 @@ def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, prefix: str, num_heads: int) -> Tensor:
-    """Project q, k, v, attend with all heads in one op, project the result."""
-    d = q.shape[1]
-    if d % num_heads:
-        raise ShapeError(f"model width {d} not divisible by {num_heads} heads")
-    if k.shape != v.shape or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    """Project q, k, v, attend with all heads in one op, project the result;
+    ``numeric.linear`` and ``numeric.attention`` check the widths."""
     qp = numeric.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     kp = numeric.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
@@ -310,29 +306,33 @@ def decode_stack(x: Tensor, queries: Tensor, memory: Tensor, mem_pe: Tensor, par
 def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config: ModelConfig):
     """Two-pass decode: standard stack, relation fix-up, one refining layer.
 
-    Returns (final embeddings [N, d], preliminary DetectionOutput). The kNN
-    graph is built from the preliminary box centers as plain structure; no
-    gradient flows through the center coordinates.
+    Returns (final embeddings [N, d], preliminary boxes [N, 4]). The first
+    pass runs only the box head, whose centers build the kNN graph as plain
+    structure; no gradient flows through the center coordinates.
     """
     x0 = queries
     prefixes = [f"decoder.{layer}" for layer in range(config.num_decoder_layers)]
     x1 = decode_stack(x0, queries, memory, pe, params, prefixes, config.num_heads)
-    prelim = predict_heads(x1, params, config)
-    graph = build_knn_graph(prelim.boxes.data[:, :2], config.knn_k)
+    prelim_boxes = box_head(x1, params)
+    graph = build_knn_graph(prelim_boxes.data[:, :2], config.knn_k)
     fixed = aggregate(x1, graph, params["relation.weight"], params["relation.bias"])
     x2 = decode_stack(fixed, queries, memory, pe, params, ["refine.0"], config.num_heads)
-    return x2, prelim
+    return x2, prelim_boxes
 
 
-def predict_heads(embeddings: Tensor, params, config: ModelConfig) -> DetectionOutput:
-    """Class head: one affine map to K+1 logits, softmax (last class = no object).
-    Box head: 3-layer MLP with hidden width d, sigmoid into (0, 1)^4."""
-    probs = numeric.softmax(numeric.linear(embeddings, params["class_head.weight"], params["class_head.bias"]), 1)
+def box_head(embeddings: Tensor, params) -> Tensor:
+    """3-layer MLP with hidden width d, sigmoid into (0, 1)^4."""
     h = embeddings
     for i in range(2):
         h = numeric.relu(numeric.linear(h, params[f"box_head.w{i}"], params[f"box_head.b{i}"]))
-    boxes = numeric.sigmoid(numeric.linear(h, params["box_head.w2"], params["box_head.b2"]))
-    return DetectionOutput(probs, boxes)
+    return numeric.sigmoid(numeric.linear(h, params["box_head.w2"], params["box_head.b2"]))
+
+
+def predict_heads(embeddings: Tensor, params) -> DetectionOutput:
+    """Class head: one affine map to K+1 logits, softmax (last class = no
+    object); then ``box_head``."""
+    probs = numeric.softmax(numeric.linear(embeddings, params["class_head.weight"], params["class_head.bias"]))
+    return DetectionOutput(probs, box_head(embeddings, params))
 
 
 def forward(image: Tensor, params, config: ModelConfig) -> DetectionOutput:
@@ -343,4 +343,4 @@ def forward(image: Tensor, params, config: ModelConfig) -> DetectionOutput:
     pe = sinusoidal_pe(config.num_tokens, config.model_dim)
     memory = encoder_forward(tokens, pe, params, config)
     embeddings, _ = decoder_forward(memory, params["query_embed"], pe, params, config)
-    return predict_heads(embeddings, params, config)
+    return predict_heads(embeddings, params)

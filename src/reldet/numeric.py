@@ -3,8 +3,8 @@
 Every model and loss operation downstream is composed from the primitives
 here, so each primitive carries its own backward rule and can be checked
 against ``finite_diff_grad``. Tapes are rebuilt per forward pass
-(define-by-run), are used up by one ``backward`` and are confined to one
-thread; distinct tapes may run on distinct threads.
+(define-by-run) and are used up by one ``backward``. At most one tape records
+at a time in a process: ``Tape.active``, set by ``with Tape():``.
 
 A tape keeps two lists: its records, each (output node id, input node ids,
 backward closure over the arrays that rule needs), and the requires_grad
@@ -14,7 +14,9 @@ leaves the cyclic garbage collector next to nothing to track.
 
 Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
-happen only inside ``linear``, never by silent broadcasting.
+happen only inside ``linear``, never by silent broadcasting. There is one
+softmax, max-shifted over the last axis, with one backward rule; ``softmax``
+and ``attention`` both use it.
 
 Four fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain:
@@ -38,7 +40,6 @@ chain of small ops, with the same forward bits as that chain:
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,11 +47,8 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .geometry import box_pairs
 
-_TLS = threading.local()
-
-
-def _active_tape() -> Optional["Tape"]:
-    return getattr(_TLS, "tape", None)
+_LN_EPS = 1e-5  # added to the variance in add_layer_norm
+_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 
 class Tensor:
@@ -102,8 +100,12 @@ class Tape:
     The tape holds its records and the leaves it has seen, never an op
     output: an intermediate tensor is freed as soon as the forward drops it,
     and only the arrays its backward rule needs live on in the record.
-    Usable as a context manager; only one tape may be active per thread.
+    Usable as a context manager. ``Tape.active`` is the one tape that records
+    in this process, or None; entering a tape while another is active, from
+    any thread, raises ContractError.
     """
+
+    active: Optional["Tape"] = None
 
     def __init__(self):
         # each record is (output node id, input node ids, backward rule)
@@ -112,13 +114,13 @@ class Tape:
         self._n = 0
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise ContractError("a tape is already active on this thread")
-        _TLS.tape = self
+        if Tape.active is not None:
+            raise ContractError("a tape is already active")
+        Tape.active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TLS.tape = None
+        Tape.active = None
         return False
 
     def _node(self, t: Tensor) -> int:
@@ -133,7 +135,7 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    tape = getattr(_TLS, "tape", None)
+    tape = Tape.active
     if tape is None:
         return out
     ids = []
@@ -201,31 +203,30 @@ def backward(loss: Tensor) -> None:
     tape.leaves.clear()
 
 
-def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
+def finite_diff_grad(f, x: Tensor) -> Tensor:
+    """Central-difference gradient of a scalar function, one coordinate at a
+    time, with step 1e-5.
 
-    The independent oracle for every backward rule in this module. Any tape
-    active on the calling thread is suspended while ``f`` is evaluated so the
-    probe evaluations never pollute it.
+    The independent oracle for every backward rule in this module. The active
+    tape is suspended while ``f`` is evaluated so the probe evaluations never
+    pollute it, and restored even if ``f`` raises.
     """
-    if eps <= 0:
-        raise ContractError("finite_diff_grad needs eps > 0")
-    saved = _active_tape()
-    _TLS.tape = None
+    saved = Tape.active
+    Tape.active = None
     try:
         base = x.data
         g = np.zeros_like(base)
         flat = g.reshape(-1)
         for i in range(base.size):
             up = base.reshape(-1).copy()
-            up[i] += eps
+            up[i] += _FD_STEP
             dn = base.reshape(-1).copy()
-            dn[i] -= eps
+            dn[i] -= _FD_STEP
             fu = float(f(Tensor(up.reshape(base.shape))))
             fl = float(f(Tensor(dn.reshape(base.shape))))
-            flat[i] = (fu - fl) / (2.0 * eps)
+            flat[i] = (fu - fl) / (2.0 * _FD_STEP)
     finally:
-        _TLS.tape = saved
+        Tape.active = saved
     return Tensor(g)
 
 
@@ -306,27 +307,26 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (np.full(shape, float(g)),))
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-shifted softmax along ``axis``; each slice sums to 1."""
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a softmax with output y, given the gradient g at y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Max-shifted softmax over the last axis; each slice sums to 1."""
     x = _tensor_arg(x, "softmax")
-    rank = x.data.ndim
-    if not -rank <= axis < rank:
-        raise ContractError(f"softmax axis {axis} out of range for rank {rank}")
-    axis = axis % rank
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        s = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - s),)
-
-    return _record(Tensor(y), (x,), bwd)
+    y = _softmax(x.data)
+    return _record(Tensor(y), (x,), lambda g: (_softmax_grad(y, g),))
 
 
-def add_layer_norm(x: Tensor, r: Tensor, eps: float = 1e-5) -> Tensor:
+def add_layer_norm(x: Tensor, r: Tensor) -> Tensor:
     """Residual layer norm: x + r normalized over the last axis to zero mean
-    and unit variance (no affine).
+    and unit variance (no affine), with 1e-5 added to the variance.
 
     One record for ``layer_norm(add(x, r))``: the add's backward hands its
     gradient to both operands unchanged, so both get the layer norm's input
@@ -340,7 +340,7 @@ def add_layer_norm(x: Tensor, r: Tensor, eps: float = 1e-5) -> Tensor:
     s = x.data + r.data
     n = s.shape[-1]
     xc = s - np.add.reduce(s, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + _LN_EPS)
     y = xc * inv
 
     def bwd(g):
@@ -404,15 +404,13 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
     q = np.ascontiguousarray(qp.data.reshape(n, num_heads, dh).transpose(1, 0, 2))
     kt = np.ascontiguousarray(kp.data.reshape(m, num_heads, dh).transpose(1, 2, 0))
     v = np.ascontiguousarray(vp.data.reshape(m, num_heads, dh).transpose(1, 0, 2))
-    s = (q @ kt) * scale
-    e = np.exp(s - s.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    p = _softmax((q @ kt) * scale)
     out = Tensor((p @ v).transpose(1, 0, 2).reshape(n, d))
 
     def bwd(g):
         go = g.reshape(n, num_heads, dh).transpose(1, 0, 2)
         dp = go @ v.transpose(0, 2, 1)
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+        ds = _softmax_grad(p, dp) * scale
         dq = ds @ kt.transpose(0, 2, 1)
         dkt = q.transpose(0, 2, 1) @ ds
         dv = p.transpose(0, 2, 1) @ go
@@ -443,27 +441,18 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(Tensor(x.data.reshape(shape)), (x,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their last axis; every other extent must agree."""
     ts = [_tensor_arg(t, "concat") for t in tensors]
     if not ts:
         raise ContractError("concat needs at least one tensor")
-    rank = ts[0].data.ndim
-    if not -rank <= axis < rank:
-        raise ShapeError(f"concat axis {axis} out of range for rank {rank}")
-    axis = axis % rank
-    for t in ts[1:]:
-        if t.data.ndim != rank:
-            raise ShapeError(f"concat: ranks differ ({ts[0].data.shape} vs {t.data.shape})")
-        for ax in range(rank):
-            if ax != axis and t.data.shape[ax] != ts[0].data.shape[ax]:
-                raise ShapeError(f"concat: shapes {ts[0].data.shape} and {t.data.shape} differ off-axis")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, sizes, axis=axis))
-
-    return _record(out, tuple(ts), bwd)
+    lead = ts[0].data.shape[:-1]
+    for t in ts:
+        if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
+            raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
+    out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
+    sizes = np.cumsum([t.data.shape[-1] for t in ts])[:-1]
+    return _record(out, tuple(ts), lambda g: tuple(np.split(g, sizes, axis=-1)))
 
 
 def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:

@@ -19,11 +19,10 @@ from .numeric import Tensor
 
 @dataclass(frozen=True, eq=False)
 class RelationGraph:
-    """Undirected kNN graph: node count, neighbor budget and the symmetric
-    boolean adjacency [n, n] (False on the diagonal)."""
+    """Undirected kNN graph: node count and the symmetric boolean adjacency
+    [n, n] (False on the diagonal)."""
 
     n: int
-    k: int
     adjacency: np.ndarray
 
     def neighbors(self, i: int) -> list[int]:
@@ -53,7 +52,7 @@ def build_knn_graph(centers, k: int) -> RelationGraph:
             adj[rows, nearest] = True
             dist[rows, nearest] = np.inf
         adj |= adj.T
-    return RelationGraph(n, k, adj)
+    return RelationGraph(n, adj)
 
 
 def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
@@ -70,5 +69,5 @@ def aggregate(features: Tensor, g: RelationGraph, weight: Tensor, bias: Tensor) 
     if weight.shape != (features.shape[1], 2 * features.shape[1]):
         raise ShapeError(f"relation weight {weight.shape} does not match feature width {features.shape[1]}")
     nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
-    h = numeric.concat([features, nbr], axis=1)
+    h = numeric.concat([features, nbr])
     return numeric.relu(numeric.linear(h, numeric.transpose(weight), bias))

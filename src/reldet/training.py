@@ -21,20 +21,24 @@ from .matching import build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from .numeric import Tape, Tensor
 
+# Adam's first- and second-moment decays and the floor added to its denominator
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
-    """Adam hyperparameters, the shared step counter, and the first and second
-    moments ``m``/``v`` as flat arrays over the parameter arena.
+    """Adam's learning rate, the shared step counter, and the first and
+    second moments ``m``/``v`` as flat arrays over the parameter arena; the
+    decays and the floor are the module constants ``BETA1``, ``BETA2`` and
+    ``ADAM_EPS``.
 
     The moments and the update's scratch buffers are allocated at the first
     step, sized to the arena of the parameters it is given.
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -59,8 +63,8 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     preallocated scratch and ``out=`` ufuncs, so a step allocates no
     arena-sized temporaries. Every operation is elementwise, so the result is
     bit-identical to updating each tensor on its own with the expressions
-    ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``,
-    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. A non-finite gradient
+    ``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)``,
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)``. A non-finite gradient
     raises NumericError naming the parameter, before anything is updated.
     """
     p = arena_of(params, "data")
@@ -74,20 +78,20 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         raise NumericError(f"non-finite gradient for parameter {name}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     m, v = state.m, state.v
     a, b = state.scratch
     np.subtract(g, m, out=a)
-    a *= 1.0 - state.beta1
+    a *= 1.0 - BETA1
     m += a
     np.multiply(g, g, out=a)
     a -= v
-    a *= 1.0 - state.beta2
+    a *= 1.0 - BETA2
     v += a
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
-    a += state.eps
+    a += ADAM_EPS
     np.divide(m, bc1, out=b)
     b *= state.lr
     b /= a

@@ -287,7 +287,7 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     boxes0 = random_boxes(rng, n)
 
     def loss_from_logits(lg):
-        probs = numeric.softmax(lg, 1)
+        probs = numeric.softmax(lg)
         return hungarian_loss_terms(gts, FakeOutput(probs, Tensor(boxes0)), assign, W, null_weight=0.3).total
 
     lg = Tensor(logits0, requires_grad=True)
@@ -298,7 +298,7 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     assert_grad_close(lg.grad, fd.data, rtol=1e-4, label="loss/logits")
 
     def loss_from_boxes(bx):
-        probs = Tensor(numeric.softmax(Tensor(logits0), 1).data)
+        probs = Tensor(numeric.softmax(Tensor(logits0)).data)
         return hungarian_loss_terms(gts, FakeOutput(probs, bx), assign, W).total
 
     bx = Tensor(boxes0, requires_grad=True)

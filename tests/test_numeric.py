@@ -1,3 +1,4 @@
+import threading
 import weakref
 
 import numpy as np
@@ -51,15 +52,15 @@ def test_matmul_associativity(m, k, n, p, seed):
 
 
 def test_softmax_symmetry_and_shift():
-    np.testing.assert_allclose(numeric.softmax(Tensor([0.0, 0.0]), 0).data, [0.5, 0.5], atol=1e-15)
-    big = numeric.softmax(Tensor([1000.0, 1000.0]), 0).data
+    np.testing.assert_allclose(numeric.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
+    big = numeric.softmax(Tensor([1000.0, 1000.0])).data
     assert np.all(np.isfinite(big))
     np.testing.assert_allclose(big, [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_derived_quarter_three_quarters():
     # exp(0) = 1 and exp(ln 3) = 3, so the slice normalizes to [1/4, 3/4]
-    y = numeric.softmax(Tensor([0.0, np.log(3.0)]), 0).data
+    y = numeric.softmax(Tensor([0.0, np.log(3.0)])).data
     np.testing.assert_allclose(y, [0.25, 0.75], atol=1e-15)
 
 
@@ -70,16 +71,11 @@ def test_softmax_derived_quarter_three_quarters():
     st.floats(-100, 100),
 )
 def test_softmax_shift_invariance_and_normalization(xs, c):
-    base = numeric.softmax(Tensor(xs), 0).data
-    shifted = numeric.softmax(Tensor(np.asarray(xs) + c), 0).data
+    base = numeric.softmax(Tensor(xs)).data
+    shifted = numeric.softmax(Tensor(np.asarray(xs) + c)).data
     np.testing.assert_allclose(base, shifted, atol=1e-12)
     assert abs(base.sum() - 1.0) < 1e-12
     assert np.all(base > 0) and np.all(base < 1)
-
-
-def test_softmax_axis_out_of_range():
-    with pytest.raises(ContractError):
-        numeric.softmax(Tensor([[1.0, 2.0]]), 2)
 
 
 def test_relu_sigmoid_layernorm_definitions():
@@ -264,16 +260,45 @@ def test_finite_diff_constant_and_linear(rng):
     np.testing.assert_allclose(ones.data, np.ones(4), atol=1e-9)
 
 
-def test_finite_diff_eps_validation():
-    with pytest.raises(ContractError):
-        finite_diff_grad(numeric.sum_all, Tensor([1.0]), eps=0.0)
-
-
 def test_nested_tape_rejected():
     with Tape():
         with pytest.raises(ContractError):
             with Tape():
                 pass
+
+
+def test_tape_on_a_second_thread_is_rejected():
+    errors = []
+
+    def open_tape():
+        try:
+            with Tape():
+                pass
+        except ContractError as e:
+            errors.append(e)
+
+    with Tape():
+        worker = threading.Thread(target=open_tape)
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and len(errors) == 1
+
+
+def test_tape_is_inactive_after_its_body_raises():
+    with pytest.raises(ValueError):
+        with Tape():
+            raise ValueError("body fails")
+    assert Tape.active is None
+
+
+def test_finite_diff_restores_the_active_tape_when_f_raises():
+    def f(t):
+        raise ValueError("probe fails")
+
+    with Tape() as tape:
+        with pytest.raises(ValueError):
+            finite_diff_grad(f, Tensor([1.0]))
+        assert Tape.active is tape
 
 
 def test_scalar_operand_broadcast():
@@ -308,9 +333,16 @@ def test_linear_and_attention_shape_errors():
 
 def test_concat_roundtrip(rng):
     a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
-    cat = numeric.concat([Tensor(a), Tensor(b)], axis=1)
+    cat = numeric.concat([Tensor(a), Tensor(b)])
     np.testing.assert_array_equal(cat.data[:, :3], a)
     np.testing.assert_array_equal(cat.data[:, 3:], b)
+
+
+def test_concat_rejects_leading_extents_that_disagree():
+    with pytest.raises(ShapeError):
+        numeric.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+    with pytest.raises(ShapeError):
+        numeric.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
 
 
 def test_im2col_matches_direct_convolution(rng):
@@ -344,7 +376,7 @@ UNARY_CASES = [
     ("log", chain.log, lambda a: np.abs(a) + 0.5),
     ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
     ("sum_all", lambda x: numeric.reshape(numeric.sum_all(x), (1,)), None),
-    ("softmax", lambda x: numeric.softmax(x, 1), None),
+    ("softmax", numeric.softmax, None),
     ("layer_norm", lambda x: numeric.add_layer_norm(x, Tensor(np.zeros((3, 4)))), None),
     ("transpose", numeric.transpose, None),
     ("reshape", lambda x: numeric.reshape(x, (6, 2)), None),
@@ -403,7 +435,7 @@ def test_matmul_gradients_match_fd(draw):
 def test_structural_gradients_match_fd(draw):
     rng = np.random.default_rng(400 + draw)
     other = Tensor(rng.standard_normal((3, 2)))
-    gradcheck(lambda x: numeric.concat([x, other], axis=1), rng.standard_normal((3, 4)), rng=rng, label="concat")
+    gradcheck(lambda x: numeric.concat([x, other]), rng.standard_normal((3, 4)), rng=rng, label="concat")
     x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
     gradcheck(lambda t: numeric.linear(t, Tensor(w), Tensor(b)), x, rng=rng, label="linear/x")
     gradcheck(lambda t: numeric.linear(Tensor(x), t, Tensor(b)), w, rng=rng, label="linear/w")
@@ -472,7 +504,7 @@ def test_set_loss_equals_the_chain_bit_for_bit(n, ties):
             # softmax and sigmoid outputs on the tape, as in training
             lg, bl = Tensor(np.log(probs + 1e-300), requires_grad=True), Tensor(boxes, requires_grad=True)
             with Tape():
-                out = DetectionOutput(numeric.softmax(lg, 1), numeric.add(bl, 0.0))
+                out = DetectionOutput(numeric.softmax(lg), numeric.add(bl, 0.0))
                 parts = loss_fn(gts, out, assign, w, null_weight)
                 loss = numeric.mul(parts.total, scale)
             backward(loss)

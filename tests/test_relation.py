@@ -65,9 +65,9 @@ def test_knn_duplicate_centers_tie_to_lower_index():
 
 def test_neighbor_mean_matrix_rows():
     adj = np.array([[False, True, True], [True, False, False], [True, False, False]])
-    m = neighbor_mean_matrix(RelationGraph(3, 1, adj))
+    m = neighbor_mean_matrix(RelationGraph(3, adj))
     np.testing.assert_array_equal(m, [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert not neighbor_mean_matrix(RelationGraph(2, 0, np.zeros((2, 2), dtype=bool))).any()
+    assert not neighbor_mean_matrix(RelationGraph(2, np.zeros((2, 2), dtype=bool))).any()
 
 
 def test_knn_fixed_example():
@@ -133,7 +133,7 @@ def test_aggregate_neighbor_mean_example():
     # node 0 sees neighbors [1, 1] and [3, 3]; picking only the neighbor half
     # of the concat returns their mean [2, 2]
     feats = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 3.0]])
-    g = RelationGraph(3, 2, np.array([[False, True, True], [True, False, False], [True, False, False]]))
+    g = RelationGraph(3, np.array([[False, True, True], [True, False, False], [True, False, False]]))
     nbr_only = params_from(np.hstack([np.zeros((2, 2)), np.eye(2)]), np.zeros(2))
     out = aggregate(Tensor(feats), g, *nbr_only).data
     np.testing.assert_allclose(out[0], [2.0, 2.0], atol=1e-15)

@@ -14,6 +14,9 @@ from reldet.geometry import LossWeights
 from reldet.model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from reldet.numeric import Tensor
 from reldet.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     OptimizerState,
     adam_step,
     load_checkpoint,
@@ -44,15 +47,15 @@ def adam_per_tensor(params, grads, state):
     """The per-tensor Adam loop, kept as the bit-for-bit oracle of adam_step."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def test_adam_zero_grads_keep_params():
