@@ -72,6 +72,9 @@ def op_cases(rng) -> list:
     boxes = np.column_stack([rng.uniform(0.35, 0.65, (5, 2)), rng.uniform(0.2, 0.5, (5, 2))])
     targets = np.column_stack([rng.uniform(0.35, 0.65, (3, 2)), rng.uniform(0.2, 0.5, (3, 2))])
     perm, classes, weights = [3, 0, 4, 1, 2], [1, 0, 1], LossWeights(2.0, 5.0)
+    image = rng.standard_normal((2, 3, 4))  # odd height: conv3x3 rounds the output up to [3, 2, 2]
+    kernel = Tensor(rng.standard_normal((18, 3)))
+    conv_bias = Tensor(rng.standard_normal(3))
 
     def set_loss(p, b):
         return numeric.reshape(numeric.set_loss(p, b, perm, classes, targets, 0.3, weights)[0], (1,))
@@ -97,7 +100,9 @@ def op_cases(rng) -> list:
         ("add_layer_norm/r", lambda r: numeric.add_layer_norm(const, r), mat),
         ("set_loss/probs", lambda p: set_loss(p, Tensor(boxes)), probs),
         ("set_loss/boxes", lambda b: set_loss(Tensor(probs), b), boxes),
-        ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, 1, 1), mat),
+        ("conv3x3/x", lambda x: numeric.conv3x3(x, kernel, conv_bias), image),
+        ("conv3x3/w", lambda w: numeric.conv3x3(Tensor(image), w, conv_bias), kernel.data),
+        ("conv3x3/b", lambda b: numeric.conv3x3(Tensor(image), kernel, b), conv_bias.data),
     ]
 
 

@@ -109,6 +109,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         raise ContractError("train: --epochs must be positive (nothing to train)")
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out / "train_log.csv"
+    for directory in (out, log_path.parent):
+        directory.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
     scenes, catalog = load_dataset(args.data)
     h, w = scenes[0].image.shape[1:]
     config = ModelConfig(
@@ -124,10 +128,8 @@ def cmd_train(args) -> int:
     )
     weights = LossWeights(args.lambda_iou, args.lambda_l1)
     params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
-    out = Path(args.out)
     save_checkpoint(out, params, config)
     write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())
-    log_path = Path(args.log) if args.log else out / "train_log.csv"
     write_log(rows, log_path)
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
           f"final loss {rows[-1].total:.4f}; checkpoint in {out}")
@@ -145,6 +147,8 @@ def _check_compatible(config: ModelConfig, scenes, catalog) -> None:
 def cmd_eval(args) -> int:
     if not 0.0 < args.iou_thresh <= 1.0:
         raise ContractError(f"eval: --iou-thresh {args.iou_thresh} must lie in (0, 1]")
+    if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
     params, config = load_checkpoint(args.checkpoint)
     scenes, catalog = load_dataset(args.data)
     _check_compatible(config, scenes, catalog)
@@ -202,12 +206,13 @@ def cmd_predict(args) -> int:
     }
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(prefix.with_suffix(".json"), (json.dumps(doc, indent=1) + "\n").encode())
+    json_path, ppm_path = prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".ppm")
+    write_atomic(json_path, (json.dumps(doc, indent=1) + "\n").encode())
     rendered = image.copy()
     for d in dets:
         _draw_outline(rendered, d.box, class_color(d.class_id))
-    write_atomic(prefix.with_suffix(".ppm"), encode_ppm(rendered))
-    print(f"{len(dets)} detections; wrote {prefix.with_suffix('.json').name} and {prefix.with_suffix('.ppm').name}")
+    write_atomic(ppm_path, encode_ppm(rendered))
+    print(f"{len(dets)} detections; wrote {json_path.name} and {ppm_path.name}")
     return 0
 
 

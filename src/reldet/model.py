@@ -1,6 +1,6 @@
 """The detector forward pass: conv backbone, encoder, two-pass decoder, heads.
 
-A small three-stage stride-2 convolutional backbone produces a feature map,
+A backbone of three stride-2 ``conv3x3`` + ReLU stages produces a feature map,
 a 1x1 channel reduction and a flatten turn it into encoder tokens, and a
 transformer encoder/decoder transforms N learned query embeddings into N
 predictions. The decoder runs in two passes: a standard stack and the box
@@ -76,13 +76,8 @@ class ModelConfig:
             raise ContractError("knn_k and seed must be nonnegative")
 
     @property
-    def feature_hw(self) -> tuple[int, int]:
-        return (self.image_size[0] // 8, self.image_size[1] // 8)
-
-    @property
     def num_tokens(self) -> int:
-        fh, fw = self.feature_hw
-        return fh * fw
+        return (self.image_size[0] // 8) * (self.image_size[1] // 8)
 
 
 @dataclass
@@ -209,22 +204,14 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 # stages
 
 
-def _conv3x3(x: Tensor, params, name: str, out_hw: tuple[int, int]) -> Tensor:
-    cols = numeric.im2col(x, 3, stride=2, pad=1)
-    out = numeric.linear(cols, params[f"{name}.weight"], params[f"{name}.bias"])
-    c_out = params[f"{name}.weight"].shape[1]
-    return numeric.reshape(numeric.transpose(out), (c_out, *out_hw))
-
-
 def backbone_forward(image: Tensor, params, config: ModelConfig) -> Tensor:
     """Three stride-2 3x3 conv + ReLU stages: [3, H, W] -> [C, H/8, W/8]."""
-    h, w = config.image_size
-    if image.shape != (3, h, w):
-        raise ShapeError(f"image shape {image.shape} does not match configured {(3, h, w)}")
+    if image.shape != (3, *config.image_size):
+        raise ShapeError(f"image shape {image.shape} does not match configured {(3, *config.image_size)}")
     x = image
     for stage in range(3):
-        h, w = h // 2, w // 2
-        x = numeric.relu(_conv3x3(x, params, f"backbone.conv{stage}", (h, w)))
+        conv = f"backbone.conv{stage}"
+        x = numeric.relu(numeric.conv3x3(x, params[f"{conv}.weight"], params[f"{conv}.bias"]))
     return x
 
 

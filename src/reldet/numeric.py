@@ -18,11 +18,13 @@ happen only inside ``linear``, never by silent broadcasting. There is one
 softmax, max-shifted over the last axis, with one backward rule; ``softmax``
 and ``attention`` both use it.
 
-Four fused primitives record one tape entry for what would otherwise be a
+Five fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain:
 
 - ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
   backward ``(g @ w.T, x.T @ g, g.sum(axis=0))``.
+- ``conv3x3(x, w, b)``: a 3x3 convolution at stride 2 and zero padding 1 of
+  a [C, H, W] map, as ``linear`` over its patch matrix moved channels-first.
 - ``attention(qp, kp, vp, num_heads)``: multi-head scaled dot-product
   attention of projected queries [n, d] over projected keys and values
   [m, d]. The heads are column blocks of width d / num_heads, computed as one
@@ -455,41 +457,41 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(ts), lambda g: tuple(np.split(g, sizes, axis=-1)))
 
 
-def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
-    """Unfold a [C,H,W] tensor into rows of k*k patches.
+def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """3x3 convolution at stride 2 and zero padding 1: [C, H, W] -> [C_out, ceil(H/2), ceil(W/2)].
 
-    Output row t corresponds to output pixel (t div W', t mod W'); column
-    (c*k + i)*k + j holds channel c of kernel offset (i, j). A convolution is
-    then a plain matmul against a [C*k*k, C_out] weight.
+    Row (c*3 + i)*3 + j of ``w`` [C*9, C_out] weights channel c at kernel
+    offset (i, j). Forward and backward run the operations, on the operand
+    layouts, of the chain this op replaces: unfold into a C-contiguous
+    [H'W', C*9] patch matrix, ``linear``, transpose, reshape.
     """
-    x = _tensor_arg(x, "im2col")
-    if x.data.ndim != 3:
-        raise ShapeError(f"im2col needs a rank-3 tensor, got shape {x.data.shape}")
-    if kernel < 1 or stride < 1 or pad < 0:
-        raise ContractError(f"im2col: bad kernel/stride/pad ({kernel}, {stride}, {pad})")
-    c, h, w = x.data.shape
-    ho = (h + 2 * pad - kernel) // stride + 1
-    wo = (w + 2 * pad - kernel) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"im2col: kernel {kernel} does not fit input {x.data.shape} with pad {pad}")
-    padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    patches = np.empty((c, kernel, kernel, ho, wo))
-    for i in range(kernel):
-        for j in range(kernel):
-            patches[:, i, j] = padded[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    out = Tensor(patches.reshape(c * kernel * kernel, ho * wo).T)
+    x = _tensor_arg(x, "conv3x3")
+    w = _tensor_arg(w, "conv3x3")
+    b = _tensor_arg(b, "conv3x3")
+    dx, dw = x.data, w.data
+    if dx.ndim != 3 or 0 in dx.shape or b.data.ndim != 1 or dw.shape != (9 * dx.shape[0], b.data.size):
+        raise ShapeError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
+    (c, h, wd), c_out = dx.shape, b.data.size
+    ho, wo = (h + 1) // 2, (wd + 1) // 2
+    padded = np.zeros((c, h + 2, wd + 2))
+    padded[:, 1:-1, 1:-1] = dx
+    patches = np.empty((c, 3, 3, ho, wo))
+    for i in range(3):
+        for j in range(3):
+            patches[:, i, j] = padded[:, i : i + 2 * ho : 2, j : j + 2 * wo : 2]
+    cols = np.ascontiguousarray(patches.reshape(c * 9, ho * wo).T)
+    out = Tensor((cols @ dw + b.data[None, :]).T.reshape(c_out, ho, wo))
 
     def bwd(g):
-        gp = np.ascontiguousarray(g.T).reshape(c, kernel, kernel, ho, wo)
-        dp = np.zeros_like(padded)
-        for i in range(kernel):
-            for j in range(kernel):
-                dp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += gp[:, i, j]
-        if pad:
-            dp = dp[:, pad:-pad, pad:-pad]
-        return (dp,)
+        gy = g.reshape(c_out, ho * wo).T  # an F-order view: the bias sum's order, hence its bits, depend on it
+        gp = np.ascontiguousarray((gy @ dw.T).T).reshape(c, 3, 3, ho, wo)
+        dp = np.zeros((c, h + 2, wd + 2))
+        for i in range(3):
+            for j in range(3):
+                dp[:, i : i + 2 * ho : 2, j : j + 2 * wo : 2] += gp[:, i, j]
+        return (dp[:, 1:-1, 1:-1], cols.T @ gy, gy.sum(axis=0))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

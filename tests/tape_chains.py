@@ -9,6 +9,10 @@
   layer norm as ``layer_norm(add(x, r))``; ``numeric.set_loss`` and
   ``numeric.add_layer_norm`` must equal them bit for bit, forward and
   backward;
+- ``im2col``, the general unfold the backbone used before ``numeric.conv3x3``,
+  and ``conv3x3_chain``, a backbone stage as
+  ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; ``numeric.conv3x3``
+  must equal it bit for bit, forward and backward;
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
   ``geometry.box_pairs``.
 """
@@ -302,3 +306,46 @@ def hungarian_loss_chain(gt, preds, assign, w: LossWeights, null_weight: float =
 
 def add_layer_norm_chain(x, r):
     return layer_norm(add(x, r))
+
+
+def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
+    """Unfold a [C,H,W] tensor into rows of k*k patches.
+
+    Output row t corresponds to output pixel (t div W', t mod W'); column
+    (c*k + i)*k + j holds channel c of kernel offset (i, j). A convolution is
+    then a plain matmul against a [C*k*k, C_out] weight.
+    """
+    x = _tensor_arg(x, "im2col")
+    if x.data.ndim != 3:
+        raise ShapeError(f"im2col needs a rank-3 tensor, got shape {x.data.shape}")
+    if kernel < 1 or stride < 1 or pad < 0:
+        raise ContractError(f"im2col: bad kernel/stride/pad ({kernel}, {stride}, {pad})")
+    c, h, w = x.data.shape
+    ho = (h + 2 * pad - kernel) // stride + 1
+    wo = (w + 2 * pad - kernel) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"im2col: kernel {kernel} does not fit input {x.data.shape} with pad {pad}")
+    padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+    patches = np.empty((c, kernel, kernel, ho, wo))
+    for i in range(kernel):
+        for j in range(kernel):
+            patches[:, i, j] = padded[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    out = Tensor(patches.reshape(c * kernel * kernel, ho * wo).T)
+
+    def bwd(g):
+        gp = np.ascontiguousarray(g.T).reshape(c, kernel, kernel, ho, wo)
+        dp = np.zeros_like(padded)
+        for i in range(kernel):
+            for j in range(kernel):
+                dp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += gp[:, i, j]
+        if pad:
+            dp = dp[:, pad:-pad, pad:-pad]
+        return (dp,)
+
+    return _record(out, (x,), bwd)
+
+
+def conv3x3_chain(x, w, b):
+    _, h, wd = x.shape
+    out = numeric.linear(im2col(x, 3, stride=2, pad=1), w, b)
+    return numeric.reshape(numeric.transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))

@@ -135,8 +135,35 @@ def test_train_rerun_reproduces_log_bytes(dataset, tmp_path):
     assert (tmp_path / "r1" / "weights.bin").read_bytes() == (tmp_path / "r2" / "weights.bin").read_bytes()
 
 
+def test_train_log_into_a_missing_directory(dataset, tmp_path):
+    log = tmp_path / "logs" / "run.csv"
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), "--log", str(log), *TRAIN_FLAGS) == 0
+    assert len(log.read_text().splitlines()) == 1 + 2 * 5
+    assert not (tmp_path / "ck" / "train_log.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train-log", "train-out", "eval-json"])
+def test_uncreatable_output_directory_exits_2_before_any_work(dataset, checkpoint, tmp_path, monkeypatch, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, so no directory can be made under it")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("read input before making the output directories")
+
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    monkeypatch.setattr(cli, "load_checkpoint", no_work)
+    argv = {
+        "train-log": ["train", "--data", str(dataset), "--out", str(tmp_path / "ck"),
+                      "--log", str(blocker / "logs" / "run.csv"), *TRAIN_FLAGS],
+        "train-out": ["train", "--data", str(dataset), "--out", str(blocker / "ck"), *TRAIN_FLAGS],
+        "eval-json": ["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
+                      "--json", str(blocker / "reports" / "eval.json")],
+    }[command]
+    assert run(*argv) == 2
+
+
 def test_eval_prints_table_and_json(dataset, checkpoint, tmp_path, capsys):
-    json_path = tmp_path / "report.json"
+    json_path = tmp_path / "reports" / "report.json"  # a directory that does not exist yet
     assert run("eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
                "--json", str(json_path)) == 0
     table = capsys.readouterr().out
@@ -242,6 +269,15 @@ def test_predict_deterministic(dataset, checkpoint, tmp_path):
                    "--checkpoint", str(checkpoint), "--out", str(tmp_path / name)) == 0
     assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
     assert (tmp_path / "p1.ppm").read_bytes() == (tmp_path / "p2.ppm").read_bytes()
+
+
+def test_predict_dotted_prefix_keeps_its_tail(dataset, checkpoint, tmp_path):
+    prefix = tmp_path / "runs" / "pred_0.5"
+    assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
+               "--checkpoint", str(checkpoint), "--out", str(prefix)) == 0
+    assert sorted(f.name for f in prefix.parent.iterdir()) == ["pred_0.5.json", "pred_0.5.ppm"]
+    assert json.loads((tmp_path / "runs" / "pred_0.5.json").read_text())["width"] == 16
+    assert read_ppm(tmp_path / "runs" / "pred_0.5.ppm").shape == (3, 16, 16)
 
 
 def test_predict_short_catalog_exits_4(dataset, checkpoint, tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_backbone_stage_matches_hand_convolution(rng):
     img = rng.standard_normal((3, 16, 16))
     w = params["backbone.conv0.weight"].data  # [27, C] with rows (c*3 + i)*3 + j
     b = params["backbone.conv0.bias"].data
-    stage = model._conv3x3(Tensor(img), params, "backbone.conv0", (8, 8))
+    stage = numeric.conv3x3(Tensor(img), params["backbone.conv0.weight"], params["backbone.conv0.bias"])
     padded = np.pad(img, ((0, 0), (1, 1), (1, 1)))
     expected = np.empty((cfg.backbone_channels, 8, 8))
     for co in range(cfg.backbone_channels):
@@ -221,11 +221,12 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 
 def test_default_step_tape_record_count():
-    # one taped default-config forward plus set loss; the fused linear,
-    # attention, residual layer norm and set loss ops keep this at 120 (122
-    # with a class head on the preliminary decode, 189 with the layer norms
-    # after separate adds and the set loss as 55 elementwise ops, 500 with
-    # per-head attention plumbing as well)
+    # one taped default-config forward plus set loss; the fused conv3x3,
+    # linear, attention, residual layer norm and set loss ops keep this at 112
+    # (120 with each backbone stage as im2col, linear, transpose and reshape,
+    # 122 with a class head on the preliminary decode, 189 with the layer
+    # norms after separate adds and the set loss as 55 elementwise ops, 500
+    # with per-head attention plumbing as well)
     cfg = ModelConfig()
     params = init_params(cfg)
     scene = data.generate_scene(1)
@@ -236,8 +237,11 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 120
-    assert forward_ops["linear"] == 54
+    assert len(tape) == 112
+    assert forward_ops["conv3x3"] == 3
+    assert forward_ops["linear"] == 51
+    assert forward_ops["transpose"] == 4
+    assert forward_ops["reshape"] == 3
     assert forward_ops["softmax"] == 1
     assert forward_ops["attention"] == 8
     assert forward_ops["add_layer_norm"] == 13

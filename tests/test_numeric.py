@@ -345,17 +345,41 @@ def test_concat_rejects_leading_extents_that_disagree():
         numeric.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
 
 
-def test_im2col_matches_direct_convolution(rng):
-    # convolve a 1-channel image with one 3x3 kernel by hand and via im2col
-    x = rng.standard_normal((1, 5, 5))
-    k = rng.standard_normal((3, 3))
-    cols = numeric.im2col(Tensor(x), 3, stride=1, pad=0)
-    out = cols.data @ k.reshape(-1)
-    expected = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            expected[i, j] = (x[0, i : i + 3, j : j + 3] * k).sum()
-    np.testing.assert_allclose(out.reshape(3, 3), expected, atol=1e-12)
+def test_conv3x3_matches_direct_convolution(rng):
+    # two channels into three, stride 2 and zero padding 1, by hand; odd
+    # extents round the output up: [2, 5, 6] -> [3, 3, 3]
+    x = rng.standard_normal((2, 5, 6))
+    w = rng.standard_normal((18, 3))
+    b = rng.standard_normal(3)
+    out = numeric.conv3x3(Tensor(x), Tensor(w), Tensor(b)).data
+    assert out.shape == (3, 3, 3)
+    kernels = w.reshape(2, 3, 3, 3)  # [c, i, j, c_out] from rows (c*3 + i)*3 + j
+    expected = np.zeros((3, 3, 3))
+    for co in range(3):
+        for oy in range(3):
+            for ox in range(3):
+                acc = b[co]
+                for c in range(2):
+                    for i in range(3):
+                        for j in range(3):
+                            y, z = 2 * oy + i - 1, 2 * ox + j - 1
+                            if 0 <= y < 5 and 0 <= z < 6:
+                                acc += x[c, y, z] * kernels[c, i, j, co]
+                expected[co, oy, ox] = acc
+    np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_conv3x3_rejects_shapes_that_disagree():
+    x, w, b = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((18, 3))), Tensor(np.zeros(3))
+    numeric.conv3x3(x, w, b)
+    with pytest.raises(ShapeError):
+        numeric.conv3x3(Tensor(np.zeros((3, 4, 4))), w, b)  # 27 patch rows, 18 weight rows
+    with pytest.raises(ShapeError):
+        numeric.conv3x3(x, w, Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        numeric.conv3x3(Tensor(np.zeros((2, 16))), w, b)
+    with pytest.raises(ShapeError):
+        numeric.conv3x3(Tensor(np.zeros((2, 0, 4))), w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +407,7 @@ UNARY_CASES = [
     ("narrow", lambda x: chain.narrow(x, 1, 1, 2), None),
     ("take_rows", lambda x: chain.take_rows(x, [2, 0, 2]), None),
     ("take_pairs", lambda x: chain.take_pairs(x, [0, 2, 1], [3, 0, 0]), None),
-    ("im2col", lambda x: numeric.im2col(numeric.reshape(x, (1, 3, 4)), 2, stride=1, pad=1), None),
+    ("im2col", lambda x: chain.im2col(numeric.reshape(x, (1, 3, 4)), 2, stride=1, pad=1), None),
 ]
 
 
@@ -440,6 +464,10 @@ def test_structural_gradients_match_fd(draw):
     gradcheck(lambda t: numeric.linear(t, Tensor(w), Tensor(b)), x, rng=rng, label="linear/x")
     gradcheck(lambda t: numeric.linear(Tensor(x), t, Tensor(b)), w, rng=rng, label="linear/w")
     gradcheck(lambda t: numeric.linear(Tensor(x), Tensor(w), t), b, rng=rng, label="linear/b")
+    x, w, b = rng.standard_normal((2, 5, 4)), rng.standard_normal((18, 3)), rng.standard_normal(3)
+    gradcheck(lambda t: numeric.conv3x3(t, Tensor(w), Tensor(b)), x, rng=rng, label="conv3x3/x")
+    gradcheck(lambda t: numeric.conv3x3(Tensor(x), t, Tensor(b)), w, rng=rng, label="conv3x3/w")
+    gradcheck(lambda t: numeric.conv3x3(Tensor(x), Tensor(w), t), b, rng=rng, label="conv3x3/b")
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +494,28 @@ def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
             got.append((_bits(y.data), _bits(x.grad), _bits(r.grad)))
         assert got[0] == got[1]
         assert got[0][1] == got[0][2]
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (16, 16, 16), (16, 8, 8)], ids=["stage0", "stage1", "stage2"])
+def test_conv3x3_equals_the_chain_bit_for_bit(shape):
+    # the three backbone stages: in the first the input is the image, a
+    # constant to the tape, in the others it takes a gradient; seed 0 draws a
+    # flat map, so every patch of the first stage is equal inside the border
+    c = shape[0]
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x0 = np.full(shape, rng.uniform()) if seed == 0 else rng.uniform(-1, 1, shape)
+        w0, b0 = rng.uniform(-1, 1, (c * 9, 16)) / 3, rng.standard_normal(16)
+        probe = Tensor(rng.standard_normal((16, shape[1] // 2, shape[2] // 2)))
+        got = []
+        for op in (numeric.conv3x3, chain.conv3x3_chain):
+            x, w, b = Tensor(x0, requires_grad=c != 3), Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+            with Tape():
+                y = numeric.relu(op(x, w, b))
+                loss = numeric.sum_all(numeric.mul(y, probe))
+            backward(loss)
+            got.append((_bits(y.data), _bits(w.grad), _bits(b.grad), None if x.grad is None else _bits(x.grad)))
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
 def _set_loss_problem(rng, n, ties):
@@ -518,7 +568,9 @@ def test_fused_backward_rules_are_named_after_their_ops():
     with Tape() as tape:
         numeric.add_layer_norm(x, x)
         numeric.set_loss(probs, boxes, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights())
-    assert op_names(tape) == ["add_layer_norm", "set_loss"]
+        kernel = Tensor(np.ones((9, 4)), requires_grad=True)
+        numeric.conv3x3(Tensor(np.ones((1, 2, 2))), kernel, Tensor(np.zeros(4)))
+    assert op_names(tape) == ["add_layer_norm", "set_loss", "conv3x3"]
 
 
 def test_set_loss_validates_its_inputs():
