@@ -218,9 +218,9 @@ def annotations_to_json(scene: Scene, image_name: str, catalog) -> dict:
 def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
     """Write <stem>.ppm and <stem>.json."""
     stem = Path(stem)
-    write_ppm(scene.image, stem.with_suffix(".ppm"))
-    doc = annotations_to_json(scene, stem.with_suffix(".ppm").name, catalog)
-    stem.with_suffix(".json").write_text(json.dumps(doc, indent=1) + "\n")
+    write_ppm(scene.image, stem.with_name(stem.name + ".ppm"))
+    doc = annotations_to_json(scene, stem.name + ".ppm", catalog)
+    stem.with_name(stem.name + ".json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def _read_json(path: Path):
@@ -250,8 +250,8 @@ def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
 def load_scene(stem) -> Scene:
     """Read a <stem>.ppm / <stem>.json pair back into a Scene."""
     stem = Path(stem)
-    image = read_ppm(stem.with_suffix(".ppm"))
-    path = stem.with_suffix(".json")
+    image = read_ppm(stem.with_name(stem.name + ".ppm"))
+    path = stem.with_name(stem.name + ".json")
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("objects", []), list):
         raise ParseError(f"{path} is not an annotation object with an objects list")
@@ -294,7 +294,7 @@ def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
         for g in scene.objects:
             if not 0 <= g.class_id < len(catalog):
                 raise ParseError(
-                    f"{stem.with_suffix('.json')}: class_id {g.class_id} is outside the "
+                    f"{stem.with_name(stem.name + '.json')}: class_id {g.class_id} is outside the "
                     f"{len(catalog)}-class catalog"
                 )
     return scenes, catalog

@@ -1,7 +1,7 @@
 """The detector forward pass: conv backbone, encoder, two-pass decoder, heads.
 
 A backbone of three stride-2 ``conv3x3`` + ReLU stages produces a feature map,
-a 1x1 channel reduction and a flatten turn it into encoder tokens, and a
+a 1x1 channel reduction turns it into encoder tokens, and a
 transformer encoder/decoder transforms N learned query embeddings into N
 predictions. The decoder runs in two passes: a standard stack and the box
 head decode preliminary boxes, a kNN graph over their centers mixes each
@@ -215,20 +215,12 @@ def backbone_forward(image: Tensor, params, config: ModelConfig) -> Tensor:
     return x
 
 
-def channel_reduce(f: Tensor, params, config: ModelConfig) -> Tensor:
-    """Per-pixel affine map C -> d (a 1x1 convolution)."""
+def channel_reduce(f: Tensor, params) -> Tensor:
+    """Per-pixel affine map C -> d (a 1x1 convolution) of a [C, H, W] map
+    into encoder tokens [H*W, d], row t = pixel (t div W, t mod W)."""
     c, fh, fw = f.shape
-    if c != config.backbone_channels:
-        raise ShapeError(f"feature map has {c} channels, expected {config.backbone_channels}")
-    flat = numeric.transpose(numeric.reshape(f, (c, fh * fw)))
-    out = numeric.linear(flat, params["reduce.weight"], params["reduce.bias"])
-    return numeric.reshape(numeric.transpose(out), (config.model_dim, fh, fw))
-
-
-def flatten_hw(z: Tensor) -> Tensor:
-    """[d, H, W] -> [H*W, d] with row t = pixel (t div W, t mod W)."""
-    d, fh, fw = z.shape
-    return numeric.transpose(numeric.reshape(z, (d, fh * fw)))
+    pixels = numeric.transpose(numeric.reshape(f, (c, fh * fw)))
+    return numeric.linear(pixels, params["reduce.weight"], params["reduce.bias"])
 
 
 def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
@@ -266,8 +258,6 @@ def _encoder_layer(x: Tensor, pe: Tensor, params, prefix: str, heads: int) -> Te
 
 
 def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> Tensor:
-    if tokens.shape != pe.shape:
-        raise ShapeError(f"tokens {tokens.shape} and positional encodings {pe.shape} differ")
     x = tokens
     for layer in range(config.num_encoder_layers):
         x = _encoder_layer(x, pe, params, f"encoder.{layer}", config.num_heads)
@@ -324,9 +314,7 @@ def predict_heads(embeddings: Tensor, params) -> DetectionOutput:
 
 def forward(image: Tensor, params, config: ModelConfig) -> DetectionOutput:
     """Full pipeline; deterministic given (image, params, config)."""
-    feats = backbone_forward(image, params, config)
-    reduced = channel_reduce(feats, params, config)
-    tokens = flatten_hw(reduced)
+    tokens = channel_reduce(backbone_forward(image, params, config), params)
     pe = sinusoidal_pe(config.num_tokens, config.model_dim)
     memory = encoder_forward(tokens, pe, params, config)
     embeddings, _ = decoder_forward(memory, params["query_embed"], pe, params, config)

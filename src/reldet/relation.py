@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .numeric import Tensor
 
 
@@ -63,11 +63,8 @@ def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
 
 def aggregate(features: Tensor, g: RelationGraph, weight: Tensor, bias: Tensor) -> Tensor:
     """relu(weight @ concat(self, neighbor mean) + bias) per node, differentiable;
-    weight [d, 2d] and bias [d] for features [n, d]."""
-    if len(features.shape) != 2 or features.shape[0] != g.n:
-        raise ShapeError(f"features {features.shape} do not match graph with {g.n} nodes")
-    if weight.shape != (features.shape[1], 2 * features.shape[1]):
-        raise ShapeError(f"relation weight {weight.shape} does not match feature width {features.shape[1]}")
+    weight [d, 2d] and bias [d] for features [n, d]. ``numeric.matmul`` and
+    ``numeric.linear`` check the shapes."""
     nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
     h = numeric.concat([features, nbr])
     return numeric.relu(numeric.linear(h, numeric.transpose(weight), bias))

@@ -195,7 +195,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         manifest = json.loads((root / "manifest.json").read_text())
     except FileNotFoundError:
         raise IntegrityError(f"no manifest.json in {root}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise IntegrityError(f"bad manifest.json in {root}: {e}") from e
     try:
         config = _config_from_dict(manifest["config"])

@@ -13,6 +13,10 @@
   and ``conv3x3_chain``, a backbone stage as
   ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; ``numeric.conv3x3``
   must equal it bit for bit, forward and backward;
+- ``channel_reduce_chain``, the 1x1 reduction and flatten before
+  ``model.channel_reduce`` returned its ``linear`` rows as the tokens:
+  ``transpose(reshape(reshape(transpose(linear(...)))))``;
+  ``model.channel_reduce`` must equal it bit for bit, forward and backward;
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
   ``geometry.box_pairs``.
 """
@@ -349,3 +353,11 @@ def conv3x3_chain(x, w, b):
     _, h, wd = x.shape
     out = numeric.linear(im2col(x, 3, stride=2, pad=1), w, b)
     return numeric.reshape(numeric.transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
+
+
+def channel_reduce_chain(f, w, b):
+    c, fh, fw = f.shape
+    d = b.shape[0]
+    out = numeric.linear(numeric.transpose(numeric.reshape(f, (c, fh * fw))), w, b)
+    z = numeric.reshape(numeric.transpose(out), (d, fh, fw))
+    return numeric.transpose(numeric.reshape(z, (d, fh * fw)))

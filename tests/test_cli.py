@@ -329,6 +329,14 @@ def test_eval_manifest_with_zero_heads_exits_4(dataset, checkpoint, tmp_path, ca
     assert capsys.readouterr().err.startswith("checkpoint mismatch")
 
 
+def test_eval_undecodable_manifest_exits_4(dataset, checkpoint, tmp_path):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    (ckpt / "manifest.json").write_bytes(b"\xff\xfe{")
+    code, err = run_captured("eval", "--data", str(dataset), "--checkpoint", str(ckpt))
+    assert code == 4 and "Traceback" not in err, err
+    assert err.startswith("checkpoint mismatch: bad manifest.json")
+
+
 def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):
     ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
     weights = np.frombuffer((ckpt / "weights.bin").read_bytes(), dtype="<f8").copy()

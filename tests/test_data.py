@@ -151,6 +151,31 @@ def test_dataset_roundtrip(tmp_path):
         assert back.objects == orig.objects
 
 
+def test_dotted_scene_names_load_their_own_files(tmp_path):
+    # scene_1.5 is read from scene_1.5.ppm and scene_1.5.json, not from scene_1's pair
+    scenes = [generate_scene(s, SceneConfig()) for s in range(4)]
+    save_dataset(scenes[:2], tmp_path)
+    for name, scene in zip(("scene_1", "scene_1.5"), scenes[2:]):
+        write_ppm(scene.image, tmp_path / f"{name}.ppm")
+        doc = data.annotations_to_json(scene, f"{name}.ppm", DEFAULT_CLASSES)
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    loaded, _ = load_dataset(tmp_path)
+    assert [s.objects for s in loaded] == [s.objects for s in scenes]
+
+    doc["objects"][0]["class_id"] = len(DEFAULT_CLASSES)
+    (tmp_path / "scene_1.5.json").write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"scene_1\.5\.json: class_id"):
+        load_dataset(tmp_path)
+
+
+def test_save_scene_keeps_a_dotted_tail(tmp_path):
+    scene = generate_scene(2, SceneConfig())
+    save_scene(scene, tmp_path / "scene_1.5")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene_1.5.json", "scene_1.5.ppm"]
+    assert json.loads((tmp_path / "scene_1.5.json").read_text())["image"] == "scene_1.5.ppm"
+    assert load_scene(tmp_path / "scene_1.5").objects == scene.objects
+
+
 def test_load_dataset_requires_catalog_and_scenes(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ParseError):

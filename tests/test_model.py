@@ -17,7 +17,6 @@ from reldet.model import (
     decode_stack,
     decoder_forward,
     encoder_forward,
-    flatten_hw,
     forward,
     init_params,
     multi_head_attention,
@@ -93,24 +92,43 @@ def test_channel_reduce_identity_and_oracle(rng):
     f = rng.standard_normal((8, 4, 4))
     params["reduce.weight"] = Tensor(np.eye(8), requires_grad=True)
     params["reduce.bias"] = Tensor(np.zeros(8), requires_grad=True)
-    np.testing.assert_allclose(channel_reduce(Tensor(f), params, cfg).data, f, atol=1e-12)
+    tokens = channel_reduce(Tensor(f), params).data
+    # token row t is pixel (t div W', t mod W'): pixel (1, 2) with W' = 4 lands in row 6
+    np.testing.assert_array_equal(tokens[6], f[:, 1, 2])
+    np.testing.assert_array_equal(tokens, f.reshape(8, 16).T)
 
     wr = rng.standard_normal((8, 8))
     params["reduce.weight"] = Tensor(wr, requires_grad=True)
-    out = channel_reduce(Tensor(f), params, cfg).data
-    expected = np.einsum("chw,cd->dhw", f, wr)
+    out = channel_reduce(Tensor(f), params).data
+    expected = np.einsum("chw,cd->hwd", f, wr).reshape(16, 8)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
     with pytest.raises(ShapeError):
-        channel_reduce(Tensor(np.zeros((4, 4, 4))), params, cfg)
+        channel_reduce(Tensor(np.zeros((4, 4, 4))), params)
 
 
-def test_flatten_roundtrip_and_row_order(rng):
-    z = rng.standard_normal((8, 4, 4))
-    flat = flatten_hw(Tensor(z))
-    assert flat.shape == (16, 8)
-    # pixel (1, 2) with W' = 4 lands in row 6
-    np.testing.assert_array_equal(flat.data[6], z[:, 1, 2])
+@pytest.mark.parametrize("cfg", [ModelConfig(), TINY], ids=["default", "tiny"])
+def test_channel_reduce_equals_the_chain_bit_for_bit(cfg):
+    # the tokens feed the encoder as in forward: the attention input and the
+    # residual both read them, so two gradients meet at the reduction
+    c, fh, fw = cfg.backbone_channels, cfg.image_size[0] // 8, cfg.image_size[1] // 8
+    pe = sinusoidal_pe(cfg.num_tokens, cfg.model_dim)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        f0 = np.maximum(rng.standard_normal((c, fh, fw)), 0.0)
+        probe = Tensor(rng.standard_normal((cfg.num_tokens, cfg.model_dim)))
+        got = []
+        for reduce in (channel_reduce, lambda f, p: chain.channel_reduce_chain(f, p["reduce.weight"], p["reduce.bias"])):
+            params = init_params(cfg)
+            f = Tensor(f0, requires_grad=True)
+            with numeric.Tape():
+                tokens = reduce(f, params)
+                memory = encoder_forward(tokens, pe, params, cfg)
+                loss = numeric.sum_all(numeric.mul(memory, probe))
+            numeric.backward(loss)
+            got.append([a.tobytes() for a in (tokens.data, memory.data, f.grad, params["reduce.weight"].grad,
+                                              params["reduce.bias"].grad, model.arena_of(params, "grad"))])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
 def test_sinusoidal_pe_values():
@@ -222,8 +240,9 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 def test_default_step_tape_record_count():
     # one taped default-config forward plus set loss; the fused conv3x3,
-    # linear, attention, residual layer norm and set loss ops keep this at 112
-    # (120 with each backbone stage as im2col, linear, transpose and reshape,
+    # linear, attention, residual layer norm and set loss ops keep this at 108
+    # (112 when the 1x1 reduction moved its rows to a [d, H, W] map and back,
+    # 120 with each backbone stage as im2col, linear, transpose and reshape,
     # 122 with a class head on the preliminary decode, 189 with the layer
     # norms after separate adds and the set loss as 55 elementwise ops, 500
     # with per-head attention plumbing as well)
@@ -237,11 +256,11 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 112
+    assert len(tape) == 108
     assert forward_ops["conv3x3"] == 3
     assert forward_ops["linear"] == 51
-    assert forward_ops["transpose"] == 4
-    assert forward_ops["reshape"] == 3
+    assert forward_ops["transpose"] == 2
+    assert forward_ops["reshape"] == 1
     assert forward_ops["softmax"] == 1
     assert forward_ops["attention"] == 8
     assert forward_ops["add_layer_norm"] == 13
@@ -287,8 +306,7 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
 
 def _run_decoder(cfg, params, image_rng):
     image = Tensor(image_rng.uniform(0, 1, (3, *cfg.image_size)))
-    feats = backbone_forward(image, params, cfg)
-    tokens = flatten_hw(channel_reduce(feats, params, cfg))
+    tokens = channel_reduce(backbone_forward(image, params, cfg), params)
     pe = sinusoidal_pe(cfg.num_tokens, cfg.model_dim)
     memory = encoder_forward(tokens, pe, params, cfg)
     return memory, pe
