@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Bit-identity digest of reldet's training and inference, part by part.
+
+Each part is the sha256 of float64 bytes:
+
+- ``q16.losses``, ``q16.params``, ``q16.grads``: 60 ``train_step`` losses
+  (total, class and box term) of the default config on 20 scenes of up to 3
+  objects over 3 epochs, then the final parameter and gradient arenas;
+- ``q64.*``: the same at 64 queries on scenes of up to 12 objects;
+- ``tapeless``: the class probabilities and boxes of a tape-less ``forward``
+  of the trained 16-query model on 5 further scenes.
+
+Usage:
+
+    python scripts/bit_digest.py src             # print each part's digest
+    python scripts/bit_digest.py src OTHER/src   # print equal or differ per part
+
+With two source trees each runs in its own interpreter; the exit code is 1
+when any part differs.
+"""
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SCENES, EPOCHS, TAPELESS_SCENES = 20, 3, 5
+RUNS = (("q16", 16, 3), ("q64", 64, 12))  # (part prefix, queries, max objects per scene)
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def digest(src: str) -> dict[str, str]:
+    """Part name -> sha256 for the reldet package under ``src``."""
+    root = Path(src).resolve()
+    sys.path.insert(0, str(root))
+    try:
+        import reldet
+        from reldet import data, model, training
+    except ImportError:
+        reldet = None
+    if reldet is None or not Path(reldet.__file__).resolve().is_relative_to(root):
+        raise SystemExit(f"no reldet package under {root}")
+    parts, tapeless = {}, []
+    for prefix, queries, max_objects in RUNS:
+        config = model.ModelConfig(num_queries=queries)
+        scenes = [data.generate_scene(i, data.SceneConfig(max_objects=max_objects)) for i in range(SCENES)]
+        params, _, rows = training.train(scenes, config, EPOCHS)
+        parts[f"{prefix}.losses"] = _sha([(r.total, r.cls, r.box) for r in rows])
+        parts[f"{prefix}.params"] = _sha(model.arena_of(params, "data"))
+        parts[f"{prefix}.grads"] = _sha(model.arena_of(params, "grad"))
+        if not tapeless:  # the first run trains the 16-query model
+            for seed in range(SCENES, SCENES + TAPELESS_SCENES):
+                out = model.forward(data.generate_scene(seed).image, params, config)
+                tapeless += [out.class_probs.data, out.boxes.data]
+    parts["tapeless"] = _sha(*tapeless)
+    return parts
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("src", nargs="+", help="one or two source trees holding the reldet package")
+    ap.add_argument("--json", action="store_true", help="print one source tree's parts as JSON")
+    args = ap.parse_args()
+    if len(args.src) > 2:
+        ap.error("give one or two source trees")
+    if len(args.src) == 1:
+        parts = digest(args.src[0])
+        if args.json:
+            print(json.dumps(parts))
+        else:
+            for name, sha in parts.items():
+                print(f"{name:<12} {sha}")
+        return 0
+    runs = []
+    for src in args.src:
+        child = subprocess.run([sys.executable, __file__, "--json", src], stdout=subprocess.PIPE, text=True)
+        if child.returncode:
+            return child.returncode
+        runs.append(json.loads(child.stdout))
+    differ = 0
+    for name in runs[0]:
+        same = runs[0][name] == runs[1].get(name)
+        differ += not same
+        print(f"{name:<12} {'equal' if same else 'differ'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

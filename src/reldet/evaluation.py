@@ -70,8 +70,7 @@ def extract_detections(out: DetectionOutput) -> list[ScoredDetection]:
     boxes = out.boxes.data
     null_col = probs.shape[1] - 1
     dets = []
-    for i in range(probs.shape[0]):
-        cid = int(np.argmax(probs[i]))  # ties go to the lowest index
+    for i, cid in enumerate(probs.argmax(axis=1).tolist()):  # ties go to the lowest index
         if cid == null_col:
             continue
         dets.append(ScoredDetection(cid, float(probs[i, cid]), Box(*boxes[i])))

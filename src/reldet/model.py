@@ -284,13 +284,15 @@ def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config:
     """Two-pass decode: standard stack, relation fix-up, one refining layer.
 
     Returns (final embeddings [N, d], preliminary boxes [N, 4]). The first
-    pass runs only the box head, whose centers build the kNN graph as plain
-    structure; no gradient flows through the center coordinates.
+    pass runs only the box head, with the tape suspended: its centers build
+    the kNN graph as plain structure, so no gradient flows through them and
+    the preliminary boxes are a constant.
     """
     x0 = queries
     prefixes = [f"decoder.{layer}" for layer in range(config.num_decoder_layers)]
     x1 = decode_stack(x0, queries, memory, pe, params, prefixes, config.num_heads)
-    prelim_boxes = box_head(x1, params)
+    with numeric.tape_suspended():
+        prelim_boxes = box_head(x1, params)
     graph = build_knn_graph(prelim_boxes.data[:, :2], config.knn_k)
     fixed = aggregate(x1, graph, params["relation.weight"], params["relation.bias"])
     x2 = decode_stack(fixed, queries, memory, pe, params, ["refine.0"], config.num_heads)

@@ -6,11 +6,15 @@ against ``finite_diff_grad``. Tapes are rebuilt per forward pass
 (define-by-run) and are used up by one ``backward``. At most one tape records
 at a time in a process: ``Tape.active``, set by ``with Tape():``.
 
-A tape keeps two lists: its records, each (output node id, input node ids,
-backward closure over the arrays that rule needs), and the requires_grad
-leaves it has seen. It keeps no op output, so an intermediate tensor is freed
-by reference counting as soon as the forward drops it, and a training step
-leaves the cyclic garbage collector next to nothing to track.
+A tape keeps two lists: its records, each (op name, output node id, input
+node ids, backward rule), and the requires_grad leaves it has seen. A rule is
+a closure over the arrays it needs; ``backward`` calls ``rule(g, in_ids)``
+and gets one gradient per input, None for an input whose node id is None (a
+constant), for which the rule computes nothing. The tape keeps no op output,
+so an intermediate tensor is freed by reference counting as soon as the
+forward drops it, and a training step leaves the cyclic garbage collector
+next to nothing to track. ``tape_suspended`` runs code that must not record,
+such as the probes of ``finite_diff_grad``.
 
 Broadcasting is deliberately restricted: binary ops accept two tensors of
 identical shape, or one tensor and one python scalar. Row-vector bias adds
@@ -22,9 +26,16 @@ Five fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain:
 
 - ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
-  backward ``(g @ w.T, x.T @ g, g.sum(axis=0))``.
+  backward ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, the last the
+  reduction ``g.sum(axis=0)`` runs, at less call overhead.
 - ``conv3x3(x, w, b)``: a 3x3 convolution at stride 2 and zero padding 1 of
   a [C, H, W] map, as ``linear`` over its patch matrix moved channels-first.
+  The patch matrix is one gather from the zero-padded map through flat
+  indices cached per input shape; the input gradient is one ``np.bincount``
+  scatter-add over the same pixels listed in [C, 3, 3, H', W'] order. That
+  adds each padded pixel's terms, starting from +0.0, in the kernel-offset
+  order of the nine-slice fold it replaces, so the bits, -0.0 included, are
+  that fold's.
 - ``attention(qp, kp, vp, num_heads)``: multi-head scaled dot-product
   attention of projected queries [n, d] over projected keys and values
   [m, d]. The heads are column blocks of width d / num_heads, computed as one
@@ -42,6 +53,8 @@ chain of small ops, with the same forward bits as that chain:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,8 +123,8 @@ class Tape:
     active: Optional["Tape"] = None
 
     def __init__(self):
-        # each record is (output node id, input node ids, backward rule)
-        self.records: list[tuple[int, tuple, Callable]] = []
+        # each record is (op name, output node id, input node ids, backward rule)
+        self.records: list[tuple[str, int, tuple, Callable]] = []
         self.leaves: list[Tensor] = []
         self._n = 0
 
@@ -136,7 +149,7 @@ class Tape:
         return len(self.records)
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def _record(op: str, out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
     tape = Tape.active
     if tape is None:
         return out
@@ -151,8 +164,19 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Ten
             ids.append(None)
     if ids.count(None) == len(ids):  # nothing to differentiate: the output is a constant
         return out
-    tape.records.append((tape._node(out), tuple(ids), backward_fn))
+    tape.records.append((op, tape._node(out), tuple(ids), rule))
     return out
+
+
+@contextmanager
+def tape_suspended():
+    """Run the body with no active tape, and restore the tape even if it raises."""
+    saved = Tape.active
+    Tape.active = None
+    try:
+        yield
+    finally:
+        Tape.active = saved
 
 
 def backward(loss: Tensor) -> None:
@@ -179,13 +203,13 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads: list[Optional[np.ndarray]] = [None] * tape._n
     grads[loss.node_id] = np.ones_like(loss.data)
-    for out_id, in_ids, fn in reversed(tape.records):
+    for _, out_id, in_ids, rule in reversed(tape.records):
         g = grads[out_id]
         if g is None:
             continue
         grads[out_id] = None
-        for nid, ig in zip(in_ids, fn(g)):
-            if nid is None or ig is None:
+        for nid, ig in zip(in_ids, rule(g, in_ids)):
+            if ig is None:  # the rule skips an input without a node id
                 continue
             acc = grads[nid]
             grads[nid] = ig if acc is None else acc + ig
@@ -213,12 +237,10 @@ def finite_diff_grad(f, x: Tensor) -> Tensor:
     tape is suspended while ``f`` is evaluated so the probe evaluations never
     pollute it, and restored even if ``f`` raises.
     """
-    saved = Tape.active
-    Tape.active = None
-    try:
-        base = x.data
-        g = np.zeros_like(base)
-        flat = g.reshape(-1)
+    base = x.data
+    g = np.zeros_like(base)
+    flat = g.reshape(-1)
+    with tape_suspended():
         for i in range(base.size):
             up = base.reshape(-1).copy()
             up[i] += _FD_STEP
@@ -227,8 +249,6 @@ def finite_diff_grad(f, x: Tensor) -> Tensor:
             fu = float(f(Tensor(up.reshape(base.shape))))
             fl = float(f(Tensor(dn.reshape(base.shape))))
             flat[i] = (fu - fl) / (2.0 * _FD_STEP)
-    finally:
-        Tape.active = saved
     return Tensor(g)
 
 
@@ -256,19 +276,20 @@ def add(a, b) -> Tensor:
     ta, tb, da, db = _as_pair(a, b, "add")
     out = Tensor(da + db)
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g, g))
-    t = ta if ta is not None else tb
-    return _record(out, (t,), lambda g: (g,))
+        return _record("add", out, (ta, tb), lambda g, ids: (
+            g if ids[0] is not None else None, g if ids[1] is not None else None))
+    return _record("add", out, (ta if ta is not None else tb,), lambda g, ids: (g,))
 
 
 def mul(a, b) -> Tensor:
     ta, tb, da, db = _as_pair(a, b, "mul")
     out = Tensor(da * db)
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g * db, g * da))
+        return _record("mul", out, (ta, tb), lambda g, ids: (
+            g * db if ids[0] is not None else None, g * da if ids[1] is not None else None))
     if ta is not None:
-        return _record(out, (ta,), lambda g: (g * db,))
-    return _record(out, (tb,), lambda g: (g * da,))
+        return _record("mul", out, (ta,), lambda g, ids: (g * db,))
+    return _record("mul", out, (tb,), lambda g, ids: (g * da,))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +305,7 @@ def _tensor_arg(x, op: str) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "relu")
     mask = x.data > 0
-    return _record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
+    return _record("relu", Tensor(x.data * mask), (x,), lambda g, ids: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -295,7 +316,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     y[~pos] = e / (1.0 + e)
-    return _record(Tensor(y), (x,), lambda g: (g * y * (1.0 - y),))
+    return _record("sigmoid", Tensor(y), (x,), lambda g, ids: (g * y * (1.0 - y),))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +327,7 @@ def sum_all(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "sum_all")
     shape = x.data.shape
     out = Tensor(x.data.sum())
-    return _record(out, (x,), lambda g: (np.full(shape, float(g)),))
+    return _record("sum_all", out, (x,), lambda g, ids: (np.full(shape, float(g)),))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -323,7 +344,7 @@ def softmax(x: Tensor) -> Tensor:
     """Max-shifted softmax over the last axis; each slice sums to 1."""
     x = _tensor_arg(x, "softmax")
     y = _softmax(x.data)
-    return _record(Tensor(y), (x,), lambda g: (_softmax_grad(y, g),))
+    return _record("softmax", Tensor(y), (x,), lambda g, ids: (_softmax_grad(y, g),))
 
 
 def add_layer_norm(x: Tensor, r: Tensor) -> Tensor:
@@ -345,13 +366,13 @@ def add_layer_norm(x: Tensor, r: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + _LN_EPS)
     y = xc * inv
 
-    def bwd(g):
+    def bwd(g, ids):
         gm = np.add.reduce(g, axis=-1, keepdims=True) / n
         gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
         gs = inv * (g - gm - y * gym)
-        return (gs, gs)
+        return (gs if ids[0] is not None else None, gs if ids[1] is not None else None)
 
-    return _record(Tensor(y), (x, r), bwd)
+    return _record("add_layer_norm", Tensor(y), (x, r), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +388,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents disagree for shapes {a.data.shape} and {b.data.shape}")
     da, db = a.data, b.data
     out = Tensor(da @ db)
-    return _record(out, (a, b), lambda g: (g @ db.T, da.T @ g))
+    return _record("matmul", out, (a, b), lambda g, ids: (
+        g @ db.T if ids[0] is not None else None, da.T @ g if ids[1] is not None else None))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -380,7 +402,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if dx.ndim != 2 or dw.ndim != 2 or b.data.ndim != 1 or dx.shape[1] != dw.shape[0] or dw.shape[1] != b.data.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
     out = Tensor(dx @ dw + b.data[None, :])
-    return _record(out, (x, w, b), lambda g: (g @ dw.T, dx.T @ g, g.sum(axis=0)))
+    return _record("linear", out, (x, w, b), lambda g, ids: (
+        g @ dw.T if ids[0] is not None else None,
+        dx.T @ g if ids[1] is not None else None,
+        np.add.reduce(g, axis=0) if ids[2] is not None else None,
+    ))
 
 
 def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
@@ -409,29 +435,29 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
     p = _softmax((q @ kt) * scale)
     out = Tensor((p @ v).transpose(1, 0, 2).reshape(n, d))
 
-    def bwd(g):
+    def bwd(g, ids):
         go = g.reshape(n, num_heads, dh).transpose(1, 0, 2)
-        dp = go @ v.transpose(0, 2, 1)
-        ds = _softmax_grad(p, dp) * scale
-        dq = ds @ kt.transpose(0, 2, 1)
-        dkt = q.transpose(0, 2, 1) @ ds
-        dv = p.transpose(0, 2, 1) @ go
-        # dk in C order: the reshape of dk^T is an F-order view, which would change
-        # the summation order of the bias sum and of the BLAS products downstream
-        return (
-            dq.transpose(1, 0, 2).reshape(n, d),
-            np.ascontiguousarray(dkt.transpose(2, 0, 1).reshape(m, d)),
-            dv.transpose(1, 0, 2).reshape(m, d),
-        )
+        dq = dk = dv = None
+        if ids[0] is not None or ids[1] is not None:
+            ds = _softmax_grad(p, go @ v.transpose(0, 2, 1)) * scale
+            if ids[0] is not None:
+                dq = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
+            if ids[1] is not None:
+                # dk in C order: the reshape of dk^T is an F-order view, which would change
+                # the summation order of the bias sum and of the BLAS products downstream
+                dk = np.ascontiguousarray((q.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
+        if ids[2] is not None:
+            dv = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
+        return (dq, dk, dv)
 
-    return _record(out, (qp, kp, vp), bwd)
+    return _record("attention", out, (qp, kp, vp), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "transpose")
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
-    return _record(Tensor(x.data.T), (x,), lambda g: (g.T,))
+    return _record("transpose", Tensor(x.data.T), (x,), lambda g, ids: (g.T,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -440,7 +466,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
     old = x.data.shape
-    return _record(Tensor(x.data.reshape(shape)), (x,), lambda g: (g.reshape(old),))
+    return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -454,16 +480,18 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
             raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
     sizes = np.cumsum([t.data.shape[-1] for t in ts])[:-1]
-    return _record(out, tuple(ts), lambda g: tuple(np.split(g, sizes, axis=-1)))
+    return _record("concat", out, tuple(ts), lambda g, ids: tuple(
+        part if nid is not None else None for nid, part in zip(ids, np.split(g, sizes, axis=-1))))
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 convolution at stride 2 and zero padding 1: [C, H, W] -> [C_out, ceil(H/2), ceil(W/2)].
 
     Row (c*3 + i)*3 + j of ``w`` [C*9, C_out] weights channel c at kernel
-    offset (i, j). Forward and backward run the operations, on the operand
-    layouts, of the chain this op replaces: unfold into a C-contiguous
-    [H'W', C*9] patch matrix, ``linear``, transpose, reshape.
+    offset (i, j). Forward and backward give the bits of the chain this op
+    replaces (unfold into a C-contiguous [H'W', C*9] patch matrix, ``linear``,
+    transpose, reshape), with the unfold and the fold as one gather and one
+    ``bincount`` through ``_conv3x3_indices``.
     """
     x = _tensor_arg(x, "conv3x3")
     w = _tensor_arg(w, "conv3x3")
@@ -473,25 +501,46 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
     (c, h, wd), c_out = dx.shape, b.data.size
     ho, wo = (h + 1) // 2, (wd + 1) // 2
+    gather, scatter = _conv3x3_indices(c, h, wd)
     padded = np.zeros((c, h + 2, wd + 2))
     padded[:, 1:-1, 1:-1] = dx
-    patches = np.empty((c, 3, 3, ho, wo))
-    for i in range(3):
-        for j in range(3):
-            patches[:, i, j] = padded[:, i : i + 2 * ho : 2, j : j + 2 * wo : 2]
-    cols = np.ascontiguousarray(patches.reshape(c * 9, ho * wo).T)
+    cols = padded.take(gather)
     out = Tensor((cols @ dw + b.data[None, :]).T.reshape(c_out, ho, wo))
 
-    def bwd(g):
+    def bwd(g, ids):
         gy = g.reshape(c_out, ho * wo).T  # an F-order view: the bias sum's order, hence its bits, depend on it
-        gp = np.ascontiguousarray((gy @ dw.T).T).reshape(c, 3, 3, ho, wo)
-        dp = np.zeros((c, h + 2, wd + 2))
-        for i in range(3):
-            for j in range(3):
-                dp[:, i : i + 2 * ho : 2, j : j + 2 * wo : 2] += gp[:, i, j]
-        return (dp[:, 1:-1, 1:-1], cols.T @ gy, gy.sum(axis=0))
+        gx = None
+        if ids[0] is not None:
+            gp = (gy @ dw.T).T.ravel()  # a C-order copy: [C, 3, 3, H', W'], as ``scatter`` lists them
+            gx = np.bincount(scatter, weights=gp, minlength=c * (h + 2) * (wd + 2))
+            gx = gx.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
+        return (
+            gx,
+            cols.T @ gy if ids[1] is not None else None,
+            np.add.reduce(gy, axis=0) if ids[2] is not None else None,
+        )
 
-    return _record(out, (x, w, b), bwd)
+    return _record("conv3x3", out, (x, w, b), bwd)
+
+
+@lru_cache(maxsize=16)
+def _conv3x3_indices(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a zero-padded [c, h+2, w+2] map of the 3x3, stride-2
+    patches of ``conv3x3``, read-only: (gather, scatter).
+
+    ``gather`` [H'W', C*9] lists the patch matrix: row oy*W' + ox, column
+    (ci*3 + i)*3 + j reads padded pixel (ci, 2*oy + i, 2*ox + j). ``scatter``
+    lists the same pixels in [C, 3, 3, H', W'] order, so a ``bincount`` over
+    it adds each padded pixel's terms, from +0.0, in the order of the
+    nine-slice fold ``for i: for j: dp[:, i::2, j::2] += gp[:, i, j]``.
+    """
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    ci, i, j, oy, ox = np.ix_(np.arange(c), np.arange(3), np.arange(3), np.arange(ho), np.arange(wo))
+    idx = (ci * (h + 2) + i + 2 * oy) * (w + 2) + j + 2 * ox
+    scatter = idx.reshape(-1)
+    gather = np.ascontiguousarray(idx.reshape(c * 9, -1).T)
+    scatter.flags.writeable = gather.flags.writeable = False
+    return gather, scatter
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +600,12 @@ def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: 
         box = ((1.0 - giou) * weights.lambda_iou + l1 * weights.lambda_l1).sum()
     out = Tensor(cls + box)
 
-    def bwd(go):
-        gp = np.zeros(probs.data.shape)
-        np.add.at(gp, (rows, cols), np.full(n, float(-go)) * slot_w / clamped * (picked >= _FLOOR))
-        if not g:
+    def bwd(go, ids):
+        gp = None
+        if ids[0] is not None:
+            gp = np.zeros(probs.data.shape)
+            np.add.at(gp, (rows, cols), np.full(n, float(-go)) * slot_w / clamped * (picked >= _FLOOR))
+        if not g or ids[1] is None:
             return (gp, None)
         (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = p.a, p.b
         gv = np.full(g, float(go))
@@ -590,4 +641,4 @@ def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: 
         np.add.at(gb, rows[:g], g_delta + g_corner)
         return (gp, gb)
 
-    return _record(out, (probs, boxes), bwd), float(cls), float(box)
+    return _record("set_loss", out, (probs, boxes), bwd), float(cls), float(box)

@@ -129,7 +129,15 @@ def train(
     lr: float = 1e-3,
 ) -> tuple[dict[str, Tensor], OptimizerState, list[TrainLogRow]]:
     """Train from a fresh init (seeded by ``config.seed``) over the dataset
-    in order; deterministic."""
+    in order; deterministic.
+
+    Raises ContractError before the first step when ``lr <= 0`` or
+    ``null_weight < 0``. A NaN fails both comparisons and passes, so it ends
+    in the first step's NumericError instead.
+    """
+    if lr <= 0 or null_weight < 0:
+        raise ContractError(f"train needs a positive learning rate and a nonnegative null weight, "
+                            f"got lr {lr} and null weight {null_weight}")
     params = init_params(config)
     state = OptimizerState(lr=lr)
     rows: list[TrainLogRow] = []

@@ -10,9 +10,11 @@
   ``numeric.add_layer_norm`` must equal them bit for bit, forward and
   backward;
 - ``im2col``, the general unfold the backbone used before ``numeric.conv3x3``,
-  and ``conv3x3_chain``, a backbone stage as
-  ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; ``numeric.conv3x3``
-  must equal it bit for bit, forward and backward;
+  with its nine strided slice copies and its backward's nine strided ``+=``
+  fold, and ``conv3x3_chain``, a backbone stage as
+  ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; ``numeric.conv3x3``,
+  a gather and an ordered ``bincount`` scatter-add, must equal it bit for bit,
+  forward and backward;
 - ``channel_reduce_chain``, the 1x1 reduction and flatten before
   ``model.channel_reduce`` returned its ``linear`` rows as the tokens:
   ``transpose(reshape(reshape(transpose(linear(...)))))``;
@@ -36,20 +38,22 @@ def sub(a, b) -> Tensor:
     ta, tb, da, db = _as_pair(a, b, "sub")
     out = Tensor(da - db)
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g, -g))
+        return _record("sub", out, (ta, tb), lambda g, ids: (
+            g if ids[0] is not None else None, -g if ids[1] is not None else None))
     if ta is not None:
-        return _record(out, (ta,), lambda g: (g,))
-    return _record(out, (tb,), lambda g: (-g,))
+        return _record("sub", out, (ta,), lambda g, ids: (g,))
+    return _record("sub", out, (tb,), lambda g, ids: (-g,))
 
 
 def div(a, b) -> Tensor:
     ta, tb, da, db = _as_pair(a, b, "div")
     out = Tensor(da / db)
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g / db, -g * da / (db * db)))
+        return _record("div", out, (ta, tb), lambda g, ids: (
+            g / db if ids[0] is not None else None, -g * da / (db * db) if ids[1] is not None else None))
     if ta is not None:
-        return _record(out, (ta,), lambda g: (g / db,))
-    return _record(out, (tb,), lambda g: (-g * da / (db * db),))
+        return _record("div", out, (ta,), lambda g, ids: (g / db,))
+    return _record("div", out, (tb,), lambda g, ids: (-g * da / (db * db),))
 
 
 def maximum(a, b) -> Tensor:
@@ -58,10 +62,11 @@ def maximum(a, b) -> Tensor:
     out = Tensor(np.maximum(da, db))
     mask = da >= db
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
+        return _record("maximum", out, (ta, tb), lambda g, ids: (
+            g * mask if ids[0] is not None else None, g * ~mask if ids[1] is not None else None))
     if ta is not None:
-        return _record(out, (ta,), lambda g: (g * mask,))
-    return _record(out, (tb,), lambda g: (g * ~mask,))
+        return _record("maximum", out, (ta,), lambda g, ids: (g * mask,))
+    return _record("maximum", out, (tb,), lambda g, ids: (g * ~mask,))
 
 
 def minimum(a, b) -> Tensor:
@@ -70,22 +75,23 @@ def minimum(a, b) -> Tensor:
     out = Tensor(np.minimum(da, db))
     mask = da <= db
     if ta is not None and tb is not None:
-        return _record(out, (ta, tb), lambda g: (g * mask, g * ~mask))
+        return _record("minimum", out, (ta, tb), lambda g, ids: (
+            g * mask if ids[0] is not None else None, g * ~mask if ids[1] is not None else None))
     if ta is not None:
-        return _record(out, (ta,), lambda g: (g * mask,))
-    return _record(out, (tb,), lambda g: (g * ~mask,))
+        return _record("minimum", out, (ta,), lambda g, ids: (g * mask,))
+    return _record("minimum", out, (tb,), lambda g, ids: (g * ~mask,))
 
 
 def neg(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "neg")
-    return _record(Tensor(-x.data), (x,), lambda g: (-g,))
+    return _record("neg", Tensor(-x.data), (x,), lambda g, ids: (-g,))
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient sign(x), 0 at the kink."""
     x = _tensor_arg(x, "absolute")
     s = np.sign(x.data)
-    return _record(Tensor(np.abs(x.data)), (x,), lambda g: (g * s,))
+    return _record("absolute", Tensor(np.abs(x.data)), (x,), lambda g, ids: (g * s,))
 
 
 def log(x: Tensor) -> Tensor:
@@ -93,14 +99,14 @@ def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise DomainError(f"log of non-positive value (min entry {x.data.min()!r})")
     d = x.data
-    return _record(Tensor(np.log(d)), (x,), lambda g: (g / d,))
+    return _record("log", Tensor(np.log(d)), (x,), lambda g, ids: (g / d,))
 
 
 def mean(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "mean")
     shape, size = x.data.shape, x.data.size
     out = Tensor(x.data.mean())
-    return _record(out, (x,), lambda g: (np.full(shape, float(g) / size),))
+    return _record("mean", out, (x,), lambda g, ids: (np.full(shape, float(g) / size),))
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -114,12 +120,12 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
 
-    def bwd(g):
+    def bwd(g, ids):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - y * gym),)
 
-    return _record(Tensor(y), (x,), bwd)
+    return _record("layer_norm", Tensor(y), (x,), bwd)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -138,12 +144,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     shape = x.data.shape
     out = Tensor(x.data[sl].copy())
 
-    def bwd(g):
+    def bwd(g, ids):
         z = np.zeros(shape)
         z[sl] = g
         return (z,)
 
-    return _record(out, (x,), bwd)
+    return _record("narrow", out, (x,), bwd)
 
 
 def take_rows(x: Tensor, rows) -> Tensor:
@@ -159,12 +165,12 @@ def take_rows(x: Tensor, rows) -> Tensor:
     shape = x.data.shape
     out = Tensor(x.data[idx])
 
-    def bwd(g):
+    def bwd(g, ids):
         z = np.zeros(shape)
         np.add.at(z, idx, g)
         return (z,)
 
-    return _record(out, (x,), bwd)
+    return _record("take_rows", out, (x,), bwd)
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:
@@ -182,12 +188,12 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     shape = x.data.shape
     out = Tensor(x.data[ri, ci])
 
-    def bwd(g):
+    def bwd(g, ids):
         z = np.zeros(shape)
         np.add.at(z, (ri, ci), g)
         return (z,)
 
-    return _record(out, (x,), bwd)
+    return _record("take_pairs", out, (x,), bwd)
 
 
 # scalar oracles over Box values
@@ -336,7 +342,7 @@ def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
             patches[:, i, j] = padded[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
     out = Tensor(patches.reshape(c * kernel * kernel, ho * wo).T)
 
-    def bwd(g):
+    def bwd(g, ids):
         gp = np.ascontiguousarray(g.T).reshape(c, kernel, kernel, ho, wo)
         dp = np.zeros_like(padded)
         for i in range(kernel):
@@ -346,7 +352,7 @@ def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
             dp = dp[:, pad:-pad, pad:-pad]
         return (dp,)
 
-    return _record(out, (x,), bwd)
+    return _record("im2col", out, (x,), bwd)
 
 
 def conv3x3_chain(x, w, b):

@@ -123,6 +123,15 @@ def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric divergence")
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--null-weight", "-1")])
+def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset, tmp_path, capsys, flag, value):
+    out = tmp_path / "ck"
+    assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "manifest.json").exists() and not (out / "weights.bin").exists()
+
+
 def test_train_knn_zero_runs(dataset, tmp_path):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck0"),
                "--knn-k", "0", *TRAIN_FLAGS) == 0

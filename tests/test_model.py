@@ -240,9 +240,10 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 def test_default_step_tape_record_count():
     # one taped default-config forward plus set loss; the fused conv3x3,
-    # linear, attention, residual layer norm and set loss ops keep this at 108
-    # (112 when the 1x1 reduction moved its rows to a [d, H, W] map and back,
-    # 120 with each backbone stage as im2col, linear, transpose and reshape,
+    # linear, attention, residual layer norm and set loss ops keep this at 102
+    # (108 when the preliminary box head recorded its 3 linear, 2 relu and 1
+    # sigmoid, 112 when the 1x1 reduction moved its rows to a [d, H, W] map
+    # and back, 120 with each backbone stage as im2col, linear, transpose and reshape,
     # 122 with a class head on the preliminary decode, 189 with the layer
     # norms after separate adds and the set loss as 55 elementwise ops, 500
     # with per-head attention plumbing as well)
@@ -256,15 +257,63 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 108
+    assert len(tape) == 102
     assert forward_ops["conv3x3"] == 3
-    assert forward_ops["linear"] == 51
+    assert forward_ops["linear"] == 48
     assert forward_ops["transpose"] == 2
     assert forward_ops["reshape"] == 1
     assert forward_ops["softmax"] == 1
     assert forward_ops["attention"] == 8
     assert forward_ops["add_layer_norm"] == 13
     assert ops - forward_ops == Counter(set_loss=1)
+
+
+def _taped_step(queries: int, max_objects: int):
+    """The tape and loss of one training step's forward and set loss."""
+    cfg = ModelConfig(num_queries=queries)
+    params = init_params(cfg)
+    scene = data.generate_scene(7, data.SceneConfig(max_objects=max_objects))
+    w = LossWeights()
+    with numeric.Tape() as tape:
+        out = forward(scene.image, params, cfg)
+        cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
+        loss = hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1).total
+    return tape, loss
+
+
+def test_every_record_of_a_default_step_is_reached_from_the_loss():
+    tape, loss = _taped_step(16, 3)
+    reached = {loss.node_id}
+    for _, out_id, in_ids, _ in reversed(tape.records):
+        if out_id in reached:
+            reached.update(nid for nid in in_ids if nid is not None)
+    assert [op for op, out_id, _, _ in tape.records if out_id not in reached] == []
+    numeric.backward(loss)
+
+
+@pytest.mark.parametrize("queries, max_objects", [(16, 3), (64, 12)], ids=["default", "crowded"])
+def test_no_rule_computes_a_gradient_for_an_input_without_a_node_id(queries, max_objects):
+    tape, loss = _taped_step(queries, max_objects)
+    skipped = Counter()
+
+    def checked(op, rule):
+        def wrapped(g, in_ids):
+            grads = rule(g, in_ids)
+            assert len(grads) == len(in_ids), op
+            for nid, ig in zip(in_ids, grads):
+                if nid is None:
+                    assert ig is None, f"{op} returned a gradient for an input without a node id"
+                    skipped[op] += 1
+            return grads
+
+        return wrapped
+
+    tape.records[:] = [(op, out_id, in_ids, checked(op, rule)) for op, out_id, in_ids, rule in tape.records]
+    numeric.backward(loss)
+    # the image into the first conv3x3, the neighbour-mean matrix into
+    # aggregate's matmul, and the positional encodings added to the encoder
+    # tokens (2 layers) and to the decoder's memory keys (3 layers)
+    assert skipped == Counter(conv3x3=1, matmul=1, add=5)
 
 
 def test_encoder_shape_token_equivariance_and_degenerate(rng):

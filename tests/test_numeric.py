@@ -496,20 +496,30 @@ def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
         assert got[0][1] == got[0][2]
 
 
-@pytest.mark.parametrize("shape", [(3, 32, 32), (16, 16, 16), (16, 8, 8)], ids=["stage0", "stage1", "stage2"])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 32, 32), (16, 16, 16), (16, 8, 8), (2, 7, 9), (1, 8, 8), (3, 8, 40)],
+    ids=["stage0", "stage1", "stage2", "odd7x9", "one_channel", "8x40"],
+)
 def test_conv3x3_equals_the_chain_bit_for_bit(shape):
-    # the three backbone stages: in the first the input is the image, a
-    # constant to the tape, in the others it takes a gradient; seed 0 draws a
-    # flat map, so every patch of the first stage is equal inside the border
-    c = shape[0]
+    # the three backbone stages and odd, one-channel and wide maps; on even
+    # seeds the input is a constant to the tape, as the image is to the first
+    # stage, on odd seeds it takes a gradient. Seed 0 draws a flat map, so
+    # every patch is equal inside the border; seed 1 switches every ReLU off
+    # under a negative probe, so -0.0 reaches every entry of the conv's gradient
+    c, h, wd = shape
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x0 = np.full(shape, rng.uniform()) if seed == 0 else rng.uniform(-1, 1, shape)
         w0, b0 = rng.uniform(-1, 1, (c * 9, 16)) / 3, rng.standard_normal(16)
-        probe = Tensor(rng.standard_normal((16, shape[1] // 2, shape[2] // 2)))
+        probe = rng.standard_normal((16, (h + 1) // 2, (wd + 1) // 2))
+        if seed == 1:
+            b0, probe = np.full(16, -1e3), -np.abs(probe)
+        probe = Tensor(probe)
         got = []
         for op in (numeric.conv3x3, chain.conv3x3_chain):
-            x, w, b = Tensor(x0, requires_grad=c != 3), Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+            x = Tensor(x0, requires_grad=seed % 2 == 1)
+            w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
             with Tape():
                 y = numeric.relu(op(x, w, b))
                 loss = numeric.sum_all(numeric.mul(y, probe))
