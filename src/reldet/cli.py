@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -111,26 +112,34 @@ def cmd_train(args) -> int:
         raise ContractError("train: --epochs must be positive (nothing to train)")
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out / "train_log.csv"
-    for directory in (out, log_path.parent):
-        directory.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
-    scenes, catalog = load_dataset(args.data)
-    h, w = scenes[0].image.shape[1:]
-    config = ModelConfig(
-        image_size=(h, w),
-        model_dim=args.d_model,
-        num_heads=args.heads,
-        num_encoder_layers=args.enc_layers,
-        num_decoder_layers=args.dec_layers,
-        num_queries=args.queries,
-        num_classes=len(catalog),
-        knn_k=args.knn_k,
-        seed=args.seed,
-    )
-    weights = LossWeights(args.lambda_iou, args.lambda_l1)
-    params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
-    save_checkpoint(out, params, config)
-    write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())
-    write_log(rows, log_path)
+    created = []  # the topmost directories this run makes; a failing run removes them again
+    try:
+        for directory in (out, log_path.parent):
+            missing = [d for d in (directory, *directory.parents) if not d.exists()]
+            created += missing[-1:]
+            directory.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
+        scenes, catalog = load_dataset(args.data)
+        h, w = scenes[0].image.shape[1:]
+        config = ModelConfig(
+            image_size=(h, w),
+            model_dim=args.d_model,
+            num_heads=args.heads,
+            num_encoder_layers=args.enc_layers,
+            num_decoder_layers=args.dec_layers,
+            num_queries=args.queries,
+            num_classes=len(catalog),
+            knn_k=args.knn_k,
+            seed=args.seed,
+        )
+        weights = LossWeights(args.lambda_iou, args.lambda_l1)
+        params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
+        save_checkpoint(out, params, config)
+        write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())
+        write_log(rows, log_path)
+    except BaseException:
+        for directory in created:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
           f"final loss {rows[-1].total:.4f}; checkpoint in {out}")
     return 0

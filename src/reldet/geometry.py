@@ -47,14 +47,12 @@ class Box:
             raise DomainError(f"box has negative size (w={self.w}, h={self.h})")
 
     def to_corners(self) -> tuple[float, float, float, float]:
-        return to_corners(self)
+        """(x1, y1, x2, y2) with x1 <= x2 and y1 <= y2."""
+        return (self.cx - self.w / 2, self.cy - self.h / 2, self.cx + self.w / 2, self.cy + self.h / 2)
 
     def inside_unit(self) -> bool:
         x1, y1, x2, y2 = self.to_corners()
         return 0.0 <= x1 and x2 <= 1.0 and 0.0 <= y1 and y2 <= 1.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h])
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,6 @@ class LossWeights:
             raise ContractError("loss weights must be nonnegative")
         if self.lambda_iou == 0 and self.lambda_l1 == 0:
             raise ContractError("at least one loss weight must be positive")
-
-
-def to_corners(b: Box) -> tuple[float, float, float, float]:
-    """(x1, y1, x2, y2) with x1 <= x2 and y1 <= y2."""
-    return (b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2)
-
-
-def from_corners(x1: float, y1: float, x2: float, y2: float) -> Box:
-    return Box((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
 
 
 def box_rows(boxes) -> np.ndarray:

@@ -189,13 +189,9 @@ def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: Lo
     -log p(class) (down-weighted by ``null_weight`` on the N - G no-object
     slots); real slots add the box loss. Probabilities are clamped to 1e-12
     before the log as a numeric guard. The loss is one ``numeric.set_loss``
-    record.
+    record; ``set_loss`` raises ShapeError when ``assign`` does not cover N
+    slots or G > N.
     """
-    n, g = preds.class_probs.shape[0], len(gt)
-    if len(assign.perm) != n or g > n:
-        raise ContractError(
-            f"assignment covers {len(assign.perm)} slots but got {g} targets and {n} predictions"
-        )
     total, cls, box = numeric.set_loss(preds.class_probs, preds.boxes, assign.perm, [y.class_id for y in gt],
                                        box_rows(y.box for y in gt), null_weight, w)
     return LossBreakdown(total, cls, box)

@@ -16,11 +16,13 @@ forward drops it, and a training step leaves the cyclic garbage collector
 next to nothing to track. ``tape_suspended`` runs code that must not record,
 such as the probes of ``finite_diff_grad``.
 
-Broadcasting is deliberately restricted: binary ops accept two tensors of
-identical shape, or one tensor and one python scalar. Row-vector bias adds
-happen only inside ``linear``, never by silent broadcasting. There is one
-softmax, max-shifted over the last axis, with one backward rule; ``softmax``
-and ``attention`` both use it.
+The primitives are ``add``, ``relu``, ``sigmoid``, ``softmax``, ``matmul``,
+``transpose``, ``reshape`` and ``concat``, plus the five fused ones below:
+the ops the model and its loss are built from. Broadcasting is deliberately
+restricted: the one binary op, ``add``, takes two tensors of identical shape.
+Row-vector bias adds happen only inside ``linear``, never by silent
+broadcasting. There is one softmax, max-shifted over the last axis, with one
+backward rule; ``softmax`` and ``attention`` both use it.
 
 Five fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain:
@@ -104,9 +106,6 @@ class Tensor:
 
     def __float__(self) -> float:
         return self.item()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -253,53 +252,23 @@ def finite_diff_grad(f, x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops (exact shape or python scalar)
-
-
-def _as_pair(a, b, op: str):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
-    if at and bt:
-        if a.data.shape != b.data.shape:
-            raise ShapeError(
-                f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
-                "(only exact-shape tensors or a python scalar are supported)"
-            )
-        return a, b, a.data, b.data
-    if at and isinstance(b, (int, float, np.floating, np.integer)):
-        return a, None, a.data, float(b)
-    if bt and isinstance(a, (int, float, np.floating, np.integer)):
-        return None, b, float(a), b.data
-    raise ContractError(f"{op}: expected Tensor operands, got {type(a).__name__} and {type(b).__name__}")
-
-
-def add(a, b) -> Tensor:
-    ta, tb, da, db = _as_pair(a, b, "add")
-    out = Tensor(da + db)
-    if ta is not None and tb is not None:
-        return _record("add", out, (ta, tb), lambda g, ids: (
-            g if ids[0] is not None else None, g if ids[1] is not None else None))
-    return _record("add", out, (ta if ta is not None else tb,), lambda g, ids: (g,))
-
-
-def mul(a, b) -> Tensor:
-    ta, tb, da, db = _as_pair(a, b, "mul")
-    out = Tensor(da * db)
-    if ta is not None and tb is not None:
-        return _record("mul", out, (ta, tb), lambda g, ids: (
-            g * db if ids[0] is not None else None, g * da if ids[1] is not None else None))
-    if ta is not None:
-        return _record("mul", out, (ta,), lambda g, ids: (g * db,))
-    return _record("mul", out, (tb,), lambda g, ids: (g * da,))
-
-
-# ---------------------------------------------------------------------------
-# unary elementwise ops
+# elementwise ops
 
 
 def _tensor_arg(x, op: str) -> Tensor:
     if not isinstance(x, Tensor):
         raise ContractError(f"{op}: expected a Tensor, got {type(x).__name__}")
     return x
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of identical shape."""
+    a = _tensor_arg(a, "add")
+    b = _tensor_arg(b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ (only exact shapes are supported)")
+    return _record("add", Tensor(a.data + b.data), (a, b), lambda g, ids: (
+        g if ids[0] is not None else None, g if ids[1] is not None else None))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -320,14 +289,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and normalizations
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "sum_all")
-    shape = x.data.shape
-    out = Tensor(x.data.sum())
-    return _record("sum_all", out, (x,), lambda g, ids: (np.full(shape, float(g)),))
+# softmax and the residual layer norm
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -479,9 +441,9 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
             raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
-    sizes = np.cumsum([t.data.shape[-1] for t in ts])[:-1]
+    bounds = np.cumsum([0] + [t.data.shape[-1] for t in ts]).tolist()
     return _record("concat", out, tuple(ts), lambda g, ids: tuple(
-        part if nid is not None else None for nid, part in zip(ids, np.split(g, sizes, axis=-1))))
+        g[..., a:b] if nid is not None else None for nid, a, b in zip(ids, bounds, bounds[1:])))
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

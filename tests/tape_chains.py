@@ -1,9 +1,11 @@
 """The computations the fused primitives replace, kept as test oracles.
 
 - the elementwise tape primitives the set loss and the residual layer norm
-  used to be built from (``sub``, ``div``, ``maximum``, ``minimum``, ``neg``,
-  ``absolute``, ``log``, ``mean``, ``layer_norm``, ``narrow``, ``take_rows``,
-  ``take_pairs``), each with its own backward rule;
+  used to be built from (``add`` and ``mul``, ``sub``, ``div``, ``maximum``
+  and ``minimum``, each over two tensors of one shape or a tensor and a
+  python scalar, and ``neg``, ``absolute``, ``log``, ``sum_all``, ``mean``,
+  ``layer_norm``, ``narrow``, ``take_rows``, ``take_pairs``), each with its
+  own backward rule;
 - ``hungarian_loss_chain``: the set loss as a chain of those ops (55 tape
   records on a 5-object scene), and ``add_layer_norm_chain``, the residual
   layer norm as ``layer_norm(add(x, r))``; ``numeric.set_loss`` and
@@ -20,18 +22,54 @@
   ``transpose(reshape(reshape(transpose(linear(...)))))``;
   ``model.channel_reduce`` must equal it bit for bit, forward and backward;
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
-  ``geometry.box_pairs``.
+  ``geometry.box_pairs``, and ``from_corners``, a ``Box`` from its corners.
 """
 
 import numpy as np
 
 from reldet import numeric
 from reldet.errors import ContractError, DomainError, ShapeError
-from reldet.geometry import Box, LossWeights, to_corners
+from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
-from reldet.numeric import Tensor, _as_pair, _record, _tensor_arg, add, mul
+from reldet.numeric import Tensor, _record, _tensor_arg
 
 _TINY = 1e-12
+
+
+def _as_pair(a, b, op: str):
+    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
+    if at and bt:
+        if a.data.shape != b.data.shape:
+            raise ShapeError(
+                f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
+                "(only exact-shape tensors or a python scalar are supported)"
+            )
+        return a, b, a.data, b.data
+    if at and isinstance(b, (int, float, np.floating, np.integer)):
+        return a, None, a.data, float(b)
+    if bt and isinstance(a, (int, float, np.floating, np.integer)):
+        return None, b, float(a), b.data
+    raise ContractError(f"{op}: expected Tensor operands, got {type(a).__name__} and {type(b).__name__}")
+
+
+def add(a, b) -> Tensor:
+    ta, tb, da, db = _as_pair(a, b, "add")
+    out = Tensor(da + db)
+    if ta is not None and tb is not None:
+        return _record("add", out, (ta, tb), lambda g, ids: (
+            g if ids[0] is not None else None, g if ids[1] is not None else None))
+    return _record("add", out, (ta if ta is not None else tb,), lambda g, ids: (g,))
+
+
+def mul(a, b) -> Tensor:
+    ta, tb, da, db = _as_pair(a, b, "mul")
+    out = Tensor(da * db)
+    if ta is not None and tb is not None:
+        return _record("mul", out, (ta, tb), lambda g, ids: (
+            g * db if ids[0] is not None else None, g * da if ids[1] is not None else None))
+    if ta is not None:
+        return _record("mul", out, (ta,), lambda g, ids: (g * db,))
+    return _record("mul", out, (tb,), lambda g, ids: (g * da,))
 
 
 def sub(a, b) -> Tensor:
@@ -100,6 +138,13 @@ def log(x: Tensor) -> Tensor:
         raise DomainError(f"log of non-positive value (min entry {x.data.min()!r})")
     d = x.data
     return _record("log", Tensor(np.log(d)), (x,), lambda g, ids: (g / d,))
+
+
+def sum_all(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "sum_all")
+    shape = x.data.shape
+    out = Tensor(x.data.sum())
+    return _record("sum_all", out, (x,), lambda g, ids: (np.full(shape, float(g)),))
 
 
 def mean(x: Tensor) -> Tensor:
@@ -199,9 +244,13 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
 # scalar oracles over Box values
 
 
+def from_corners(x1: float, y1: float, x2: float, y2: float) -> Box:
+    return Box((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+
+
 def _areas(a: Box, b: Box):
-    ax1, ay1, ax2, ay2 = to_corners(a)
-    bx1, by1, bx2, by2 = to_corners(b)
+    ax1, ay1, ax2, ay2 = a.to_corners()
+    bx1, by1, bx2, by2 = b.to_corners()
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     inter = iw * ih if (iw > 0 and ih > 0) else 0.0
@@ -249,13 +298,13 @@ def box_loss(b: Box, bhat: Box, w: LossWeights) -> float:
 def _corner_cols(t: Tensor):
     cx = narrow(t, 1, 0, 1)
     cy = narrow(t, 1, 1, 1)
-    hw = numeric.mul(narrow(t, 1, 2, 1), 0.5)
-    hh = numeric.mul(narrow(t, 1, 3, 1), 0.5)
+    hw = mul(narrow(t, 1, 2, 1), 0.5)
+    hh = mul(narrow(t, 1, 3, 1), 0.5)
     return (
         sub(cx, hw),
         sub(cy, hh),
-        numeric.add(cx, hw),
-        numeric.add(cy, hh),
+        add(cx, hw),
+        add(cy, hh),
     )
 
 
@@ -269,14 +318,14 @@ def giou_pairwise(a, b) -> Tensor:
     bx1, by1, bx2, by2 = _corner_cols(bt)
     iw = numeric.relu(sub(minimum(ax2, bx2), maximum(ax1, bx1)))
     ih = numeric.relu(sub(minimum(ay2, by2), maximum(ay1, by1)))
-    inter = numeric.mul(iw, ih)
-    area_a = numeric.mul(sub(ax2, ax1), sub(ay2, ay1))
-    area_b = numeric.mul(sub(bx2, bx1), sub(by2, by1))
-    union = sub(numeric.add(area_a, area_b), inter)
+    inter = mul(iw, ih)
+    area_a = mul(sub(ax2, ax1), sub(ay2, ay1))
+    area_b = mul(sub(bx2, bx1), sub(by2, by1))
+    union = sub(add(area_a, area_b), inter)
     iou_col = div(inter, maximum(union, _TINY))
     ew = sub(maximum(ax2, bx2), minimum(ax1, bx1))
     eh = sub(maximum(ay2, by2), minimum(ay1, by1))
-    enclose = numeric.mul(ew, eh)
+    enclose = mul(ew, eh)
     slack = div(sub(enclose, union), maximum(enclose, _TINY))
     return numeric.reshape(sub(iou_col, slack), (at.shape[0],))
 
@@ -287,10 +336,10 @@ def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
     if b_arr.shape != bhat.shape:
         raise ContractError(f"box_loss_pairwise shapes differ: {b_arr.shape} vs {bhat.shape}")
     g = giou_pairwise(Tensor(b_arr), bhat)
-    giou_term = numeric.mul(sub(1.0, g), w.lambda_iou)
+    giou_term = mul(sub(1.0, g), w.lambda_iou)
     diffs = absolute(sub(bhat, Tensor(b_arr)))
     l1 = numeric.reshape(numeric.matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
-    return numeric.add(giou_term, numeric.mul(l1, w.lambda_l1))
+    return add(giou_term, mul(l1, w.lambda_l1))
 
 
 def hungarian_loss_chain(gt, preds, assign, w: LossWeights, null_weight: float = 0.1) -> LossBreakdown:
@@ -304,10 +353,10 @@ def hungarian_loss_chain(gt, preds, assign, w: LossWeights, null_weight: float =
     slot_w[:g] = 1.0
     picked = take_pairs(probs, rows, cols)
     logp = log(maximum(picked, 1e-12))
-    cls_term = neg(numeric.sum_all(mul(logp, Tensor(slot_w))))
+    cls_term = neg(sum_all(mul(logp, Tensor(slot_w))))
     if g:
         gt_rows = np.array([[y.box.cx, y.box.cy, y.box.w, y.box.h] for y in gt])
-        box_term = numeric.sum_all(box_loss_pairwise(gt_rows, take_rows(boxes, rows[:g]), w))
+        box_term = sum_all(box_loss_pairwise(gt_rows, take_rows(boxes, rows[:g]), w))
     else:
         box_term = Tensor(0.0)
     total = add(cls_term, box_term)

@@ -123,13 +123,25 @@ def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric divergence")
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--null-weight", "-1")])
+@pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--null-weight", "-1"),
+                                         ("--lambda-iou", "-1"), ("--heads", "3"), ("--queries", "0")])
 def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset, tmp_path, capsys, flag, value):
+    # a rejected run removes the output directory it made
     out = tmp_path / "ck"
     assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert not (out / "manifest.json").exists() and not (out / "weights.bin").exists()
+    assert not out.exists()
+
+
+def test_rejected_train_keeps_the_directories_it_did_not_make(dataset, tmp_path):
+    out = tmp_path / "ck"
+    out.mkdir()
+    (out / "keep.txt").write_text("made before the run")
+    log = tmp_path / "logs" / "deep" / "run.csv"
+    assert run("train", "--data", str(dataset), "--out", str(out), "--log", str(log), *TRAIN_FLAGS, "--lr", "-1") == 2
+    assert (out / "keep.txt").read_text() == "made before the run"
+    assert not (tmp_path / "logs").exists()
 
 
 def test_train_knn_zero_runs(dataset, tmp_path):
@@ -314,9 +326,8 @@ def test_selftest_broken_gradient_exits_1(monkeypatch, capsys):
 
     def broken_sigmoid(x):
         y = real_sigmoid(x)
-        # forward value is preserved, but half the gradient leaks away
-        frozen = Tensor(0.5 * y.data)
-        return numeric.add(numeric.mul(y, 0.5), frozen)
+        # forward value is preserved (2y - y is exact), but the gradient doubles
+        return numeric.add(numeric.add(y, y), Tensor(-y.data))
 
     monkeypatch.setattr(numeric, "sigmoid", broken_sigmoid)
     assert run("selftest", "--seed", "0") == 1

@@ -13,12 +13,12 @@ from reldet.evaluation import (
     extract_detections,
     match_detections,
 )
-from reldet.geometry import Box, from_corners
+from reldet.geometry import Box
 from reldet.matching import GroundTruth
 from reldet.model import DetectionOutput
 from reldet.numeric import Tensor
 
-from tape_chains import iou
+from tape_chains import from_corners, iou
 
 
 def det(cid, conf, box):

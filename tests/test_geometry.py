@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from reldet import numeric
 from reldet.errors import ContractError, DomainError
-from reldet.geometry import Box, LossWeights, box_pairs, box_rows, from_corners, to_corners
+from reldet.geometry import Box, LossWeights, box_pairs, box_rows
 from reldet.numeric import Tensor
 
 from conftest import gradcheck
-from tape_chains import box_loss, giou, iou
+from tape_chains import box_loss, from_corners, giou, iou
 
 
 def random_box(rng, lo=0.02, hi=0.45):
@@ -20,9 +20,9 @@ def random_box(rng, lo=0.02, hi=0.45):
 
 
 def test_to_corners_cases():
-    assert to_corners(Box(0.5, 0.5, 1.0, 1.0)) == (0.0, 0.0, 1.0, 1.0)
-    assert to_corners(Box(0.5, 0.5, 0.0, 0.0)) == (0.5, 0.5, 0.5, 0.5)
-    assert to_corners(Box(0.25, 0.25, 0.5, 0.5)) == (0.0, 0.0, 0.5, 0.5)
+    assert Box(0.5, 0.5, 1.0, 1.0).to_corners() == (0.0, 0.0, 1.0, 1.0)
+    assert Box(0.5, 0.5, 0.0, 0.0).to_corners() == (0.5, 0.5, 0.5, 0.5)
+    assert Box(0.25, 0.25, 0.5, 0.5).to_corners() == (0.0, 0.0, 0.5, 0.5)
 
 
 def test_box_rejects_negative_size():
@@ -118,8 +118,8 @@ def test_tensor_path_matches_scalar_path(rng):
     w = LossWeights(2.0, 5.0)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        assert box_pairs([a.as_array()], [b.as_array()]).giou()[0] == giou(a, b)
-        l_tensor = _box_term(a, Tensor(b.as_array()[None, :]), w)
+        assert box_pairs(box_rows([a]), box_rows([b])).giou()[0] == giou(a, b)
+        l_tensor = _box_term(a, Tensor(box_rows([b])), w)
         assert float(l_tensor) == pytest.approx(box_loss(a, b, w), abs=1e-12)
 
 
@@ -127,14 +127,14 @@ def test_box_loss_gradient_matches_fd(rng):
     w = LossWeights(2.0, 5.0)
     for trial in range(10):
         b = random_box(rng)
-        bh_data = random_box(rng).as_array()[None, :]
+        bh_data = box_rows([random_box(rng)])
         gradcheck(lambda t: numeric.reshape(_box_term(b, t, w), (1,)), bh_data, rng=rng,
                   label=f"box_loss trial {trial}")
 
 
 def test_giou_pairwise_batch_consistency(rng):
-    a = np.stack([random_box(rng).as_array() for _ in range(64)])
-    b = np.stack([random_box(rng).as_array() for _ in range(64)])
+    a = box_rows([random_box(rng) for _ in range(64)])
+    b = box_rows([random_box(rng) for _ in range(64)])
     rows, grid = box_pairs(a, b), box_pairs(a, b, grid=True)
     for i in range(64):
         assert rows.giou()[i] == giou(Box(*a[i]), Box(*b[i]))

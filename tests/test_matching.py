@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from reldet import numeric
 from reldet.errors import CapacityError, ContractError, DomainError, ShapeError
-from reldet.geometry import Box, LossWeights
+from reldet.geometry import Box, LossWeights, box_rows
 from reldet.matching import (
     Assignment,
     GroundTruth,
@@ -60,7 +60,7 @@ def test_more_targets_than_predictions_is_capacity_error(rng):
 
 def test_match_cost_perfect_and_mixed():
     b = Box(0.25, 0.25, 0.5, 0.5)
-    perfect = build_cost_matrix([GroundTruth(0, b)], np.array([[1.0, 0.0]]), np.array([b.as_array()]), W)
+    perfect = build_cost_matrix([GroundTruth(0, b)], np.array([[1.0, 0.0]]), box_rows([b]), W)
     assert perfect.tolist() == [[-1.0]]
 
     # box pair with box_loss 2.5 under weights (1, 1), probability 1/2
@@ -91,7 +91,7 @@ def test_cost_matrix_equals_scalar_oracle_bit_for_bit_on_random_boxes(seed):
     gts = [GroundTruth(int(c), Box(*row)) for c, row in zip(rng.integers(0, 3, g), random_boxes(rng, g))]
     probs, boxes = random_probs(rng, n), random_boxes(rng, n)
     # predictions that repeat a target exactly
-    boxes[:g] = [y.box.as_array() for y in gts]
+    boxes[:g] = box_rows(y.box for y in gts)
     for w in (W, LossWeights(1.0, 0.0), LossWeights(0.0, 3.0)):
         assert build_cost_matrix(gts, probs, boxes, w).tobytes() == scalar_cost_matrix(gts, probs, boxes, w).tobytes()
 
@@ -252,7 +252,7 @@ def test_assignment_validates_permutation():
 def test_hungarian_loss_perfect_prediction_is_zero():
     b = Box(0.25, 0.25, 0.5, 0.5)
     probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    boxes = Tensor(np.array([b.as_array(), [0.0, 0.0, 0.0, 0.0]]))
+    boxes = Tensor(np.vstack([box_rows([b]), np.zeros((1, 4))]))
     gts = [GroundTruth(0, b)]
     loss = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0, 1), 0.0), W, null_weight=1.0).total
     # p = 1 on both slots is clamped log(1) = 0; matched box is exact
@@ -276,6 +276,16 @@ def test_hungarian_loss_parts_add_up(rng):
     out = FakeOutput(Tensor(probs_data), Tensor(boxes_data))
     parts = hungarian_loss_terms(gts, out, Assignment((2, 0, 1, 3), 0.0), W, null_weight=0.1)
     assert float(parts.total) == pytest.approx(parts.cls + parts.box, abs=1e-12)
+
+
+def test_hungarian_loss_rejects_an_assignment_that_misses_slots(rng):
+    gts = [GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2)), GroundTruth(1, Box(0.7, 0.6, 0.3, 0.2))]
+    out = FakeOutput(Tensor(random_probs(rng, 3, 2)), Tensor(random_boxes(rng, 3)))
+    with pytest.raises(ShapeError):  # a short permutation
+        hungarian_loss_terms(gts, out, Assignment((1, 0), 0.0), W)
+    one = FakeOutput(Tensor(random_probs(rng, 1, 2)), Tensor(random_boxes(rng, 1)))
+    with pytest.raises(ShapeError):  # more targets than predictions
+        hungarian_loss_terms(gts, one, Assignment((0,), 0.0), W)
 
 
 def test_hungarian_loss_gradient_matches_fd(rng):

@@ -116,7 +116,7 @@ def test_channel_reduce_equals_the_chain_bit_for_bit(cfg):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         f0 = np.maximum(rng.standard_normal((c, fh, fw)), 0.0)
-        probe = Tensor(rng.standard_normal((cfg.num_tokens, cfg.model_dim)))
+        probe = rng.standard_normal((cfg.num_tokens, cfg.model_dim))
         got = []
         for reduce in (channel_reduce, lambda f, p: chain.channel_reduce_chain(f, p["reduce.weight"], p["reduce.bias"])):
             params = init_params(cfg)
@@ -124,7 +124,7 @@ def test_channel_reduce_equals_the_chain_bit_for_bit(cfg):
             with numeric.Tape():
                 tokens = reduce(f, params)
                 memory = encoder_forward(tokens, pe, params, cfg)
-                loss = numeric.sum_all(numeric.mul(memory, probe))
+                loss = checks.probe_loss(memory, probe)
             numeric.backward(loss)
             got.append([a.tobytes() for a in (tokens.data, memory.data, f.grad, params["reduce.weight"].grad,
                                               params["reduce.bias"].grad, model.arena_of(params, "grad"))])
@@ -205,7 +205,7 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
         qh = chain.narrow(qp, 1, h * dh, dh)
         kh = chain.narrow(kp, 1, h * dh, dh)
         vh = chain.narrow(vp, 1, h * dh, dh)
-        scores = numeric.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
+        scores = chain.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
         heads.append(numeric.matmul(numeric.softmax(scores), vh))
     mixed = heads[0] if num_heads == 1 else numeric.concat(heads)
     return numeric.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
@@ -218,7 +218,7 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
     cfg = ModelConfig()
     x = rng.standard_normal((num_queries, cfg.model_dim))
     memory = rng.standard_normal((16, cfg.model_dim))
-    probe = Tensor(rng.standard_normal((num_queries, cfg.model_dim)))
+    probe = rng.standard_normal((num_queries, cfg.model_dim))
     prefix = "decoder.0.cross_attn"
     biases = {f"{prefix}.{b}": 0.1 * rng.standard_normal(cfg.model_dim) for b in ("bq", "bk", "bv", "bo")}
     results = []
@@ -229,7 +229,7 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
         q, kv = Tensor(x, requires_grad=True), Tensor(memory, requires_grad=True)
         with numeric.Tape():
             out = attend(q, kv, kv, params, prefix, num_heads)
-            loss = numeric.sum_all(numeric.mul(out, probe))
+            loss = checks.probe_loss(out, probe)
         numeric.backward(loss)
         grads = {name: p.grad for name, p in params.items() if name.startswith(prefix)}
         results.append({"out": out.data, "q": q.grad, "kv": kv.grad, **grads})

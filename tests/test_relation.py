@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reldet import numeric
+from reldet import checks, numeric
 from reldet.errors import ContractError, ShapeError
 from reldet.numeric import Tape, Tensor
 from reldet.relation import RelationGraph, aggregate, build_knn_graph, neighbor_mean_matrix
@@ -167,10 +167,10 @@ def test_aggregate_gradients_match_fd(rng):
     feats0 = rng.standard_normal((n, d)) + 0.3
     w0 = rng.standard_normal((d, 2 * d))
     b0 = rng.standard_normal(d)
-    probe = Tensor(rng.standard_normal((n, d)))
+    probe = rng.standard_normal((n, d))
 
     def though_feats(f):
-        return numeric.sum_all(numeric.mul(aggregate(f, g, Tensor(w0), Tensor(b0)), probe))
+        return checks.probe_loss(aggregate(f, g, Tensor(w0), Tensor(b0)), probe)
 
     feats = Tensor(feats0, requires_grad=True)
     with Tape():
@@ -180,7 +180,7 @@ def test_aggregate_gradients_match_fd(rng):
     assert_grad_close(feats.grad, fd.data, rtol=1e-4, label="aggregate/features")
 
     def through_weight(wt):
-        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, wt, Tensor(b0)), probe))
+        return checks.probe_loss(aggregate(Tensor(feats0), g, wt, Tensor(b0)), probe)
 
     wt = Tensor(w0, requires_grad=True)
     with Tape():
@@ -190,7 +190,7 @@ def test_aggregate_gradients_match_fd(rng):
     assert_grad_close(wt.grad, fd.data, rtol=1e-4, label="aggregate/weight")
 
     def through_bias(bt):
-        return numeric.sum_all(numeric.mul(aggregate(Tensor(feats0), g, Tensor(w0), bt), probe))
+        return checks.probe_loss(aggregate(Tensor(feats0), g, Tensor(w0), bt), probe)
 
     bt = Tensor(b0, requires_grad=True)
     with Tape():

@@ -204,8 +204,8 @@ def test_step_with_identically_zero_gradient_keeps_params():
     state = OptimizerState()
     with numeric.Tape():
         probe = Tensor(np.array([2.0]), requires_grad=True)
-        _ = numeric.mul(params["w"], 1.0)  # on tape, but unused by the loss
-        loss = numeric.sum_all(numeric.mul(probe, probe))
+        _ = chain.mul(params["w"], 1.0)  # on tape, but unused by the loss
+        loss = chain.sum_all(chain.mul(probe, probe))
     numeric.backward(loss)
     adam_step(params, state)
     np.testing.assert_array_equal(params["w"].data, [1.5])
