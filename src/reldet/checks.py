@@ -76,6 +76,12 @@ def op_cases(rng) -> list:
     bias = Tensor(rng.standard_normal(2))
     keys = Tensor(rng.standard_normal((5, 4)))
     values = Tensor(rng.standard_normal((5, 4)))
+    proj = [Tensor(rng.standard_normal(shape) / 2) for shape in [(4, 4), (4,)] * 4]  # wq, bq, ..., wo, bo
+    # a 4 -> 5 -> 2 perceptron whose hidden pre-activations stay within 1 of +-3: clear of the
+    # relu kink, with units on both sides of it
+    rows = rng.uniform(-0.5, 0.5, (3, 4))
+    w0, b0 = Tensor(rng.uniform(-0.5, 0.5, (4, 5))), Tensor(np.array([3.0, -3.0, 3.0, -3.0, 3.0]))
+    top = [Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal(2))]
     # set loss: 5 predictions, 2 classes + no object, 3 targets; boxes that overlap
     # their targets in general position, probabilities away from the 1e-12 clamp
     probs = rng.uniform(0.2, 1.0, (5, 3))
@@ -89,10 +95,17 @@ def op_cases(rng) -> list:
     def set_loss(p, b):
         return numeric.set_loss(p, b, perm, classes, targets, 0.3, weights)[0]
 
+    def mlp_cases(squash):
+        tag = "mlp+sigmoid" if squash else "mlp"
+        return [
+            (f"{tag}/x", lambda x: numeric.mlp(x, [w0, b0, *top], squash), rows),
+            (f"{tag}/w", lambda w: numeric.mlp(Tensor(rows), [w, b0, *top], squash), w0.data),
+            (f"{tag}/b", lambda b: numeric.mlp(Tensor(rows), [w0, b, *top], squash), b0.data),
+        ]
+
     return [
         ("add", lambda x: numeric.add(x, const), mat),
         ("relu", numeric.relu, off(mat)),
-        ("sigmoid", numeric.sigmoid, mat),
         ("matmul", lambda x: numeric.matmul(x, rhs), mat),
         ("softmax", numeric.softmax, mat),
         ("concat", lambda x: numeric.concat([x, const]), mat),
@@ -101,9 +114,13 @@ def op_cases(rng) -> list:
         ("linear/x", lambda x: numeric.linear(x, rhs, bias), mat),
         ("linear/w", lambda w: numeric.linear(const, w, bias), rhs.data),
         ("linear/b", lambda b: numeric.linear(const, rhs, b), bias.data),
-        ("attention/q", lambda q: numeric.attention(q, keys, values, 2), mat),
-        ("attention/k", lambda k: numeric.attention(const, k, values, 2), keys.data),
-        ("attention/v", lambda v: numeric.attention(const, keys, v, 2), values.data),
+        ("mha/q", lambda q: numeric.mha(q, keys, values, proj, 2), mat),
+        ("mha/k", lambda k: numeric.mha(const, k, values, proj, 2), keys.data),
+        ("mha/v", lambda v: numeric.mha(const, keys, v, proj, 2), values.data),
+        ("mha/wq", lambda w: numeric.mha(const, keys, values, [w, *proj[1:]], 2), proj[0].data),
+        ("mha/bv", lambda b: numeric.mha(const, keys, values, [*proj[:5], b, *proj[6:]], 2), proj[5].data),
+        *mlp_cases(False),
+        *mlp_cases(True),
         ("add_layer_norm/x", lambda x: numeric.add_layer_norm(x, const), mat),
         ("add_layer_norm/r", lambda r: numeric.add_layer_norm(const, r), mat),
         ("set_loss/probs", lambda p: set_loss(p, Tensor(boxes)), probs),

@@ -9,11 +9,13 @@ query's features with its neighbors', and one further decoder layer refines
 the relation-fixed embeddings before the prediction heads.
 
 Positional encodings are added to attention queries and keys only, never to
-values, at every layer. Attention projects queries, keys and values with one
-``numeric.linear`` each, runs every head in one ``numeric.attention`` op
-(heads are column blocks of width d / num_heads; per head softmax(Q K^T /
-sqrt(d / num_heads)) V, batched over heads) and maps the concatenated heads
-through an output ``linear``.
+values, at every layer; they are computed once per token count and width and
+shared read-only. Each attention sublayer is one ``numeric.mha`` record: it
+projects queries, keys and values, runs every head (heads are column blocks
+of width d / num_heads; per head softmax(Q K^T / sqrt(d / num_heads)) V,
+batched over heads) and maps the concatenated heads through the output
+projection. Each feed-forward block, and the box head, is one
+``numeric.mlp`` record.
 
 Parameters live in an ordered name -> Tensor dict whose tensors are views
 into one C-contiguous float64 buffer, the parameter arena, laid out in
@@ -27,7 +29,9 @@ permutation in ``checks.equivariance_deviations``, refused by ``arena_of``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +90,17 @@ class DetectionOutput:
 
     class_probs: Tensor
     boxes: Tensor
+
+
+_MHA_PROJ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # the order numeric.mha takes them in
+_FFN_LAYERS = ("w1", "b1", "w2", "b2")
+_BOX_LAYERS = ("w0", "b0", "w1", "b1", "w2", "b2")
+
+
+@lru_cache(maxsize=64)
+def _param_getter(prefix: str, names: tuple) -> operator.itemgetter:
+    """Reads the parameters ``prefix.name`` for ``names``, in order, from a parameter dict as a tuple."""
+    return operator.itemgetter(*(f"{prefix}.{name}" for name in names))
 
 
 def _attention_param_names(prefix: str, d: int):
@@ -224,7 +239,13 @@ def channel_reduce(f: Tensor, params) -> Tensor:
 
 
 def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
-    """Fixed sin/cos positional encodings over a flat position index."""
+    """Fixed sin/cos positional encodings over a flat position index, as a
+    constant tensor over the read-only table that ``_pe_table`` shares."""
+    return Tensor(_pe_table(num_positions, d))
+
+
+@lru_cache(maxsize=16)
+def _pe_table(num_positions: int, d: int) -> np.ndarray:
     if d % 2:
         raise ContractError(f"positional encoding width must be even, got {d}")
     pos = np.arange(num_positions)[:, None]
@@ -233,22 +254,18 @@ def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
     pe = np.empty((num_positions, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
-    return Tensor(pe)
+    pe.flags.writeable = False
+    return pe
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, prefix: str, num_heads: int) -> Tensor:
-    """Project q, k, v, attend with all heads in one op, project the result;
-    ``numeric.linear`` and ``numeric.attention`` check the widths."""
-    qp = numeric.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    kp = numeric.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    mixed = numeric.attention(qp, kp, vp, num_heads)
-    return numeric.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    """Project q, k, v, attend with all heads and project the result, as one
+    ``numeric.mha`` record, which checks the widths."""
+    return numeric.mha(q, k, v, _param_getter(prefix, _MHA_PROJ)(params), num_heads)
 
 
 def _ffn(x: Tensor, params, prefix: str) -> Tensor:
-    h = numeric.relu(numeric.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return numeric.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return numeric.mlp(x, _param_getter(prefix, _FFN_LAYERS)(params))
 
 
 def _encoder_layer(x: Tensor, pe: Tensor, params, prefix: str, heads: int) -> Tensor:
@@ -301,10 +318,7 @@ def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config:
 
 def box_head(embeddings: Tensor, params) -> Tensor:
     """3-layer MLP with hidden width d, sigmoid into (0, 1)^4."""
-    h = embeddings
-    for i in range(2):
-        h = numeric.relu(numeric.linear(h, params[f"box_head.w{i}"], params[f"box_head.b{i}"]))
-    return numeric.sigmoid(numeric.linear(h, params["box_head.w2"], params["box_head.b2"]))
+    return numeric.mlp(embeddings, _param_getter("box_head", _BOX_LAYERS)(params), squash=True)
 
 
 def predict_heads(embeddings: Tensor, params) -> DetectionOutput:

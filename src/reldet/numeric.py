@@ -16,16 +16,17 @@ forward drops it, and a training step leaves the cyclic garbage collector
 next to nothing to track. ``tape_suspended`` runs code that must not record,
 such as the probes of ``finite_diff_grad``.
 
-The primitives are ``add``, ``relu``, ``sigmoid``, ``softmax``, ``matmul``,
-``transpose``, ``reshape`` and ``concat``, plus the five fused ones below:
+The primitives are ``add``, ``relu``, ``softmax``, ``matmul``,
+``transpose``, ``reshape`` and ``concat``, plus the seven fused ones below:
 the ops the model and its loss are built from. Broadcasting is deliberately
 restricted: the one binary op, ``add``, takes two tensors of identical shape.
-Row-vector bias adds happen only inside ``linear``, never by silent
+Row-vector bias adds happen only inside the fused affine ops, never by silent
 broadcasting. There is one softmax, max-shifted over the last axis, with one
-backward rule; ``softmax`` and ``attention`` both use it.
+backward rule; ``softmax`` and ``mha`` both use it.
 
-Five fused primitives record one tape entry for what would otherwise be a
-chain of small ops, with the same forward bits as that chain:
+Seven fused primitives record one tape entry for what would otherwise be a
+chain of small ops, with the same forward bits as that chain and, for every
+input, the same gradient bits:
 
 - ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
   backward ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, the last the
@@ -38,11 +39,17 @@ chain of small ops, with the same forward bits as that chain:
   adds each padded pixel's terms, starting from +0.0, in the kernel-offset
   order of the nine-slice fold it replaces, so the bits, -0.0 included, are
   that fold's.
-- ``attention(qp, kp, vp, num_heads)``: multi-head scaled dot-product
-  attention of projected queries [n, d] over projected keys and values
-  [m, d]. The heads are column blocks of width d / num_heads, computed as one
-  batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after the product, a
-  max-shifted softmax over the keys and one batched product with V.
+- ``mha(q, k, v, proj, num_heads)``: multi-head attention, as the chain of a
+  ``linear`` projection each of the [n, d] queries and the [m, d] keys and
+  values, scaled dot-product attention over the projections and an output
+  ``linear``. The heads are column blocks of width d / num_heads, computed
+  as one batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after the
+  product, a max-shifted softmax over the keys and one batched product with
+  V. The gradients come back one per input in input order, so an input
+  passed as both q and k gets the sum of its two gradients, as it did from
+  the chain's two projection records.
+- ``mlp(x, layers, squash)``: ``linear (relu linear)*`` with an optional
+  final sigmoid, the transformer's feed-forward blocks and the box head.
 - ``add_layer_norm(x, r)``: the residual layer norm ``layer_norm(x + r)``
   over the last axis; both operands get the same gradient.
 - ``set_loss(probs, boxes, ...)``: DETR's set-prediction loss under a fixed
@@ -65,6 +72,7 @@ from .errors import ContractError, ShapeError
 from .geometry import box_pairs
 
 _LN_EPS = 1e-5  # added to the variance in add_layer_norm
+_NONES = (None, None, None)  # the node ids of an off-tape (input, weight, bias), or their gradients
 _FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 
@@ -277,15 +285,11 @@ def relu(x: Tensor) -> Tensor:
     return _record("relu", Tensor(x.data * mask), (x,), lambda g, ids: (g * mask,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "sigmoid")
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    y[~pos] = e / (1.0 + e)
-    return _record("sigmoid", Tensor(y), (x,), lambda g, ids: (g * y * (1.0 - y),))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) for z >= 0 (-0.0 included) and exp(z) / (1 + exp(z))
+    below, both from one e = exp(-|z|), so neither branch overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +297,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -354,6 +360,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g @ db.T if ids[0] is not None else None, da.T @ g if ids[1] is not None else None))
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b[None, :]``, with the bias added in place: the same IEEE operations."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, ids) -> tuple:
+    """Gradients at (x, w, b) of ``_affine(x, w, b)`` given the gradient g at
+    its output; None for each of the three whose node id in ``ids`` is None."""
+    return (
+        g @ w.T if ids[0] is not None else None,
+        x.T @ g if ids[1] is not None else None,
+        np.add.reduce(g, axis=0) if ids[2] is not None else None,
+    )
+
+
+def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
+    """The output width of an affine map of ``width``-wide rows by (w, b); raises ShapeError."""
+    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != width or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
+    return w.shape[1]
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of an [m, k] matrix; the length-n bias b is
     added to every row of the [m, n] product."""
@@ -361,58 +391,132 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     w = _tensor_arg(w, "linear")
     b = _tensor_arg(b, "linear")
     dx, dw = x.data, w.data
-    if dx.ndim != 2 or dw.ndim != 2 or b.data.ndim != 1 or dx.shape[1] != dw.shape[0] or dw.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
-    out = Tensor(dx @ dw + b.data[None, :])
-    return _record("linear", out, (x, w, b), lambda g, ids: (
-        g @ dw.T if ids[0] is not None else None,
-        dx.T @ g if ids[1] is not None else None,
-        np.add.reduce(g, axis=0) if ids[2] is not None else None,
-    ))
+    if dx.ndim != 2:
+        raise ShapeError(f"linear needs a rank-2 input, got shape {dx.shape}")
+    _check_affine("linear", dx.shape[1], dw, b.data)
+    return _record("linear", Tensor(_affine(dx, dw, b.data)), (x, w, b), lambda g, ids: _affine_grads(dx, dw, g, ids))
 
 
-def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of [n, d] queries over [m, d]
-    keys and values.
+def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int) -> Tensor:
+    """Multi-head attention of [n, d] queries over [m, d] keys and values, as one record.
 
-    Head h owns columns [h*dh, (h+1)*dh) with dh = d / num_heads, and writes
-    softmax(Q_h K_h^T / sqrt(dh)) V_h into the same columns of the [n, d]
-    output; the scale multiplies the product and the softmax over the keys
-    is max-shifted. All heads run as one batched product each way.
+    ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo), each w [d, d] and b [d].
+    Head h owns columns [h*dh, (h+1)*dh) of the projections, dh = d /
+    num_heads, and writes softmax(Q_h K_h^T / sqrt(dh)) V_h into the same
+    columns of the map that wo and bo project to the output; the scale
+    multiplies the product, the softmax is max-shifted, and all heads run as
+    one batched product each way. Forward and backward keep the IEEE
+    operations, operand layouts and BLAS shapes of the chain of a ``linear``
+    per projection around one attention record, so the output and every
+    gradient are that chain's bits. Only an input passed as q, k and v at
+    once would sum its three gradients in another order; the model passes
+    none so.
     """
-    qp = _tensor_arg(qp, "attention")
-    kp = _tensor_arg(kp, "attention")
-    vp = _tensor_arg(vp, "attention")
-    if qp.data.ndim != 2 or kp.data.ndim != 2 or kp.data.shape != vp.data.shape or qp.data.shape[1] != kp.data.shape[1]:
-        raise ShapeError(f"attention shapes disagree: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}")
-    (n, d), m = qp.data.shape, kp.data.shape[0]
+    q = _tensor_arg(q, "mha")
+    k = _tensor_arg(k, "mha")
+    v = _tensor_arg(v, "mha")
+    proj = [_tensor_arg(t, "mha") for t in proj]
+    if len(proj) != 8:
+        raise ContractError(f"mha needs 8 projection tensors (wq, bq, wk, bk, wv, bv, wo, bo), got {len(proj)}")
+    xq, xk, xv = q.data, k.data, v.data
+    if xq.ndim != 2 or xk.ndim != 2 or xk.shape != xv.shape or xq.shape[1] != xk.shape[1]:
+        raise ShapeError(f"mha shapes disagree: q {xq.shape}, k {xk.shape}, v {xv.shape}")
+    (n, d), m = xq.shape, xk.shape[0]
     if num_heads < 1 or d % num_heads:
-        raise ShapeError(f"attention: width {d} not divisible by {num_heads} heads")
+        raise ShapeError(f"mha: width {d} not divisible by {num_heads} heads")
+    wq, bq, wk, bk, wv, bv, wo, bo = [t.data for t in proj]
+    for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
+        if _check_affine("mha", d, w, b) != d:
+            raise ShapeError(f"mha: a projection weight {w.shape} does not map width {d} to itself")
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
     # per-head operands, each head's matrix C-contiguous: q [h,n,dh], k^T [h,dh,m], v [h,m,dh]
-    q = np.ascontiguousarray(qp.data.reshape(n, num_heads, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(kp.data.reshape(m, num_heads, dh).transpose(1, 2, 0))
-    v = np.ascontiguousarray(vp.data.reshape(m, num_heads, dh).transpose(1, 0, 2))
-    p = _softmax((q @ kt) * scale)
-    out = Tensor((p @ v).transpose(1, 0, 2).reshape(n, d))
+    qh = np.ascontiguousarray(_affine(xq, wq, bq).reshape(n, num_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(_affine(xk, wk, bk).reshape(m, num_heads, dh).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(_affine(xv, wv, bv).reshape(m, num_heads, dh).transpose(1, 0, 2))
+    s = qh @ kt
+    s *= scale
+    p = _softmax(s)
+    mixed = (p @ vh).transpose(1, 0, 2).reshape(n, d)
+    out = Tensor(_affine(mixed, wo, bo))
 
     def bwd(g, ids):
-        go = g.reshape(n, num_heads, dh).transpose(1, 0, 2)
-        dq = dk = dv = None
-        if ids[0] is not None or ids[1] is not None:
-            ds = _softmax_grad(p, go @ v.transpose(0, 2, 1)) * scale
-            if ids[0] is not None:
-                dq = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
-            if ids[1] is not None:
-                # dk in C order: the reshape of dk^T is an F-order view, which would change
-                # the summation order of the bias sum and of the BLAS products downstream
-                dk = np.ascontiguousarray((q.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
-        if ids[2] is not None:
-            dv = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
-        return (dq, dk, dv)
+        # the node ids of each projection's (input, weight, bias)
+        q_ids, k_ids, v_ids = (ids[0], ids[3], ids[4]), (ids[1], ids[5], ids[6]), (ids[2], ids[7], ids[8])
+        need_q, need_k, need_v = q_ids != _NONES, k_ids != _NONES, v_ids != _NONES
+        gq = gk = gv = _NONES
+        if need_q or need_k or need_v:
+            go = (g @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
+            if need_q or need_k:
+                ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
+                if need_q:
+                    gq = _affine_grads(xq, wq, (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d), q_ids)
+                if need_k:
+                    # in C order: the reshape of dk^T is an F-order view, which would change
+                    # the summation order of the bias sum and of the BLAS products downstream
+                    gkp = np.ascontiguousarray((qh.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
+                    gk = _affine_grads(xk, wk, gkp, k_ids)
+            if need_v:
+                gv = _affine_grads(xv, wv, (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d), v_ids)
+        _, gwo, gbo = _affine_grads(mixed, wo, g, (None, ids[9], ids[10]))
+        return (gq[0], gk[0], gv[0], gq[1], gq[2], gk[1], gk[2], gv[1], gv[2], gwo, gbo)
 
-    return _record("attention", out, (qp, kp, vp), bwd)
+    return _record("mha", out, (q, k, v, *proj), bwd)
+
+
+def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
+    """``linear`` by each layer of ``layers`` (w0, b0, w1, b1, ...) in turn
+    over [m, k] rows, with a ReLU between two layers and, when ``squash``, a
+    sigmoid after the last: one record for the chain of ``linear``, ``relu``
+    and ``sigmoid`` records.
+
+    The ReLU is ``h * (h > 0)``, so it sends -0.0 for a negative entry, and
+    the sigmoid is ``_sigmoid``; forward and backward run the chain's IEEE
+    operations, so the output and every gradient are its bits.
+    """
+    x = _tensor_arg(x, "mlp")
+    ts = [_tensor_arg(t, "mlp") for t in layers]
+    if not ts or len(ts) % 2:
+        raise ContractError(f"mlp needs a weight and a bias per layer, got {len(ts)} tensors")
+    h = x.data
+    if h.ndim != 2:
+        raise ShapeError(f"mlp needs a rank-2 input, got shape {h.shape}")
+    ws, bs = [t.data for t in ts[0::2]], [t.data for t in ts[1::2]]
+    width = h.shape[1]
+    for w, b in zip(ws, bs):
+        width = _check_affine("mlp", width, w, b)
+    acts, masks = [h], []  # each layer's input, and the ReLU mask in front of every layer but the first
+    h = _affine(h, ws[0], bs[0])
+    for w, b in zip(ws[1:], bs[1:]):
+        mask = h > 0
+        h *= mask
+        masks.append(mask)
+        acts.append(h)
+        h = _affine(h, w, b)
+    y = _sigmoid(h) if squash else h
+
+    def bwd(g, ids):
+        grads = [None] * len(ids)
+        for lowest, nid in enumerate(ids):  # x, or the first layer's weight or bias that is on the tape
+            if nid is not None:
+                break
+        if squash:
+            g = g * y * (1.0 - y)
+        for i in range(len(ws) - 1, -1, -1):
+            if ids[2 * i + 1] is not None:
+                grads[2 * i + 1] = acts[i].T @ g
+            if ids[2 * i + 2] is not None:
+                grads[2 * i + 2] = np.add.reduce(g, axis=0)
+            if lowest > 2 * i:  # neither x nor a parameter below layer i is on the tape
+                break
+            g = g @ ws[i].T
+            if i:
+                g *= masks[i - 1]
+            else:
+                grads[0] = g
+        return grads
+
+    return _record("mlp", Tensor(y), (x, *ts), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -425,7 +529,7 @@ def transpose(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _tensor_arg(x, "reshape")
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
     old = x.data.shape
     return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
@@ -441,7 +545,9 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
             raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
-    bounds = np.cumsum([0] + [t.data.shape[-1] for t in ts]).tolist()
+    bounds = [0]
+    for t in ts:
+        bounds.append(bounds[-1] + t.data.shape[-1])
     return _record("concat", out, tuple(ts), lambda g, ids: tuple(
         g[..., a:b] if nid is not None else None for nid, a, b in zip(ids, bounds, bounds[1:])))
 
@@ -467,7 +573,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     padded = np.zeros((c, h + 2, wd + 2))
     padded[:, 1:-1, 1:-1] = dx
     cols = padded.take(gather)
-    out = Tensor((cols @ dw + b.data[None, :]).T.reshape(c_out, ho, wo))
+    out = Tensor(_affine(cols, dw, b.data).T.reshape(c_out, ho, wo))
 
     def bwd(g, ids):
         gy = g.reshape(c_out, ho * wo).T  # an F-order view: the bias sum's order, hence its bits, depend on it

@@ -22,8 +22,17 @@
   ``transpose(reshape(reshape(transpose(linear(...)))))``;
   ``model.channel_reduce`` must equal it bit for bit, forward and backward;
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
-  ``geometry.box_pairs``, and ``from_corners``, a ``Box`` from its corners.
+  ``geometry.box_pairs``, and ``from_corners``, a ``Box`` from its corners;
+- ``sigmoid`` and ``attention``, the tape primitives the transformer was
+  built from before ``numeric.mha`` and ``numeric.mlp``: ``sigmoid`` by
+  boolean-mask indexing, ``attention`` over projected queries, keys and
+  values with an out-of-place max-shifted softmax. ``mha_chain`` (four
+  ``linear`` around ``attention``) and ``mlp_chain`` (``linear``, ``relu``
+  and ``sigmoid``) are the chains the fused ops must equal bit for bit,
+  forward and backward.
 """
+
+import math
 
 import numpy as np
 
@@ -31,7 +40,7 @@ from reldet import numeric
 from reldet.errors import ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
-from reldet.numeric import Tensor, _record, _tensor_arg
+from reldet.numeric import Tensor, _record, _softmax_grad, _tensor_arg
 
 _TINY = 1e-12
 
@@ -416,3 +425,74 @@ def channel_reduce_chain(f, w, b):
     out = numeric.linear(numeric.transpose(numeric.reshape(f, (c, fh * fw))), w, b)
     z = numeric.reshape(numeric.transpose(out), (d, fh, fw))
     return numeric.transpose(numeric.reshape(z, (d, fh * fw)))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "sigmoid")
+    d = x.data
+    y = np.empty_like(d)
+    pos = d >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    y[~pos] = e / (1.0 + e)
+    return _record("sigmoid", Tensor(y), (x,), lambda g, ids: (g * y * (1.0 - y),))
+
+
+def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of [n, d] queries over [m, d]
+    keys and values.
+
+    Head h owns columns [h*dh, (h+1)*dh) with dh = d / num_heads, and writes
+    softmax(Q_h K_h^T / sqrt(dh)) V_h into the same columns of the [n, d]
+    output; the scale multiplies the product and the softmax over the keys
+    is max-shifted. All heads run as one batched product each way.
+    """
+    qp = _tensor_arg(qp, "attention")
+    kp = _tensor_arg(kp, "attention")
+    vp = _tensor_arg(vp, "attention")
+    if qp.data.ndim != 2 or kp.data.ndim != 2 or kp.data.shape != vp.data.shape or qp.data.shape[1] != kp.data.shape[1]:
+        raise ShapeError(f"attention shapes disagree: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}")
+    (n, d), m = qp.data.shape, kp.data.shape[0]
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {num_heads} heads")
+    dh = d // num_heads
+    scale = 1.0 / math.sqrt(dh)
+    # per-head operands, each head's matrix C-contiguous: q [h,n,dh], k^T [h,dh,m], v [h,m,dh]
+    q = np.ascontiguousarray(qp.data.reshape(n, num_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(kp.data.reshape(m, num_heads, dh).transpose(1, 2, 0))
+    v = np.ascontiguousarray(vp.data.reshape(m, num_heads, dh).transpose(1, 0, 2))
+    z = (q @ kt) * scale
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor((p @ v).transpose(1, 0, 2).reshape(n, d))
+
+    def bwd(g, ids):
+        go = g.reshape(n, num_heads, dh).transpose(1, 0, 2)
+        dq = dk = dv = None
+        if ids[0] is not None or ids[1] is not None:
+            ds = _softmax_grad(p, go @ v.transpose(0, 2, 1)) * scale
+            if ids[0] is not None:
+                dq = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
+            if ids[1] is not None:
+                # dk in C order: the reshape of dk^T is an F-order view, which would change
+                # the summation order of the bias sum and of the BLAS products downstream
+                dk = np.ascontiguousarray((q.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
+        if ids[2] is not None:
+            dv = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
+        return (dq, dk, dv)
+
+    return _record("attention", out, (qp, kp, vp), bwd)
+
+
+def mha_chain(q, k, v, proj, num_heads):
+    """``numeric.mha`` as the chain it replaces; ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo)."""
+    wq, bq, wk, bk, wv, bv, wo, bo = proj
+    mixed = attention(numeric.linear(q, wq, bq), numeric.linear(k, wk, bk), numeric.linear(v, wv, bv), num_heads)
+    return numeric.linear(mixed, wo, bo)
+
+
+def mlp_chain(x, layers, squash=False):
+    """``numeric.mlp`` as the chain it replaces; ``layers`` is (w0, b0, w1, b1, ...)."""
+    for i in range(0, len(layers), 2):
+        x = numeric.linear(numeric.relu(x) if i else x, layers[i], layers[i + 1])
+    return sigmoid(x) if squash else x

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from reldet import cli, numeric
 from reldet.data import read_ppm
-from reldet.numeric import Tensor
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
                "--dec-layers", "1", "--queries", "6", "--seed", "0"]
@@ -322,14 +321,14 @@ def test_selftest_passes_and_reports_suites(capsys):
 
 
 def test_selftest_broken_gradient_exits_1(monkeypatch, capsys):
-    real_sigmoid = numeric.sigmoid
+    real_record = numeric._record
 
-    def broken_sigmoid(x):
-        y = real_sigmoid(x)
-        # forward value is preserved (2y - y is exact), but the gradient doubles
-        return numeric.add(numeric.add(y, y), Tensor(-y.data))
+    def record(op, out, inputs, rule):
+        if op == "mlp":  # the forward is kept, every gradient of the backward doubles
+            return real_record(op, out, inputs, lambda g, ids: tuple(None if ig is None else 2 * ig for ig in rule(g, ids)))
+        return real_record(op, out, inputs, rule)
 
-    monkeypatch.setattr(numeric, "sigmoid", broken_sigmoid)
+    monkeypatch.setattr(numeric, "_record", record)
     assert run("selftest", "--seed", "0") == 1
     assert "FAIL gradient_ops" in capsys.readouterr().out
 

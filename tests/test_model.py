@@ -142,6 +142,26 @@ def test_sinusoidal_pe_values():
         sinusoidal_pe(4, 5)
 
 
+def test_forwards_share_one_read_only_pe_table(rng, monkeypatch):
+    cfg = TINY
+    params = init_params(cfg)
+    seen = []
+    real = model.encoder_forward
+
+    def spy(tokens, pe, params, config):
+        seen.append(pe.data)
+        return real(tokens, pe, params, config)
+
+    monkeypatch.setattr(model, "encoder_forward", spy)
+    image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
+    forward(image, params, cfg)
+    forward(image, params, cfg)
+    assert len(seen) == 2 and seen[0] is seen[1]
+    with pytest.raises(ValueError):
+        seen[0][0, 0] = 1.0
+    np.testing.assert_array_equal(seen[0][0, 1::2], np.ones(cfg.model_dim // 2))
+
+
 def test_attention_single_position_is_value_projection(rng):
     cfg = TINY
     params = init_params(cfg)
@@ -240,8 +260,10 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 def test_default_step_tape_record_count():
     # one taped default-config forward plus set loss; the fused conv3x3,
-    # linear, attention, residual layer norm and set loss ops keep this at 102
-    # (108 when the preliminary box head recorded its 3 linear, 2 relu and 1
+    # linear, mha, mlp, residual layer norm and set loss ops keep this at 55
+    # (102 with each attention sublayer as four linear around an attention
+    # record and each FFN and the box head as linear, relu and sigmoid records,
+    # 108 when the preliminary box head recorded its 3 linear, 2 relu and 1
     # sigmoid, 112 when the 1x1 reduction moved its rows to a [d, H, W] map
     # and back, 120 with each backbone stage as im2col, linear, transpose and reshape,
     # 122 with a class head on the preliminary decode, 189 with the layer
@@ -257,14 +279,17 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 102
+    assert len(tape) == 55
     assert forward_ops["conv3x3"] == 3
-    assert forward_ops["linear"] == 48
+    assert forward_ops["mha"] == 8
+    assert forward_ops["mlp"] == 6
+    assert forward_ops["linear"] == 3
+    assert forward_ops["relu"] == 4
     assert forward_ops["transpose"] == 2
     assert forward_ops["reshape"] == 1
     assert forward_ops["softmax"] == 1
-    assert forward_ops["attention"] == 8
     assert forward_ops["add_layer_norm"] == 13
+    assert forward_ops["attention"] == forward_ops["sigmoid"] == 0
     assert ops - forward_ops == Counter(set_loss=1)
 
 

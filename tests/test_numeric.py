@@ -80,14 +80,14 @@ def test_softmax_shift_invariance_and_normalization(xs, c):
 
 def test_relu_sigmoid_layernorm_definitions():
     np.testing.assert_array_equal(numeric.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-    assert numeric.sigmoid(Tensor([0.0])).data[0] == 0.5
+    assert chain.sigmoid(Tensor([0.0])).data[0] == 0.5
     # zero variance is absorbed by eps, output is exactly zero
     np.testing.assert_array_equal(numeric.add_layer_norm(Tensor([1.0, 1.0, 1.0]), Tensor([0.5, 0.5, 0.5])).data,
                                   [0.0, 0.0, 0.0])
 
 
 def test_sigmoid_stable_at_extremes():
-    y = numeric.sigmoid(Tensor([-800.0, 800.0])).data
+    y = chain.sigmoid(Tensor([-800.0, 800.0])).data
     assert np.all(np.isfinite(y))
     assert y[0] == pytest.approx(0.0, abs=1e-300)
     assert y[1] == pytest.approx(1.0)
@@ -322,9 +322,30 @@ def test_linear_and_attention_shape_errors():
     with pytest.raises(ShapeError):
         numeric.linear(z(2, 3), z(3, 4), z(3))
     with pytest.raises(ShapeError):
-        numeric.attention(z(2, 4), z(3, 4), z(2, 4), 2)
+        chain.attention(z(2, 4), z(3, 4), z(2, 4), 2)
     with pytest.raises(ShapeError):
-        numeric.attention(z(2, 4), z(3, 4), z(3, 4), 3)
+        chain.attention(z(2, 4), z(3, 4), z(3, 4), 3)
+
+
+def test_mha_and_mlp_shape_errors():
+    z = lambda *shape: Tensor(np.zeros(shape))
+    proj = [z(4, 4), z(4)] * 4
+    numeric.mha(z(2, 4), z(3, 4), z(3, 4), proj, 2)
+    for q, k, v, heads in [
+        (z(2, 4), z(3, 4), z(3, 4), 3),  # 4 columns do not split into 3 heads
+        (z(2, 6), z(3, 4), z(3, 4), 2),  # q, k and v widths disagree
+        (z(2, 4), z(3, 6), z(3, 4), 2),
+        (z(2, 4), z(3, 4), z(2, 4), 2),  # k and v row counts differ
+    ]:
+        with pytest.raises(ShapeError):
+            numeric.mha(q, k, v, proj, heads)
+    for i, bad in [(0, z(4, 3)), (2, z(3, 4)), (6, z(4, 4, 1)), (1, z(3)), (7, z(4, 1))]:
+        with pytest.raises(ShapeError):  # a projection weight or bias of the wrong shape
+            numeric.mha(z(2, 4), z(3, 4), z(3, 4), [*proj[:i], bad, *proj[i + 1:]], 2)
+    numeric.mlp(z(2, 4), [z(4, 5), z(5), z(5, 3), z(3)])
+    for layers in [[z(3, 5), z(5)], [z(4, 5), z(5), z(4, 3), z(3)], [z(4, 5), z(4)]]:
+        with pytest.raises(ShapeError):  # layer widths that do not chain
+            numeric.mlp(z(2, 4), layers)
 
 
 def test_concat_roundtrip(rng):
@@ -392,7 +413,7 @@ UNARY_CASES = [
     ("neg", chain.neg, None),
     ("absolute", chain.absolute, _away_from_kinks),
     ("relu", numeric.relu, _away_from_kinks),
-    ("sigmoid", numeric.sigmoid, None),
+    ("sigmoid", chain.sigmoid, None),
     ("log", chain.log, lambda a: np.abs(a) + 0.5),
     ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
     ("sum_all", lambda x: numeric.reshape(chain.sum_all(x), (1,)), None),
@@ -565,6 +586,74 @@ def test_set_loss_equals_the_chain_bit_for_bit(n, ties):
             backward(loss)
             got.append((_bits(parts.total.data), parts.cls, parts.box, _bits(lg.grad), _bits(bl.grad)))
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+@pytest.mark.parametrize("queries", [16, 64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_mha_equals_the_chain_bit_for_bit(kind, heads, queries):
+    # as the model wires them: self-attention reads q and k from one add(x, pe)
+    # and v from x, so x takes the v gradient, then the qk sum through the add;
+    # cross-attention reads keys from add(memory, pe) and values from memory,
+    # so memory takes its v gradient before the add hands it the k gradient
+    tokens = queries if kind == "self" else 16
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x0, m0, pe = (rng.standard_normal(shape) for shape in [(queries, 32), (tokens, 32), (tokens, 32)])
+        proj0 = [rng.standard_normal(shape) / 6 for shape in [(32, 32), (32,)] * 4]
+        probe = rng.standard_normal((queries, 32))
+        got = []
+        for op in (numeric.mha, chain.mha_chain):
+            x, memory = Tensor(x0, requires_grad=True), Tensor(m0, requires_grad=True)
+            proj = [Tensor(a, requires_grad=True) for a in proj0]
+            with Tape():
+                if kind == "self":
+                    qk = numeric.add(x, Tensor(pe))
+                    y = op(qk, qk, x, proj, heads)
+                else:
+                    y = op(x, numeric.add(memory, Tensor(pe)), memory, proj, heads)
+                loss = checks.probe_loss(y, probe)
+            backward(loss)
+            inputs = [x] if kind == "self" else [x, memory]
+            got.append([_bits(y.data)] + [_bits(t.grad) for t in inputs + proj])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+SQUASH_SWEEP = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0]
+
+
+def test_sigmoid_equals_the_chain_bit_for_bit():
+    z = np.array(SQUASH_SWEEP + [np.inf, -np.inf, 36.0, -36.0, 710.0, -710.0])
+    assert _bits(numeric._sigmoid(z)) == _bits(chain.sigmoid(Tensor(z)).data)
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+@pytest.mark.parametrize("head", ["ffn", "box"])
+def test_mlp_equals_the_chain_bit_for_bit(head, rows):
+    # the FFN (32 -> 64 -> 32) and the box head (32 -> 32 -> 32 -> 4, sigmoid);
+    # the last two box-head draws zero the top weight and sweep the sigmoid's
+    # input through SQUASH_SWEEP by the top bias (a product of zeros is +0.0,
+    # so -0.0 arrives as +0.0; test_sigmoid_equals_the_chain_bit_for_bit has it)
+    widths, squash = ([32, 64, 32], False) if head == "ffn" else ([32, 32, 32, 4], True)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((rows, 32))
+        layers0 = [a for n, m in zip(widths, widths[1:]) for a in (rng.uniform(-1, 1, (n, m)) / np.sqrt(n), rng.standard_normal(m) / 4)]
+        if squash and seed >= 8:
+            layers0[-2:] = np.zeros((32, 4)), np.array(SQUASH_SWEEP[seed % 2::2])
+        probe = rng.standard_normal((rows, widths[-1]))
+        got = []
+        for op in (numeric.mlp, chain.mlp_chain):
+            x = Tensor(x0, requires_grad=True)
+            layers = [Tensor(a, requires_grad=True) for a in layers0]
+            with Tape():
+                y = op(x, layers, squash)
+                loss = checks.probe_loss(y, probe)
+            backward(loss)
+            got.append([_bits(y.data), _bits(x.grad)] + [_bits(t.grad) for t in layers])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+        # a ReLU sends -0.0 for every negative pre-activation: the first layer has some
+        assert (x0 @ layers0[0] + layers0[1] < 0).any()
 
 
 def test_fused_backward_rules_are_named_after_their_ops():
