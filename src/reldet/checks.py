@@ -40,11 +40,12 @@ def grad_excess(analytic, fd, rtol: float, atol: float = 1e-7) -> float:
 def probe_loss(y: Tensor, probe) -> Tensor:
     """sum(y * probe) as a [1, 1] tensor, for a probe array of y's shape.
 
-    One ``linear`` of y flattened to [1, n] against the probe as an [n, 1]
-    weight with a zero bias, so the probe costs no op the model does not use.
+    A one-layer ``mlp`` of y flattened to [1, n] against the probe as an
+    [n, 1] weight with a zero bias, so the probe costs no op the model does
+    not use.
     """
     n = y.size
-    return numeric.linear(numeric.reshape(y, (1, n)), Tensor(np.reshape(probe, (n, 1))), Tensor(np.zeros(1)))
+    return numeric.mlp(numeric.reshape(y, (1, n)), (Tensor(np.reshape(probe, (n, 1))), Tensor(np.zeros(1))))
 
 
 def fd_excess(op, x_data, rng, rtol: float = 1e-4) -> float:
@@ -111,9 +112,9 @@ def op_cases(rng) -> list:
         ("concat", lambda x: numeric.concat([x, const]), mat),
         ("reshape", lambda x: numeric.reshape(x, (6, 2)), mat),
         ("transpose", numeric.transpose, mat),
-        ("linear/x", lambda x: numeric.linear(x, rhs, bias), mat),
-        ("linear/w", lambda w: numeric.linear(const, w, bias), rhs.data),
-        ("linear/b", lambda b: numeric.linear(const, rhs, b), bias.data),
+        ("mlp1/x", lambda x: numeric.mlp(x, (rhs, bias)), mat),
+        ("mlp1/w", lambda w: numeric.mlp(const, (w, bias)), rhs.data),
+        ("mlp1/b", lambda b: numeric.mlp(const, (rhs, b)), bias.data),
         ("mha/q", lambda q: numeric.mha(q, keys, values, proj, 2), mat),
         ("mha/k", lambda k: numeric.mha(const, k, values, proj, 2), keys.data),
         ("mha/v", lambda v: numeric.mha(const, keys, v, proj, 2), values.data),

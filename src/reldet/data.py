@@ -239,7 +239,9 @@ def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
     if type(cid) is not int or any(type(v) not in (int, float) for v in vals):
         raise ParseError(f"{path}: object {i} needs an integer class_id and numeric cx, cy, w, h")
     try:
-        box = Box(*vals)
+        box = Box(*map(float, vals))
+    except OverflowError as e:  # an integer beyond float range, such as 10**400
+        raise ParseError(f"{path}: object {i} has a box field beyond float range") from e
     except DomainError as e:
         raise ParseError(f"{path}: object {i}: {e}") from e
     if not box.inside_unit():

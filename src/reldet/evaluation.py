@@ -67,7 +67,7 @@ class APReport:
 def extract_detections(out: DetectionOutput) -> list[ScoredDetection]:
     """Argmax each query over K+1 classes; drop no-object rows."""
     probs = out.class_probs.data
-    boxes = out.boxes.data
+    boxes = out.boxes.data.tolist()
     null_col = probs.shape[1] - 1
     dets = []
     for i, cid in enumerate(probs.argmax(axis=1).tolist()):  # ties go to the lowest index

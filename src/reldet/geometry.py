@@ -22,6 +22,7 @@ reduction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ class Box:
 
     def __post_init__(self):
         vals = (self.cx, self.cy, self.w, self.h)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"box has non-finite fields {vals}")
         if self.w < 0 or self.h < 0:
             raise DomainError(f"box has negative size (w={self.w}, h={self.h})")

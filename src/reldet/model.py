@@ -235,7 +235,7 @@ def channel_reduce(f: Tensor, params) -> Tensor:
     into encoder tokens [H*W, d], row t = pixel (t div W, t mod W)."""
     c, fh, fw = f.shape
     pixels = numeric.transpose(numeric.reshape(f, (c, fh * fw)))
-    return numeric.linear(pixels, params["reduce.weight"], params["reduce.bias"])
+    return numeric.mlp(pixels, (params["reduce.weight"], params["reduce.bias"]))
 
 
 def sinusoidal_pe(num_positions: int, d: int) -> Tensor:
@@ -324,7 +324,7 @@ def box_head(embeddings: Tensor, params) -> Tensor:
 def predict_heads(embeddings: Tensor, params) -> DetectionOutput:
     """Class head: one affine map to K+1 logits, softmax (last class = no
     object); then ``box_head``."""
-    probs = numeric.softmax(numeric.linear(embeddings, params["class_head.weight"], params["class_head.bias"]))
+    probs = numeric.softmax(numeric.mlp(embeddings, (params["class_head.weight"], params["class_head.bias"])))
     return DetectionOutput(probs, box_head(embeddings, params))
 
 

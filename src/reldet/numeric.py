@@ -17,39 +17,43 @@ next to nothing to track. ``tape_suspended`` runs code that must not record,
 such as the probes of ``finite_diff_grad``.
 
 The primitives are ``add``, ``relu``, ``softmax``, ``matmul``,
-``transpose``, ``reshape`` and ``concat``, plus the seven fused ones below:
+``transpose``, ``reshape`` and ``concat``, plus the five fused ones below:
 the ops the model and its loss are built from. Broadcasting is deliberately
 restricted: the one binary op, ``add``, takes two tensors of identical shape.
 Row-vector bias adds happen only inside the fused affine ops, never by silent
 broadcasting. There is one softmax, max-shifted over the last axis, with one
-backward rule; ``softmax`` and ``mha`` both use it.
+backward rule; ``softmax`` and ``mha`` both use it. There is one affine map,
+``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n], with one backward rule,
+``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))`` (the last the reduction
+``g.sum(axis=0)`` runs, at less call overhead); ``conv3x3``, ``mha`` and
+``mlp`` all use it, and it computes no gradient for an input without a node
+id.
 
-Seven fused primitives record one tape entry for what would otherwise be a
+Five fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain and, for every
 input, the same gradient bits:
 
-- ``linear(x, w, b)``: ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n];
-  backward ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, the last the
-  reduction ``g.sum(axis=0)`` runs, at less call overhead.
 - ``conv3x3(x, w, b)``: a 3x3 convolution at stride 2 and zero padding 1 of
-  a [C, H, W] map, as ``linear`` over its patch matrix moved channels-first.
-  The patch matrix is one gather from the zero-padded map through flat
-  indices cached per input shape; the input gradient is one ``np.bincount``
-  scatter-add over the same pixels listed in [C, 3, 3, H', W'] order. That
-  adds each padded pixel's terms, starting from +0.0, in the kernel-offset
-  order of the nine-slice fold it replaces, so the bits, -0.0 included, are
-  that fold's.
-- ``mha(q, k, v, proj, num_heads)``: multi-head attention, as the chain of a
-  ``linear`` projection each of the [n, d] queries and the [m, d] keys and
-  values, scaled dot-product attention over the projections and an output
-  ``linear``. The heads are column blocks of width d / num_heads, computed
-  as one batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after the
-  product, a max-shifted softmax over the keys and one batched product with
-  V. The gradients come back one per input in input order, so an input
+  a [C, H, W] map, as the affine map of its patch matrix moved
+  channels-first. The patch matrix is one gather from the zero-padded map
+  through flat indices cached per input shape; the input gradient is one
+  ``np.bincount`` scatter-add over the same pixels listed in
+  [C, 3, 3, H', W'] order. That adds each padded pixel's terms, starting
+  from +0.0, in the kernel-offset order of the nine-slice fold it replaces,
+  so the bits, -0.0 included, are that fold's.
+- ``mha(q, k, v, proj, num_heads)``: multi-head attention, as the chain of
+  an affine projection each of the [n, d] queries and the [m, d] keys and
+  values, scaled dot-product attention over the projections and an affine
+  output projection. The heads are column blocks of width d / num_heads,
+  computed as one batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after
+  the product, a max-shifted softmax over the keys and one batched product
+  with V. The gradients come back one per input in input order, so an input
   passed as both q and k gets the sum of its two gradients, as it did from
   the chain's two projection records.
-- ``mlp(x, layers, squash)``: ``linear (relu linear)*`` with an optional
-  final sigmoid, the transformer's feed-forward blocks and the box head.
+- ``mlp(x, layers, squash)``: ``affine (relu affine)*`` with an optional
+  final sigmoid, the transformer's feed-forward blocks and the box head. A
+  one-layer ``mlp(x, (w, b))`` is the plain affine map, the 1x1 reduction,
+  the class head and the relation step's mixing map.
 - ``add_layer_norm(x, r)``: the residual layer norm ``layer_norm(x + r)``
   over the last axis; both operands get the same gradient.
 - ``set_loss(probs, boxes, ...)``: DETR's set-prediction loss under a fixed
@@ -72,7 +76,6 @@ from .errors import ContractError, ShapeError
 from .geometry import box_pairs
 
 _LN_EPS = 1e-5  # added to the variance in add_layer_norm
-_NONES = (None, None, None)  # the node ids of an off-tape (input, weight, bias), or their gradients
 _FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 
@@ -369,7 +372,8 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, ids) -> tuple:
     """Gradients at (x, w, b) of ``_affine(x, w, b)`` given the gradient g at
-    its output; None for each of the three whose node id in ``ids`` is None."""
+    its output; None for each of the three whose entry in ``ids`` is None
+    (an input without a node id)."""
     return (
         g @ w.T if ids[0] is not None else None,
         x.T @ g if ids[1] is not None else None,
@@ -384,19 +388,6 @@ def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
     return w.shape[1]
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an [m, k] matrix; the length-n bias b is
-    added to every row of the [m, n] product."""
-    x = _tensor_arg(x, "linear")
-    w = _tensor_arg(w, "linear")
-    b = _tensor_arg(b, "linear")
-    dx, dw = x.data, w.data
-    if dx.ndim != 2:
-        raise ShapeError(f"linear needs a rank-2 input, got shape {dx.shape}")
-    _check_affine("linear", dx.shape[1], dw, b.data)
-    return _record("linear", Tensor(_affine(dx, dw, b.data)), (x, w, b), lambda g, ids: _affine_grads(dx, dw, g, ids))
-
-
 def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] keys and values, as one record.
 
@@ -406,10 +397,10 @@ def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int)
     columns of the map that wo and bo project to the output; the scale
     multiplies the product, the softmax is max-shifted, and all heads run as
     one batched product each way. Forward and backward keep the IEEE
-    operations, operand layouts and BLAS shapes of the chain of a ``linear``
-    per projection around one attention record, so the output and every
-    gradient are that chain's bits. Only an input passed as q, k and v at
-    once would sum its three gradients in another order; the model passes
+    operations, operand layouts and BLAS shapes of the chain of an affine
+    record per projection around one attention record, so the output and
+    every gradient are that chain's bits. Only an input passed as q, k and v
+    at once would sum its three gradients in another order; the model passes
     none so.
     """
     q = _tensor_arg(q, "mha")
@@ -441,23 +432,16 @@ def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int)
     out = Tensor(_affine(mixed, wo, bo))
 
     def bwd(g, ids):
-        # the node ids of each projection's (input, weight, bias)
-        q_ids, k_ids, v_ids = (ids[0], ids[3], ids[4]), (ids[1], ids[5], ids[6]), (ids[2], ids[7], ids[8])
-        need_q, need_k, need_v = q_ids != _NONES, k_ids != _NONES, v_ids != _NONES
-        gq = gk = gv = _NONES
-        if need_q or need_k or need_v:
-            go = (g @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
-            if need_q or need_k:
-                ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
-                if need_q:
-                    gq = _affine_grads(xq, wq, (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d), q_ids)
-                if need_k:
-                    # in C order: the reshape of dk^T is an F-order view, which would change
-                    # the summation order of the bias sum and of the BLAS products downstream
-                    gkp = np.ascontiguousarray((qh.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
-                    gk = _affine_grads(xk, wk, gkp, k_ids)
-            if need_v:
-                gv = _affine_grads(xv, wv, (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d), v_ids)
+        go = (g @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
+        ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
+        gqp = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
+        gq = _affine_grads(xq, wq, gqp, (ids[0], ids[3], ids[4]))
+        # in C order: the reshape of dk^T is an F-order view, which would change
+        # the summation order of the bias sum and of the BLAS products downstream
+        gkp = np.ascontiguousarray((qh.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
+        gk = _affine_grads(xk, wk, gkp, (ids[1], ids[5], ids[6]))
+        gvp = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
+        gv = _affine_grads(xv, wv, gvp, (ids[2], ids[7], ids[8]))
         _, gwo, gbo = _affine_grads(mixed, wo, g, (None, ids[9], ids[10]))
         return (gq[0], gk[0], gv[0], gq[1], gq[2], gk[1], gk[2], gv[1], gv[2], gwo, gbo)
 
@@ -465,10 +449,11 @@ def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int)
 
 
 def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
-    """``linear`` by each layer of ``layers`` (w0, b0, w1, b1, ...) in turn
-    over [m, k] rows, with a ReLU between two layers and, when ``squash``, a
-    sigmoid after the last: one record for the chain of ``linear``, ``relu``
-    and ``sigmoid`` records.
+    """The affine map of each layer of ``layers`` (w0, b0, w1, b1, ...) in
+    turn over [m, k] rows, with a ReLU between two layers and, when
+    ``squash``, a sigmoid after the last: one record for the chain of affine,
+    ``relu`` and ``sigmoid`` records. One layer, ``mlp(x, (w, b))``, is
+    ``x @ w + b[None, :]`` alone.
 
     The ReLU is ``h * (h > 0)``, so it sends -0.0 for a negative entry, and
     the sigmoid is ``_sigmoid``; forward and backward run the chain's IEEE
@@ -497,23 +482,12 @@ def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
 
     def bwd(g, ids):
         grads = [None] * len(ids)
-        for lowest, nid in enumerate(ids):  # x, or the first layer's weight or bias that is on the tape
-            if nid is not None:
-                break
         if squash:
             g = g * y * (1.0 - y)
-        for i in range(len(ws) - 1, -1, -1):
-            if ids[2 * i + 1] is not None:
-                grads[2 * i + 1] = acts[i].T @ g
-            if ids[2 * i + 2] is not None:
-                grads[2 * i + 2] = np.add.reduce(g, axis=0)
-            if lowest > 2 * i:  # neither x nor a parameter below layer i is on the tape
-                break
-            g = g @ ws[i].T
-            if i:
-                g *= masks[i - 1]
-            else:
-                grads[0] = g
+        for i in range(len(ws) - 1, 0, -1):  # True: a hidden layer's input always needs its gradient
+            g, grads[2 * i + 1], grads[2 * i + 2] = _affine_grads(acts[i], ws[i], g, (True, *ids[2 * i + 1:2 * i + 3]))
+            g *= masks[i - 1]
+        grads[:3] = _affine_grads(acts[0], ws[0], g, ids[:3])
         return grads
 
     return _record("mlp", Tensor(y), (x, *ts), bwd)
@@ -557,7 +531,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     Row (c*3 + i)*3 + j of ``w`` [C*9, C_out] weights channel c at kernel
     offset (i, j). Forward and backward give the bits of the chain this op
-    replaces (unfold into a C-contiguous [H'W', C*9] patch matrix, ``linear``,
+    replaces (unfold into a C-contiguous [H'W', C*9] patch matrix, affine map,
     transpose, reshape), with the unfold and the fold as one gather and one
     ``bincount`` through ``_conv3x3_indices``.
     """
@@ -577,16 +551,11 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, ids):
         gy = g.reshape(c_out, ho * wo).T  # an F-order view: the bias sum's order, hence its bits, depend on it
-        gx = None
-        if ids[0] is not None:
-            gp = (gy @ dw.T).T.ravel()  # a C-order copy: [C, 3, 3, H', W'], as ``scatter`` lists them
-            gx = np.bincount(scatter, weights=gp, minlength=c * (h + 2) * (wd + 2))
-            gx = gx.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
-        return (
-            gx,
-            cols.T @ gy if ids[1] is not None else None,
-            np.add.reduce(gy, axis=0) if ids[2] is not None else None,
-        )
+        gp, gw, gb = _affine_grads(cols, dw, gy, ids)
+        if gp is not None:  # fold the patch gradient, copied in [C, 3, 3, H', W'] order as ``scatter`` lists them
+            gp = np.bincount(scatter, weights=gp.T.ravel(), minlength=c * (h + 2) * (wd + 2))
+            gp = gp.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
+        return (gp, gw, gb)
 
     return _record("conv3x3", out, (x, w, b), bwd)
 

@@ -63,8 +63,9 @@ def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
 
 def aggregate(features: Tensor, g: RelationGraph, weight: Tensor, bias: Tensor) -> Tensor:
     """relu(weight @ concat(self, neighbor mean) + bias) per node, differentiable;
-    weight [d, 2d] and bias [d] for features [n, d]. ``numeric.matmul`` and
-    ``numeric.linear`` check the shapes."""
+    weight [d, 2d] and bias [d] for features [n, d]; the affine map is a
+    one-layer ``numeric.mlp``. ``numeric.matmul`` and ``numeric.mlp`` check
+    the shapes."""
     nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
     h = numeric.concat([features, nbr])
-    return numeric.relu(numeric.linear(h, numeric.transpose(weight), bias))
+    return numeric.relu(numeric.mlp(h, (numeric.transpose(weight), bias)))

@@ -210,6 +210,10 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise IntegrityError(f"bad config or tensors in {root / 'manifest.json'}: {e!r}") from e
+    # every layer has tensors of its own, so a layer count beyond the list (10**400 say) cannot
+    # match it, and is refused before ``param_spec`` would walk that many layers
+    if config.num_encoder_layers + config.num_decoder_layers > len(listed):
+        raise IntegrityError("manifest layer counts exceed its tensor list")
     expected = [(name, tuple(shape)) for name, shape, _ in param_spec(config)]
     if listed != expected:
         raise IntegrityError("manifest tensor list does not match the model layout for its config")

@@ -11,6 +11,11 @@
   layer norm as ``layer_norm(add(x, r))``; ``numeric.set_loss`` and
   ``numeric.add_layer_norm`` must equal them bit for bit, forward and
   backward;
+- ``linear``, the affine tape primitive the model used before a one-layer
+  ``numeric.mlp`` took its place: ``x @ w + b[None, :]`` with the backward
+  ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, each gradient skipped
+  for an input without a node id. The chains below are built from it, so
+  they do not depend on ``numeric.mlp``;
 - ``im2col``, the general unfold the backbone used before ``numeric.conv3x3``,
   with its nine strided slice copies and its backward's nine strided ``+=``
   fold, and ``conv3x3_chain``, a backbone stage as
@@ -413,16 +418,34 @@ def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     return _record("im2col", out, (x,), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an [m, k] matrix; the length-n bias b is
+    added to every row of the [m, n] product."""
+    x = _tensor_arg(x, "linear")
+    w = _tensor_arg(w, "linear")
+    b = _tensor_arg(b, "linear")
+    dx, dw, db = x.data, w.data, b.data
+    if dx.ndim != 2 or dw.ndim != 2 or db.ndim != 1 or dw.shape != (dx.shape[1], db.shape[0]):
+        raise ShapeError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {db.shape}")
+    y = dx @ dw
+    y += db
+    return _record("linear", Tensor(y), (x, w, b), lambda g, ids: (
+        g @ dw.T if ids[0] is not None else None,
+        dx.T @ g if ids[1] is not None else None,
+        np.add.reduce(g, axis=0) if ids[2] is not None else None,
+    ))
+
+
 def conv3x3_chain(x, w, b):
     _, h, wd = x.shape
-    out = numeric.linear(im2col(x, 3, stride=2, pad=1), w, b)
+    out = linear(im2col(x, 3, stride=2, pad=1), w, b)
     return numeric.reshape(numeric.transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
 
 
 def channel_reduce_chain(f, w, b):
     c, fh, fw = f.shape
     d = b.shape[0]
-    out = numeric.linear(numeric.transpose(numeric.reshape(f, (c, fh * fw))), w, b)
+    out = linear(numeric.transpose(numeric.reshape(f, (c, fh * fw))), w, b)
     z = numeric.reshape(numeric.transpose(out), (d, fh, fw))
     return numeric.transpose(numeric.reshape(z, (d, fh * fw)))
 
@@ -487,12 +510,12 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
 def mha_chain(q, k, v, proj, num_heads):
     """``numeric.mha`` as the chain it replaces; ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo)."""
     wq, bq, wk, bk, wv, bv, wo, bo = proj
-    mixed = attention(numeric.linear(q, wq, bq), numeric.linear(k, wk, bk), numeric.linear(v, wv, bv), num_heads)
-    return numeric.linear(mixed, wo, bo)
+    mixed = attention(linear(q, wq, bq), linear(k, wk, bk), linear(v, wv, bv), num_heads)
+    return linear(mixed, wo, bo)
 
 
 def mlp_chain(x, layers, squash=False):
     """``numeric.mlp`` as the chain it replaces; ``layers`` is (w0, b0, w1, b1, ...)."""
     for i in range(0, len(layers), 2):
-        x = numeric.linear(numeric.relu(x) if i else x, layers[i], layers[i + 1])
+        x = linear(numeric.relu(x) if i else x, layers[i], layers[i + 1])
     return sigmoid(x) if squash else x

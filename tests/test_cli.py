@@ -348,6 +348,17 @@ def test_eval_manifest_with_zero_heads_exits_4(dataset, checkpoint, tmp_path, ca
     assert capsys.readouterr().err.startswith("checkpoint mismatch")
 
 
+@pytest.mark.parametrize("field", ["num_encoder_layers", "num_decoder_layers"])
+def test_eval_manifest_with_a_huge_layer_count_exits_4(dataset, checkpoint, tmp_path, capsys, field):
+    # refused from the tensor list's length, without walking 10**400 layers
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"][field] = 10**400
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    assert capsys.readouterr().err.startswith("checkpoint mismatch: manifest layer counts")
+
+
 def test_eval_undecodable_manifest_exits_4(dataset, checkpoint, tmp_path):
     ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
     (ckpt / "manifest.json").write_bytes(b"\xff\xfe{")
@@ -384,10 +395,10 @@ FUZZ_FLAGS = ["--epochs", "1", "--d-model", "8", "--heads", "2", "--enc-layers",
               "--dec-layers", "1", "--queries", "4", "--seed", "0"]
 
 # JSON values a corrupted field may hold: numbers around the valid ones,
-# non-finite floats, and values of the wrong type
+# non-finite floats, an integer beyond float range, and values of the wrong type
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 20), st.floats(-2.0, 2.0),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 10**400]),
     st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.just({"a": 1}),
 )
 DROP = object()  # deletes the field instead of overwriting it

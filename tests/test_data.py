@@ -222,3 +222,11 @@ def test_non_finite_annotation_box_raises_parse_error(tmp_path):
     stem = _edited_scene(tmp_path, _set_first("h", float("nan")))
     with pytest.raises(ParseError, match="non-finite"):
         load_scene(stem)
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+def test_annotation_box_field_beyond_float_range_raises_parse_error(tmp_path, field):
+    # 10**400 is a valid JSON number that no float64 holds
+    stem = _edited_scene(tmp_path, _set_first(field, 10**400))
+    with pytest.raises(ParseError, match=r"scene_00000\.json: object 0 .*float range"):
+        load_scene(stem)

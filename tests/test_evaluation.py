@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reldet import data, model
 from reldet.checks import ap_enumerated
 from reldet.errors import ContractError
 from reldet.evaluation import (
@@ -45,6 +47,25 @@ def test_extract_detections_paths():
     # argmax class and confidence
     one = extract_detections(output_from([[0.1, 0.7, 0.2]], [[0.5, 0.5, 0.2, 0.2]]))
     assert one[0].class_id == 1 and one[0].confidence == pytest.approx(0.7)
+
+
+def test_extract_detections_matches_boxes_read_row_by_row():
+    # boxes come from one tolist() of the box array, as python floats; the old
+    # per-row Box(*boxes[i]) over numpy scalars is the reference: the same
+    # detections, and the same bytes when written as predict writes them
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg)
+    for seed in range(3):
+        out = model.forward(data.generate_scene(seed).image, params, cfg)
+        out.class_probs.data[:8, -1] = 0.0  # 8 rows per image are detections
+        probs, boxes = out.class_probs.data, out.boxes.data
+        expected = [ScoredDetection(int(c), float(probs[i, c]), Box(*boxes[i]))
+                    for i, c in enumerate(probs.argmax(axis=1)) if c != probs.shape[1] - 1]
+        got = extract_detections(out)
+        assert len(got) >= 8 and got == expected
+        assert all(type(v) is float for d in got for v in dataclasses.astuple(d.box))
+        as_json = lambda dets: json.dumps([dataclasses.asdict(d) for d in dets], indent=1)
+        assert as_json(got) == as_json(expected)
 
 
 def test_match_detections_rules():

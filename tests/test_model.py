@@ -217,9 +217,9 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
     """Reference: each head as its own column slices, matmuls and softmax,
     concatenated, composed from unfused primitives."""
     dh = q.shape[1] // num_heads
-    qp = numeric.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    kp = numeric.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    vp = numeric.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    qp = chain.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    kp = chain.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    vp = chain.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     heads = []
     for h in range(num_heads):
         qh = chain.narrow(qp, 1, h * dh, dh)
@@ -228,7 +228,7 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
         scores = chain.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
         heads.append(numeric.matmul(numeric.softmax(scores), vh))
     mixed = heads[0] if num_heads == 1 else numeric.concat(heads)
-    return numeric.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return chain.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 @pytest.mark.parametrize("num_queries", [16, 64])
@@ -260,8 +260,9 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 def test_default_step_tape_record_count():
     # one taped default-config forward plus set loss; the fused conv3x3,
-    # linear, mha, mlp, residual layer norm and set loss ops keep this at 55
-    # (102 with each attention sublayer as four linear around an attention
+    # mha, mlp, residual layer norm and set loss ops keep this at 55, with the
+    # 1x1 reduction and the class head as one-layer mlp records (55 as well
+    # with those two as linear records, 102 with each attention sublayer as four linear around an attention
     # record and each FFN and the box head as linear, relu and sigmoid records,
     # 108 when the preliminary box head recorded its 3 linear, 2 relu and 1
     # sigmoid, 112 when the 1x1 reduction moved its rows to a [d, H, W] map
@@ -282,8 +283,8 @@ def test_default_step_tape_record_count():
     assert len(tape) == 55
     assert forward_ops["conv3x3"] == 3
     assert forward_ops["mha"] == 8
-    assert forward_ops["mlp"] == 6
-    assert forward_ops["linear"] == 3
+    assert forward_ops["mlp"] == 9
+    assert forward_ops["linear"] == 0
     assert forward_ops["relu"] == 4
     assert forward_ops["transpose"] == 2
     assert forward_ops["reshape"] == 1
@@ -372,8 +373,8 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
     x = Tensor(tokens)
     qk = numeric.add(x, pe)
     x = chain.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
-    h = numeric.relu(numeric.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
-    f = numeric.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
+    h = numeric.relu(chain.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
+    f = chain.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
     composed = chain.layer_norm(numeric.add(x, f)).data
     np.testing.assert_allclose(out, composed, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import inspect
+import re
 import threading
 import weakref
 
@@ -316,11 +318,12 @@ def test_narrow_out_of_range():
 
 
 def test_linear_and_attention_shape_errors():
+    # the affine map is a one-layer mlp
     z = lambda *shape: Tensor(np.zeros(shape))
     with pytest.raises(ShapeError):
-        numeric.linear(z(2, 3), z(2, 3), z(3))
+        numeric.mlp(z(2, 3), (z(2, 3), z(3)))
     with pytest.raises(ShapeError):
-        numeric.linear(z(2, 3), z(3, 4), z(3))
+        numeric.mlp(z(2, 3), (z(3, 4), z(3)))
     with pytest.raises(ShapeError):
         chain.attention(z(2, 4), z(3, 4), z(2, 4), 2)
     with pytest.raises(ShapeError):
@@ -478,9 +481,9 @@ def test_structural_gradients_match_fd(draw):
     other = Tensor(rng.standard_normal((3, 2)))
     gradcheck(lambda x: numeric.concat([x, other]), rng.standard_normal((3, 4)), rng=rng, label="concat")
     x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
-    gradcheck(lambda t: numeric.linear(t, Tensor(w), Tensor(b)), x, rng=rng, label="linear/x")
-    gradcheck(lambda t: numeric.linear(Tensor(x), t, Tensor(b)), w, rng=rng, label="linear/w")
-    gradcheck(lambda t: numeric.linear(Tensor(x), Tensor(w), t), b, rng=rng, label="linear/b")
+    gradcheck(lambda t: numeric.mlp(t, (Tensor(w), Tensor(b))), x, rng=rng, label="mlp1/x")
+    gradcheck(lambda t: numeric.mlp(Tensor(x), (t, Tensor(b))), w, rng=rng, label="mlp1/w")
+    gradcheck(lambda t: numeric.mlp(Tensor(x), (Tensor(w), t)), b, rng=rng, label="mlp1/b")
     x, w, b = rng.standard_normal((2, 5, 4)), rng.standard_normal((18, 3)), rng.standard_normal(3)
     gradcheck(lambda t: numeric.conv3x3(t, Tensor(w), Tensor(b)), x, rng=rng, label="conv3x3/x")
     gradcheck(lambda t: numeric.conv3x3(Tensor(x), t, Tensor(b)), w, rng=rng, label="conv3x3/w")
@@ -654,6 +657,62 @@ def test_mlp_equals_the_chain_bit_for_bit(head, rows):
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
         # a ReLU sends -0.0 for every negative pre-activation: the first layer has some
         assert (x0 @ layers0[0] + layers0[1] < 0).any()
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+@pytest.mark.parametrize("width_in, width_out", [(16, 32), (32, 6), (64, 32)], ids=["reduce", "class_head", "relation"])
+def test_one_layer_mlp_equals_linear_bit_for_bit(width_in, width_out, rows):
+    # the model's affine maps: the 1x1 reduction, the class head and the relation step
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x0, w0 = rng.standard_normal((rows, width_in)), rng.standard_normal((width_in, width_out))
+        b0 = rng.standard_normal(width_out)
+        probe = rng.standard_normal((rows, width_out))
+        got = []
+        for op in (lambda x, w, b: numeric.mlp(x, (w, b)), chain.linear):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+            with Tape():
+                y = op(x, w, b)
+                loss = checks.probe_loss(y, probe)
+            backward(loss)
+            got.append([_bits(y.data), _bits(x.grad), _bits(w.grad), _bits(b.grad)])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+def _rule_grads(op, *args):
+    """The gradients one record's backward rule returns for a ones output gradient."""
+    with Tape() as tape:
+        y = op(*args)
+    _, _, in_ids, rule = tape.records[-1]
+    return rule(np.ones_like(y.data), in_ids)
+
+
+def test_mha_and_mlp_skip_the_gradients_of_constant_inputs(rng):
+    param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
+    const = lambda *shape: Tensor(rng.standard_normal(shape))
+    proj = [param(4, 4), param(4)] * 4
+    grads = _rule_grads(numeric.mha, const(2, 4), const(3, 4), const(3, 4), proj, 2)
+    assert grads[:3] == (None, None, None)
+    assert all(g is not None for g in grads[3:])
+    grads = _rule_grads(numeric.mha, param(2, 4), const(3, 4), param(3, 4), proj, 2)
+    assert [g is None for g in grads[:3]] == [False, True, False]
+    layers = [param(4, 5), param(5), param(5, 2), param(2)]
+    grads = _rule_grads(numeric.mlp, const(3, 4), layers)
+    assert grads[0] is None and all(g is not None for g in grads[1:])
+    grads = _rule_grads(numeric.mlp, const(3, 4), [const(4, 5), const(5), *layers[2:]])
+    assert [g is None for g in grads] == [True, True, True, False, False]
+
+
+def test_docstring_lists_every_primitive():
+    # the op names numeric records against the names its module docstring lists:
+    # the plain primitives in one sentence, the fused ones as bullets, as many
+    # as that sentence counts
+    doc = numeric.__doc__
+    plain, count = re.search(r"The primitives are (.*?) plus the (\w+) fused ones below", doc, re.DOTALL).groups()
+    fused = re.findall(r"^- ``(\w+)\(", doc, re.MULTILINE)
+    assert ["one", "two", "three", "four", "five", "six", "seven", "eight"].index(count) + 1 == len(fused)
+    listed = set(re.findall(r"``(\w+)``", plain)) | set(fused)
+    assert listed == set(re.findall(r'_record\("(\w+)"', inspect.getsource(numeric)))
 
 
 def test_fused_backward_rules_are_named_after_their_ops():
