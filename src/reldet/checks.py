@@ -76,13 +76,13 @@ def op_cases(rng) -> list:
     rhs = Tensor(rng.standard_normal((4, 2)))
     bias = Tensor(rng.standard_normal(2))
     keys = Tensor(rng.standard_normal((5, 4)))
-    values = Tensor(rng.standard_normal((5, 4)))
+    key_pos = Tensor(rng.standard_normal((5, 4)))
     proj = [Tensor(rng.standard_normal(shape) / 2) for shape in [(4, 4), (4,)] * 4]  # wq, bq, ..., wo, bo
-    # a 4 -> 5 -> 2 perceptron whose hidden pre-activations stay within 1 of +-3: clear of the
+    # a 4 -> 5 -> 4 perceptron whose hidden pre-activations stay within 1 of +-3: clear of the
     # relu kink, with units on both sides of it
     rows = rng.uniform(-0.5, 0.5, (3, 4))
     w0, b0 = Tensor(rng.uniform(-0.5, 0.5, (4, 5))), Tensor(np.array([3.0, -3.0, 3.0, -3.0, 3.0]))
-    top = [Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal(2))]
+    top = [Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal(4))]
     # set loss: 5 predictions, 2 classes + no object, 3 targets; boxes that overlap
     # their targets in general position, probabilities away from the 1e-12 clamp
     probs = rng.uniform(0.2, 1.0, (5, 3))
@@ -96,6 +96,9 @@ def op_cases(rng) -> list:
     def set_loss(p, b):
         return numeric.set_loss(p, b, perm, classes, targets, 0.3, weights)[0]
 
+    def attend(x=const, pos=const, kv=keys, kv_pos=key_pos, proj=proj):
+        return numeric.attention_block(x, pos, kv, kv_pos, proj, 2)
+
     def mlp_cases(squash):
         tag = "mlp+sigmoid" if squash else "mlp"
         return [
@@ -105,7 +108,6 @@ def op_cases(rng) -> list:
         ]
 
     return [
-        ("add", lambda x: numeric.add(x, const), mat),
         ("relu", numeric.relu, off(mat)),
         ("matmul", lambda x: numeric.matmul(x, rhs), mat),
         ("softmax", numeric.softmax, mat),
@@ -115,15 +117,18 @@ def op_cases(rng) -> list:
         ("mlp1/x", lambda x: numeric.mlp(x, (rhs, bias)), mat),
         ("mlp1/w", lambda w: numeric.mlp(const, (w, bias)), rhs.data),
         ("mlp1/b", lambda b: numeric.mlp(const, (rhs, b)), bias.data),
-        ("mha/q", lambda q: numeric.mha(q, keys, values, proj, 2), mat),
-        ("mha/k", lambda k: numeric.mha(const, k, values, proj, 2), keys.data),
-        ("mha/v", lambda v: numeric.mha(const, keys, v, proj, 2), values.data),
-        ("mha/wq", lambda w: numeric.mha(const, keys, values, [w, *proj[1:]], 2), proj[0].data),
-        ("mha/bv", lambda b: numeric.mha(const, keys, values, [*proj[:5], b, *proj[6:]], 2), proj[5].data),
+        ("attention_block/x", lambda x: attend(x=x), mat),
+        ("attention_block/pos", lambda p: attend(pos=p), mat),
+        ("attention_block/kv", lambda kv: attend(kv=kv), keys.data),
+        ("attention_block/kv_pos", lambda p: attend(kv_pos=p), key_pos.data),
+        ("attention_block/wq", lambda w: attend(proj=[w, *proj[1:]]), proj[0].data),
+        ("attention_block/bv", lambda b: attend(proj=[*proj[:5], b, *proj[6:]]), proj[5].data),
+        ("attention_block/x=pos=kv=kv_pos", lambda x: attend(x, x, x, x), mat),  # self-attention
         *mlp_cases(False),
         *mlp_cases(True),
-        ("add_layer_norm/x", lambda x: numeric.add_layer_norm(x, const), mat),
-        ("add_layer_norm/r", lambda r: numeric.add_layer_norm(const, r), mat),
+        ("ffn_block/x", lambda x: numeric.ffn_block(x, [w0, b0, *top]), rows),
+        ("ffn_block/w1", lambda w: numeric.ffn_block(Tensor(rows), [w, b0, *top]), w0.data),
+        ("ffn_block/b2", lambda b: numeric.ffn_block(Tensor(rows), [w0, b0, top[0], b]), top[1].data),
         ("set_loss/probs", lambda p: set_loss(p, Tensor(boxes)), probs),
         ("set_loss/boxes", lambda b: set_loss(Tensor(probs), b), boxes),
         ("conv3x3/x", lambda x: numeric.conv3x3(x, kernel, conv_bias), image),

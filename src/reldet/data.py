@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DomainError, IntegrityError, ParseError
+from .errors import ContractError, DomainError, ParseError
 from .geometry import Box
 from .matching import GroundTruth
 from .numeric import Tensor
@@ -245,7 +245,7 @@ def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
     except DomainError as e:
         raise ParseError(f"{path}: object {i}: {e}") from e
     if not box.inside_unit():
-        raise IntegrityError(f"object box {box} leaves the unit square")
+        raise ParseError(f"{path}: object {i} box {box} leaves the unit square")
     return GroundTruth(cid, box)
 
 
@@ -259,10 +259,10 @@ def load_scene(stem) -> Scene:
         raise ParseError(f"{path} is not an annotation object with an objects list")
     h, w = image.shape[1:]
     if doc.get("width") != w or doc.get("height") != h:
-        raise IntegrityError(f"annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
+        raise ParseError(f"{path}: annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
     objects = [_annotation_object(rec, path, i) for i, rec in enumerate(doc.get("objects", []))]
     if not objects:
-        raise IntegrityError(f"scene {stem} has no objects")
+        raise ParseError(f"{path}: scene has no objects")
     return Scene(Tensor(image), objects)
 
 

@@ -8,14 +8,14 @@ head decode preliminary boxes, a kNN graph over their centers mixes each
 query's features with its neighbors', and one further decoder layer refines
 the relation-fixed embeddings before the prediction heads.
 
-Positional encodings are added to attention queries and keys only, never to
-values, at every layer; they are computed once per token count and width and
-shared read-only. Each attention sublayer is one ``numeric.mha`` record: it
-projects queries, keys and values, runs every head (heads are column blocks
-of width d / num_heads; per head softmax(Q K^T / sqrt(d / num_heads)) V,
-batched over heads) and maps the concatenated heads through the output
-projection. Each feed-forward block, and the box head, is one
-``numeric.mlp`` record.
+Encoder and decoder layers are post-norm, each sublayer ``LN(x +
+Sublayer(x))`` one tape record: a ``numeric.attention_block``, which adds the
+positional encodings to queries and keys, never to values, and runs every
+head (column blocks of width d / num_heads; per head softmax(Q K^T /
+sqrt(d / num_heads)) V, batched over heads), or a ``numeric.ffn_block``. The
+box head is one ``numeric.mlp``. The encoder's encodings are computed once
+per token count and width and shared read-only; the decoder's are its
+learned query embeddings.
 
 Parameters live in an ordered name -> Tensor dict whose tensors are views
 into one C-contiguous float64 buffer, the parameter arena, laid out in
@@ -92,7 +92,7 @@ class DetectionOutput:
     boxes: Tensor
 
 
-_MHA_PROJ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # the order numeric.mha takes them in
+_ATTN_PROJ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # the order numeric.attention_block takes them in
 _FFN_LAYERS = ("w1", "b1", "w2", "b2")
 _BOX_LAYERS = ("w0", "b0", "w1", "b1", "w2", "b2")
 
@@ -258,20 +258,9 @@ def _pe_table(num_positions: int, d: int) -> np.ndarray:
     return pe
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, prefix: str, num_heads: int) -> Tensor:
-    """Project q, k, v, attend with all heads and project the result, as one
-    ``numeric.mha`` record, which checks the widths."""
-    return numeric.mha(q, k, v, _param_getter(prefix, _MHA_PROJ)(params), num_heads)
-
-
-def _ffn(x: Tensor, params, prefix: str) -> Tensor:
-    return numeric.mlp(x, _param_getter(prefix, _FFN_LAYERS)(params))
-
-
 def _encoder_layer(x: Tensor, pe: Tensor, params, prefix: str, heads: int) -> Tensor:
-    qk = numeric.add(x, pe)
-    x = numeric.add_layer_norm(x, multi_head_attention(qk, qk, x, params, f"{prefix}.attn", heads))
-    return numeric.add_layer_norm(x, _ffn(x, params, f"{prefix}.ffn"))
+    x = numeric.attention_block(x, pe, x, pe, _param_getter(f"{prefix}.attn", _ATTN_PROJ)(params), heads)
+    return numeric.ffn_block(x, _param_getter(f"{prefix}.ffn", _FFN_LAYERS)(params))
 
 
 def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> Tensor:
@@ -282,13 +271,9 @@ def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> 
 
 
 def _decoder_layer(x: Tensor, qe: Tensor, memory: Tensor, mem_pe: Tensor, params, prefix: str, heads: int) -> Tensor:
-    qk = numeric.add(x, qe)
-    x = numeric.add_layer_norm(x, multi_head_attention(qk, qk, x, params, f"{prefix}.self_attn", heads))
-    mem_k = numeric.add(memory, mem_pe)
-    x = numeric.add_layer_norm(
-        x, multi_head_attention(numeric.add(x, qe), mem_k, memory, params, f"{prefix}.cross_attn", heads)
-    )
-    return numeric.add_layer_norm(x, _ffn(x, params, f"{prefix}.ffn"))
+    x = numeric.attention_block(x, qe, x, qe, _param_getter(f"{prefix}.self_attn", _ATTN_PROJ)(params), heads)
+    x = numeric.attention_block(x, qe, memory, mem_pe, _param_getter(f"{prefix}.cross_attn", _ATTN_PROJ)(params), heads)
+    return numeric.ffn_block(x, _param_getter(f"{prefix}.ffn", _FFN_LAYERS)(params))
 
 
 def decode_stack(x: Tensor, queries: Tensor, memory: Tensor, mem_pe: Tensor, params, prefixes, heads: int) -> Tensor:

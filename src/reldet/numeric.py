@@ -16,18 +16,19 @@ forward drops it, and a training step leaves the cyclic garbage collector
 next to nothing to track. ``tape_suspended`` runs code that must not record,
 such as the probes of ``finite_diff_grad``.
 
-The primitives are ``add``, ``relu``, ``softmax``, ``matmul``,
-``transpose``, ``reshape`` and ``concat``, plus the five fused ones below:
-the ops the model and its loss are built from. Broadcasting is deliberately
-restricted: the one binary op, ``add``, takes two tensors of identical shape.
-Row-vector bias adds happen only inside the fused affine ops, never by silent
-broadcasting. There is one softmax, max-shifted over the last axis, with one
-backward rule; ``softmax`` and ``mha`` both use it. There is one affine map,
+The primitives are ``relu``, ``softmax``, ``matmul``, ``transpose``,
+``reshape`` and ``concat``, plus the five fused ones below: the ops the model
+and its loss are built from. No op broadcasts: a positional encoding must
+have the shape of the rows it is added to, and row-vector bias adds happen
+only inside the fused affine maps. There is one softmax, max-shifted over
+the last axis, with one backward rule; ``softmax`` and ``attention_block``
+both use it. There is one layer norm, ``_layer_norm`` and its gradient
+``_layer_norm_grad``, which both sublayer ops use. There is one affine map,
 ``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n], with one backward rule,
 ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))`` (the last the reduction
-``g.sum(axis=0)`` runs, at less call overhead); ``conv3x3``, ``mha`` and
-``mlp`` all use it, and it computes no gradient for an input without a node
-id.
+``g.sum(axis=0)`` runs, at less call overhead); every fused op but
+``set_loss`` uses it, and it computes no gradient for an input without a
+node id.
 
 Five fused primitives record one tape entry for what would otherwise be a
 chain of small ops, with the same forward bits as that chain and, for every
@@ -41,21 +42,15 @@ input, the same gradient bits:
   [C, 3, 3, H', W'] order. That adds each padded pixel's terms, starting
   from +0.0, in the kernel-offset order of the nine-slice fold it replaces,
   so the bits, -0.0 included, are that fold's.
-- ``mha(q, k, v, proj, num_heads)``: multi-head attention, as the chain of
-  an affine projection each of the [n, d] queries and the [m, d] keys and
-  values, scaled dot-product attention over the projections and an affine
-  output projection. The heads are column blocks of width d / num_heads,
-  computed as one batched ``Q K^T``, scaled by 1/sqrt(d / num_heads) after
-  the product, a max-shifted softmax over the keys and one batched product
-  with V. The gradients come back one per input in input order, so an input
-  passed as both q and k gets the sum of its two gradients, as it did from
-  the chain's two projection records.
+- ``attention_block(x, pos, kv, kv_pos, proj, num_heads)``: the post-norm
+  attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos, kv))``, its heads
+  column blocks of width d / num_heads batched in one product each way.
+- ``ffn_block(x, layers)``: the post-norm feed-forward sublayer
+  ``LN(x + mlp(x, layers))``.
 - ``mlp(x, layers, squash)``: ``affine (relu affine)*`` with an optional
-  final sigmoid, the transformer's feed-forward blocks and the box head. A
-  one-layer ``mlp(x, (w, b))`` is the plain affine map, the 1x1 reduction,
-  the class head and the relation step's mixing map.
-- ``add_layer_norm(x, r)``: the residual layer norm ``layer_norm(x + r)``
-  over the last axis; both operands get the same gradient.
+  final sigmoid: the box head, and the core of ``ffn_block``. A one-layer
+  ``mlp(x, (w, b))`` is the plain affine map: the 1x1 reduction, the class
+  head and the relation step's mixing map.
 - ``set_loss(probs, boxes, ...)``: DETR's set-prediction loss under a fixed
   assignment, the class NLL over every slot plus GIoU and L1 on the matched
   boxes (through ``geometry.box_pairs``). Its backward replays the backward
@@ -75,7 +70,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .geometry import box_pairs
 
-_LN_EPS = 1e-5  # added to the variance in add_layer_norm
+_LN_EPS = 1e-5  # added to the variance in _layer_norm
 _FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 
@@ -272,16 +267,6 @@ def _tensor_arg(x, op: str) -> Tensor:
     return x
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of identical shape."""
-    a = _tensor_arg(a, "add")
-    b = _tensor_arg(b, "add")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ (only exact shapes are supported)")
-    return _record("add", Tensor(a.data + b.data), (a, b), lambda g, ids: (
-        g if ids[0] is not None else None, g if ids[1] is not None else None))
-
-
 def relu(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "relu")
     mask = x.data > 0
@@ -296,7 +281,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# softmax and the residual layer norm
+# softmax and layer norm
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -318,32 +303,23 @@ def softmax(x: Tensor) -> Tensor:
     return _record("softmax", Tensor(y), (x,), lambda g, ids: (_softmax_grad(y, g),))
 
 
-def add_layer_norm(x: Tensor, r: Tensor) -> Tensor:
-    """Residual layer norm: x + r normalized over the last axis to zero mean
-    and unit variance (no affine), with 1e-5 added to the variance.
-
-    One record for ``layer_norm(add(x, r))``: the add's backward hands its
-    gradient to both operands unchanged, so both get the layer norm's input
-    gradient. Means are ``np.add.reduce(., axis=-1, keepdims=True) / n``, the
-    same IEEE operations as ``ndarray.mean`` at less call overhead.
-    """
-    x = _tensor_arg(x, "add_layer_norm")
-    r = _tensor_arg(r, "add_layer_norm")
-    if x.data.shape != r.data.shape or x.data.ndim < 1:
-        raise ShapeError(f"add_layer_norm needs two equal shapes of rank >= 1, got {x.data.shape} and {r.data.shape}")
-    s = x.data + r.data
+def _layer_norm(s: np.ndarray) -> tuple:
+    """(y, inv): s normalized over the last axis to zero mean and unit
+    variance (no affine), 1e-5 added to the variance, and the inverse
+    deviation. Means are ``np.add.reduce(., axis=-1, keepdims=True) / n``:
+    ``ndarray.mean``'s IEEE operations at less call overhead."""
     n = s.shape[-1]
     xc = s - np.add.reduce(s, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + _LN_EPS)
-    y = xc * inv
+    return xc * inv, inv
 
-    def bwd(g, ids):
-        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-        gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
-        gs = inv * (g - gm - y * gym)
-        return (gs if ids[0] is not None else None, gs if ids[1] is not None else None)
 
-    return _record("add_layer_norm", Tensor(y), (x, r), bwd)
+def _layer_norm_grad(y: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a ``_layer_norm`` with outputs (y, inv), given the gradient g at y."""
+    n = y.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
+    return inv * (g - gm - y * gym)
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +364,40 @@ def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
     return w.shape[1]
 
 
-def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int) -> Tensor:
-    """Multi-head attention of [n, d] queries over [m, d] keys and values, as one record.
+def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Sequence[Tensor], num_heads: int) -> Tensor:
+    """The post-norm attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos,
+    kv))`` of [n, d] rows x over [m, d] rows kv, as one record.
 
     ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo), each w [d, d] and b [d].
     Head h owns columns [h*dh, (h+1)*dh) of the projections, dh = d /
     num_heads, and writes softmax(Q_h K_h^T / sqrt(dh)) V_h into the same
-    columns of the map that wo and bo project to the output; the scale
-    multiplies the product, the softmax is max-shifted, and all heads run as
-    one batched product each way. Forward and backward keep the IEEE
-    operations, operand layouts and BLAS shapes of the chain of an affine
-    record per projection around one attention record, so the output and
-    every gradient are that chain's bits. Only an input passed as q, k and v
-    at once would sum its three gradients in another order; the model passes
-    none so.
+    columns of the map that wo and bo project; the scale multiplies the
+    product and all heads run as one batched product each way. Forward and
+    backward keep the IEEE operations, operand layouts and BLAS shapes of
+    the chain of adds, affine records, attention and layer norm this
+    replaces, so the output and every gradient are its bits. Self-attention
+    is the call with ``kv is x and kv_pos is pos``: queries and keys read one
+    array x + pos, and the record lists (x, x, x, pos, *proj), x taking the
+    layer norm's, the value's and then the query-plus-key gradient, in the
+    chain's order; otherwise it lists (x, kv, x, pos, kv, kv_pos, *proj).
     """
-    q = _tensor_arg(q, "mha")
-    k = _tensor_arg(k, "mha")
-    v = _tensor_arg(v, "mha")
-    proj = [_tensor_arg(t, "mha") for t in proj]
+    x, pos, kv, kv_pos, *proj = (_tensor_arg(t, "attention_block") for t in (x, pos, kv, kv_pos, *proj))
     if len(proj) != 8:
-        raise ContractError(f"mha needs 8 projection tensors (wq, bq, wk, bk, wv, bv, wo, bo), got {len(proj)}")
-    xq, xk, xv = q.data, k.data, v.data
-    if xq.ndim != 2 or xk.ndim != 2 or xk.shape != xv.shape or xq.shape[1] != xk.shape[1]:
-        raise ShapeError(f"mha shapes disagree: q {xq.shape}, k {xk.shape}, v {xv.shape}")
-    (n, d), m = xq.shape, xk.shape[0]
+        raise ContractError(f"attention_block needs 8 projection tensors (wq, bq, ..., wo, bo), got {len(proj)}")
+    xx, xv = x.data, kv.data
+    if xx.ndim != 2 or xv.ndim != 2 or xx.shape[1] != xv.shape[1] or pos.shape != xx.shape or kv_pos.shape != xv.shape:
+        raise ShapeError(f"attention_block shapes disagree: x {xx.shape}, pos {pos.shape}, kv {xv.shape}, "
+                         f"kv_pos {kv_pos.shape}")
+    (n, d), m = xx.shape, xv.shape[0]
     if num_heads < 1 or d % num_heads:
-        raise ShapeError(f"mha: width {d} not divisible by {num_heads} heads")
+        raise ShapeError(f"attention_block: width {d} not divisible by {num_heads} heads")
     wq, bq, wk, bk, wv, bv, wo, bo = [t.data for t in proj]
     for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
-        if _check_affine("mha", d, w, b) != d:
-            raise ShapeError(f"mha: a projection weight {w.shape} does not map width {d} to itself")
+        if _check_affine("attention_block", d, w, b) != d:
+            raise ShapeError(f"attention_block: a projection weight {w.shape} does not map width {d} to itself")
+    self_attn = kv is x and kv_pos is pos
+    xq = xx + pos.data
+    xk = xq if self_attn else xv + kv_pos.data
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
     # per-head operands, each head's matrix C-contiguous: q [h,n,dh], k^T [h,dh,m], v [h,m,dh]
@@ -429,47 +408,48 @@ def mha(q: Tensor, k: Tensor, v: Tensor, proj: Sequence[Tensor], num_heads: int)
     s *= scale
     p = _softmax(s)
     mixed = (p @ vh).transpose(1, 0, 2).reshape(n, d)
-    out = Tensor(_affine(mixed, wo, bo))
+    y, inv = _layer_norm(xx + _affine(mixed, wo, bo))
+    inputs = (x, x, x, pos) if self_attn else (x, kv, x, pos, kv, kv_pos)
+    k0, w0 = (2 if self_attn else 4), len(inputs)  # the slots of k's first input and of wq
 
     def bwd(g, ids):
+        either = lambda i: ids[i] if ids[i] is not None else ids[i + 1]  # an id of slot i or i + 1
+        g = _layer_norm_grad(y, inv, g)
         go = (g @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
         ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
         gqp = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
-        gq = _affine_grads(xq, wq, gqp, (ids[0], ids[3], ids[4]))
+        gq = _affine_grads(xq, wq, gqp, (either(2), *ids[w0:w0 + 2]))
         # in C order: the reshape of dk^T is an F-order view, which would change
         # the summation order of the bias sum and of the BLAS products downstream
         gkp = np.ascontiguousarray((qh.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
-        gk = _affine_grads(xk, wk, gkp, (ids[1], ids[5], ids[6]))
+        gk = _affine_grads(xk, wk, gkp, (either(k0), *ids[w0 + 2:w0 + 4]))
         gvp = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
-        gv = _affine_grads(xv, wv, gvp, (ids[2], ids[7], ids[8]))
-        _, gwo, gbo = _affine_grads(mixed, wo, g, (None, ids[9], ids[10]))
-        return (gq[0], gk[0], gv[0], gq[1], gq[2], gk[1], gk[2], gv[1], gv[2], gwo, gbo)
+        gv = _affine_grads(xv, wv, gvp, (ids[1], *ids[w0 + 4:w0 + 6]))
+        _, gwo, gbo = _affine_grads(mixed, wo, g, (None, *ids[w0 + 6:w0 + 8]))
+        if self_attn:  # queries and keys are one array: the chain summed their gradients before its add
+            gqk = None if gq[0] is None else gq[0] + gk[0]
+            slots = (g, gv[0], gqk, gqk)
+        else:
+            slots = (g, gv[0], gq[0], gq[0], gk[0], gk[0])
+        return (*(gi if nid is not None else None for gi, nid in zip(slots, ids)),
+                gq[1], gq[2], gk[1], gk[2], gv[1], gv[2], gwo, gbo)
 
-    return _record("mha", out, (q, k, v, *proj), bwd)
+    return _record("attention_block", Tensor(y), (*inputs, *proj), bwd)
 
 
-def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
-    """The affine map of each layer of ``layers`` (w0, b0, w1, b1, ...) in
-    turn over [m, k] rows, with a ReLU between two layers and, when
-    ``squash``, a sigmoid after the last: one record for the chain of affine,
-    ``relu`` and ``sigmoid`` records. One layer, ``mlp(x, (w, b))``, is
-    ``x @ w + b[None, :]`` alone.
-
-    The ReLU is ``h * (h > 0)``, so it sends -0.0 for a negative entry, and
-    the sigmoid is ``_sigmoid``; forward and backward run the chain's IEEE
-    operations, so the output and every gradient are its bits.
-    """
-    x = _tensor_arg(x, "mlp")
-    ts = [_tensor_arg(t, "mlp") for t in layers]
+def _mlp_core(op: str, h: np.ndarray, ts: list) -> tuple:
+    """The affine map of each layer of ``ts`` (w0, b0, w1, b1, ...) in turn
+    over [m, k] rows h, with a ReLU ``h * (h > 0)`` (-0.0 for a negative
+    entry) between two layers: (output, rule), where ``rule(g, ids)`` gives
+    the gradients at (h, *ts) from the gradient g at the output."""
     if not ts or len(ts) % 2:
-        raise ContractError(f"mlp needs a weight and a bias per layer, got {len(ts)} tensors")
-    h = x.data
+        raise ContractError(f"{op} needs a weight and a bias per layer, got {len(ts)} tensors")
     if h.ndim != 2:
-        raise ShapeError(f"mlp needs a rank-2 input, got shape {h.shape}")
+        raise ShapeError(f"{op} needs a rank-2 input, got shape {h.shape}")
     ws, bs = [t.data for t in ts[0::2]], [t.data for t in ts[1::2]]
     width = h.shape[1]
     for w, b in zip(ws, bs):
-        width = _check_affine("mlp", width, w, b)
+        width = _check_affine(op, width, w, b)
     acts, masks = [h], []  # each layer's input, and the ReLU mask in front of every layer but the first
     h = _affine(h, ws[0], bs[0])
     for w, b in zip(ws[1:], bs[1:]):
@@ -478,19 +458,47 @@ def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
         masks.append(mask)
         acts.append(h)
         h = _affine(h, w, b)
-    y = _sigmoid(h) if squash else h
 
-    def bwd(g, ids):
+    def rule(g, ids):
         grads = [None] * len(ids)
-        if squash:
-            g = g * y * (1.0 - y)
         for i in range(len(ws) - 1, 0, -1):  # True: a hidden layer's input always needs its gradient
             g, grads[2 * i + 1], grads[2 * i + 2] = _affine_grads(acts[i], ws[i], g, (True, *ids[2 * i + 1:2 * i + 3]))
             g *= masks[i - 1]
         grads[:3] = _affine_grads(acts[0], ws[0], g, ids[:3])
         return grads
 
-    return _record("mlp", Tensor(y), (x, *ts), bwd)
+    return h, rule
+
+
+def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
+    """``_mlp_core`` over [m, k] rows x and ``layers`` (w0, b0, w1, b1, ...),
+    with a ``_sigmoid`` after the last layer when ``squash``: one record with
+    the bits of the chain of affine, ``relu`` and ``sigmoid`` records. One
+    layer, ``mlp(x, (w, b))``, is ``x @ w + b[None, :]`` alone."""
+    x, *ts = (_tensor_arg(t, "mlp") for t in (x, *layers))
+    h, rule = _mlp_core("mlp", x.data, ts)
+    if not squash:
+        return _record("mlp", Tensor(h), (x, *ts), rule)
+    y = _sigmoid(h)
+    return _record("mlp", Tensor(y), (x, *ts), lambda g, ids: rule(g * y * (1.0 - y), ids))
+
+
+def ffn_block(x: Tensor, layers: Sequence[Tensor]) -> Tensor:
+    """The post-norm feed-forward sublayer ``LN(x + mlp(x, layers))`` of
+    [m, d] rows, as one record with the bits of that chain. The record lists
+    x twice, (x, x, *layers), for the layer norm's gradient and then the
+    perceptron's, the order in which the chain added them."""
+    x, *ts = (_tensor_arg(t, "ffn_block") for t in (x, *layers))
+    h, rule = _mlp_core("ffn_block", x.data, ts)
+    if h.shape != x.shape:
+        raise ShapeError(f"ffn_block: the layers map {x.shape} rows to {h.shape}, not to the residual's shape")
+    y, inv = _layer_norm(x.data + h)
+
+    def bwd(g, ids):
+        g = _layer_norm_grad(y, inv, g)
+        return (g if ids[0] is not None else None, *rule(g, ids[1:]))
+
+    return _record("ffn_block", Tensor(y), (x, x, *ts), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:

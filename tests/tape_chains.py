@@ -1,16 +1,15 @@
 """The computations the fused primitives replace, kept as test oracles.
 
-- the elementwise tape primitives the set loss and the residual layer norm
-  used to be built from (``add`` and ``mul``, ``sub``, ``div``, ``maximum``
-  and ``minimum``, each over two tensors of one shape or a tensor and a
-  python scalar, and ``neg``, ``absolute``, ``log``, ``sum_all``, ``mean``,
-  ``layer_norm``, ``narrow``, ``take_rows``, ``take_pairs``), each with its
-  own backward rule;
+- the elementwise tape primitives the set loss, the positional adds and the
+  residual layer norms used to be built from (``add`` and ``mul``, ``sub``,
+  ``div``, ``maximum`` and ``minimum``, each over two tensors of one shape or
+  a tensor and a python scalar, and ``neg``, ``absolute``, ``log``,
+  ``sum_all``, ``mean``, ``layer_norm``, ``narrow``, ``take_rows``,
+  ``take_pairs``), each with its own backward rule;
 - ``hungarian_loss_chain``: the set loss as a chain of those ops (55 tape
-  records on a 5-object scene), and ``add_layer_norm_chain``, the residual
-  layer norm as ``layer_norm(add(x, r))``; ``numeric.set_loss`` and
-  ``numeric.add_layer_norm`` must equal them bit for bit, forward and
-  backward;
+  records on a 5-object scene); ``numeric.set_loss`` must equal it bit for
+  bit, forward and backward. ``add_layer_norm_chain`` is the residual layer
+  norm ``layer_norm(add(x, r))``;
 - ``linear``, the affine tape primitive the model used before a one-layer
   ``numeric.mlp`` took its place: ``x @ w + b[None, :]`` with the backward
   ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, each gradient skipped
@@ -29,12 +28,16 @@
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
   ``geometry.box_pairs``, and ``from_corners``, a ``Box`` from its corners;
 - ``sigmoid`` and ``attention``, the tape primitives the transformer was
-  built from before ``numeric.mha`` and ``numeric.mlp``: ``sigmoid`` by
-  boolean-mask indexing, ``attention`` over projected queries, keys and
-  values with an out-of-place max-shifted softmax. ``mha_chain`` (four
-  ``linear`` around ``attention``) and ``mlp_chain`` (``linear``, ``relu``
-  and ``sigmoid``) are the chains the fused ops must equal bit for bit,
-  forward and backward.
+  built from before its fused ops: ``sigmoid`` by boolean-mask indexing,
+  ``attention`` over projected queries, keys and values with an
+  out-of-place max-shifted softmax. ``mha_chain`` is four ``linear`` around
+  ``attention``, and ``mlp_chain`` is ``linear``, ``relu`` and ``sigmoid``;
+  ``numeric.mlp`` must equal the latter bit for bit, forward and backward;
+- ``attention_block_chain`` and ``ffn_block_chain``, the post-norm
+  transformer sublayers as the model recorded them before
+  ``numeric.attention_block`` and ``numeric.ffn_block``: the positional
+  ``add``s, ``mha_chain`` or ``mlp_chain``, then ``add_layer_norm_chain``.
+  The two ops must equal them bit for bit, forward and backward.
 """
 
 import math
@@ -508,7 +511,8 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
 
 
 def mha_chain(q, k, v, proj, num_heads):
-    """``numeric.mha`` as the chain it replaces; ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo)."""
+    """Multi-head attention as the chain the fused op replaced, the attention of
+    ``attention_block_chain``; ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo)."""
     wq, bq, wk, bk, wv, bv, wo, bo = proj
     mixed = attention(linear(q, wq, bq), linear(k, wk, bk), linear(v, wv, bv), num_heads)
     return linear(mixed, wo, bo)
@@ -519,3 +523,21 @@ def mlp_chain(x, layers, squash=False):
     for i in range(0, len(layers), 2):
         x = linear(numeric.relu(x) if i else x, layers[i], layers[i + 1])
     return sigmoid(x) if squash else x
+
+
+def attention_block_chain(x, pos, kv, kv_pos, proj, num_heads):
+    """``numeric.attention_block`` as the chain it replaces. Self-attention
+    (``kv is x and kv_pos is pos``) reads queries and keys from one add;
+    otherwise the keys' add is recorded before the queries', as the decoder
+    recorded them."""
+    if kv is x and kv_pos is pos:
+        q = k = add(x, pos)
+    else:
+        k = add(kv, kv_pos)
+        q = add(x, pos)
+    return add_layer_norm_chain(x, mha_chain(q, k, kv, proj, num_heads))
+
+
+def ffn_block_chain(x, layers):
+    """``numeric.ffn_block`` as the chain it replaces."""
+    return add_layer_norm_chain(x, mlp_chain(x, layers))

@@ -92,13 +92,18 @@ def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path):
                "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / "p")) == 2
 
 
-def _with_class_id(dataset, tmp_path, class_id):
+def _edited(dataset, tmp_path, edit):
+    """A copy of the dataset whose scene_00001.json annotation ``edit`` changed in place."""
     ds = shutil.copytree(dataset, tmp_path / "ds")
     scene = ds / "scene_00001.json"
     doc = json.loads(scene.read_text())
-    doc["objects"][0]["class_id"] = class_id
+    edit(doc)
     scene.write_text(json.dumps(doc))
     return ds
+
+
+def _with_class_id(dataset, tmp_path, class_id):
+    return _edited(dataset, tmp_path, lambda doc: doc["objects"][0].update(class_id=class_id))
 
 
 @pytest.mark.parametrize("class_id", [99, -1])
@@ -115,6 +120,28 @@ def test_eval_out_of_catalog_class_id_exits_2(dataset, checkpoint, tmp_path, cap
     assert run("eval", "--data", str(ds), "--checkpoint", str(checkpoint)) == 2
     err = capsys.readouterr().err
     assert "scene_00001.json" in err and f"class_id {class_id}" in err
+
+
+# an annotation that contradicts its image or the unit square is a bad input
+# file (exit 2), not a checkpoint mismatch (exit 4)
+DATASET_ERRORS = {
+    "box_outside_unit_square": (lambda doc: doc["objects"][0].update(cx=0.99, w=0.2), "leaves the unit square"),
+    "size_mismatch": (lambda doc: doc.update(width=40), "annotation size 40x16 mismatches image 16x16"),
+    "no_objects": (lambda doc: doc.update(objects=[]), "scene has no objects"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(DATASET_ERRORS))
+def test_dataset_error_exits_2_naming_the_file(dataset, checkpoint, tmp_path, capsys, case, command):
+    edit, message = DATASET_ERRORS[case]
+    ds = str(_edited(dataset, tmp_path, edit))
+    if command == "train":
+        assert run("train", "--data", ds, "--out", str(tmp_path / "ck"), *TRAIN_FLAGS) == 2
+    else:
+        assert run("eval", "--data", ds, "--checkpoint", str(checkpoint)) == 2
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and message in err and "checkpoint mismatch" not in err
 
 
 def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
@@ -418,8 +445,9 @@ def run_captured(*argv):
     return code, err.getvalue()
 
 
-def assert_clean_exit(code, err):
-    assert code in (0, 2, 3, 4) and "Traceback" not in err, f"exit {code}: {err}"
+def assert_clean_exit(code, err, allowed):
+    """A documented exit code of the fuzzed boundary, and no traceback."""
+    assert code in allowed and "Traceback" not in err, f"exit {code}: {err}"
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +493,7 @@ def test_fuzzed_annotation_exits_cleanly(fuzz_base, path, value, command):
             argv = ["train", "--data", ds, "--out", os.path.join(tmp, "ck"), *FUZZ_FLAGS]
         else:
             argv = ["eval", "--data", ds, "--checkpoint", str(fuzz_base / "ckpt")]
-        assert_clean_exit(*run_captured(*argv))
+        assert_clean_exit(*run_captured(*argv), allowed=(0, 2))
 
 
 CONFIG_FIELDS = ["image_size", "backbone_channels", "model_dim", "num_heads", "num_encoder_layers",
@@ -487,7 +515,7 @@ def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, field, value, nan_at):
             weights = np.fromfile(weights_path, dtype="<f8")
             weights[nan_at % weights.size] = np.nan
             weights.tofile(weights_path)
-        assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt))
+        assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt), allowed=(0, 4))
 
 
 FLAGS = {
@@ -514,4 +542,4 @@ def test_fuzzed_flags_exit_cleanly(fuzz_base, data):
             if flag in ("--epochs", "--count") and value == "7":
                 value = "2"  # keep the run short
             argv += [flag, value]
-        assert_clean_exit(*run_captured(*argv))
+        assert_clean_exit(*run_captured(*argv), allowed=(0, 2, 3) if command == "train" else (0, 2))

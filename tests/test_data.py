@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reldet import data
-from reldet.errors import ContractError, IntegrityError, ParseError
+from reldet.errors import ContractError, ParseError
 from reldet.data import (
     DEFAULT_CLASSES,
     Scene,
@@ -127,7 +127,7 @@ def test_empty_object_annotation_rejected(tmp_path):
     doc = json.loads((tmp_path / "scene_00000.json").read_text())
     doc["objects"] = []
     (tmp_path / "scene_00000.json").write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="no objects"):
+    with pytest.raises(ParseError, match=r"scene_00000\.json: scene has no objects"):
         load_scene(tmp_path / "scene_00000")
 
 
@@ -137,7 +137,7 @@ def test_out_of_bounds_annotation_rejected(tmp_path):
     doc = json.loads((tmp_path / "scene_00000.json").read_text())
     doc["objects"][0]["cx"] = 0.99
     (tmp_path / "scene_00000.json").write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="unit square"):
+    with pytest.raises(ParseError, match=r"scene_00000\.json: object 0 box .* leaves the unit square"):
         load_scene(tmp_path / "scene_00000")
 
 

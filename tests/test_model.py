@@ -19,15 +19,21 @@ from reldet.model import (
     encoder_forward,
     forward,
     init_params,
-    multi_head_attention,
     param_spec,
     predict_heads,
     sinusoidal_pe,
 )
 from reldet.numeric import Tensor
+from reldet.training import OptimizerState, train_step
 
 import tape_chains as chain
 from conftest import op_names
+
+
+def multi_head_attention(q, k, v, params, prefix, num_heads):
+    """The multi-head attention inside ``numeric.attention_block``, through its
+    oracle ``tape_chains.mha_chain``, with the projections ``prefix.wq`` .. ``prefix.bo``."""
+    return chain.mha_chain(q, k, v, [params[f"{prefix}.{name}"] for name in model._ATTN_PROJ], num_heads)
 
 
 TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
@@ -174,12 +180,13 @@ def test_attention_single_position_is_value_projection(rng):
 
 def test_attention_bad_width_raises_shape_error(rng):
     params = init_params(TINY)
+    proj = [params[f"encoder.0.attn.{name}"] for name in model._ATTN_PROJ]
     x = Tensor(rng.standard_normal((3, 8)))
     with pytest.raises(ShapeError):  # 8 columns do not split into 3 heads
-        multi_head_attention(x, x, x, params, "encoder.0.attn", 3)
+        numeric.attention_block(x, x, x, x, proj, 3)
     narrow = Tensor(rng.standard_normal((3, 6)))
-    with pytest.raises(ShapeError):  # a 6-wide query meets an 8-wide projection
-        multi_head_attention(narrow, x, x, params, "encoder.0.attn", 2)
+    with pytest.raises(ShapeError):  # 6-wide rows meet an 8-wide projection
+        numeric.attention_block(narrow, narrow, narrow, narrow, proj, 2)
 
 
 def test_attention_matches_hand_computation(rng):
@@ -260,9 +267,11 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 def test_default_step_tape_record_count():
     # one taped default-config forward plus set loss; the fused conv3x3,
-    # mha, mlp, residual layer norm and set loss ops keep this at 55, with the
-    # 1x1 reduction and the class head as one-layer mlp records (55 as well
-    # with those two as linear records, 102 with each attention sublayer as four linear around an attention
+    # transformer sublayer, mlp and set loss ops keep this at 31, with the 1x1
+    # reduction and the class head as one-layer mlp records (55 with the
+    # positional adds and residual layer norms as add and add_layer_norm
+    # records around mha and mlp records, 55 as well with the reduction and
+    # the class head as linear records, 102 with each attention sublayer as four linear around an attention
     # record and each FFN and the box head as linear, relu and sigmoid records,
     # 108 when the preliminary box head recorded its 3 linear, 2 relu and 1
     # sigmoid, 112 when the 1x1 reduction moved its rows to a [d, H, W] map
@@ -280,18 +289,34 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 55
-    assert forward_ops["conv3x3"] == 3
-    assert forward_ops["mha"] == 8
-    assert forward_ops["mlp"] == 9
-    assert forward_ops["linear"] == 0
-    assert forward_ops["relu"] == 4
-    assert forward_ops["transpose"] == 2
-    assert forward_ops["reshape"] == 1
-    assert forward_ops["softmax"] == 1
-    assert forward_ops["add_layer_norm"] == 13
-    assert forward_ops["attention"] == forward_ops["sigmoid"] == 0
+    assert len(tape) == 31
+    assert forward_ops == Counter(attention_block=8, ffn_block=5, mlp=4, relu=4, conv3x3=3, transpose=2,
+                                  reshape=1, matmul=1, concat=1, softmax=1)
     assert ops - forward_ops == Counter(set_loss=1)
+
+
+def test_op_cases_check_exactly_the_ops_a_training_step_records(monkeypatch):
+    # both ways: every op a default train_step records keeps a
+    # finite-difference check in checks.op_cases, and op_cases checks no
+    # primitive that only selftest would call (selftest runs op_cases, so
+    # test_call_trace cannot see one)
+    checked = set()
+    for _, op, x_data in checks.op_cases(np.random.default_rng(0)):
+        with numeric.Tape() as tape:
+            op(Tensor(x_data, requires_grad=True))
+        checked.update(op_names(tape))
+    recorded = set()
+    real = numeric.backward
+
+    def spy(loss):
+        recorded.update(op_names(loss.tape))
+        real(loss)
+
+    monkeypatch.setattr(numeric, "backward", spy)
+    cfg = ModelConfig()
+    train_step(data.generate_scene(1), init_params(cfg), OptimizerState(), LossWeights(), 0.1, cfg)
+    assert len(recorded) == 11
+    assert checked == recorded
 
 
 def _taped_step(queries: int, max_objects: int):
@@ -337,9 +362,9 @@ def test_no_rule_computes_a_gradient_for_an_input_without_a_node_id(queries, max
     tape.records[:] = [(op, out_id, in_ids, checked(op, rule)) for op, out_id, in_ids, rule in tape.records]
     numeric.backward(loss)
     # the image into the first conv3x3, the neighbour-mean matrix into
-    # aggregate's matmul, and the positional encodings added to the encoder
-    # tokens (2 layers) and to the decoder's memory keys (3 layers)
-    assert skipped == Counter(conv3x3=1, matmul=1, add=5)
+    # aggregate's matmul, and the positional encodings of the encoder's
+    # self-attention (2 layers) and of the decoder's memory keys (3 layers)
+    assert skipped == Counter(conv3x3=1, matmul=1, attention_block=5)
 
 
 def test_encoder_shape_token_equivariance_and_degenerate(rng):
@@ -371,11 +396,11 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
     out = encoder_forward(Tensor(tokens), pe, params, cfg).data
 
     x = Tensor(tokens)
-    qk = numeric.add(x, pe)
-    x = chain.layer_norm(numeric.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
+    qk = chain.add(x, pe)
+    x = chain.layer_norm(chain.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
     h = numeric.relu(chain.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
     f = chain.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
-    composed = chain.layer_norm(numeric.add(x, f)).data
+    composed = chain.layer_norm(chain.add(x, f)).data
     np.testing.assert_allclose(out, composed, atol=1e-12)
 
 

@@ -83,9 +83,12 @@ def test_softmax_shift_invariance_and_normalization(xs, c):
 def test_relu_sigmoid_layernorm_definitions():
     np.testing.assert_array_equal(numeric.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert chain.sigmoid(Tensor([0.0])).data[0] == 0.5
-    # zero variance is absorbed by eps, output is exactly zero
-    np.testing.assert_array_equal(numeric.add_layer_norm(Tensor([1.0, 1.0, 1.0]), Tensor([0.5, 0.5, 0.5])).data,
+    # zero variance is absorbed by eps, output is exactly zero: in the oracle
+    # and in a feed-forward sublayer whose zero weights leave the residual alone
+    np.testing.assert_array_equal(chain.add_layer_norm_chain(Tensor([1.0, 1.0, 1.0]), Tensor([0.5, 0.5, 0.5])).data,
                                   [0.0, 0.0, 0.0])
+    zeros = [Tensor(np.zeros(shape)) for shape in [(3, 2), (2,), (2, 3), (3,)]]
+    np.testing.assert_array_equal(numeric.ffn_block(Tensor([[1.5, 1.5, 1.5]]), zeros).data, [[0.0, 0.0, 0.0]])
 
 
 def test_sigmoid_stable_at_extremes():
@@ -304,12 +307,19 @@ def test_finite_diff_restores_the_active_tape_when_f_raises():
 
 
 def test_exact_shape_rule_rejects_general_broadcast():
+    # a positional encoding must have the shape of the rows it is added to,
+    # in the attention sublayer as in the oracle's add
     with pytest.raises(ShapeError):
-        numeric.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        chain.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    x, proj = Tensor(np.zeros((2, 4))), [Tensor(np.zeros(shape)) for shape in [(4, 4), (4,)] * 4]
+    numeric.attention_block(x, Tensor(np.zeros((2, 4))), x, Tensor(np.zeros((2, 4))), proj, 2)
+    for pos, kv_pos in [(Tensor(np.zeros(4)), x), (x, Tensor(np.zeros(4))), (x, Tensor(np.zeros((1, 4))))]:
+        with pytest.raises(ShapeError):
+            numeric.attention_block(x, pos, x, kv_pos, proj, 2)
     with pytest.raises(ContractError):
-        numeric.add(Tensor(np.zeros(3)), 1.0)
+        numeric.attention_block(x, 1.0, x, x, proj, 2)
     with pytest.raises(ContractError):
-        numeric.add(1.0, Tensor(np.zeros(3)))
+        numeric.attention_block(x, x, x, 1.0, proj, 2)
 
 
 def test_narrow_out_of_range():
@@ -331,24 +341,33 @@ def test_linear_and_attention_shape_errors():
 
 
 def test_mha_and_mlp_shape_errors():
+    # the attention and the perceptron inside the sublayer ops check their widths
     z = lambda *shape: Tensor(np.zeros(shape))
     proj = [z(4, 4), z(4)] * 4
-    numeric.mha(z(2, 4), z(3, 4), z(3, 4), proj, 2)
-    for q, k, v, heads in [
-        (z(2, 4), z(3, 4), z(3, 4), 3),  # 4 columns do not split into 3 heads
-        (z(2, 6), z(3, 4), z(3, 4), 2),  # q, k and v widths disagree
-        (z(2, 4), z(3, 6), z(3, 4), 2),
-        (z(2, 4), z(3, 4), z(2, 4), 2),  # k and v row counts differ
+    attend = lambda x, kv, heads, proj=proj: numeric.attention_block(x, z(*x.shape), kv, z(*kv.shape), proj, heads)
+    attend(z(2, 4), z(3, 4), 2)
+    for x, kv, heads in [
+        (z(2, 4), z(3, 4), 3),  # 4 columns do not split into 3 heads
+        (z(2, 6), z(3, 4), 2),  # query and key widths disagree
+        (z(2, 4), z(3, 6), 2),
+        (z(4), z(3, 4), 2),  # not rows
+        (z(2, 4), z(1, 3, 4), 2),
     ]:
         with pytest.raises(ShapeError):
-            numeric.mha(q, k, v, proj, heads)
+            attend(x, kv, heads)
     for i, bad in [(0, z(4, 3)), (2, z(3, 4)), (6, z(4, 4, 1)), (1, z(3)), (7, z(4, 1))]:
         with pytest.raises(ShapeError):  # a projection weight or bias of the wrong shape
-            numeric.mha(z(2, 4), z(3, 4), z(3, 4), [*proj[:i], bad, *proj[i + 1:]], 2)
+            attend(z(2, 4), z(3, 4), 2, [*proj[:i], bad, *proj[i + 1:]])
+    with pytest.raises(ContractError):
+        attend(z(2, 4), z(3, 4), 2, proj[:7])
     numeric.mlp(z(2, 4), [z(4, 5), z(5), z(5, 3), z(3)])
+    numeric.ffn_block(z(2, 4), [z(4, 5), z(5), z(5, 4), z(4)])
     for layers in [[z(3, 5), z(5)], [z(4, 5), z(5), z(4, 3), z(3)], [z(4, 5), z(4)]]:
-        with pytest.raises(ShapeError):  # layer widths that do not chain
-            numeric.mlp(z(2, 4), layers)
+        for op in (numeric.mlp, numeric.ffn_block):
+            with pytest.raises(ShapeError):  # layer widths that do not chain
+                op(z(2, 4), layers)
+    with pytest.raises(ShapeError):  # a feed-forward sublayer maps its rows back to their width
+        numeric.ffn_block(z(2, 4), [z(4, 5), z(5), z(5, 3), z(3)])
 
 
 def test_concat_roundtrip(rng):
@@ -421,7 +440,7 @@ UNARY_CASES = [
     ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
     ("sum_all", lambda x: numeric.reshape(chain.sum_all(x), (1,)), None),
     ("softmax", numeric.softmax, None),
-    ("layer_norm", lambda x: numeric.add_layer_norm(x, Tensor(np.zeros((3, 4)))), None),
+    ("layer_norm", lambda x: chain.add_layer_norm_chain(x, Tensor(np.zeros((3, 4)))), None),
     ("transpose", numeric.transpose, None),
     ("reshape", lambda x: numeric.reshape(x, (6, 2)), None),
     ("narrow", lambda x: chain.narrow(x, 1, 1, 2), None),
@@ -442,7 +461,7 @@ def test_unary_gradients_match_fd(name, op, prep, draw):
 
 
 BINARY_CASES = [
-    ("add", numeric.add),
+    ("add", chain.add),
     ("sub", chain.sub),
     ("mul", chain.mul),
     ("div", lambda a, b: chain.div(a, chain.add(chain.mul(b, 0.1), 2.0))),
@@ -500,20 +519,21 @@ def _bits(a) -> bytes:
 
 @pytest.mark.parametrize("rows", [16, 64])
 def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
+    # the one layer norm pair both sublayer ops use, over a residual sum,
+    # against the oracle: both operands take the layer norm's input gradient
     for seed in range(20):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((rows, 32)), rng.standard_normal((rows, 32)) * 3
         probe = rng.standard_normal((rows, 32))
-        got = []
-        for op in (numeric.add_layer_norm, chain.add_layer_norm_chain):
-            x, r = Tensor(xs[0], requires_grad=True), Tensor(xs[1], requires_grad=True)
-            with Tape():
-                y = op(x, r)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
-            got.append((_bits(y.data), _bits(x.grad), _bits(r.grad)))
-        assert got[0] == got[1]
-        assert got[0][1] == got[0][2]
+        x, r = Tensor(xs[0], requires_grad=True), Tensor(xs[1], requires_grad=True)
+        with Tape():
+            y = chain.add_layer_norm_chain(x, r)
+            loss = checks.probe_loss(y, probe)
+        backward(loss)
+        assert _bits(x.grad) == _bits(r.grad)
+        fused, inv = numeric._layer_norm(xs[0] + xs[1])
+        assert _bits(fused) == _bits(y.data)
+        assert _bits(numeric._layer_norm_grad(fused, inv, probe)) == _bits(x.grad)
 
 
 @pytest.mark.parametrize(
@@ -593,32 +613,58 @@ def test_set_loss_equals_the_chain_bit_for_bit(n, ties):
 
 @pytest.mark.parametrize("queries", [16, 64])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("kind", ["self", "cross"])
+@pytest.mark.parametrize("kind", ["self", "cross", "query"])
 def test_mha_equals_the_chain_bit_for_bit(kind, heads, queries):
-    # as the model wires them: self-attention reads q and k from one add(x, pe)
-    # and v from x, so x takes the v gradient, then the qk sum through the add;
-    # cross-attention reads keys from add(memory, pe) and values from memory,
-    # so memory takes its v gradient before the add hands it the k gradient
-    tokens = queries if kind == "self" else 16
+    # the attention sublayer against its chain, as the model wires it: "self"
+    # is an encoder layer's (x attends to itself, with constant encodings);
+    # "cross" a decoder layer's second sublayer (queries x + qe, keys memory +
+    # pe, values memory); "query" decoder layer 0's two attention sublayers,
+    # the first with x, both encodings and kv all the query embeddings qe, so
+    # qe sums the gradients of four uses in one record and one in the next
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        x0, m0, pe = (rng.standard_normal(shape) for shape in [(queries, 32), (tokens, 32), (tokens, 32)])
+        x0, q0, m0, pe = (rng.standard_normal(shape) for shape in [(queries, 32), (queries, 32), (16, 32), (16, 32)])
+        if kind == "self":
+            pe = rng.standard_normal((queries, 32))
         proj0 = [rng.standard_normal(shape) / 6 for shape in [(32, 32), (32,)] * 4]
         probe = rng.standard_normal((queries, 32))
         got = []
-        for op in (numeric.mha, chain.mha_chain):
-            x, memory = Tensor(x0, requires_grad=True), Tensor(m0, requires_grad=True)
+        for op in (numeric.attention_block, chain.attention_block_chain):
+            x, qe, memory = (Tensor(a, requires_grad=True) for a in (x0, q0, m0))
             proj = [Tensor(a, requires_grad=True) for a in proj0]
             with Tape():
                 if kind == "self":
-                    qk = numeric.add(x, Tensor(pe))
-                    y = op(qk, qk, x, proj, heads)
+                    y = op(x, Tensor(pe), x, Tensor(pe), proj, heads)
+                elif kind == "cross":
+                    y = op(x, qe, memory, Tensor(pe), proj, heads)
                 else:
-                    y = op(x, numeric.add(memory, Tensor(pe)), memory, proj, heads)
+                    y = op(op(qe, qe, qe, qe, proj, heads), qe, memory, Tensor(pe), proj, heads)
                 loss = checks.probe_loss(y, probe)
             backward(loss)
-            inputs = [x] if kind == "self" else [x, memory]
+            inputs = {"self": [x], "cross": [x, qe, memory], "query": [qe, memory]}[kind]
             got.append([_bits(y.data)] + [_bits(t.grad) for t in inputs + proj])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+def test_ffn_block_equals_the_chain_bit_for_bit(rows):
+    # the FFN sublayer (32 -> 64 -> 32): x takes the layer norm's gradient,
+    # then the perceptron's
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((rows, 32))
+        layers0 = [rng.uniform(-1, 1, (32, 64)) / np.sqrt(32), rng.standard_normal(64) / 4,
+                   rng.uniform(-1, 1, (64, 32)) / 8, rng.standard_normal(32) / 4]
+        probe = rng.standard_normal((rows, 32))
+        got = []
+        for op in (numeric.ffn_block, chain.ffn_block_chain):
+            x = Tensor(x0, requires_grad=True)
+            layers = [Tensor(a, requires_grad=True) for a in layers0]
+            with Tape():
+                y = op(x, layers)
+                loss = checks.probe_loss(y, probe)
+            backward(loss)
+            got.append([_bits(y.data), _bits(x.grad)] + [_bits(t.grad) for t in layers])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
@@ -688,19 +734,32 @@ def _rule_grads(op, *args):
 
 
 def test_mha_and_mlp_skip_the_gradients_of_constant_inputs(rng):
+    # a slot whose input has no node id gets None: backward indexes by id
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     const = lambda *shape: Tensor(rng.standard_normal(shape))
     proj = [param(4, 4), param(4)] * 4
-    grads = _rule_grads(numeric.mha, const(2, 4), const(3, 4), const(3, 4), proj, 2)
-    assert grads[:3] == (None, None, None)
-    assert all(g is not None for g in grads[3:])
-    grads = _rule_grads(numeric.mha, param(2, 4), const(3, 4), param(3, 4), proj, 2)
-    assert [g is None for g in grads[:3]] == [False, True, False]
+    # cross-attention slots: x, kv, x, pos, kv, kv_pos
+    grads = _rule_grads(numeric.attention_block, const(2, 4), const(2, 4), const(3, 4), const(3, 4), proj, 2)
+    assert grads[:6] == (None,) * 6
+    assert all(g is not None for g in grads[6:])
+    grads = _rule_grads(numeric.attention_block, param(2, 4), const(2, 4), param(3, 4), const(3, 4), proj, 2)
+    assert [g is None for g in grads[:6]] == [False, False, False, True, False, True]
+    grads = _rule_grads(numeric.attention_block, const(2, 4), param(2, 4), const(3, 4), param(3, 4), proj, 2)
+    assert [g is None for g in grads[:6]] == [True, True, True, False, True, False]
+    # self-attention slots: x, x, x, pos
+    x, pe = param(3, 4), const(3, 4)
+    grads = _rule_grads(numeric.attention_block, x, pe, x, pe, proj, 2)
+    assert [g is None for g in grads[:4]] == [False, False, False, True]
+    x, pos = const(3, 4), param(3, 4)
+    grads = _rule_grads(numeric.attention_block, x, pos, x, pos, proj, 2)
+    assert [g is None for g in grads[:4]] == [True, True, True, False]
     layers = [param(4, 5), param(5), param(5, 2), param(2)]
     grads = _rule_grads(numeric.mlp, const(3, 4), layers)
     assert grads[0] is None and all(g is not None for g in grads[1:])
     grads = _rule_grads(numeric.mlp, const(3, 4), [const(4, 5), const(5), *layers[2:]])
     assert [g is None for g in grads] == [True, True, True, False, False]
+    grads = _rule_grads(numeric.ffn_block, const(3, 4), [*layers[:2], param(5, 4), param(4)])
+    assert [g is None for g in grads] == [True, True, False, False, False, False]
 
 
 def test_docstring_lists_every_primitive():
@@ -719,11 +778,13 @@ def test_fused_backward_rules_are_named_after_their_ops():
     x = Tensor(np.ones((2, 4)), requires_grad=True)
     probs, boxes = Tensor(np.full((2, 2), 0.5), requires_grad=True), Tensor(np.full((2, 4), 0.5), requires_grad=True)
     with Tape() as tape:
-        numeric.add_layer_norm(x, x)
+        layer = [Tensor(np.eye(4)), Tensor(np.zeros(4))]
+        numeric.attention_block(x, x, x, x, layer * 4, 2)
+        numeric.ffn_block(x, layer)
         numeric.set_loss(probs, boxes, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights())
         kernel = Tensor(np.ones((9, 4)), requires_grad=True)
         numeric.conv3x3(Tensor(np.ones((1, 2, 2))), kernel, Tensor(np.zeros(4)))
-    assert op_names(tape) == ["add_layer_norm", "set_loss", "conv3x3"]
+    assert op_names(tape) == ["attention_block", "ffn_block", "set_loss", "conv3x3"]
 
 
 def test_set_loss_validates_its_inputs():
@@ -738,5 +799,3 @@ def test_set_loss_validates_its_inputs():
         numeric.set_loss(probs, boxes, [0, 0, 2], [0], target, 0.1, w)
     with pytest.raises(ContractError):
         numeric.set_loss(probs, boxes, [0, 1, 2], [2], target, 0.1, w)
-    with pytest.raises(ShapeError):
-        numeric.add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))

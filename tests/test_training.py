@@ -330,7 +330,7 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("num_queries,max_objects", [(16, 3), (64, 12)])
 def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, monkeypatch):
-    # 200 steps with the fused residual layer norm and set loss and the 1x1
+    # 200 steps with the fused transformer sublayers and set loss and the 1x1
     # reduction's tokens straight from its linear, against the same steps with
     # the chains of ops they replace
     scenes = [generate_scene(50 + i, SceneConfig(max_objects=max_objects)) for i in range(20)]
@@ -343,7 +343,8 @@ def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, 
         return rows, arena_of(params).tobytes(), arena_of(params, "grad").tobytes()
 
     fused = run()
-    monkeypatch.setattr(numeric, "add_layer_norm", chain.add_layer_norm_chain)
+    monkeypatch.setattr(numeric, "attention_block", chain.attention_block_chain)
+    monkeypatch.setattr(numeric, "ffn_block", chain.ffn_block_chain)
     monkeypatch.setattr(training, "hungarian_loss_terms", chain.hungarian_loss_chain)
     monkeypatch.setattr(model, "channel_reduce",
                         lambda f, params: chain.channel_reduce_chain(f, params["reduce.weight"], params["reduce.bias"]))
