@@ -70,7 +70,6 @@ def op_cases(rng) -> list:
     The primitives are looked up on ``numeric`` when this is called, so a
     patched primitive is the one checked.
     """
-    off = lambda a: a + np.sign(a + 0.5) * 0.05  # keep clear of the relu kink
     mat = rng.standard_normal((3, 4))
     const = Tensor(rng.standard_normal((3, 4)))
     rhs = Tensor(rng.standard_normal((4, 2)))
@@ -89,9 +88,15 @@ def op_cases(rng) -> list:
     boxes = np.column_stack([rng.uniform(0.35, 0.65, (5, 2)), rng.uniform(0.2, 0.5, (5, 2))])
     targets = np.column_stack([rng.uniform(0.35, 0.65, (3, 2)), rng.uniform(0.2, 0.5, (3, 2))])
     perm, classes, weights = [3, 0, 4, 1, 2], [1, 0, 1], LossWeights(2.0, 5.0)
-    image = rng.standard_normal((2, 3, 4))  # odd height: conv3x3 rounds the output up to [3, 2, 2]
-    kernel = Tensor(rng.standard_normal((18, 3)))
-    conv_bias = Tensor(rng.standard_normal(3))
+    # backbone: a [2, 5, 3] image (odd extents round each stage up: [3, 3, 2], then [3, 2, 1])
+    # and two stages whose pre-activations stay within 1 of +-3, as the perceptron's do
+    image = rng.uniform(-0.5, 0.5, (2, 5, 3))
+    conv = [Tensor(a) for c, bound in ((2, 0.1), (3, 0.01))
+            for a in (rng.uniform(-bound, bound, (9 * c, 3)), np.array([3.0, -3.0, 3.0]))]
+    # relation: 4 nodes of width 3, node 3 isolated, pre-activations clear of the relu kink
+    nodes = rng.uniform(-0.5, 0.5, (4, 3))
+    nbr_mean = np.array([[0, 0.5, 0.5, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+    mix_w, mix_b = Tensor(rng.uniform(-0.3, 0.3, (3, 6))), Tensor(np.array([3.0, -3.0, 3.0]))
 
     def set_loss(p, b):
         return numeric.set_loss(p, b, perm, classes, targets, 0.3, weights)[0]
@@ -99,21 +104,23 @@ def op_cases(rng) -> list:
     def attend(x=const, pos=const, kv=keys, kv_pos=key_pos, proj=proj):
         return numeric.attention_block(x, pos, kv, kv_pos, proj, 2)
 
-    def mlp_cases(squash):
-        tag = "mlp+sigmoid" if squash else "mlp"
+    def mlp_cases(output):
+        tag = f"mlp+{output}" if output else "mlp"
         return [
-            (f"{tag}/x", lambda x: numeric.mlp(x, [w0, b0, *top], squash), rows),
-            (f"{tag}/w", lambda w: numeric.mlp(Tensor(rows), [w, b0, *top], squash), w0.data),
-            (f"{tag}/b", lambda b: numeric.mlp(Tensor(rows), [w0, b, *top], squash), b0.data),
+            (f"{tag}/x", lambda x: numeric.mlp(x, [w0, b0, *top], output), rows),
+            (f"{tag}/w", lambda w: numeric.mlp(Tensor(rows), [w, b0, *top], output), w0.data),
+            (f"{tag}/b", lambda b: numeric.mlp(Tensor(rows), [w0, b, *top], output), b0.data),
+        ]
+
+    def backbone_cases(n):
+        layers = conv[:2 * n]
+        return [
+            (f"backbone{n}/x", lambda x: numeric.backbone(x, layers), image),
+            (f"backbone{n}/w0", lambda w: numeric.backbone(Tensor(image), [w, *layers[1:]]), layers[0].data),
+            (f"backbone{n}/b_last", lambda b: numeric.backbone(Tensor(image), [*layers[:-1], b]), layers[-1].data),
         ]
 
     return [
-        ("relu", numeric.relu, off(mat)),
-        ("matmul", lambda x: numeric.matmul(x, rhs), mat),
-        ("softmax", numeric.softmax, mat),
-        ("concat", lambda x: numeric.concat([x, const]), mat),
-        ("reshape", lambda x: numeric.reshape(x, (6, 2)), mat),
-        ("transpose", numeric.transpose, mat),
         ("mlp1/x", lambda x: numeric.mlp(x, (rhs, bias)), mat),
         ("mlp1/w", lambda w: numeric.mlp(const, (w, bias)), rhs.data),
         ("mlp1/b", lambda b: numeric.mlp(const, (rhs, b)), bias.data),
@@ -124,16 +131,19 @@ def op_cases(rng) -> list:
         ("attention_block/wq", lambda w: attend(proj=[w, *proj[1:]]), proj[0].data),
         ("attention_block/bv", lambda b: attend(proj=[*proj[:5], b, *proj[6:]]), proj[5].data),
         ("attention_block/x=pos=kv=kv_pos", lambda x: attend(x, x, x, x), mat),  # self-attention
-        *mlp_cases(False),
-        *mlp_cases(True),
+        *mlp_cases(None),
+        *mlp_cases("sigmoid"),
+        *mlp_cases("softmax"),
         ("ffn_block/x", lambda x: numeric.ffn_block(x, [w0, b0, *top]), rows),
         ("ffn_block/w1", lambda w: numeric.ffn_block(Tensor(rows), [w, b0, *top]), w0.data),
         ("ffn_block/b2", lambda b: numeric.ffn_block(Tensor(rows), [w0, b0, top[0], b]), top[1].data),
         ("set_loss/probs", lambda p: set_loss(p, Tensor(boxes)), probs),
         ("set_loss/boxes", lambda b: set_loss(Tensor(probs), b), boxes),
-        ("conv3x3/x", lambda x: numeric.conv3x3(x, kernel, conv_bias), image),
-        ("conv3x3/w", lambda w: numeric.conv3x3(Tensor(image), w, conv_bias), kernel.data),
-        ("conv3x3/b", lambda b: numeric.conv3x3(Tensor(image), kernel, b), conv_bias.data),
+        *backbone_cases(1),
+        *backbone_cases(2),
+        ("relation/x", lambda x: numeric.relation(x, nbr_mean, mix_w, mix_b), nodes),
+        ("relation/w", lambda w: numeric.relation(Tensor(nodes), nbr_mean, w, mix_b), mix_w.data),
+        ("relation/b", lambda b: numeric.relation(Tensor(nodes), nbr_mean, mix_w, b), mix_b.data),
     ]
 
 
@@ -253,13 +263,15 @@ def giou_invariants(rng, pairs: int):
 
 
 def softmax_properties(rng, trials: int):
-    """Softmax sums to 1, stays strictly inside (0, 1) and ignores a constant shift."""
+    """The class head's softmax, here an ``mlp`` over an identity map, sums to
+    1, stays strictly inside (0, 1) and ignores a constant shift."""
     failures = []
     for _ in range(trials):
         # scale kept moderate: a ~36 logit gap would round the winner to 1.0
         x = rng.standard_normal(int(rng.integers(2, 7))) * 3
-        y = numeric.softmax(Tensor(x)).data
-        shifted = numeric.softmax(Tensor(x + rng.uniform(-50, 50))).data
+        identity = (Tensor(np.eye(x.size)), Tensor(np.zeros(x.size)))
+        y = numeric.mlp(Tensor(x[None]), identity, "softmax").data[0]
+        shifted = numeric.mlp(Tensor(x[None] + rng.uniform(-50, 50)), identity, "softmax").data[0]
         if abs(y.sum() - 1) > 1e-12 or np.abs(y - shifted).max() > 1e-12 or np.any(y <= 0) or np.any(y >= 1):
             failures.append("softmax normalization or shift invariance failed")
     return trials, failures

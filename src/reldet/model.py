@@ -1,21 +1,23 @@
 """The detector forward pass: conv backbone, encoder, two-pass decoder, heads.
 
-A backbone of three stride-2 ``conv3x3`` + ReLU stages produces a feature map,
-a 1x1 channel reduction turns it into encoder tokens, and a
-transformer encoder/decoder transforms N learned query embeddings into N
-predictions. The decoder runs in two passes: a standard stack and the box
-head decode preliminary boxes, a kNN graph over their centers mixes each
-query's features with its neighbors', and one further decoder layer refines
-the relation-fixed embeddings before the prediction heads.
+A backbone of three stride-2 3x3 conv + ReLU stages, one ``numeric.backbone``
+record, hands its last map's pixels as rows to a 1x1 channel reduction that
+turns them into encoder tokens, and a transformer encoder/decoder transforms
+N learned query embeddings into N predictions. The decoder runs in two
+passes: a standard stack and the box head decode preliminary boxes, a kNN
+graph over their centers mixes each query's features with its neighbors'
+(one ``numeric.relation`` record), and one further decoder layer refines the
+relation-fixed embeddings before the prediction heads.
 
 Encoder and decoder layers are post-norm, each sublayer ``LN(x +
 Sublayer(x))`` one tape record: a ``numeric.attention_block``, which adds the
 positional encodings to queries and keys, never to values, and runs every
 head (column blocks of width d / num_heads; per head softmax(Q K^T /
 sqrt(d / num_heads)) V, batched over heads), or a ``numeric.ffn_block``. The
-box head is one ``numeric.mlp``. The encoder's encodings are computed once
-per token count and width and shared read-only; the decoder's are its
-learned query embeddings.
+box head is one ``numeric.mlp`` ending in a sigmoid, the class head one
+ending in a softmax. The encoder's encodings are computed once per token
+count and width and shared read-only; the decoder's are its learned query
+embeddings.
 
 Parameters live in an ordered name -> Tensor dict whose tensors are views
 into one C-contiguous float64 buffer, the parameter arena, laid out in
@@ -95,6 +97,7 @@ class DetectionOutput:
 _ATTN_PROJ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # the order numeric.attention_block takes them in
 _FFN_LAYERS = ("w1", "b1", "w2", "b2")
 _BOX_LAYERS = ("w0", "b0", "w1", "b1", "w2", "b2")
+_BACKBONE_LAYERS = tuple(f"conv{stage}.{name}" for stage in range(3) for name in ("weight", "bias"))
 
 
 @lru_cache(maxsize=64)
@@ -220,21 +223,16 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
 
 
 def backbone_forward(image: Tensor, params, config: ModelConfig) -> Tensor:
-    """Three stride-2 3x3 conv + ReLU stages: [3, H, W] -> [C, H/8, W/8]."""
+    """Three stride-2 3x3 conv + ReLU stages of a [3, H, W] image, one record:
+    the [C, H/8, W/8] map's pixels as [H/8 * W/8, C] rows, in row-major order."""
     if image.shape != (3, *config.image_size):
         raise ShapeError(f"image shape {image.shape} does not match configured {(3, *config.image_size)}")
-    x = image
-    for stage in range(3):
-        conv = f"backbone.conv{stage}"
-        x = numeric.relu(numeric.conv3x3(x, params[f"{conv}.weight"], params[f"{conv}.bias"]))
-    return x
+    return numeric.backbone(image, _param_getter("backbone", _BACKBONE_LAYERS)(params))
 
 
-def channel_reduce(f: Tensor, params) -> Tensor:
-    """Per-pixel affine map C -> d (a 1x1 convolution) of a [C, H, W] map
-    into encoder tokens [H*W, d], row t = pixel (t div W, t mod W)."""
-    c, fh, fw = f.shape
-    pixels = numeric.transpose(numeric.reshape(f, (c, fh * fw)))
+def channel_reduce(pixels: Tensor, params) -> Tensor:
+    """Per-pixel affine map C -> d (a 1x1 convolution) of [H'W', C] pixel
+    rows into the encoder tokens [H'W', d]."""
     return numeric.mlp(pixels, (params["reduce.weight"], params["reduce.bias"]))
 
 
@@ -303,13 +301,13 @@ def decoder_forward(memory: Tensor, queries: Tensor, pe: Tensor, params, config:
 
 def box_head(embeddings: Tensor, params) -> Tensor:
     """3-layer MLP with hidden width d, sigmoid into (0, 1)^4."""
-    return numeric.mlp(embeddings, _param_getter("box_head", _BOX_LAYERS)(params), squash=True)
+    return numeric.mlp(embeddings, _param_getter("box_head", _BOX_LAYERS)(params), "sigmoid")
 
 
 def predict_heads(embeddings: Tensor, params) -> DetectionOutput:
-    """Class head: one affine map to K+1 logits, softmax (last class = no
-    object); then ``box_head``."""
-    probs = numeric.softmax(numeric.mlp(embeddings, (params["class_head.weight"], params["class_head.bias"])))
+    """Class head: one affine map to K+1 logits and their softmax (last class
+    = no object), one record; then ``box_head``."""
+    probs = numeric.mlp(embeddings, (params["class_head.weight"], params["class_head.bias"]), "softmax")
     return DetectionOutput(probs, box_head(embeddings, params))
 
 

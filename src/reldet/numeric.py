@@ -16,46 +16,31 @@ forward drops it, and a training step leaves the cyclic garbage collector
 next to nothing to track. ``tape_suspended`` runs code that must not record,
 such as the probes of ``finite_diff_grad``.
 
-The primitives are ``relu``, ``softmax``, ``matmul``, ``transpose``,
-``reshape`` and ``concat``, plus the five fused ones below: the ops the model
-and its loss are built from. No op broadcasts: a positional encoding must
-have the shape of the rows it is added to, and row-vector bias adds happen
-only inside the fused affine maps. There is one softmax, max-shifted over
-the last axis, with one backward rule; ``softmax`` and ``attention_block``
-both use it. There is one layer norm, ``_layer_norm`` and its gradient
-``_layer_norm_grad``, which both sublayer ops use. There is one affine map,
-``x @ w + b[None, :]`` for x [m, k], w [k, n], b [n], with one backward rule,
-``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))`` (the last the reduction
-``g.sum(axis=0)`` runs, at less call overhead); every fused op but
-``set_loss`` uses it, and it computes no gradient for an input without a
-node id.
+There are seven primitives: ``reshape``, which ``checks.probe_loss``
+flattens with, and the six fused ones below, the blocks the model and its
+loss are built from. No op broadcasts. Each activation, the layer norm and
+the affine map ``x @ w + b[None, :]`` (backward ``(g @ w.T, x.T @ g,
+np.add.reduce(g, axis=0))``, and nothing for an input without a node id)
+have one implementation, which every block that needs it shares.
 
-Five fused primitives record one tape entry for what would otherwise be a
-chain of small ops, with the same forward bits as that chain and, for every
-input, the same gradient bits:
+Each fused primitive records one tape entry with the forward and gradient
+bits of the chain of small ops it replaces (``tests/tape_chains.py`` keeps
+those chains). A tensor that the chain used twice is listed once per use,
+in the order in which the chain's backward added its gradients:
 
-- ``conv3x3(x, w, b)``: a 3x3 convolution at stride 2 and zero padding 1 of
-  a [C, H, W] map, as the affine map of its patch matrix moved
-  channels-first. The patch matrix is one gather from the zero-padded map
-  through flat indices cached per input shape; the input gradient is one
-  ``np.bincount`` scatter-add over the same pixels listed in
-  [C, 3, 3, H', W'] order. That adds each padded pixel's terms, starting
-  from +0.0, in the kernel-offset order of the nine-slice fold it replaces,
-  so the bits, -0.0 included, are that fold's.
+- ``backbone(image, layers)``: stride-2 3x3 conv + ReLU stages, handing
+  over the last map's pixels as rows.
 - ``attention_block(x, pos, kv, kv_pos, proj, num_heads)``: the post-norm
-  attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos, kv))``, its heads
-  column blocks of width d / num_heads batched in one product each way.
+  attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos, kv))``.
 - ``ffn_block(x, layers)``: the post-norm feed-forward sublayer
   ``LN(x + mlp(x, layers))``.
-- ``mlp(x, layers, squash)``: ``affine (relu affine)*`` with an optional
-  final sigmoid: the box head, and the core of ``ffn_block``. A one-layer
-  ``mlp(x, (w, b))`` is the plain affine map: the 1x1 reduction, the class
-  head and the relation step's mixing map.
+- ``relation(x, m, w, b)``: the relation step ``relu(concat(x, m @ x) @ w.T
+  + b)``.
+- ``mlp(x, layers, output)``: ``affine (relu affine)*``, then a sigmoid, a
+  row softmax or nothing: the box and class heads and the 1x1 reduction.
 - ``set_loss(probs, boxes, ...)``: DETR's set-prediction loss under a fixed
   assignment, the class NLL over every slot plus GIoU and L1 on the matched
-  boxes (through ``geometry.box_pairs``). Its backward replays the backward
-  rules of the elementwise chain it replaces, so its gradients are that
-  chain's bit for bit.
+  boxes (through ``geometry.box_pairs``).
 """
 
 from __future__ import annotations
@@ -258,19 +243,13 @@ def finite_diff_grad(f, x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# array helpers: the activations, the layer norm and the affine map
 
 
 def _tensor_arg(x, op: str) -> Tensor:
     if not isinstance(x, Tensor):
         raise ContractError(f"{op}: expected a Tensor, got {type(x).__name__}")
     return x
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "relu")
-    mask = x.data > 0
-    return _record("relu", Tensor(x.data * mask), (x,), lambda g, ids: (g * mask,))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -280,8 +259,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-# ---------------------------------------------------------------------------
-# softmax and layer norm
+def _relu(h: np.ndarray) -> np.ndarray:
+    """Rectify h in place, ``h * (h > 0)`` (-0.0 for a negative entry), and
+    return the mask, which is the rule's factor for the gradient."""
+    mask = h > 0
+    h *= mask
+    return mask
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -294,13 +277,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient at the input of a softmax with output y, given the gradient g at y."""
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Max-shifted softmax over the last axis; each slice sums to 1."""
-    x = _tensor_arg(x, "softmax")
-    y = _softmax(x.data)
-    return _record("softmax", Tensor(y), (x,), lambda g, ids: (_softmax_grad(y, g),))
 
 
 def _layer_norm(s: np.ndarray) -> tuple:
@@ -320,23 +296,6 @@ def _layer_norm_grad(y: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarra
     gm = np.add.reduce(g, axis=-1, keepdims=True) / n
     gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
     return inv * (g - gm - y * gym)
-
-
-# ---------------------------------------------------------------------------
-# structural ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = _tensor_arg(a, "matmul")
-    b = _tensor_arg(b, "matmul")
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner extents disagree for shapes {a.data.shape} and {b.data.shape}")
-    da, db = a.data, b.data
-    out = Tensor(da @ db)
-    return _record("matmul", out, (a, b), lambda g, ids: (
-        g @ db.T if ids[0] is not None else None, da.T @ g if ids[1] is not None else None))
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,6 +321,89 @@ def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != width or w.shape[1] != b.shape[0]:
         raise ShapeError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
     return w.shape[1]
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    x = _tensor_arg(x, "reshape")
+    shape = tuple(int(s) for s in shape)
+    if math.prod(shape) != x.data.size:
+        raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
+    old = x.data.shape
+    return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
+
+
+# ---------------------------------------------------------------------------
+# the model's blocks
+
+
+def backbone(image: Tensor, layers: Sequence[Tensor]) -> Tensor:
+    """Stride-2 3x3 convolutions with zero padding 1 of a [C, H, W] image, each
+    with its ReLU, as one record: a stage per weight [C*9, C_out] and bias
+    [C_out] of ``layers`` (w0, b0, w1, b1, ...), whose row (c*3 + i)*3 + j
+    weights channel c at kernel offset (i, j), maps [C, H, W] to [C_out,
+    ceil(H/2), ceil(W/2)]. Returns the last map's pixels as [H'W', C_out]
+    rows, row t = pixel (t div W', t mod W').
+
+    A stage is the affine map of its patch matrix, one gather through
+    ``_conv3x3_indices``; its input gradient is one ``np.bincount`` over the
+    same pixels. The forward and backward keep the array layouts of the
+    chain of conv, ReLU, reshape and transpose records that this replaces.
+    """
+    x, *ts = (_tensor_arg(t, "backbone") for t in (image, *layers))
+    if not ts or len(ts) % 2:
+        raise ContractError(f"backbone needs a weight and a bias per stage, got {len(ts)} tensors")
+    y = x.data
+    stages = []  # per stage: patch matrix, weight, ReLU mask [C_out, H', W'], scatter indices, input shape
+    for w, b in zip(ts[0::2], ts[1::2]):
+        dw, db = w.data, b.data
+        if y.ndim != 3 or 0 in y.shape or db.ndim != 1 or dw.shape != (9 * y.shape[0], db.size):
+            raise ShapeError(f"backbone: a weight {dw.shape} and bias {db.shape} do not convolve a {y.shape} map")
+        (c, h, wd), c_out = y.shape, db.size
+        gather, scatter = _conv3x3_indices(c, h, wd)
+        padded = np.zeros((c, h + 2, wd + 2))
+        padded[:, 1:-1, 1:-1] = y
+        cols = padded.take(gather)
+        y = np.ascontiguousarray(_affine(cols, dw, db).T.reshape(c_out, (h + 1) // 2, (wd + 1) // 2))
+        mask = _relu(y)
+        stages.append((cols, dw, mask, scatter, (c, h, wd)))
+    c_out, ho, wo = y.shape
+
+    def bwd(g, ids):
+        grads = [None] * len(ids)
+        g = g.T.reshape(c_out, ho, wo)  # the map view that the chain's transpose and reshape rules made
+        for s in range(len(stages) - 1, -1, -1):
+            cols, dw, mask, scatter, (c, h, wd) = stages[s]
+            gy = (g * mask).reshape(len(mask), -1).T  # an F-order view: the bias sum's bits depend on it
+            # True: a later stage's input always needs its gradient
+            g, grads[2 * s + 1], grads[2 * s + 2] = _affine_grads(
+                cols, dw, gy, (True if s else ids[0], *ids[2 * s + 1:2 * s + 3]))
+            if g is not None:  # fold the patch gradient, copied in [C, 3, 3, H', W'] order as ``scatter`` lists them
+                g = np.bincount(scatter, weights=g.T.ravel(), minlength=c * (h + 2) * (wd + 2))
+                g = g.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
+        grads[0] = g
+        return grads
+
+    return _record("backbone", Tensor(y.reshape(c_out, ho * wo).T), (x, *ts), bwd)
+
+
+@lru_cache(maxsize=16)
+def _conv3x3_indices(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a zero-padded [c, h+2, w+2] map of the 3x3, stride-2
+    patches of a ``backbone`` stage, read-only: (gather, scatter).
+
+    ``gather`` [H'W', C*9] lists the patch matrix: row oy*W' + ox, column
+    (ci*3 + i)*3 + j reads padded pixel (ci, 2*oy + i, 2*ox + j). ``scatter``
+    lists the same pixels in [C, 3, 3, H', W'] order, so a ``bincount`` over
+    it adds each padded pixel's terms, from +0.0, in the order of the
+    nine-slice fold ``for i: for j: dp[:, i::2, j::2] += gp[:, i, j]``.
+    """
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    ci, i, j, oy, ox = np.ix_(np.arange(c), np.arange(3), np.arange(3), np.arange(ho), np.arange(wo))
+    idx = (ci * (h + 2) + i + 2 * oy) * (w + 2) + j + 2 * ox
+    scatter = idx.reshape(-1)
+    gather = np.ascontiguousarray(idx.reshape(c * 9, -1).T)
+    scatter.flags.writeable = gather.flags.writeable = False
+    return gather, scatter
 
 
 def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Sequence[Tensor], num_heads: int) -> Tensor:
@@ -453,9 +495,7 @@ def _mlp_core(op: str, h: np.ndarray, ts: list) -> tuple:
     acts, masks = [h], []  # each layer's input, and the ReLU mask in front of every layer but the first
     h = _affine(h, ws[0], bs[0])
     for w, b in zip(ws[1:], bs[1:]):
-        mask = h > 0
-        h *= mask
-        masks.append(mask)
+        masks.append(_relu(h))
         acts.append(h)
         h = _affine(h, w, b)
 
@@ -470,17 +510,26 @@ def _mlp_core(op: str, h: np.ndarray, ts: list) -> tuple:
     return h, rule
 
 
-def mlp(x: Tensor, layers: Sequence[Tensor], squash: bool = False) -> Tensor:
+_OUTPUTS = {  # mlp's output functions: (forward, gradient at the input given the output y and its gradient g)
+    None: (lambda h: h, lambda y, g: g),
+    "sigmoid": (_sigmoid, lambda y, g: g * y * (1.0 - y)),
+    "softmax": (_softmax, _softmax_grad),
+}
+
+
+def mlp(x: Tensor, layers: Sequence[Tensor], output: Optional[str] = None) -> Tensor:
     """``_mlp_core`` over [m, k] rows x and ``layers`` (w0, b0, w1, b1, ...),
-    with a ``_sigmoid`` after the last layer when ``squash``: one record with
-    the bits of the chain of affine, ``relu`` and ``sigmoid`` records. One
-    layer, ``mlp(x, (w, b))``, is ``x @ w + b[None, :]`` alone."""
+    then ``output``: None for the last affine map as it is, ``"sigmoid"``,
+    or ``"softmax"`` over each row. One record with the bits of the chain of
+    affine, relu and sigmoid or softmax records. One layer, ``mlp(x, (w,
+    b))``, is ``x @ w + b[None, :]`` alone."""
     x, *ts = (_tensor_arg(t, "mlp") for t in (x, *layers))
+    if output not in _OUTPUTS:
+        raise ContractError(f"mlp output must be None, 'sigmoid' or 'softmax', got {output!r}")
+    squash, squash_grad = _OUTPUTS[output]
     h, rule = _mlp_core("mlp", x.data, ts)
-    if not squash:
-        return _record("mlp", Tensor(h), (x, *ts), rule)
-    y = _sigmoid(h)
-    return _record("mlp", Tensor(y), (x, *ts), lambda g, ids: rule(g * y * (1.0 - y), ids))
+    y = squash(h)
+    return _record("mlp", Tensor(y), (x, *ts), lambda g, ids: rule(squash_grad(y, g), ids))
 
 
 def ffn_block(x: Tensor, layers: Sequence[Tensor]) -> Tensor:
@@ -501,91 +550,30 @@ def ffn_block(x: Tensor, layers: Sequence[Tensor]) -> Tensor:
     return _record("ffn_block", Tensor(y), (x, x, *ts), bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    x = _tensor_arg(x, "transpose")
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
-    return _record("transpose", Tensor(x.data.T), (x,), lambda g, ids: (g.T,))
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _tensor_arg(x, "reshape")
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.data.size:
-        raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
-    old = x.data.shape
-    return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
-
-
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Join tensors along their last axis; every other extent must agree."""
-    ts = [_tensor_arg(t, "concat") for t in tensors]
-    if not ts:
-        raise ContractError("concat needs at least one tensor")
-    lead = ts[0].data.shape[:-1]
-    for t in ts:
-        if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
-            raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
-    bounds = [0]
-    for t in ts:
-        bounds.append(bounds[-1] + t.data.shape[-1])
-    return _record("concat", out, tuple(ts), lambda g, ids: tuple(
-        g[..., a:b] if nid is not None else None for nid, a, b in zip(ids, bounds, bounds[1:])))
-
-
-def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 convolution at stride 2 and zero padding 1: [C, H, W] -> [C_out, ceil(H/2), ceil(W/2)].
-
-    Row (c*3 + i)*3 + j of ``w`` [C*9, C_out] weights channel c at kernel
-    offset (i, j). Forward and backward give the bits of the chain this op
-    replaces (unfold into a C-contiguous [H'W', C*9] patch matrix, affine map,
-    transpose, reshape), with the unfold and the fold as one gather and one
-    ``bincount`` through ``_conv3x3_indices``.
-    """
-    x = _tensor_arg(x, "conv3x3")
-    w = _tensor_arg(w, "conv3x3")
-    b = _tensor_arg(b, "conv3x3")
-    dx, dw = x.data, w.data
-    if dx.ndim != 3 or 0 in dx.shape or b.data.ndim != 1 or dw.shape != (9 * dx.shape[0], b.data.size):
-        raise ShapeError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
-    (c, h, wd), c_out = dx.shape, b.data.size
-    ho, wo = (h + 1) // 2, (wd + 1) // 2
-    gather, scatter = _conv3x3_indices(c, h, wd)
-    padded = np.zeros((c, h + 2, wd + 2))
-    padded[:, 1:-1, 1:-1] = dx
-    cols = padded.take(gather)
-    out = Tensor(_affine(cols, dw, b.data).T.reshape(c_out, ho, wo))
+def relation(x: Tensor, m, w: Tensor, b: Tensor) -> Tensor:
+    """The relation step ``relu(concat(x, m @ x) @ w.T + b[None, :])`` of
+    [n, d] rows x, for a constant [n, n] array m, w [d_out, 2d] and b
+    [d_out], as one record with the bits of the chain of matmul, concat,
+    transpose, affine and relu records it replaces. The record lists x twice,
+    (x, x, w, b), for the concat's slice of the gradient and then the
+    product's ``m.T @ g``, the order in which the chain added them."""
+    x, w, b = (_tensor_arg(t, "relation") for t in (x, w, b))
+    xx, m = x.data, np.asarray(m, dtype=np.float64)
+    if xx.ndim != 2 or m.shape != (xx.shape[0],) * 2:
+        raise ShapeError(f"relation: rows {xx.shape} and a mixing matrix {m.shape} disagree")
+    d = xx.shape[1]
+    wt = np.ascontiguousarray(w.data.T)  # C order, as the chain held it: the BLAS bits depend on the layout
+    _check_affine("relation", 2 * d, wt, b.data)
+    h = np.concatenate([xx, m @ xx], axis=-1)
+    y = _affine(h, wt, b.data)
+    mask = _relu(y)
 
     def bwd(g, ids):
-        gy = g.reshape(c_out, ho * wo).T  # an F-order view: the bias sum's order, hence its bits, depend on it
-        gp, gw, gb = _affine_grads(cols, dw, gy, ids)
-        if gp is not None:  # fold the patch gradient, copied in [C, 3, 3, H', W'] order as ``scatter`` lists them
-            gp = np.bincount(scatter, weights=gp.T.ravel(), minlength=c * (h + 2) * (wd + 2))
-            gp = gp.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
-        return (gp, gw, gb)
+        gh, gwt, gb = _affine_grads(h, wt, g * mask, (ids[0], *ids[2:]))
+        gw = None if gwt is None else gwt.T
+        return (None, None, gw, gb) if gh is None else (gh[:, :d], m.T @ gh[:, d:], gw, gb)
 
-    return _record("conv3x3", out, (x, w, b), bwd)
-
-
-@lru_cache(maxsize=16)
-def _conv3x3_indices(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into a zero-padded [c, h+2, w+2] map of the 3x3, stride-2
-    patches of ``conv3x3``, read-only: (gather, scatter).
-
-    ``gather`` [H'W', C*9] lists the patch matrix: row oy*W' + ox, column
-    (ci*3 + i)*3 + j reads padded pixel (ci, 2*oy + i, 2*ox + j). ``scatter``
-    lists the same pixels in [C, 3, 3, H', W'] order, so a ``bincount`` over
-    it adds each padded pixel's terms, from +0.0, in the order of the
-    nine-slice fold ``for i: for j: dp[:, i::2, j::2] += gp[:, i, j]``.
-    """
-    ho, wo = (h + 1) // 2, (w + 1) // 2
-    ci, i, j, oy, ox = np.ix_(np.arange(c), np.arange(3), np.arange(3), np.arange(ho), np.arange(wo))
-    idx = (ci * (h + 2) + i + 2 * oy) * (w + 2) + j + 2 * ox
-    scatter = idx.reshape(-1)
-    gather = np.ascontiguousarray(idx.reshape(c * 9, -1).T)
-    scatter.flags.writeable = gather.flags.writeable = False
-    return gather, scatter
+    return _record("relation", Tensor(y), (x, x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

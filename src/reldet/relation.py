@@ -3,7 +3,8 @@
 Each object links to its k nearest peers by Euclidean center distance and the
 edge set is symmetrized, so "neighbor" is mutual. The aggregation layer mixes
 an object's own features with the mean of its neighbors' features through one
-affine map and a ReLU; isolated nodes see a zero neighbor mean.
+affine map and a ReLU, one ``numeric.relation`` record; isolated nodes see a
+zero neighbor mean.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:
 
 def aggregate(features: Tensor, g: RelationGraph, weight: Tensor, bias: Tensor) -> Tensor:
     """relu(weight @ concat(self, neighbor mean) + bias) per node, differentiable;
-    weight [d, 2d] and bias [d] for features [n, d]; the affine map is a
-    one-layer ``numeric.mlp``. ``numeric.matmul`` and ``numeric.mlp`` check
-    the shapes."""
-    nbr = numeric.matmul(Tensor(neighbor_mean_matrix(g)), features)
-    h = numeric.concat([features, nbr])
-    return numeric.relu(numeric.mlp(h, (numeric.transpose(weight), bias)))
+    weight [d, 2d] and bias [d] for features [n, d]. ``numeric.relation``
+    checks the shapes; the neighbor-mean matrix is a constant."""
+    return numeric.relation(features, neighbor_mean_matrix(g), weight, bias)

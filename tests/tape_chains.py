@@ -5,7 +5,9 @@
   ``div``, ``maximum`` and ``minimum``, each over two tensors of one shape or
   a tensor and a python scalar, and ``neg``, ``absolute``, ``log``,
   ``sum_all``, ``mean``, ``layer_norm``, ``narrow``, ``take_rows``,
-  ``take_pairs``), each with its own backward rule;
+  ``take_pairs``), each with its own backward rule, and the generic ones the
+  backbone, the relation step and the class head were glued from: ``relu``,
+  ``softmax``, ``matmul``, ``transpose`` and ``concat``;
 - ``hungarian_loss_chain``: the set loss as a chain of those ops (55 tape
   records on a 5-object scene); ``numeric.set_loss`` must equal it bit for
   bit, forward and backward. ``add_layer_norm_chain`` is the residual layer
@@ -15,24 +17,27 @@
   ``(g @ w.T, x.T @ g, np.add.reduce(g, axis=0))``, each gradient skipped
   for an input without a node id. The chains below are built from it, so
   they do not depend on ``numeric.mlp``;
-- ``im2col``, the general unfold the backbone used before ``numeric.conv3x3``,
-  with its nine strided slice copies and its backward's nine strided ``+=``
-  fold, and ``conv3x3_chain``, a backbone stage as
-  ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; ``numeric.conv3x3``,
-  a gather and an ordered ``bincount`` scatter-add, must equal it bit for bit,
-  forward and backward;
-- ``channel_reduce_chain``, the 1x1 reduction and flatten before
-  ``model.channel_reduce`` returned its ``linear`` rows as the tokens:
-  ``transpose(reshape(reshape(transpose(linear(...)))))``;
-  ``model.channel_reduce`` must equal it bit for bit, forward and backward;
+- ``im2col``, the general unfold the backbone used first, with its nine
+  strided slice copies and its backward's nine strided ``+=`` fold;
+  ``conv3x3_chain``, a backbone stage as
+  ``reshape(transpose(linear(im2col(x, 3, 2, 1), w, b)))``; and ``conv3x3``,
+  the stage as one record, a gather and an ordered ``bincount``
+  scatter-add, which must equal ``conv3x3_chain`` bit for bit;
+- ``backbone_chain``, the backbone as the model recorded it before
+  ``numeric.backbone``: ``relu(conv3x3(.))`` per stage, then the reshape and
+  transpose of the last map into ``pixel_rows``, and ``relation_chain``, the
+  relation step before ``numeric.relation``: ``matmul``, ``concat``,
+  ``transpose`` of the weight, ``linear`` and ``relu``. The two ops must
+  equal them bit for bit, forward and backward;
 - scalar ``iou``/``giou``/``box_loss`` over ``Box`` values, the oracle for
   ``geometry.box_pairs``, and ``from_corners``, a ``Box`` from its corners;
 - ``sigmoid`` and ``attention``, the tape primitives the transformer was
   built from before its fused ops: ``sigmoid`` by boolean-mask indexing,
   ``attention`` over projected queries, keys and values with an
   out-of-place max-shifted softmax. ``mha_chain`` is four ``linear`` around
-  ``attention``, and ``mlp_chain`` is ``linear``, ``relu`` and ``sigmoid``;
-  ``numeric.mlp`` must equal the latter bit for bit, forward and backward;
+  ``attention``, and ``mlp_chain`` is ``linear`` and ``relu``, then
+  ``sigmoid``, ``softmax`` or nothing; ``numeric.mlp`` must equal the latter
+  bit for bit, forward and backward;
 - ``attention_block_chain`` and ``ffn_block_chain``, the post-norm
   transformer sublayers as the model recorded them before
   ``numeric.attention_block`` and ``numeric.ffn_block``: the positional
@@ -48,7 +53,8 @@ from reldet import numeric
 from reldet.errors import ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
-from reldet.numeric import Tensor, _record, _softmax_grad, _tensor_arg
+from reldet.numeric import (Tensor, _affine, _affine_grads, _conv3x3_indices, _record, _softmax, _softmax_grad,
+                            _tensor_arg)
 
 _TINY = 1e-12
 
@@ -258,6 +264,56 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     return _record("take_pairs", out, (x,), bwd)
 
 
+def relu(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "relu")
+    mask = x.data > 0
+    return _record("relu", Tensor(x.data * mask), (x,), lambda g, ids: (g * mask,))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Max-shifted softmax over the last axis; each slice sums to 1."""
+    x = _tensor_arg(x, "softmax")
+    y = _softmax(x.data)
+    return _record("softmax", Tensor(y), (x,), lambda g, ids: (_softmax_grad(y, g),))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    a = _tensor_arg(a, "matmul")
+    b = _tensor_arg(b, "matmul")
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: inner extents disagree for shapes {a.data.shape} and {b.data.shape}")
+    da, db = a.data, b.data
+    out = Tensor(da @ db)
+    return _record("matmul", out, (a, b), lambda g, ids: (
+        g @ db.T if ids[0] is not None else None, da.T @ g if ids[1] is not None else None))
+
+
+def transpose(x: Tensor) -> Tensor:
+    x = _tensor_arg(x, "transpose")
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
+    return _record("transpose", Tensor(x.data.T), (x,), lambda g, ids: (g.T,))
+
+
+def concat(tensors) -> Tensor:
+    """Join tensors along their last axis; every other extent must agree."""
+    ts = [_tensor_arg(t, "concat") for t in tensors]
+    if not ts:
+        raise ContractError("concat needs at least one tensor")
+    lead = ts[0].data.shape[:-1]
+    for t in ts:
+        if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
+            raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
+    out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
+    bounds = [0]
+    for t in ts:
+        bounds.append(bounds[-1] + t.data.shape[-1])
+    return _record("concat", out, tuple(ts), lambda g, ids: tuple(
+        g[..., a:b] if nid is not None else None for nid, a, b in zip(ids, bounds, bounds[1:])))
+
+
 # scalar oracles over Box values
 
 
@@ -333,8 +389,8 @@ def giou_pairwise(a, b) -> Tensor:
         raise ContractError(f"giou_pairwise expects matching [M, 4] stacks, got {at.shape} and {bt.shape}")
     ax1, ay1, ax2, ay2 = _corner_cols(at)
     bx1, by1, bx2, by2 = _corner_cols(bt)
-    iw = numeric.relu(sub(minimum(ax2, bx2), maximum(ax1, bx1)))
-    ih = numeric.relu(sub(minimum(ay2, by2), maximum(ay1, by1)))
+    iw = relu(sub(minimum(ax2, bx2), maximum(ax1, bx1)))
+    ih = relu(sub(minimum(ay2, by2), maximum(ay1, by1)))
     inter = mul(iw, ih)
     area_a = mul(sub(ax2, ax1), sub(ay2, ay1))
     area_b = mul(sub(bx2, bx1), sub(by2, by1))
@@ -355,7 +411,7 @@ def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
     g = giou_pairwise(Tensor(b_arr), bhat)
     giou_term = mul(sub(1.0, g), w.lambda_iou)
     diffs = absolute(sub(bhat, Tensor(b_arr)))
-    l1 = numeric.reshape(numeric.matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
+    l1 = numeric.reshape(matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
     return add(giou_term, mul(l1, w.lambda_l1))
 
 
@@ -442,15 +498,58 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def conv3x3_chain(x, w, b):
     _, h, wd = x.shape
     out = linear(im2col(x, 3, stride=2, pad=1), w, b)
-    return numeric.reshape(numeric.transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
+    return numeric.reshape(transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
 
 
-def channel_reduce_chain(f, w, b):
+def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """3x3 convolution at stride 2 and zero padding 1: [C, H, W] -> [C_out,
+    ceil(H/2), ceil(W/2)], as one record: ``conv3x3_chain`` with the unfold
+    and the fold as one gather and one ``bincount`` through
+    ``numeric._conv3x3_indices``."""
+    x = _tensor_arg(x, "conv3x3")
+    w = _tensor_arg(w, "conv3x3")
+    b = _tensor_arg(b, "conv3x3")
+    dx, dw = x.data, w.data
+    if dx.ndim != 3 or 0 in dx.shape or b.data.ndim != 1 or dw.shape != (9 * dx.shape[0], b.data.size):
+        raise ShapeError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
+    (c, h, wd), c_out = dx.shape, b.data.size
+    ho, wo = (h + 1) // 2, (wd + 1) // 2
+    gather, scatter = _conv3x3_indices(c, h, wd)
+    padded = np.zeros((c, h + 2, wd + 2))
+    padded[:, 1:-1, 1:-1] = dx
+    cols = padded.take(gather)
+    out = Tensor(_affine(cols, dw, b.data).T.reshape(c_out, ho, wo))
+
+    def bwd(g, ids):
+        gy = g.reshape(c_out, ho * wo).T
+        gp, gw, gb = _affine_grads(cols, dw, gy, ids)
+        if gp is not None:
+            gp = np.bincount(scatter, weights=gp.T.ravel(), minlength=c * (h + 2) * (wd + 2))
+            gp = gp.reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
+        return (gp, gw, gb)
+
+    return _record("conv3x3", out, (x, w, b), bwd)
+
+
+def pixel_rows(f):
+    """A [C, H, W] map's pixels as [H*W, C] rows, as the model's reduction read them."""
     c, fh, fw = f.shape
-    d = b.shape[0]
-    out = linear(numeric.transpose(numeric.reshape(f, (c, fh * fw))), w, b)
-    z = numeric.reshape(numeric.transpose(out), (d, fh, fw))
-    return numeric.transpose(numeric.reshape(z, (d, fh * fw)))
+    return transpose(numeric.reshape(f, (c, fh * fw)))
+
+
+def backbone_chain(image, layers):
+    """``numeric.backbone`` as the chain it replaces: ``relu(conv3x3(.))`` per
+    (w, b) pair of ``layers``, then the last map's ``pixel_rows``."""
+    x = image
+    for i in range(0, len(layers), 2):
+        x = relu(conv3x3(x, layers[i], layers[i + 1]))
+    return pixel_rows(x)
+
+
+def relation_chain(x, m, w, b):
+    """``numeric.relation`` as the chain it replaces, for a constant array m."""
+    nbr = matmul(Tensor(m), x)
+    return relu(linear(concat([x, nbr]), transpose(w), b))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -518,11 +617,11 @@ def mha_chain(q, k, v, proj, num_heads):
     return linear(mixed, wo, bo)
 
 
-def mlp_chain(x, layers, squash=False):
+def mlp_chain(x, layers, output=None):
     """``numeric.mlp`` as the chain it replaces; ``layers`` is (w0, b0, w1, b1, ...)."""
     for i in range(0, len(layers), 2):
-        x = linear(numeric.relu(x) if i else x, layers[i], layers[i + 1])
-    return sigmoid(x) if squash else x
+        x = linear(relu(x) if i else x, layers[i], layers[i + 1])
+    return {None: lambda t: t, "sigmoid": sigmoid, "softmax": softmax}[output](x)
 
 
 def attention_block_chain(x, pos, kv, kv_pos, proj, num_heads):

@@ -15,6 +15,7 @@ from reldet.matching import (
 )
 from reldet.numeric import Tape, Tensor
 
+import tape_chains as chain
 from conftest import assert_grad_close
 from tape_chains import box_loss
 
@@ -297,7 +298,7 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     boxes0 = random_boxes(rng, n)
 
     def loss_from_logits(lg):
-        probs = numeric.softmax(lg)
+        probs = chain.softmax(lg)
         return hungarian_loss_terms(gts, FakeOutput(probs, Tensor(boxes0)), assign, W, null_weight=0.3).total
 
     lg = Tensor(logits0, requires_grad=True)
@@ -308,7 +309,7 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     assert_grad_close(lg.grad, fd.data, rtol=1e-4, label="loss/logits")
 
     def loss_from_boxes(bx):
-        probs = Tensor(numeric.softmax(Tensor(logits0)).data)
+        probs = Tensor(chain.softmax(Tensor(logits0)).data)
         return hungarian_loss_terms(gts, FakeOutput(probs, bx), assign, W).total
 
     bx = Tensor(boxes0, requires_grad=True)

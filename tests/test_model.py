@@ -67,73 +67,82 @@ def test_backbone_shape_and_zero_image():
     cfg = ModelConfig(image_size=(32, 32), backbone_channels=16)
     params = init_params(cfg)
     out = backbone_forward(Tensor(np.zeros((3, 32, 32))), params, cfg)
-    assert out.shape == (16, 4, 4)
+    assert out.shape == (16, 16)  # the 4x4 last map's pixels as rows of its 16 channels
     # zero input with zero-initialized biases stays exactly zero
-    np.testing.assert_array_equal(out.data, np.zeros((16, 4, 4)))
+    np.testing.assert_array_equal(out.data, np.zeros((16, 16)))
     with pytest.raises(ShapeError):
         backbone_forward(Tensor(np.zeros((3, 16, 16))), params, cfg)
 
 
 def test_backbone_stage_matches_hand_convolution(rng):
-    # one stride-2 3x3 stage against an explicit loop oracle
+    # a one-stage backbone call, a stride-2 3x3 conv and its ReLU, against an
+    # explicit loop oracle: pixel (oy, ox) of the map is row oy*8 + ox
     cfg = TINY
     params = init_params(cfg)
     img = rng.standard_normal((3, 16, 16))
     w = params["backbone.conv0.weight"].data  # [27, C] with rows (c*3 + i)*3 + j
     b = params["backbone.conv0.bias"].data
-    stage = numeric.conv3x3(Tensor(img), params["backbone.conv0.weight"], params["backbone.conv0.bias"])
+    rows = numeric.backbone(Tensor(img), (params["backbone.conv0.weight"], params["backbone.conv0.bias"]))
     padded = np.pad(img, ((0, 0), (1, 1), (1, 1)))
-    expected = np.empty((cfg.backbone_channels, 8, 8))
+    expected = np.empty((64, cfg.backbone_channels))
     for co in range(cfg.backbone_channels):
         for oy in range(8):
             for ox in range(8):
                 patch = padded[:, 2 * oy : 2 * oy + 3, 2 * ox : 2 * ox + 3]
-                expected[co, oy, ox] = (patch.reshape(-1) * w[:, co]).sum() + b[co]
-    np.testing.assert_allclose(stage.data, expected, atol=1e-12)
+                expected[oy * 8 + ox, co] = max((patch.reshape(-1) * w[:, co]).sum() + b[co], 0.0)
+    np.testing.assert_allclose(rows.data, expected, atol=1e-12)
 
 
 def test_channel_reduce_identity_and_oracle(rng):
     cfg = ModelConfig(image_size=(32, 32), backbone_channels=8, model_dim=8, num_heads=2)
     params = init_params(cfg)
     f = rng.standard_normal((8, 4, 4))
+    pixels = Tensor(f.reshape(8, 16).T)  # the backbone's rows: pixel (1, 2) with W' = 4 is row 6
     params["reduce.weight"] = Tensor(np.eye(8), requires_grad=True)
     params["reduce.bias"] = Tensor(np.zeros(8), requires_grad=True)
-    tokens = channel_reduce(Tensor(f), params).data
-    # token row t is pixel (t div W', t mod W'): pixel (1, 2) with W' = 4 lands in row 6
+    tokens = channel_reduce(pixels, params).data
     np.testing.assert_array_equal(tokens[6], f[:, 1, 2])
-    np.testing.assert_array_equal(tokens, f.reshape(8, 16).T)
+    np.testing.assert_array_equal(tokens, pixels.data)
 
     wr = rng.standard_normal((8, 8))
     params["reduce.weight"] = Tensor(wr, requires_grad=True)
-    out = channel_reduce(Tensor(f), params).data
+    out = channel_reduce(pixels, params).data
     expected = np.einsum("chw,cd->hwd", f, wr).reshape(16, 8)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
     with pytest.raises(ShapeError):
-        channel_reduce(Tensor(np.zeros((4, 4, 4))), params)
+        channel_reduce(Tensor(np.zeros((16, 4))), params)
+    with pytest.raises(ShapeError):
+        channel_reduce(Tensor(f), params)
 
 
 @pytest.mark.parametrize("cfg", [ModelConfig(), TINY], ids=["default", "tiny"])
 def test_channel_reduce_equals_the_chain_bit_for_bit(cfg):
-    # the tokens feed the encoder as in forward: the attention input and the
-    # residual both read them, so two gradients meet at the reduction
-    c, fh, fw = cfg.backbone_channels, cfg.image_size[0] // 8, cfg.image_size[1] // 8
+    # the backbone's rows and the reduction's tokens, against the chain of
+    # conv3x3, relu, reshape, transpose and linear records they replace; the
+    # tokens feed the encoder as in forward: the attention input and the
+    # residual both read them, so two gradients meet at the reduction. On
+    # odd seeds the image takes a gradient too
     pe = sinusoidal_pe(cfg.num_tokens, cfg.model_dim)
+    def chained(image, p):
+        stages = [p[f"backbone.conv{stage}.{name}"] for stage in range(3) for name in ("weight", "bias")]
+        return chain.linear(chain.backbone_chain(image, stages), p["reduce.weight"], p["reduce.bias"])
+
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        f0 = np.maximum(rng.standard_normal((c, fh, fw)), 0.0)
+        image0 = rng.uniform(0, 1, (3, *cfg.image_size))
         probe = rng.standard_normal((cfg.num_tokens, cfg.model_dim))
         got = []
-        for reduce in (channel_reduce, lambda f, p: chain.channel_reduce_chain(f, p["reduce.weight"], p["reduce.bias"])):
+        for reduce in (lambda image, p: channel_reduce(backbone_forward(image, p, cfg), p), chained):
             params = init_params(cfg)
-            f = Tensor(f0, requires_grad=True)
+            image = Tensor(image0, requires_grad=seed % 2 == 1)
             with numeric.Tape():
-                tokens = reduce(f, params)
+                tokens = reduce(image, params)
                 memory = encoder_forward(tokens, pe, params, cfg)
                 loss = checks.probe_loss(memory, probe)
             numeric.backward(loss)
-            got.append([a.tobytes() for a in (tokens.data, memory.data, f.grad, params["reduce.weight"].grad,
-                                              params["reduce.bias"].grad, model.arena_of(params, "grad"))])
+            got.append([a.tobytes() for a in (tokens.data, memory.data, model.arena_of(params, "grad"))]
+                       + [None if image.grad is None else image.grad.tobytes()])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
@@ -232,9 +241,9 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
         qh = chain.narrow(qp, 1, h * dh, dh)
         kh = chain.narrow(kp, 1, h * dh, dh)
         vh = chain.narrow(vp, 1, h * dh, dh)
-        scores = chain.mul(numeric.matmul(qh, numeric.transpose(kh)), 1.0 / math.sqrt(dh))
-        heads.append(numeric.matmul(numeric.softmax(scores), vh))
-    mixed = heads[0] if num_heads == 1 else numeric.concat(heads)
+        scores = chain.mul(chain.matmul(qh, chain.transpose(kh)), 1.0 / math.sqrt(dh))
+        heads.append(chain.matmul(chain.softmax(scores), vh))
+    mixed = heads[0] if num_heads == 1 else chain.concat(heads)
     return chain.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -266,19 +275,7 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
 
 
 def test_default_step_tape_record_count():
-    # one taped default-config forward plus set loss; the fused conv3x3,
-    # transformer sublayer, mlp and set loss ops keep this at 31, with the 1x1
-    # reduction and the class head as one-layer mlp records (55 with the
-    # positional adds and residual layer norms as add and add_layer_norm
-    # records around mha and mlp records, 55 as well with the reduction and
-    # the class head as linear records, 102 with each attention sublayer as four linear around an attention
-    # record and each FFN and the box head as linear, relu and sigmoid records,
-    # 108 when the preliminary box head recorded its 3 linear, 2 relu and 1
-    # sigmoid, 112 when the 1x1 reduction moved its rows to a [d, H, W] map
-    # and back, 120 with each backbone stage as im2col, linear, transpose and reshape,
-    # 122 with a class head on the preliminary decode, 189 with the layer
-    # norms after separate adds and the set loss as 55 elementwise ops, 500
-    # with per-head attention plumbing as well)
+    # one record per model stage or transformer sublayer, and one for the set loss
     cfg = ModelConfig()
     params = init_params(cfg)
     scene = data.generate_scene(1)
@@ -289,9 +286,8 @@ def test_default_step_tape_record_count():
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, w)
         hungarian_loss_terms(scene.objects, out, hungarian(cost), w, 0.1)
         ops = Counter(op_names(tape))
-    assert len(tape) == 31
-    assert forward_ops == Counter(attention_block=8, ffn_block=5, mlp=4, relu=4, conv3x3=3, transpose=2,
-                                  reshape=1, matmul=1, concat=1, softmax=1)
+    assert len(tape) == 19
+    assert forward_ops == Counter(attention_block=8, ffn_block=5, mlp=3, backbone=1, relation=1)
     assert ops - forward_ops == Counter(set_loss=1)
 
 
@@ -315,7 +311,7 @@ def test_op_cases_check_exactly_the_ops_a_training_step_records(monkeypatch):
     monkeypatch.setattr(numeric, "backward", spy)
     cfg = ModelConfig()
     train_step(data.generate_scene(1), init_params(cfg), OptimizerState(), LossWeights(), 0.1, cfg)
-    assert len(recorded) == 11
+    assert len(recorded) == 6
     assert checked == recorded
 
 
@@ -361,10 +357,9 @@ def test_no_rule_computes_a_gradient_for_an_input_without_a_node_id(queries, max
 
     tape.records[:] = [(op, out_id, in_ids, checked(op, rule)) for op, out_id, in_ids, rule in tape.records]
     numeric.backward(loss)
-    # the image into the first conv3x3, the neighbour-mean matrix into
-    # aggregate's matmul, and the positional encodings of the encoder's
+    # the image into the backbone, and the positional encodings of the encoder's
     # self-attention (2 layers) and of the decoder's memory keys (3 layers)
-    assert skipped == Counter(conv3x3=1, matmul=1, attention_block=5)
+    assert skipped == Counter(backbone=1, attention_block=5)
 
 
 def test_encoder_shape_token_equivariance_and_degenerate(rng):
@@ -398,7 +393,7 @@ def test_encoder_single_layer_matches_primitive_composition(rng):
     x = Tensor(tokens)
     qk = chain.add(x, pe)
     x = chain.layer_norm(chain.add(x, multi_head_attention(qk, qk, x, params, "encoder.0.attn", cfg.num_heads)))
-    h = numeric.relu(chain.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
+    h = chain.relu(chain.linear(x, params["encoder.0.ffn.w1"], params["encoder.0.ffn.b1"]))
     f = chain.linear(h, params["encoder.0.ffn.w2"], params["encoder.0.ffn.b2"])
     composed = chain.layer_norm(chain.add(x, f)).data
     np.testing.assert_allclose(out, composed, atol=1e-12)
@@ -451,12 +446,12 @@ def test_decoder_relation_ablation_equivalence(rng):
     emb, _ = decoder_forward(memory, params["query_embed"], pe, params, cfg)
     # the pass-1 stack consumes the query embeddings as its input sequence
     x1 = decode_stack(params["query_embed"], params["query_embed"], memory, pe, params, ["decoder.0"], 2)
-    expected = decode_stack(numeric.relu(x1), params["query_embed"], memory, pe, params, ["refine.0"], 2)
+    expected = decode_stack(chain.relu(x1), params["query_embed"], memory, pe, params, ["refine.0"], 2)
     np.testing.assert_allclose(emb.data, expected.data, atol=1e-12)
 
     # on nonnegative embeddings the identity relation layer is exactly transparent
     nonneg = Tensor(np.abs(rng.standard_normal((4, d))))
-    via_relation = decode_stack(numeric.relu(nonneg), params["query_embed"], memory, pe, params, ["refine.0"], 2)
+    via_relation = decode_stack(chain.relu(nonneg), params["query_embed"], memory, pe, params, ["refine.0"], 2)
     direct = decode_stack(nonneg, params["query_embed"], memory, pe, params, ["refine.0"], 2)
     np.testing.assert_allclose(via_relation.data, direct.data, atol=1e-15)
 

@@ -13,6 +13,7 @@ from reldet.geometry import Box, LossWeights, box_rows
 from reldet.matching import Assignment, GroundTruth, hungarian_loss_terms
 from reldet.model import DetectionOutput
 from reldet.numeric import Tape, Tensor, backward, finite_diff_grad
+from reldet.relation import build_knn_graph, neighbor_mean_matrix
 
 import tape_chains as chain
 from conftest import assert_grad_close, gradcheck, op_names
@@ -28,41 +29,41 @@ def test_tensor_shape_matches_buffer():
 def test_matmul_hand_product():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(numeric.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
+    np.testing.assert_array_equal(chain.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_identity_and_annihilator(rng):
     a = Tensor(rng.standard_normal((3, 3)))
     eye = Tensor(np.eye(3))
     zero = Tensor(np.zeros((3, 3)))
-    np.testing.assert_array_equal(numeric.matmul(a, eye).data, a.data)
-    np.testing.assert_array_equal(numeric.matmul(a, zero).data, np.zeros((3, 3)))
+    np.testing.assert_array_equal(chain.matmul(a, eye).data, a.data)
+    np.testing.assert_array_equal(chain.matmul(a, zero).data, np.zeros((3, 3)))
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        numeric.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        chain.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_matmul_associativity(m, k, n, p, seed):
     r = np.random.default_rng(seed)
     a, b, c = r.standard_normal((m, k)), r.standard_normal((k, n)), r.standard_normal((n, p))
-    left = numeric.matmul(numeric.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-    right = numeric.matmul(Tensor(a), numeric.matmul(Tensor(b), Tensor(c))).data
+    left = chain.matmul(chain.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
+    right = chain.matmul(Tensor(a), chain.matmul(Tensor(b), Tensor(c))).data
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
 def test_softmax_symmetry_and_shift():
-    np.testing.assert_allclose(numeric.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
-    big = numeric.softmax(Tensor([1000.0, 1000.0])).data
+    np.testing.assert_allclose(chain.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
+    big = chain.softmax(Tensor([1000.0, 1000.0])).data
     assert np.all(np.isfinite(big))
     np.testing.assert_allclose(big, [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_derived_quarter_three_quarters():
     # exp(0) = 1 and exp(ln 3) = 3, so the slice normalizes to [1/4, 3/4]
-    y = numeric.softmax(Tensor([0.0, np.log(3.0)])).data
+    y = chain.softmax(Tensor([0.0, np.log(3.0)])).data
     np.testing.assert_allclose(y, [0.25, 0.75], atol=1e-15)
 
 
@@ -73,15 +74,15 @@ def test_softmax_derived_quarter_three_quarters():
     st.floats(-100, 100),
 )
 def test_softmax_shift_invariance_and_normalization(xs, c):
-    base = numeric.softmax(Tensor(xs)).data
-    shifted = numeric.softmax(Tensor(np.asarray(xs) + c)).data
+    base = chain.softmax(Tensor(xs)).data
+    shifted = chain.softmax(Tensor(np.asarray(xs) + c)).data
     np.testing.assert_allclose(base, shifted, atol=1e-12)
     assert abs(base.sum() - 1.0) < 1e-12
     assert np.all(base > 0) and np.all(base < 1)
 
 
 def test_relu_sigmoid_layernorm_definitions():
-    np.testing.assert_array_equal(numeric.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(chain.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert chain.sigmoid(Tensor([0.0])).data[0] == 0.5
     # zero variance is absorbed by eps, output is exactly zero: in the oracle
     # and in a feed-forward sublayer whose zero weights leave the residual alone
@@ -185,7 +186,7 @@ def test_unreached_leaf_with_a_grad_is_zeroed_in_place():
 def test_grad_shape_matches_data(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape():
-        loss = chain.mean(numeric.relu(x))
+        loss = chain.mean(chain.relu(x))
     backward(loss)
     assert x.grad.shape == x.data.shape
 
@@ -205,7 +206,7 @@ def test_tape_frees_a_dropped_intermediate_before_backward():
     with Tape():
         h = chain.mul(x, 3.0)  # the rules of mul(x, 3.0) and relu(h) keep no reference to h
         alive = weakref.ref(h.data)
-        loss = chain.sum_all(numeric.relu(h))
+        loss = chain.sum_all(chain.relu(h))
         del h
         assert alive() is None
     backward(loss)
@@ -239,8 +240,8 @@ def test_backward_random_composite_matches_fd(rng):
     w = rng.standard_normal((4, 3))
 
     def f(t):
-        h = numeric.matmul(t, Tensor(w))
-        h = numeric.relu(h)
+        h = chain.matmul(t, Tensor(w))
+        h = chain.relu(h)
         h = chain.add(h, 0.5)
         return chain.mean(chain.mul(h, h))
 
@@ -368,29 +369,32 @@ def test_mha_and_mlp_shape_errors():
                 op(z(2, 4), layers)
     with pytest.raises(ShapeError):  # a feed-forward sublayer maps its rows back to their width
         numeric.ffn_block(z(2, 4), [z(4, 5), z(5), z(5, 3), z(3)])
+    with pytest.raises(ContractError):  # the output functions are None, "sigmoid" and "softmax"
+        numeric.mlp(z(2, 4), [z(4, 5), z(5)], "tanh")
 
 
 def test_concat_roundtrip(rng):
     a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
-    cat = numeric.concat([Tensor(a), Tensor(b)])
+    cat = chain.concat([Tensor(a), Tensor(b)])
     np.testing.assert_array_equal(cat.data[:, :3], a)
     np.testing.assert_array_equal(cat.data[:, 3:], b)
 
 
 def test_concat_rejects_leading_extents_that_disagree():
     with pytest.raises(ShapeError):
-        numeric.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+        chain.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
     with pytest.raises(ShapeError):
-        numeric.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
+        chain.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
 
 
 def test_conv3x3_matches_direct_convolution(rng):
     # two channels into three, stride 2 and zero padding 1, by hand; odd
-    # extents round the output up: [2, 5, 6] -> [3, 3, 3]
+    # extents round the output up: [2, 5, 6] -> [3, 3, 3]. The oracle's stage
+    # is the map, a one-stage backbone its ReLU as [9, 3] pixel rows
     x = rng.standard_normal((2, 5, 6))
     w = rng.standard_normal((18, 3))
     b = rng.standard_normal(3)
-    out = numeric.conv3x3(Tensor(x), Tensor(w), Tensor(b)).data
+    out = chain.conv3x3(Tensor(x), Tensor(w), Tensor(b)).data
     assert out.shape == (3, 3, 3)
     kernels = w.reshape(2, 3, 3, 3)  # [c, i, j, c_out] from rows (c*3 + i)*3 + j
     expected = np.zeros((3, 3, 3))
@@ -406,19 +410,24 @@ def test_conv3x3_matches_direct_convolution(rng):
                                 acc += x[c, y, z] * kernels[c, i, j, co]
                 expected[co, oy, ox] = acc
     np.testing.assert_allclose(out, expected, atol=1e-12)
+    rows = numeric.backbone(Tensor(x), (Tensor(w), Tensor(b))).data
+    np.testing.assert_allclose(rows, np.maximum(expected, 0.0).reshape(3, 9).T, atol=1e-12)
 
 
 def test_conv3x3_rejects_shapes_that_disagree():
+    # each backbone stage checks its input map against its weight and bias
     x, w, b = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((18, 3))), Tensor(np.zeros(3))
-    numeric.conv3x3(x, w, b)
-    with pytest.raises(ShapeError):
-        numeric.conv3x3(Tensor(np.zeros((3, 4, 4))), w, b)  # 27 patch rows, 18 weight rows
-    with pytest.raises(ShapeError):
-        numeric.conv3x3(x, w, Tensor(np.zeros(2)))
-    with pytest.raises(ShapeError):
-        numeric.conv3x3(Tensor(np.zeros((2, 16))), w, b)
-    with pytest.raises(ShapeError):
-        numeric.conv3x3(Tensor(np.zeros((2, 0, 4))), w, b)
+    numeric.backbone(x, (w, b))
+    numeric.backbone(x, (w, b, Tensor(np.zeros((27, 5))), Tensor(np.zeros(5))))
+    for bad in [(Tensor(np.zeros((3, 4, 4))), w, b),  # 27 patch rows, 18 weight rows
+                (x, w, Tensor(np.zeros(2))),
+                (Tensor(np.zeros((2, 16))), w, b),
+                (Tensor(np.zeros((2, 0, 4))), w, b),
+                (x, w, b, Tensor(np.zeros((18, 5))), Tensor(np.zeros(5)))]:  # stage 1 reads 3 channels
+        with pytest.raises(ShapeError):
+            numeric.backbone(bad[0], bad[1:])
+    with pytest.raises(ContractError):
+        numeric.backbone(x, (w, b, w))
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +443,14 @@ def _away_from_kinks(arr, gap=0.05):
 UNARY_CASES = [
     ("neg", chain.neg, None),
     ("absolute", chain.absolute, _away_from_kinks),
-    ("relu", numeric.relu, _away_from_kinks),
+    ("relu", chain.relu, _away_from_kinks),
     ("sigmoid", chain.sigmoid, None),
     ("log", chain.log, lambda a: np.abs(a) + 0.5),
     ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
     ("sum_all", lambda x: numeric.reshape(chain.sum_all(x), (1,)), None),
-    ("softmax", numeric.softmax, None),
+    ("softmax", chain.softmax, None),
     ("layer_norm", lambda x: chain.add_layer_norm_chain(x, Tensor(np.zeros((3, 4)))), None),
-    ("transpose", numeric.transpose, None),
+    ("transpose", chain.transpose, None),
     ("reshape", lambda x: numeric.reshape(x, (6, 2)), None),
     ("narrow", lambda x: chain.narrow(x, 1, 1, 2), None),
     ("take_rows", lambda x: chain.take_rows(x, [2, 0, 2]), None),
@@ -490,23 +499,26 @@ def test_matmul_gradients_match_fd(draw):
     rng = np.random.default_rng(300 + draw)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    gradcheck(lambda x: numeric.matmul(x, Tensor(b)), a, rtol=1e-4, rng=rng, label="matmul/lhs")
-    gradcheck(lambda x: numeric.matmul(Tensor(a), x), b, rtol=1e-4, rng=rng, label="matmul/rhs")
+    gradcheck(lambda x: chain.matmul(x, Tensor(b)), a, rtol=1e-4, rng=rng, label="matmul/lhs")
+    gradcheck(lambda x: chain.matmul(Tensor(a), x), b, rtol=1e-4, rng=rng, label="matmul/rhs")
 
 
 @pytest.mark.parametrize("draw", range(4))
 def test_structural_gradients_match_fd(draw):
     rng = np.random.default_rng(400 + draw)
     other = Tensor(rng.standard_normal((3, 2)))
-    gradcheck(lambda x: numeric.concat([x, other]), rng.standard_normal((3, 4)), rng=rng, label="concat")
+    gradcheck(lambda x: chain.concat([x, other]), rng.standard_normal((3, 4)), rng=rng, label="concat")
     x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
     gradcheck(lambda t: numeric.mlp(t, (Tensor(w), Tensor(b))), x, rng=rng, label="mlp1/x")
     gradcheck(lambda t: numeric.mlp(Tensor(x), (t, Tensor(b))), w, rng=rng, label="mlp1/w")
     gradcheck(lambda t: numeric.mlp(Tensor(x), (Tensor(w), t)), b, rng=rng, label="mlp1/b")
     x, w, b = rng.standard_normal((2, 5, 4)), rng.standard_normal((18, 3)), rng.standard_normal(3)
-    gradcheck(lambda t: numeric.conv3x3(t, Tensor(w), Tensor(b)), x, rng=rng, label="conv3x3/x")
-    gradcheck(lambda t: numeric.conv3x3(Tensor(x), t, Tensor(b)), w, rng=rng, label="conv3x3/w")
-    gradcheck(lambda t: numeric.conv3x3(Tensor(x), Tensor(w), t), b, rng=rng, label="conv3x3/b")
+    gradcheck(lambda t: chain.conv3x3(t, Tensor(w), Tensor(b)), x, rng=rng, label="conv3x3/x")
+    gradcheck(lambda t: chain.conv3x3(Tensor(x), t, Tensor(b)), w, rng=rng, label="conv3x3/w")
+    gradcheck(lambda t: chain.conv3x3(Tensor(x), Tensor(w), t), b, rng=rng, label="conv3x3/b")
+    gradcheck(lambda t: numeric.backbone(t, (Tensor(w), Tensor(b))), x, rng=rng, label="backbone/x")
+    gradcheck(lambda t: numeric.backbone(Tensor(x), (t, Tensor(b))), w, rng=rng, label="backbone/w")
+    gradcheck(lambda t: numeric.backbone(Tensor(x), (Tensor(w), t)), b, rng=rng, label="backbone/b")
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +554,81 @@ def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
     ids=["stage0", "stage1", "stage2", "odd7x9", "one_channel", "8x40"],
 )
 def test_conv3x3_equals_the_chain_bit_for_bit(shape):
-    # the three backbone stages and odd, one-channel and wide maps; on even
-    # seeds the input is a constant to the tape, as the image is to the first
-    # stage, on odd seeds it takes a gradient. Seed 0 draws a flat map, so
-    # every patch is equal inside the border; seed 1 switches every ReLU off
-    # under a negative probe, so -0.0 reaches every entry of the conv's gradient
+    # a one-stage backbone, and the oracle's one-record stage and its im2col
+    # chain with a ReLU and the pixel rows after them: the three backbone
+    # stages and odd, one-channel and wide maps. On even seeds the input is a
+    # constant to the tape, as the image is to the first stage, on odd seeds
+    # it takes a gradient. Seed 0 draws a flat map, so every patch is equal
+    # inside the border; seed 1 switches every ReLU off under a negative
+    # probe, so -0.0 reaches every entry of the conv's gradient
     c, h, wd = shape
+    ops = (lambda x, w, b: numeric.backbone(x, (w, b)),
+           lambda x, w, b: chain.pixel_rows(chain.relu(chain.conv3x3(x, w, b))),
+           lambda x, w, b: chain.pixel_rows(chain.relu(chain.conv3x3_chain(x, w, b))))
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x0 = np.full(shape, rng.uniform()) if seed == 0 else rng.uniform(-1, 1, shape)
         w0, b0 = rng.uniform(-1, 1, (c * 9, 16)) / 3, rng.standard_normal(16)
-        probe = rng.standard_normal((16, (h + 1) // 2, (wd + 1) // 2))
+        probe = rng.standard_normal((((h + 1) // 2) * ((wd + 1) // 2), 16))
         if seed == 1:
             b0, probe = np.full(16, -1e3), -np.abs(probe)
         got = []
-        for op in (numeric.conv3x3, chain.conv3x3_chain):
+        for op in ops:
             x = Tensor(x0, requires_grad=seed % 2 == 1)
             w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
             with Tape():
-                y = numeric.relu(op(x, w, b))
+                y = op(x, w, b)
                 loss = checks.probe_loss(y, probe)
             backward(loss)
             got.append((_bits(y.data), _bits(w.grad), _bits(b.grad), None if x.grad is None else _bits(x.grad)))
+        assert got[0] == got[1] == got[2], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+@pytest.mark.parametrize(
+    "shape, stages",
+    [((3, 32, 32), 3), ((3, 16, 16), 3), ((2, 7, 9), 2), ((1, 40, 8), 3)],
+    ids=["default", "tiny", "odd7x9", "one_channel"],
+)
+def test_backbone_equals_the_chain_bit_for_bit(shape, stages):
+    # the stages against the chain the model recorded before the backbone was
+    # one record; seed 1 switches every last-stage ReLU off, as above
+    c = shape[0]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(0, 1, shape)
+        layers0 = [a for i in range(stages)
+                   for a in (rng.uniform(-1, 1, ((c if i == 0 else 16) * 9, 16)) / 6, rng.standard_normal(16) / 4)]
+        if seed == 1:
+            layers0[-1] = np.full(16, -1e3)
+        got = []
+        for op in (numeric.backbone, chain.backbone_chain):
+            x = Tensor(x0, requires_grad=seed % 2 == 1)
+            layers = [Tensor(a, requires_grad=True) for a in layers0]
+            with Tape():
+                y = op(x, layers)
+                loss = checks.probe_loss(y, np.random.default_rng(seed).standard_normal(y.shape))
+            backward(loss)
+            got.append([_bits(y.data), None if x.grad is None else _bits(x.grad)] + [_bits(t.grad) for t in layers])
+        assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
+
+
+@pytest.mark.parametrize("nodes", [16, 64])
+def test_relation_equals_the_chain_bit_for_bit(nodes):
+    # the relation step over a kNN graph's neighbour-mean matrix, isolated
+    # nodes included; x takes the concat's gradient, then the product's
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x0, w0, b0 = rng.standard_normal((nodes, 32)), rng.uniform(-1, 1, (32, 64)) / 8, rng.standard_normal(32) / 4
+        m = neighbor_mean_matrix(build_knn_graph(rng.uniform(0, 1, (nodes, 2)), seed % 4))
+        probe = rng.standard_normal((nodes, 32))
+        got = []
+        for op in (numeric.relation, chain.relation_chain):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+            with Tape():
+                y = op(x, m, w, b)
+                loss = checks.probe_loss(y, probe)
+            backward(loss)
+            got.append([_bits(a) for a in (y.data, x.grad, w.grad, b.grad)])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
@@ -603,7 +668,7 @@ def test_set_loss_equals_the_chain_bit_for_bit(n, ties):
             # softmax and sigmoid outputs on the tape, as in training
             lg, bl = Tensor(np.log(probs + 1e-300), requires_grad=True), Tensor(boxes, requires_grad=True)
             with Tape():
-                out = DetectionOutput(numeric.softmax(lg), chain.add(bl, 0.0))
+                out = DetectionOutput(chain.softmax(lg), chain.add(bl, 0.0))
                 parts = loss_fn(gts, out, assign, w, null_weight)
                 loss = chain.mul(parts.total, scale)
             backward(loss)
@@ -677,18 +742,20 @@ def test_sigmoid_equals_the_chain_bit_for_bit():
 
 
 @pytest.mark.parametrize("rows", [16, 64])
-@pytest.mark.parametrize("head", ["ffn", "box"])
+@pytest.mark.parametrize("head", ["ffn", "box", "class"])
 def test_mlp_equals_the_chain_bit_for_bit(head, rows):
-    # the FFN (32 -> 64 -> 32) and the box head (32 -> 32 -> 32 -> 4, sigmoid);
-    # the last two box-head draws zero the top weight and sweep the sigmoid's
-    # input through SQUASH_SWEEP by the top bias (a product of zeros is +0.0,
-    # so -0.0 arrives as +0.0; test_sigmoid_equals_the_chain_bit_for_bit has it)
-    widths, squash = ([32, 64, 32], False) if head == "ffn" else ([32, 32, 32, 4], True)
+    # the FFN (32 -> 64 -> 32), the box head (32 -> 32 -> 32 -> 4, sigmoid)
+    # and the class head (32 -> 6, softmax); the last two box-head draws zero
+    # the top weight and sweep the sigmoid's input through SQUASH_SWEEP by the
+    # top bias (a product of zeros is +0.0, so -0.0 arrives as +0.0;
+    # test_sigmoid_equals_the_chain_bit_for_bit has it)
+    widths, output = {"ffn": ([32, 64, 32], None), "box": ([32, 32, 32, 4], "sigmoid"),
+                      "class": ([32, 6], "softmax")}[head]
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal((rows, 32))
         layers0 = [a for n, m in zip(widths, widths[1:]) for a in (rng.uniform(-1, 1, (n, m)) / np.sqrt(n), rng.standard_normal(m) / 4)]
-        if squash and seed >= 8:
+        if head == "box" and seed >= 8:
             layers0[-2:] = np.zeros((32, 4)), np.array(SQUASH_SWEEP[seed % 2::2])
         probe = rng.standard_normal((rows, widths[-1]))
         got = []
@@ -696,7 +763,7 @@ def test_mlp_equals_the_chain_bit_for_bit(head, rows):
             x = Tensor(x0, requires_grad=True)
             layers = [Tensor(a, requires_grad=True) for a in layers0]
             with Tape():
-                y = op(x, layers, squash)
+                y = op(x, layers, output)
                 loss = checks.probe_loss(y, probe)
             backward(loss)
             got.append([_bits(y.data), _bits(x.grad)] + [_bits(t.grad) for t in layers])
@@ -708,7 +775,7 @@ def test_mlp_equals_the_chain_bit_for_bit(head, rows):
 @pytest.mark.parametrize("rows", [16, 64])
 @pytest.mark.parametrize("width_in, width_out", [(16, 32), (32, 6), (64, 32)], ids=["reduce", "class_head", "relation"])
 def test_one_layer_mlp_equals_linear_bit_for_bit(width_in, width_out, rows):
-    # the model's affine maps: the 1x1 reduction, the class head and the relation step
+    # at the shapes of the model's affine maps: the 1x1 reduction, the class head and the relation step
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x0, w0 = rng.standard_normal((rows, width_in)), rng.standard_normal((width_in, width_out))
@@ -760,6 +827,17 @@ def test_mha_and_mlp_skip_the_gradients_of_constant_inputs(rng):
     assert [g is None for g in grads] == [True, True, True, False, False]
     grads = _rule_grads(numeric.ffn_block, const(3, 4), [*layers[:2], param(5, 4), param(4)])
     assert [g is None for g in grads] == [True, True, False, False, False, False]
+    # the image, which has no node id, takes no gradient; a later stage's input always does
+    grads = _rule_grads(numeric.backbone, const(2, 5, 3), [param(18, 3), param(3), const(27, 2), param(2)])
+    assert [g is None for g in grads] == [True, False, False, True, False]
+    grads = _rule_grads(numeric.backbone, const(2, 5, 3), [const(18, 3), const(3), param(27, 2), const(2)])
+    assert [g is None for g in grads] == [True, True, True, False, True]
+    # relation slots: x, x, w, b
+    nbr_mean = np.full((3, 3), 0.5) - 0.5 * np.eye(3)
+    grads = _rule_grads(numeric.relation, const(3, 2), nbr_mean, param(2, 4), const(2))
+    assert [g is None for g in grads] == [True, True, False, True]
+    grads = _rule_grads(numeric.relation, param(3, 2), nbr_mean, const(2, 4), param(2))
+    assert [g is None for g in grads] == [False, False, True, False]
 
 
 def test_docstring_lists_every_primitive():
@@ -767,11 +845,13 @@ def test_docstring_lists_every_primitive():
     # the plain primitives in one sentence, the fused ones as bullets, as many
     # as that sentence counts
     doc = numeric.__doc__
-    plain, count = re.search(r"The primitives are (.*?) plus the (\w+) fused ones below", doc, re.DOTALL).groups()
+    total, plain, count = re.search(r"There are (\w+) primitives: (.*?) and the (\w+) fused ones below",
+                                    doc, re.DOTALL).groups()
     fused = re.findall(r"^- ``(\w+)\(", doc, re.MULTILINE)
-    assert ["one", "two", "three", "four", "five", "six", "seven", "eight"].index(count) + 1 == len(fused)
-    listed = set(re.findall(r"``(\w+)``", plain)) | set(fused)
-    assert listed == set(re.findall(r'_record\("(\w+)"', inspect.getsource(numeric)))
+    plain = re.findall(r"``(\w+)``,", plain)
+    numbers = ["one", "two", "three", "four", "five", "six", "seven", "eight"]
+    assert numbers.index(count) + 1 == len(fused) and numbers.index(total) + 1 == len(fused) + len(plain)
+    assert set(plain) | set(fused) == set(re.findall(r'_record\("(\w+)"', inspect.getsource(numeric)))
 
 
 def test_fused_backward_rules_are_named_after_their_ops():
@@ -783,8 +863,9 @@ def test_fused_backward_rules_are_named_after_their_ops():
         numeric.ffn_block(x, layer)
         numeric.set_loss(probs, boxes, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights())
         kernel = Tensor(np.ones((9, 4)), requires_grad=True)
-        numeric.conv3x3(Tensor(np.ones((1, 2, 2))), kernel, Tensor(np.zeros(4)))
-    assert op_names(tape) == ["attention_block", "ffn_block", "set_loss", "conv3x3"]
+        numeric.backbone(Tensor(np.ones((1, 2, 2))), (kernel, Tensor(np.zeros(4))))
+        numeric.relation(x, np.eye(2), Tensor(np.ones((4, 8))), Tensor(np.zeros(4)))
+    assert op_names(tape) == ["attention_block", "ffn_block", "set_loss", "backbone", "relation"]
 
 
 def test_set_loss_validates_its_inputs():

@@ -157,7 +157,7 @@ def test_aggregate_shape_mismatch():
         aggregate(Tensor(np.zeros((4, 3))), g, *p)
     with pytest.raises(ShapeError):
         aggregate(Tensor(np.zeros((2, 5))), g, *p)
-    with pytest.raises(ShapeError):  # a bias of the wrong length fails in linear
+    with pytest.raises(ShapeError):  # a bias of the wrong length fails the affine map's check
         aggregate(Tensor(np.zeros((2, 3))), g, p[0], Tensor(np.zeros(6)))
 
 

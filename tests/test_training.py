@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from reldet import model, numeric, training
+from reldet import numeric, training
 from reldet.data import SceneConfig, generate_scene
 from reldet.errors import ContractError, IntegrityError, NumericError
 from reldet.geometry import LossWeights
@@ -330,9 +330,11 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("num_queries,max_objects", [(16, 3), (64, 12)])
 def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, monkeypatch):
-    # 200 steps with the fused transformer sublayers and set loss and the 1x1
-    # reduction's tokens straight from its linear, against the same steps with
-    # the chains of ops they replace
+    # 200 steps with the fused backbone, transformer sublayers, relation step,
+    # heads and set loss, against the same steps with the chains of ops they
+    # replace: the reduction and the heads as linear, relu, sigmoid and
+    # softmax records, and the reduction's linear reading the rows of the
+    # backbone chain's last map
     scenes = [generate_scene(50 + i, SceneConfig(max_objects=max_objects)) for i in range(20)]
     cfg = ModelConfig(num_queries=num_queries)
 
@@ -343,9 +345,10 @@ def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, 
         return rows, arena_of(params).tobytes(), arena_of(params, "grad").tobytes()
 
     fused = run()
+    monkeypatch.setattr(numeric, "backbone", chain.backbone_chain)
     monkeypatch.setattr(numeric, "attention_block", chain.attention_block_chain)
     monkeypatch.setattr(numeric, "ffn_block", chain.ffn_block_chain)
+    monkeypatch.setattr(numeric, "relation", chain.relation_chain)
+    monkeypatch.setattr(numeric, "mlp", chain.mlp_chain)
     monkeypatch.setattr(training, "hungarian_loss_terms", chain.hungarian_loss_chain)
-    monkeypatch.setattr(model, "channel_reduce",
-                        lambda f, params: chain.channel_reduce_chain(f, params["reduce.weight"], params["reduce.bias"]))
     assert run() == fused
