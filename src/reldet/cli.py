@@ -249,6 +249,8 @@ SELFTEST_SUITES = (
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:
+        raise ContractError("selftest: --seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     failed = 0
     for name, suite, sizes in SELFTEST_SUITES:

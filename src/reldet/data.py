@@ -224,9 +224,10 @@ def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
 
 
 def _read_json(path: Path):
+    """The JSON document of an annotation, ``catalog.json`` or ``manifest.json``; ParseError names the file."""
     try:
         return json.loads(path.read_text())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, bytes that are not UTF-8, or nesting too deep
         raise ParseError(f"bad JSON in {path}: {e}") from e
 
 

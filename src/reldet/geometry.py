@@ -6,9 +6,10 @@ math here works at any scale, so boxes only require w >= 0, h >= 0.
 ``box_pairs`` is the only implementation of box overlap geometry: one array
 computation over two stacks of boxes, either over the grid of every first box
 against every second box or over aligned rows. It returns the corners, the
-intersection, union and enclosing-box areas and the per-coordinate
-difference. Each caller applies its own degenerate-box guards and its own L1
-reduction:
+overlap extents and the enclosing box's sides, each with x and y on one
+leading axis of 2, so a rule is stated once for both axes; the intersection,
+union and enclosing-box areas; and the per-coordinate difference. Each caller
+applies its own degenerate-box guards and its own L1 reduction:
 
 - ``matching.build_cost_matrix``: GIoU with the exact degenerate branches of
   ``BoxPairs.giou`` and L1 summed cx, cy, w, h from left to right, on the
@@ -78,24 +79,27 @@ def box_rows(boxes) -> np.ndarray:
 
 
 class BoxPairs(NamedTuple):
-    """Overlap terms of box pairs; every array has the pair shape.
+    """Overlap terms of box pairs.
 
-    ``a`` and ``b`` are the corners (x1, y1, x2, y2) of the first and second
-    boxes, as c -+ w/2. ``iw``/``ih`` are the overlap extents
-    min(x2) - max(x1) and min(y2) - max(y1), negative when the boxes are
-    apart; ``inter`` is iw * ih when both are positive, else 0. ``ew``/``eh``
-    are the sides of the enclosing box and ``enclose`` = ew * eh. ``delta`` is
-    b - a per coordinate (cx, cy, w, h), with a trailing axis of 4.
+    Each per-axis term is one array with a leading axis of 2, x then y: the
+    corners ``lo_a``/``hi_a`` of the first boxes and ``lo_b``/``hi_b`` of the
+    second, as c -+ size/2; the overlap extents ``i`` = min(hi) - max(lo),
+    negative when the boxes are apart; and the enclosing box's sides ``e`` =
+    max(hi) - min(lo). The corners broadcast against the pair shape, the
+    extents have it after the axis of 2. ``inter`` is i[0] * i[1] when both
+    are positive, else 0, ``union`` the union area and ``enclose`` = e[0] *
+    e[1], each of the pair shape. ``delta`` is b - a per coordinate (cx, cy,
+    w, h), with a trailing axis of 4.
     """
 
-    a: tuple
-    b: tuple
-    iw: np.ndarray
-    ih: np.ndarray
+    lo_a: np.ndarray
+    hi_a: np.ndarray
+    lo_b: np.ndarray
+    hi_b: np.ndarray
+    i: np.ndarray
     inter: np.ndarray
     union: np.ndarray
-    ew: np.ndarray
-    eh: np.ndarray
+    e: np.ndarray
     enclose: np.ndarray
     delta: np.ndarray
 
@@ -121,24 +125,23 @@ def box_pairs(a, b, grid: bool = False) -> BoxPairs:
 
     With ``grid`` the pairs are every row of ``a`` against every row of ``b``,
     shape [G, N]; otherwise ``a`` and ``b`` have the same row count M and row
-    i pairs with row i, shape [M].
+    i pairs with row i, shape [M]. The terms come from C-contiguous [4, rows]
+    copies, so each axis row is contiguous: interleaved x/y is only slower.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4 or not (grid or a.shape == b.shape):
         raise ContractError(f"box_pairs needs [G, 4] and [N, 4] boxes (equal row counts unless grid), "
                             f"got {a.shape} and {b.shape}")
+    # in a grid the first boxes run down the rows, the second boxes across the columns
+    ta, tb = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     if grid:
-        a = a[:, None, :]  # first boxes down the rows, second boxes across the columns
-    acx, acy, aw, ah = (a[..., k] for k in range(4))
-    bcx, bcy, bw, bh = (b[..., k] for k in range(4))
-    ahw, ahh, bhw, bhh = aw / 2, ah / 2, bw / 2, bh / 2
-    ax1, ay1, ax2, ay2 = acx - ahw, acy - ahh, acx + ahw, acy + ahh
-    bx1, by1, bx2, by2 = bcx - bhw, bcy - bhh, bcx + bhw, bcy + bhh
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    ew = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
-    eh = np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    return BoxPairs((ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2), iw, ih, inter, union, ew, eh, ew * eh, b - a)
+        a, ta, tb = a[:, None, :], ta[:, :, None], tb[:, None, :]
+    half_a, half_b = ta[2:] / 2, tb[2:] / 2
+    lo_a, hi_a, lo_b, hi_b = ta[:2] - half_a, ta[:2] + half_a, tb[:2] - half_b, tb[:2] + half_b
+    i = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    inter = np.where((i[0] > 0) & (i[1] > 0), i[0] * i[1], 0.0)
+    side_a, side_b = hi_a - lo_a, hi_b - lo_b
+    union = side_a[0] * side_a[1] + side_b[0] * side_b[1] - inter
+    e = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
+    return BoxPairs(lo_a, hi_a, lo_b, hi_b, i, inter, union, e, e[0] * e[1], b - a)

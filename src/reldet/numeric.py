@@ -488,23 +488,22 @@ def _mlp_core(op: str, h: np.ndarray, ts: list) -> tuple:
         raise ContractError(f"{op} needs a weight and a bias per layer, got {len(ts)} tensors")
     if h.ndim != 2:
         raise ShapeError(f"{op} needs a rank-2 input, got shape {h.shape}")
-    ws, bs = [t.data for t in ts[0::2]], [t.data for t in ts[1::2]]
-    width = h.shape[1]
-    for w, b in zip(ws, bs):
-        width = _check_affine(op, width, w, b)
-    acts, masks = [h], []  # each layer's input, and the ReLU mask in front of every layer but the first
-    h = _affine(h, ws[0], bs[0])
-    for w, b in zip(ws[1:], bs[1:]):
-        masks.append(_relu(h))
-        acts.append(h)
+    layers = []  # each layer's input, weight and the ReLU mask of that input (None at the first layer)
+    for k in range(0, len(ts), 2):
+        w, b = ts[k].data, ts[k + 1].data
+        _check_affine(op, h.shape[1], w, b)
+        mask = _relu(h) if layers else None  # rectifies h in place
+        layers.append((h, w, mask))
         h = _affine(h, w, b)
 
     def rule(g, ids):
         grads = [None] * len(ids)
-        for i in range(len(ws) - 1, 0, -1):  # True: a hidden layer's input always needs its gradient
-            g, grads[2 * i + 1], grads[2 * i + 2] = _affine_grads(acts[i], ws[i], g, (True, *ids[2 * i + 1:2 * i + 3]))
-            g *= masks[i - 1]
-        grads[:3] = _affine_grads(acts[0], ws[0], g, ids[:3])
+        for i in range(len(layers) - 1, -1, -1):  # True: a hidden layer's input always needs its gradient
+            x, w, mask = layers[i]
+            g, grads[2 * i + 1], grads[2 * i + 2] = _affine_grads(x, w, g, (True if i else ids[0], *ids[2 * i + 1:2 * i + 3]))
+            if mask is not None:
+                g *= mask
+        grads[0] = g
         return grads
 
     return h, rule
@@ -640,36 +639,29 @@ def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: 
             np.add.at(gp, (rows, cols), np.full(n, float(-go)) * slot_w / clamped * (picked >= _FLOOR))
         if not g or ids[1] is None:
             return (gp, None)
-        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = p.a, p.b
         gv = np.full(g, float(go))
         g_delta = ((gv * weights.lambda_l1).reshape(g, 1) @ _ONES4.T) * np.sign(p.delta)
         # GIoU = inter / umx - num / den, one line per backward rule of the
-        # elementwise chain in reverse record order: a fan-out sum adds each new
-        # term to the earlier sum, min/max route a tie to the target's corner
-        # (the prediction's corner gets g * ~mask) and relu passes nothing at 0
+        # elementwise chain in reverse record order, over [2, G] x/y pairs
+        # ([::-1] crosses axes: d(ew * eh)/d(ew) = eh): a fan-out sum adds each
+        # new term to the earlier sum, min/max route a tie to the target's
+        # corner (the prediction's gets g * ~mask), relu passes nothing at 0
         g_iou = -(gv * weights.lambda_iou)
         g_num = -g_iou / den
         g_enc = g_iou * num / (den * den) * (p.enclose >= _FLOOR) + g_num
-        g_ew, g_eh = g_enc * p.eh, g_enc * p.ew
-        g_by1 = -g_eh * ~(ay1 <= by1)
-        g_by2 = g_eh * ~(ay2 >= by2)
-        g_bx1 = -g_ew * ~(ax1 <= bx1)
-        g_bx2 = g_ew * ~(ax2 >= bx2)
+        g_e = g_enc * p.e[::-1]
+        g_lo = -g_e * ~(p.lo_a <= p.lo_b)
+        g_hi = g_e * ~(p.hi_a >= p.hi_b)
         g_union = -g_num + -g_iou * p.inter / (umx * umx) * (p.union >= _FLOOR)
         g_inter = g_iou / umx + -g_union
-        g_dxb, g_dyb = g_union * (by2 - by1), g_union * (bx2 - bx1)
-        g_by2 = g_by2 + g_dyb
-        g_by1 = g_by1 + -g_dyb
-        g_bx2 = g_bx2 + g_dxb
-        g_bx1 = g_bx1 + -g_dxb
-        iw_pos, ih_pos = p.iw > 0, p.ih > 0
-        g_ih = g_inter * (p.iw * iw_pos) * ih_pos
-        g_iw = g_inter * (p.ih * ih_pos) * iw_pos
-        g_by1 = g_by1 + -g_ih * ~(ay1 >= by1)
-        g_by2 = g_by2 + g_ih * ~(ay2 <= by2)
-        g_bx1 = g_bx1 + -g_iw * ~(ax1 >= bx1)
-        g_bx2 = g_bx2 + g_iw * ~(ax2 <= bx2)
-        g_corner = np.stack([g_bx2 + g_bx1, g_by2 + g_by1, (g_bx2 + -g_bx1) * 0.5, (g_by2 + -g_by1) * 0.5], axis=1)
+        g_side = g_union * (p.hi_b - p.lo_b)[::-1]
+        g_hi = g_hi + g_side
+        g_lo = g_lo + -g_side
+        pos = p.i > 0
+        g_i = g_inter * (p.i * pos)[::-1] * pos
+        g_lo = g_lo + -g_i * ~(p.lo_a >= p.lo_b)
+        g_hi = g_hi + g_i * ~(p.hi_a <= p.hi_b)
+        g_corner = np.concatenate([g_hi + g_lo, (g_hi + -g_lo) * 0.5]).T
         gb = np.zeros(boxes.data.shape)
         np.add.at(gb, rows[:g], g_delta + g_corner)
         return (gp, gb)

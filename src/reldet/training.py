@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numeric
-from .data import Scene, write_atomic
-from .errors import ContractError, IntegrityError, NumericError
+from .data import Scene, _read_json, write_atomic
+from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .geometry import LossWeights
 from .matching import build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
@@ -200,11 +200,11 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     """Restore bit-identical tensors; any manifest inconsistency is an error."""
     root = Path(ckpt_dir)
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = _read_json(root / "manifest.json")
     except FileNotFoundError:
         raise IntegrityError(f"no manifest.json in {root}") from None
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise IntegrityError(f"bad manifest.json in {root}: {e}") from e
+    except ParseError as e:
+        raise IntegrityError(f"bad manifest.json in {root}: {e.__cause__}") from e
     try:
         config = _config_from_dict(manifest["config"])
         listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]

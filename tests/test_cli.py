@@ -360,6 +360,12 @@ def test_selftest_broken_gradient_exits_1(monkeypatch, capsys):
     assert "FAIL gradient_ops" in capsys.readouterr().out
 
 
+def test_selftest_negative_seed_exits_2():
+    code, err = run_captured("selftest", "--seed", "-1")
+    assert code == 2 and "Traceback" not in err, err
+    assert err.startswith("error: selftest: --seed must be nonnegative")
+
+
 def test_train_zero_heads_exits_2(dataset, tmp_path, capsys):
     # the last --heads wins
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS, "--heads", "0") == 2
@@ -392,6 +398,15 @@ def test_eval_undecodable_manifest_exits_4(dataset, checkpoint, tmp_path):
     code, err = run_captured("eval", "--data", str(dataset), "--checkpoint", str(ckpt))
     assert code == 4 and "Traceback" not in err, err
     assert err.startswith("checkpoint mismatch: bad manifest.json")
+
+
+@pytest.mark.parametrize("target, code", [("scene_00001.json", 2), ("catalog.json", 2), ("manifest.json", 4)])
+def test_deeply_nested_json_exits_cleanly(dataset, checkpoint, tmp_path, target, code):
+    # 200,000 nested arrays exceed the JSON decoder's recursion limit
+    ds, ckpt = shutil.copytree(dataset, tmp_path / "ds"), shutil.copytree(checkpoint, tmp_path / "ckpt")
+    ((ckpt if target == "manifest.json" else ds) / target).write_text("[" * 200_000 + "]" * 200_000)
+    got, err = run_captured("eval", "--data", str(ds), "--checkpoint", str(ckpt))
+    assert got == code and "Traceback" not in err and target in err, f"exit {got}: {err}"
 
 
 def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from reldet import numeric
 from reldet.errors import ContractError, DomainError
-from reldet.geometry import Box, LossWeights, box_pairs, box_rows
+from reldet.geometry import Box, BoxPairs, LossWeights, box_pairs, box_rows
 from reldet.numeric import Tensor
 
 from conftest import gradcheck
@@ -130,6 +130,31 @@ def test_box_loss_gradient_matches_fd(rng):
         bh_data = box_rows([random_box(rng)])
         gradcheck(lambda t: numeric.reshape(_box_term(b, t, w), (1,)), bh_data, rng=rng,
                   label=f"box_loss trial {trial}")
+
+
+PER_AXIS = ("lo_a", "hi_a", "lo_b", "hi_b", "i", "e")  # the BoxPairs fields with x and y on a leading axis
+
+
+@pytest.mark.parametrize("g, n", [(5, 7), (6, 3), (0, 4), (3, 0)])
+def test_box_pairs_put_x_and_y_on_one_contiguous_leading_axis(rng, g, n):
+    # every per-axis term is [2, ...], C-contiguous, so each axis row is one
+    # contiguous array, in both modes and for empty inputs; the aligned pairs
+    # equal the grid's diagonal bit for bit
+    a = box_rows([random_box(rng) for _ in range(g)])
+    b = box_rows([random_box(rng) for _ in range(n)])
+    m = min(g, n)
+    grid, rows = box_pairs(a, b, grid=True), box_pairs(a[:m], b[:m])
+    diag = np.arange(m)
+    for name in BoxPairs._fields:
+        full, got = getattr(grid, name), getattr(rows, name)
+        if name in PER_AXIS:
+            assert full.shape[0] == 2 and np.broadcast_shapes(full.shape, (2, g, n)) == (2, g, n), name
+            assert got.shape == (2, m) and full.flags.c_contiguous and got.flags.c_contiguous, name
+            full = np.broadcast_to(full, (2, g, n))[:, diag, diag]
+        else:
+            assert full.shape[:2] == (g, n) and got.shape[:1] == (m,), name
+            full = full[diag, diag]
+        assert got.tobytes() == np.ascontiguousarray(full).tobytes(), name
 
 
 def test_giou_pairwise_batch_consistency(rng):
