@@ -3,6 +3,9 @@
 
 Each part is the sha256 of float64 bytes:
 
+- ``scenes``: the images, class ids and boxes (cx, cy, w, h) of every scene
+  the parts below train on or run, so a renderer change that alters a scene
+  is named directly;
 - ``q16.losses``, ``q16.params``, ``q16.grads``: 60 ``train_step`` losses
   (total, class and box term) of the default config on 20 scenes of up to 3
   objects over 3 epochs, then the final parameter and gradient arenas;
@@ -50,17 +53,22 @@ def digest(src: str) -> dict[str, str]:
         reldet = None
     if reldet is None or not Path(reldet.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"no reldet package under {root}")
-    parts, tapeless = {}, []
-    for prefix, queries, max_objects in RUNS:
+    trained = {prefix: [data.generate_scene(i, data.SceneConfig(max_objects=max_objects)) for i in range(SCENES)]
+               for prefix, _, max_objects in RUNS}
+    held = [data.generate_scene(seed) for seed in range(SCENES, SCENES + TAPELESS_SCENES)]
+    every = [scene for scenes in trained.values() for scene in scenes] + held
+    boxes = [(g.class_id, g.box.cx, g.box.cy, g.box.w, g.box.h) for s in every for g in s.objects]
+    parts = {"scenes": _sha(*(s.image.data for s in every), boxes)}
+    tapeless = []
+    for prefix, queries, _ in RUNS:
         config = model.ModelConfig(num_queries=queries)
-        scenes = [data.generate_scene(i, data.SceneConfig(max_objects=max_objects)) for i in range(SCENES)]
-        params, _, rows = training.train(scenes, config, EPOCHS)
+        params, _, rows = training.train(trained[prefix], config, EPOCHS)
         parts[f"{prefix}.losses"] = _sha([(r.total, r.cls, r.box) for r in rows])
         parts[f"{prefix}.params"] = _sha(model.arena_of(params, "data"))
         parts[f"{prefix}.grads"] = _sha(model.arena_of(params, "grad"))
         if not tapeless:  # the first run trains the 16-query model
-            for seed in range(SCENES, SCENES + TAPELESS_SCENES):
-                out = model.forward(data.generate_scene(seed).image, params, config)
+            for scene in held:
+                out = model.forward(scene.image, params, config)
                 tapeless += [out.class_probs.data, out.boxes.data]
     parts["tapeless"] = _sha(*tapeless)
     return parts

@@ -5,6 +5,10 @@ ellipse or triangle per class), each annotated with a normalized center-format
 box. Images round-trip through binary PPM (P6, 8-bit), annotations through a
 small JSON schema; a dataset directory holds scene_%05d.ppm / .json pairs and
 a catalog.json naming the classes.
+
+Every object's mask reads one grid of pixel centres per image size, built
+once and shared: ``_pixel_grid`` caches it read-only, so no caller can write
+to the grid that later scenes are drawn from.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParseError
+from .errors import CapacityError, ContractError, DomainError, ParseError
 from .geometry import Box
 from .matching import GroundTruth
 from .numeric import Tensor
@@ -48,6 +53,8 @@ class SceneConfig:
     catalog: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self):
+        if len(self.image_size) != 2 or any(type(v) is not int or v < 1 for v in self.image_size):
+            raise ContractError(f"image_size must be two positive integers, got {self.image_size}")
         if self.max_objects < 1:
             raise ContractError("max_objects must be at least 1")
         if not self.catalog or len(set(self.catalog)) != len(self.catalog):
@@ -60,10 +67,15 @@ class Scene:
     objects: list[GroundTruth]
 
 
-def _pixel_grid(h: int, w: int):
+@lru_cache(maxsize=16)
+def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [h, w] pixel-centre coordinates (yy, xx) in the unit square, read-only."""
     ys = (np.arange(h) + 0.5) / h
     xs = (np.arange(w) + 0.5) / w
-    return np.meshgrid(ys, xs, indexing="ij")
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    yy.flags.writeable = False
+    xx.flags.writeable = False
+    return yy, xx
 
 
 def _shape_mask(kind: str, box: Box, h: int, w: int) -> np.ndarray:
@@ -86,7 +98,10 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     rng = np.random.default_rng(seed)
     h, w = config.image_size
     k = len(config.catalog)
-    img = rng.uniform(0.15, 0.35, (3, h, w))
+    try:
+        img = rng.uniform(0.15, 0.35, (3, h, w))
+    except (MemoryError, ValueError) as e:  # ValueError: more bytes than one array can address
+        raise CapacityError(f"a {h}x{w} image does not fit in memory ({e})") from e
     count = int(rng.integers(1, config.max_objects + 1))
     objects = []
     for _ in range(count):

@@ -77,15 +77,41 @@ def extract_detections(out: DetectionOutput) -> list[ScoredDetection]:
     return dets
 
 
-def match_detections(dets: list[ScoredDetection], gts: list[GroundTruth], iou_thresh: float) -> list[bool]:
+def _scene_overlaps(per_scene_dets, per_scene_gts) -> list:
+    """Per scene, the IoU of each detection (row) against each ground truth
+    (column) as nested lists, from one aligned-rows ``box_pairs`` call over
+    every in-scene pair; the pairs run scene by scene, row by row."""
+    dets_n = np.array([len(dets) for dets in per_scene_dets], dtype=np.intp)
+    gts_n = np.array([len(gts) for gts in per_scene_gts], dtype=np.intp)
+    det_rows = box_rows(d.box for dets in per_scene_dets for d in dets)
+    gt_rows = box_rows(g.box for gts in per_scene_gts for g in gts)
+    # detection k pairs with the gts_k ground-truth rows of its scene, from first_gt on
+    gts_k = np.repeat(gts_n, dets_n)
+    first_gt = np.repeat(np.cumsum(gts_n) - gts_n, dets_n)
+    first_pair = np.cumsum(gts_k) - gts_k
+    det_idx = np.repeat(np.arange(len(gts_k)), gts_k)
+    gt_idx = np.arange(len(det_idx)) - np.repeat(first_pair - first_gt, gts_k)
+    flat = box_pairs(det_rows[det_idx], gt_rows[gt_idx]).iou().tolist()
+    out, at = [], 0
+    for d, g in zip(dets_n.tolist(), gts_n.tolist()):
+        out.append([flat[at + r * g : at + (r + 1) * g] for r in range(d)])
+        at += d * g
+    return out
+
+
+def match_detections(dets: list[ScoredDetection], gts: list[GroundTruth], iou_thresh: float,
+                     overlap=None) -> list[bool]:
     """Greedy TP/FP flags aligned with ``dets`` as given.
 
     Internally walks detections in descending confidence (ties by input
     index); each detection claims the highest-IoU unmatched same-class ground
     truth at or above the threshold, and each ground truth matches only once.
-    The IoUs come from one [D, G] ``box_pairs`` grid.
+    ``overlap`` is the IoU of every detection (row) against every ground
+    truth (column) as nested lists, as ``_scene_overlaps`` gives it; it is
+    computed here when not given.
     """
-    overlap = box_pairs(box_rows(d.box for d in dets), box_rows(g.box for g in gts), grid=True).iou().tolist()
+    if overlap is None:
+        (overlap,) = _scene_overlaps([dets], [gts])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     taken = [False] * len(gts)
     flags = [False] * len(dets)
@@ -109,8 +135,10 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
     """All-point interpolated AP from confidence-ordered TP/FP flags.
 
     Returns None for num_gt = 0 (undefined, excluded from the mean). Missed
-    recall levels contribute zero precision. Precisions are rationals, so the
-    sum is carried exactly and rounded once at the end.
+    recall levels contribute zero precision. Precisions are rationals tp/rank
+    compared as integers by cross-multiplying; each distinct interpolated
+    precision becomes one ``Fraction`` times the TPs it serves, so the sum is
+    carried exactly and rounded once at the end.
     """
     if num_gt < 0:
         raise ContractError("num_gt must be nonnegative")
@@ -118,19 +146,20 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
         return None
     if not flags:
         return 0.0
-    precision = []
-    tp = 0
-    for rank, flag in enumerate(flags, start=1):
-        tp += bool(flag)
-        precision.append(Fraction(tp, rank))
-    # max precision at this or any later (higher-recall) cut
-    best = Fraction(0)
+    # walk back from the last rank: best_tp/best_rank is the max precision at
+    # this or any later (higher-recall) cut, and hits the TPs it serves so far
+    tp = sum(map(bool, flags))
+    best_tp, best_rank, hits = 0, 1, 0
     total = Fraction(0)
-    for rank in range(len(flags) - 1, -1, -1):
-        if precision[rank] > best:
-            best = precision[rank]
-        if flags[rank]:
-            total += best
+    for rank in range(len(flags), 0, -1):
+        if tp * best_rank > best_tp * rank:
+            if hits:
+                total += Fraction(best_tp * hits, best_rank)
+            best_tp, best_rank, hits = tp, rank, 0
+        if flags[rank - 1]:
+            hits += 1
+            tp -= 1
+    total += Fraction(best_tp * hits, best_rank)
     return float(total / num_gt)
 
 
@@ -141,23 +170,27 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
     if len(per_scene_dets) != len(per_scene_gts):
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     # classes never compete for a ground truth, so one greedy pass per scene
-    # gives every class the flags a pass over that class alone would
-    per_scene_flags = [match_detections(dets, gts, iou_thresh) for dets, gts in zip(per_scene_dets, per_scene_gts)]
+    # gives every class the flags a pass over that class alone would; a class
+    # id outside 0..num_classes-1 is pooled nowhere
+    pooled = {cid: [] for cid in range(num_classes)}
+    gt_count = dict.fromkeys(range(num_classes), 0)
+    overlaps = _scene_overlaps(per_scene_dets, per_scene_gts)
+    for s, (dets, gts, overlap) in enumerate(zip(per_scene_dets, per_scene_gts, overlaps)):
+        flags = match_detections(dets, gts, iou_thresh, overlap)
+        for i, (d, f) in enumerate(zip(dets, flags)):
+            if d.class_id in pooled:
+                pooled[d.class_id].append((-d.confidence, s, i, f))
+        for g in gts:
+            if g.class_id in gt_count:
+                gt_count[g.class_id] += 1
     per_class: dict[int, ClassResult] = {}
     aps = []
     for cid in range(num_classes):
-        pooled = [
-            (d.confidence, s, i, f)
-            for s, (dets, flags) in enumerate(zip(per_scene_dets, per_scene_flags))
-            for i, (d, f) in enumerate(zip(dets, flags))
-            if d.class_id == cid
-        ]
-        gt_count = sum(g.class_id == cid for gts in per_scene_gts for g in gts)
-        pooled.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-        ordered_flags = [rec[3] for rec in pooled]
-        ap = average_precision(ordered_flags, gt_count)
+        ranked = sorted(pooled[cid])  # descending confidence, then scene and index; the flag never decides
+        ordered_flags = [rec[3] for rec in ranked]
+        ap = average_precision(ordered_flags, gt_count[cid])
         tp = sum(ordered_flags)
-        per_class[cid] = ClassResult(names[cid], ap, tp, len(ordered_flags) - tp, gt_count)
+        per_class[cid] = ClassResult(names[cid], ap, tp, len(ordered_flags) - tp, gt_count[cid])
         if ap is not None:
             aps.append(ap)
     mean_ap = float(np.mean(aps)) if aps else 0.0

@@ -17,8 +17,9 @@ applies its own degenerate-box guards and its own L1 reduction:
 - ``numeric.set_loss``: GIoU with 1e-12 denominator floors and L1 as a
   product with a ones vector, on the G matched rows, with an analytic
   backward;
-- ``evaluation.match_detections``: ``BoxPairs.iou`` on the [D, G] grid of a
-  scene's detections against its ground truth.
+- ``evaluation._scene_overlaps``: ``BoxPairs.iou`` on aligned rows, every
+  detection of a scene against every ground truth of that scene, for all
+  scenes of a pass at once.
 """
 
 from __future__ import annotations

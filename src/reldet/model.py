@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numeric
-from .errors import ContractError, ShapeError
+from .errors import CapacityError, ContractError, ShapeError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
 
@@ -207,8 +207,12 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
     views into one fresh arena."""
     rng = np.random.default_rng(config.seed)
     spec = param_spec(config)
-    params = arena_views([(name, shape) for name, shape, _ in spec],
-                         np.zeros(sum(math.prod(shape) for _, shape, _ in spec)))
+    size = sum(math.prod(shape) for _, shape, _ in spec)
+    try:
+        arena = np.zeros(size)
+    except (MemoryError, ValueError) as e:  # ValueError: more entries or bytes than one array can address
+        raise CapacityError(f"the model's {size} parameters do not fit in memory ({e})") from e
+    params = arena_views([(name, shape) for name, shape, _ in spec], arena)
     for name, shape, fan in spec:
         if fan == "query":
             params[name].data[...] = 0.02 * rng.standard_normal(shape)

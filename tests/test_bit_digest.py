@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PARTS = ["q16.losses", "q16.params", "q16.grads", "q64.losses", "q64.params", "q64.grads", "tapeless"]
+PARTS = ["scenes", "q16.losses", "q16.params", "q16.grads", "q64.losses", "q64.params", "q64.grads", "tapeless"]
 
 
 def test_bit_digest_of_the_tree_against_itself_reads_equal():

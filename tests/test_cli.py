@@ -62,6 +62,15 @@ def test_gen_data_img_size_not_multiple_of_8_exits_2(tmp_path, capsys, size):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("size", ["10000000", "4000000000"])
+def test_gen_data_image_beyond_memory_exits_2(tmp_path, capsys, size):
+    # 2 PiB, and more bytes than one array can address: no 64-bit machine allocates either
+    assert run("gen-data", "--seed", "1", "--count", "1", "--out", str(tmp_path / "ds"), "--img-size", size) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not fit in memory" in err and "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_gen_data_unwritable_path_exits_2():
     assert run("gen-data", "--count", "1", "--out", "/proc/nope/ds") == 2
 
@@ -157,6 +166,17 @@ def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset
     assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("queries", ["10000000000000", "1000000000000000000"])
+def test_train_model_beyond_memory_exits_2(dataset, tmp_path, capsys, queries):
+    # a parameter arena of 582 TiB, and one of more entries than an array can
+    # hold: no 64-bit machine allocates either
+    out = tmp_path / "ck"
+    assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, "--queries", queries) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not fit in memory" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,8 @@ from reldet.data import (
 from reldet.geometry import Box
 from reldet.matching import GroundTruth
 from reldet.numeric import Tensor
+
+import oracles
 
 
 def test_generate_scene_deterministic():
@@ -72,6 +75,43 @@ def test_scene_config_validation():
         SceneConfig(max_objects=0)
     with pytest.raises(ContractError):
         SceneConfig(catalog=("a", "a"))
+    for size in [(0, 8), (8, -8), (8,), (8.0, 8)]:
+        with pytest.raises(ContractError):
+            SceneConfig(image_size=size)
+
+
+ORACLE_CONFIGS = [
+    SceneConfig(),
+    SceneConfig(max_objects=12),
+    SceneConfig(image_size=(16, 24)),
+    SceneConfig(image_size=(64, 64), catalog=tuple(f"class_{c}" for c in range(10))),
+]
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["default", "crowded", "16x24", "64x64_10_classes"])
+def test_generate_scene_equals_the_per_object_meshgrid_renderer(config):
+    # the shared pixel grid changes no RNG draw, mask or fill: image bytes,
+    # box fields and their python types are the old renderer's
+    field_types = lambda scene: [type(v) for g in scene.objects for v in (g.class_id, *dataclasses.astuple(g.box))]
+    for seed in range(400):
+        got, want = generate_scene(seed, config), oracles.generate_scene(seed, config)
+        assert got.image.data.tobytes() == want.image.data.tobytes(), seed
+        assert got.objects == want.objects and field_types(got) == field_types(want), seed
+
+
+def test_pixel_grid_is_shared_and_read_only():
+    yy, xx = data._pixel_grid(16, 24)
+    again = data._pixel_grid(16, 24)
+    assert again[0] is yy and again[1] is xx
+    want_yy, want_xx = oracles._pixel_grid(16, 24)
+    assert np.array_equal(yy, want_yy) and np.array_equal(xx, want_xx)
+    for grid in (yy, xx):
+        with pytest.raises(ValueError):
+            grid[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            grid += 1.0
+    generate_scene(5, SceneConfig(image_size=(16, 24), max_objects=12))
+    assert np.array_equal(yy, want_yy) and np.array_equal(xx, want_xx)
 
 
 def test_ppm_roundtrip(tmp_path, rng):

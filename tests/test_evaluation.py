@@ -20,6 +20,7 @@ from reldet.matching import GroundTruth
 from reldet.model import DetectionOutput
 from reldet.numeric import Tensor
 
+import oracles
 from tape_chains import from_corners, iou
 
 
@@ -212,3 +213,89 @@ def test_report_rendering():
     assert doc["map"] == 1.0
     assert doc["classes"][0]["name"] == "transformer"
     json.dumps(doc)  # serializable
+
+
+def test_average_precision_equals_the_per_rank_fraction_oracle():
+    # any flags, also more TPs than ground truths, and truthy non-bools
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        num_gt = int(rng.integers(0, 9))
+        flags = list(rng.random(int(rng.integers(0, 30))) < rng.uniform(0.1, 0.9))
+        assert average_precision(flags, num_gt) == oracles.average_precision(flags, num_gt)
+    assert average_precision([1, 0, 2], 3) == oracles.average_precision([1, 0, 2], 3)
+
+
+def random_scenes(rng, scenes: int, num_classes: int):
+    """Ground truth and detections near it, with duplicates, misses, tied
+    confidences and class ids outside 0..num_classes-1."""
+    per_scene_dets, per_scene_gts = [], []
+    for _ in range(scenes):
+        gts = []
+        for _ in range(int(rng.integers(0, 5))):
+            w, h = rng.uniform(0.05, 0.4, 2)
+            gts.append(GroundTruth(int(rng.integers(-1, num_classes + 1)),
+                                   Box(float(rng.uniform(w / 2, 1 - w / 2)), float(rng.uniform(h / 2, 1 - h / 2)),
+                                       float(w), float(h))))
+        dets = []
+        for _ in range(int(rng.integers(0, 9))):
+            if gts and rng.random() < 0.7:
+                g = gts[int(rng.integers(len(gts)))]
+                cid = g.class_id if rng.random() < 0.8 else int(rng.integers(-1, num_classes + 1))
+                box = Box(g.box.cx + float(rng.normal(0, 0.03)), g.box.cy + float(rng.normal(0, 0.03)),
+                          g.box.w * float(rng.uniform(0.7, 1.3)), g.box.h)
+            else:
+                cid = int(rng.integers(-1, num_classes + 1))
+                box = Box(float(rng.random()), float(rng.random()), float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.4)))
+            conf = float(rng.choice([0.5, 0.9])) if rng.random() < 0.3 else float(rng.random())
+            dets.append(det(cid, conf, box))
+        per_scene_dets.append(dets)
+        per_scene_gts.append(gts)
+    return per_scene_dets, per_scene_gts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_evaluate_detections_equals_the_per_scene_grid_oracle(seed):
+    rng = np.random.default_rng(seed)
+    num_classes = int(rng.integers(1, 6))
+    dets, gts = random_scenes(rng, int(rng.integers(1, 12)), num_classes)
+    for thresh in (0.3, 0.5, 1.0):
+        got = evaluate_detections(dets, gts, num_classes, thresh)
+        assert got == oracles.evaluate_detections(dets, gts, num_classes, thresh)
+        for d, g in zip(dets, gts):
+            assert match_detections(d, g, thresh) == oracles.match_detections(d, g, thresh)
+
+
+def test_evaluate_detections_on_model_output_and_on_truth_equals_the_oracle():
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg)
+    scenes = [data.generate_scene(seed) for seed in range(12)]
+    gts = [s.objects for s in scenes]
+    found = []
+    for scene in scenes:
+        out = model.forward(scene.image, params, cfg)
+        out.class_probs.data[:6, -1] = 0.0
+        found.append(extract_detections(out))
+    truth = [[det(g.class_id, 1.0, g.box) for g in s] for s in gts]
+    for dets in (found, truth, [[] for _ in scenes]):
+        got = evaluate_detections(dets, gts, cfg.num_classes, 0.5, list(data.DEFAULT_CLASSES))
+        assert got == oracles.evaluate_detections(dets, gts, cfg.num_classes, 0.5, list(data.DEFAULT_CLASSES))
+    assert evaluate_detections(truth, gts, cfg.num_classes, 0.5).mean_ap == 1.0
+
+
+def test_out_of_range_class_ids_are_ignored():
+    g = Box(0.3, 0.3, 0.2, 0.2)
+    gts = [[GroundTruth(0, g), GroundTruth(2, g), GroundTruth(-1, g)]]
+    dets = [[det(2, 0.9, g), det(-1, 0.8, g), det(0, 0.7, g)]]
+    report = evaluate_detections(dets, gts, 2, 0.5)
+    assert report == oracles.evaluate_detections(dets, gts, 2, 0.5)
+    assert report.per_class[0].tp == 1 and report.per_class[0].gt == 1
+    assert report.per_class[1].gt == 0 and report.mean_ap == 1.0
+
+
+def test_evaluate_detections_without_scenes_detections_or_ground_truth_equals_the_oracle():
+    g = GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2))
+    for dets, gts in [([], []), ([[]], [[]]), ([[]], [[g]]), ([[det(0, 0.5, g.box)]], [[]]),
+                      ([[], [det(1, 0.5, g.box)]], [[g], []])]:
+        assert evaluate_detections(dets, gts, 2, 0.5) == oracles.evaluate_detections(dets, gts, 2, 0.5)
+        for d, t in zip(dets, gts):
+            assert match_detections(d, t, 0.5) == oracles.match_detections(d, t, 0.5)
