@@ -9,7 +9,6 @@ error, 3 numeric divergence, 4 checkpoint mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -19,7 +18,9 @@ import numpy as np
 from . import checks, data, evaluation
 from .data import (
     SceneConfig,
+    annotations_to_json,
     class_color,
+    encode_json,
     encode_ppm,
     generate_scene,
     load_catalog,
@@ -134,7 +135,7 @@ def cmd_train(args) -> int:
         weights = LossWeights(args.lambda_iou, args.lambda_l1)
         params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
         save_checkpoint(out, params, config)
-        write_atomic(out / "catalog.json", (json.dumps(list(catalog), indent=1) + "\n").encode())
+        write_atomic(out / "catalog.json", encode_json(list(catalog)))
         write_log(rows, log_path)
     except BaseException:
         for directory in created:
@@ -145,12 +146,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_compatible(config: ModelConfig, scenes, catalog) -> None:
-    h, w = scenes[0].image.shape[1:]
-    if (h, w) != config.image_size:
-        raise IntegrityError(f"dataset images are {h}x{w} but the checkpoint expects {config.image_size}")
+def _check_compatible(config: ModelConfig, image, catalog, source: str) -> None:
+    """IntegrityError (exit 4) unless ``image``'s size and the class count of
+    ``catalog`` are the checkpoint's; ``source`` names where they came from."""
+    (h, w), (hc, wc) = image.shape[1:], config.image_size
+    if (h, w) != (hc, wc):
+        raise IntegrityError(f"{source}: images are {h}x{w} but the checkpoint expects {hc}x{wc}")
     if len(catalog) != config.num_classes:
-        raise IntegrityError(f"dataset has {len(catalog)} classes but the checkpoint expects {config.num_classes}")
+        raise IntegrityError(f"{source}: {len(catalog)} classes but the checkpoint has {config.num_classes}")
 
 
 def cmd_eval(args) -> int:
@@ -160,11 +163,11 @@ def cmd_eval(args) -> int:
         Path(args.json).parent.mkdir(parents=True, exist_ok=True)
     params, config = load_checkpoint(args.checkpoint)
     scenes, catalog = load_dataset(args.data)
-    _check_compatible(config, scenes, catalog)
+    _check_compatible(config, scenes[0].image, catalog, f"dataset {args.data}")  # one size: load_dataset checks
     report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh, names=list(catalog))
     print(report.to_table())
     if args.json:
-        write_atomic(args.json, (json.dumps(report.to_json_dict(), indent=1) + "\n").encode())
+        write_atomic(args.json, encode_json(report.to_json_dict()))
     return 0
 
 
@@ -185,38 +188,21 @@ def _draw_outline(img: np.ndarray, box: Box, color) -> None:
 def cmd_predict(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     image = read_ppm(args.image)
-    if image.shape[1:] != config.image_size:
-        raise IntegrityError(f"image is {image.shape[1]}x{image.shape[2]} but the checkpoint expects {config.image_size}")
-    cat_path = Path(args.checkpoint) / "catalog.json"
+    # a checkpoint saved without train (no catalog.json) names its classes class_<i>
+    cat_path, source = Path(args.checkpoint) / "catalog.json", f"image {args.image}"
     if cat_path.exists():
-        catalog = load_catalog(cat_path)
-        if len(catalog) != config.num_classes:
-            raise IntegrityError(f"{cat_path} names {len(catalog)} classes but the checkpoint has {config.num_classes}")
+        catalog, source = load_catalog(cat_path), f"{source} with {cat_path}"
     else:
         catalog = [f"class_{i}" for i in range(config.num_classes)]
-    out = forward(Tensor(image), params, config)
-    dets = evaluation.extract_detections(out)
-    doc = {
-        "image": Path(args.image).name,
-        "width": int(image.shape[2]),
-        "height": int(image.shape[1]),
-        "objects": [
-            {
-                "class_id": d.class_id,
-                "class_name": catalog[d.class_id],
-                "cx": d.box.cx,
-                "cy": d.box.cy,
-                "w": d.box.w,
-                "h": d.box.h,
-                "confidence": d.confidence,
-            }
-            for d in dets
-        ],
-    }
+    _check_compatible(config, image, catalog, source)
+    dets = evaluation.extract_detections(forward(Tensor(image), params, config))
+    doc = annotations_to_json(Path(args.image).name, image, dets, catalog)
+    for rec, d in zip(doc["objects"], dets):
+        rec["confidence"] = d.confidence
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path, ppm_path = prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".ppm")
-    write_atomic(json_path, (json.dumps(doc, indent=1) + "\n").encode())
+    write_atomic(json_path, encode_json(doc))
     rendered = image.copy()
     for d in dets:
         _draw_outline(rendered, d.box, class_color(d.class_id))

@@ -4,7 +4,8 @@ Scenes are noisy backgrounds with class-colored filled primitives (rectangle,
 ellipse or triangle per class), each annotated with a normalized center-format
 box. Images round-trip through binary PPM (P6, 8-bit), annotations through a
 small JSON schema; a dataset directory holds scene_%05d.ppm / .json pairs and
-a catalog.json naming the classes.
+a catalog.json naming the classes. ``encode_json`` encodes every JSON file the
+package writes, and ``_read_json`` reads those it loads back.
 
 Every object's mask reads one grid of pixel centres per image size, built
 once and shared: ``_pixel_grid`` caches it read-only, so no caller can write
@@ -55,8 +56,8 @@ class SceneConfig:
     def __post_init__(self):
         if len(self.image_size) != 2 or any(type(v) is not int or v < 1 for v in self.image_size):
             raise ContractError(f"image_size must be two positive integers, got {self.image_size}")
-        if self.max_objects < 1:
-            raise ContractError("max_objects must be at least 1")
+        if not 1 <= self.max_objects < 2**63:  # the object count is an int64 draw below max_objects + 1
+            raise ContractError(f"max_objects must lie in [1, 2**63 - 1], got {self.max_objects}")
         if not self.catalog or len(set(self.catalog)) != len(self.catalog):
             raise ContractError("catalog must be nonempty with unique names")
 
@@ -207,11 +208,18 @@ def read_ppm(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# annotation JSON and scene/dataset round trips
+# JSON files, annotations and scene/dataset round trips
 
 
-def annotations_to_json(scene: Scene, image_name: str, catalog) -> dict:
-    h, w = scene.image.shape[1:]
+def encode_json(doc) -> bytes:
+    """A JSON document's file bytes: one-space indent, ASCII escapes, a closing newline."""
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+def annotations_to_json(image_name: str, image, objects, catalog) -> dict:
+    """The annotation document of a [3, H, W] image; ``objects`` are any records
+    with a ``class_id`` and a ``box``, ground truths and detections alike."""
+    h, w = image.shape[1:]
     return {
         "image": image_name,
         "width": int(w),
@@ -225,7 +233,7 @@ def annotations_to_json(scene: Scene, image_name: str, catalog) -> dict:
                 "w": g.box.w,
                 "h": g.box.h,
             }
-            for g in scene.objects
+            for g in objects
         ],
     }
 
@@ -234,8 +242,8 @@ def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
     """Write <stem>.ppm and <stem>.json."""
     stem = Path(stem)
     write_ppm(scene.image, stem.with_name(stem.name + ".ppm"))
-    doc = annotations_to_json(scene, stem.name + ".ppm", catalog)
-    stem.with_name(stem.name + ".json").write_text(json.dumps(doc, indent=1) + "\n")
+    doc = annotations_to_json(stem.name + ".ppm", scene.image, scene.objects, catalog)
+    stem.with_name(stem.name + ".json").write_bytes(encode_json(doc))
 
 
 def _read_json(path: Path):
@@ -287,7 +295,7 @@ def save_dataset(scenes: list[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for i, scene in enumerate(scenes):
         save_scene(scene, out / f"scene_{i:05d}", catalog)
-    (out / "catalog.json").write_text(json.dumps(list(catalog), indent=1) + "\n")
+    (out / "catalog.json").write_bytes(encode_json(list(catalog)))
 
 
 def load_catalog(path) -> list[str]:
@@ -309,6 +317,9 @@ def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
         raise ParseError(f"no scene_*.ppm files in {root}")
     scenes = [load_scene(stem) for stem in stems]
     for stem, scene in zip(stems, scenes):
+        if scene.image.shape != scenes[0].image.shape:
+            raise ParseError(f"{stem.with_name(stem.name + '.ppm')}: image shape {scene.image.shape} differs from "
+                             f"{stems[0].name}.ppm's {scenes[0].image.shape}; a dataset holds one image size")
         for g in scene.objects:
             if not 0 <= g.class_id < len(catalog):
                 raise ParseError(

@@ -7,14 +7,13 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numeric
-from .data import Scene, _read_json, write_atomic
+from .data import Scene, _read_json, encode_json, write_atomic
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .geometry import LossWeights
 from .matching import build_cost_matrix, hungarian, hungarian_loss_terms
@@ -193,7 +192,7 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
     write_atomic(out / "weights.bin", flat.astype("<f8", copy=False).tobytes())
-    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=1) + "\n").encode())
+    write_atomic(out / "manifest.json", encode_json(manifest))
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:

@@ -71,6 +71,15 @@ def test_gen_data_image_beyond_memory_exits_2(tmp_path, capsys, size):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("count", ["9223372036854775808", "1000000000000000000000000000000"])
+def test_gen_data_max_objects_beyond_int64_exits_2(tmp_path, capsys, count):
+    # the per-scene object count is an int64 draw below max_objects + 1
+    assert run("gen-data", "--seed", "1", "--count", "1", "--out", str(tmp_path / "ds"), "--max-objects", count) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_objects must lie in") and "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_gen_data_unwritable_path_exits_2():
     assert run("gen-data", "--count", "1", "--out", "/proc/nope/ds") == 2
 
@@ -151,6 +160,28 @@ def test_dataset_error_exits_2_naming_the_file(dataset, checkpoint, tmp_path, ca
         assert run("eval", "--data", ds, "--checkpoint", str(checkpoint)) == 2
     err = capsys.readouterr().err
     assert "scene_00001.json" in err and message in err and "checkpoint mismatch" not in err
+
+
+@pytest.fixture(scope="module")
+def mixed_sizes(dataset, tmp_path_factory):
+    """The 16 px dataset plus a 32 px scene_00005."""
+    root = tmp_path_factory.mktemp("mixed")
+    assert run("gen-data", "--seed", "8", "--count", "1", "--out", str(root / "big"), "--img-size", "32") == 0
+    ds = shutil.copytree(dataset, root / "ds")
+    for suffix in (".ppm", ".json"):
+        shutil.copy(root / "big" / f"scene_00000{suffix}", ds / f"scene_00005{suffix}")
+    return ds
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_mixed_image_sizes_exit_2_naming_the_file(mixed_sizes, checkpoint, tmp_path, capsys, command):
+    # refused at load time: train runs no step, eval is no checkpoint mismatch
+    argv = {"train": ["train", "--data", str(mixed_sizes), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS],
+            "eval": ["eval", "--data", str(mixed_sizes), "--checkpoint", str(checkpoint)]}[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scene_00005.ppm" in err and "differs from scene_00000.ppm" in err
+    assert not (tmp_path / "ck").exists()
 
 
 def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
@@ -345,6 +376,33 @@ def test_predict_dotted_prefix_keeps_its_tail(dataset, checkpoint, tmp_path):
     assert sorted(f.name for f in prefix.parent.iterdir()) == ["pred_0.5.json", "pred_0.5.ppm"]
     assert json.loads((tmp_path / "runs" / "pred_0.5.json").read_text())["width"] == 16
     assert read_ppm(tmp_path / "runs" / "pred_0.5.ppm").shape == (3, 16, 16)
+
+
+def test_predict_without_a_catalog_names_classes_by_index(dataset, checkpoint, tmp_path):
+    # a checkpoint written by training.save_checkpoint alone has no catalog.json
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    (ckpt / "catalog.json").unlink()
+    image = str(dataset / "scene_00000.ppm")
+    assert run("predict", "--image", image, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "named")) == 0
+    assert run("predict", "--image", image, "--checkpoint", str(ckpt), "--out", str(tmp_path / "bare")) == 0
+    named = json.loads((tmp_path / "named.json").read_text())
+    bare = json.loads((tmp_path / "bare.json").read_text())
+    assert bare["objects"], "no detection to name"
+    for obj in bare["objects"]:
+        assert obj["class_name"] == f"class_{obj['class_id']}"
+    for obj in named["objects"]:
+        obj["class_name"] = f"class_{obj['class_id']}"
+    assert bare == named
+    assert (tmp_path / "bare.ppm").read_bytes() == (tmp_path / "named.ppm").read_bytes()
+
+
+def test_predict_image_of_another_size_exits_4_naming_it(checkpoint, tmp_path, capsys):
+    assert run("gen-data", "--seed", "3", "--count", "1", "--out", str(tmp_path / "big"), "--img-size", "32") == 0
+    image = tmp_path / "big" / "scene_00000.ppm"
+    assert run("predict", "--image", str(image), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "p")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint mismatch: image {image}") and "images are 32x32" in err
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_predict_short_catalog_exits_4(dataset, checkpoint, tmp_path, capsys):

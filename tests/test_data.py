@@ -1,5 +1,8 @@
+import ast
+import collections
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,14 @@ def test_scene_config_validation():
     for size in [(0, 8), (8, -8), (8,), (8.0, 8)]:
         with pytest.raises(ContractError):
             SceneConfig(image_size=size)
+
+
+@pytest.mark.parametrize("max_objects", [2**63, 10**30, float("nan")])
+def test_scene_config_rejects_an_object_count_no_int64_draw_reaches(max_objects):
+    # generate_scene draws the count from [1, max_objects + 1), which must fit an int64
+    with pytest.raises(ContractError, match="max_objects"):
+        SceneConfig(max_objects=max_objects)
+    assert SceneConfig(max_objects=2**63 - 1).max_objects == 2**63 - 1  # constructed, never drawn from
 
 
 ORACLE_CONFIGS = [
@@ -197,7 +208,7 @@ def test_dotted_scene_names_load_their_own_files(tmp_path):
     save_dataset(scenes[:2], tmp_path)
     for name, scene in zip(("scene_1", "scene_1.5"), scenes[2:]):
         write_ppm(scene.image, tmp_path / f"{name}.ppm")
-        doc = data.annotations_to_json(scene, f"{name}.ppm", DEFAULT_CLASSES)
+        doc = data.annotations_to_json(f"{name}.ppm", scene.image, scene.objects, DEFAULT_CLASSES)
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     loaded, _ = load_dataset(tmp_path)
     assert [s.objects for s in loaded] == [s.objects for s in scenes]
@@ -214,6 +225,40 @@ def test_save_scene_keeps_a_dotted_tail(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene_1.5.json", "scene_1.5.ppm"]
     assert json.loads((tmp_path / "scene_1.5.json").read_text())["image"] == "scene_1.5.ppm"
     assert load_scene(tmp_path / "scene_1.5").objects == scene.objects
+
+
+def test_load_dataset_rejects_mixed_image_sizes_naming_the_first_odd_file(tmp_path):
+    small = [generate_scene(s, SceneConfig(image_size=(16, 16))) for s in range(3)]
+    save_dataset(small, tmp_path)
+    for i in (3, 4):
+        save_scene(generate_scene(i, SceneConfig(image_size=(32, 32))), tmp_path / f"scene_{i:05d}")
+    with pytest.raises(ParseError, match=r"scene_00003\.ppm: image shape \(3, 32, 32\) differs from scene_00000\.ppm"):
+        load_dataset(tmp_path)
+
+
+def test_data_is_the_only_module_that_encodes_or_decodes_json():
+    # one owner of the JSON file format: encode_json writes, _read_json reads
+    src = Path(data.__file__).resolve().parent
+    importers, calls = set(), collections.Counter()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+                calls[path.name, node.attr] += 1
+    assert importers == {"data.py"}
+    assert calls == {("data.py", "dumps"): 1, ("data.py", "loads"): 1}
+
+
+def test_encode_json_is_the_dataset_file_format(tmp_path):
+    catalog = ("transformer", "bušing")
+    scene = generate_scene(3, SceneConfig(catalog=catalog))
+    save_dataset([scene], tmp_path, catalog)
+    assert (tmp_path / "catalog.json").read_bytes() == b'[\n "transformer",\n "bu\\u0161ing"\n]\n'
+    doc = data.annotations_to_json("scene_00000.ppm", scene.image, scene.objects, catalog)
+    assert (tmp_path / "scene_00000.json").read_bytes() == data.encode_json(doc)
 
 
 def test_load_dataset_requires_catalog_and_scenes(tmp_path):
