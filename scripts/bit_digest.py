@@ -17,12 +17,18 @@ Usage:
 
     python scripts/bit_digest.py src             # print each part's digest
     python scripts/bit_digest.py src OTHER/src   # print equal or differ per part
+    python scripts/bit_digest.py src --stamp tests/golden_digest.json
 
 With two source trees each runs in its own interpreter; the exit code is 1
-when any part differs.
+when any part differs. ``--stamp FILE`` records one tree's parts in FILE
+under this machine's env stamp (numpy's version and the OpenBLAS build and
+CPU core it runs on), replacing an earlier entry of the same env; the
+tier-1 test ``tests/test_bit_digest.py`` checks the tree against the entry
+of the env it runs on.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import subprocess
@@ -40,6 +46,32 @@ def _sha(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def env_stamp() -> dict[str, str]:
+    """What the digest's bits rest on besides the source: numpy's version,
+    the BLAS build numpy was linked against, and the kernel family (core)
+    OpenBLAS picked for this CPU, read from the library loaded here."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "blas_core": _blas_core()}
+
+
+def _blas_core() -> str:
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)  # numpy's loaded copy
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return "unknown"
+
+
+def write_stamp(path: Path, parts: dict[str, str]) -> None:
+    """Record ``parts`` in the golden file ``path`` under this env's stamp."""
+    env = env_stamp()
+    stamps = json.loads(path.read_text())["stamps"] if path.exists() else []
+    stamps = [s for s in stamps if s["env"] != env] + [{"env": env, "parts": parts}]
+    doc = {"command": f"python scripts/bit_digest.py src --stamp {path.as_posix()}", "stamps": stamps}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def digest(src: str) -> dict[str, str]:
@@ -78,12 +110,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("src", nargs="+", help="one or two source trees holding the reldet package")
     ap.add_argument("--json", action="store_true", help="print one source tree's parts as JSON")
+    ap.add_argument("--stamp", type=Path, metavar="FILE", help="record one source tree's parts in FILE under this env")
     args = ap.parse_args()
-    if len(args.src) > 2:
-        ap.error("give one or two source trees")
+    if len(args.src) > 2 or (args.stamp and len(args.src) > 1):
+        ap.error("give one or two source trees, and one with --stamp")
     if len(args.src) == 1:
         parts = digest(args.src[0])
-        if args.json:
+        if args.stamp:
+            write_stamp(args.stamp, parts)
+            print(f"stamped {len(parts)} parts for {json.dumps(env_stamp())} in {args.stamp}")
+        elif args.json:
             print(json.dumps(parts))
         else:
             for name, sha in parts.items():

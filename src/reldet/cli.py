@@ -119,7 +119,7 @@ def cmd_train(args) -> int:
             missing = [d for d in (directory, *directory.parents) if not d.exists()]
             created += missing[-1:]
             directory.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
-        scenes, catalog = load_dataset(args.data)
+        scenes, catalog = load_dataset(args.data, max_objects=args.queries)
         h, w = scenes[0].image.shape[1:]
         config = ModelConfig(
             image_size=(h, w),

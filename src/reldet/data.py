@@ -42,6 +42,13 @@ CLASS_COLORS = (
 
 _SHAPES = ("rectangle", "ellipse", "triangle")
 
+# The most objects a scene may ask for. Training matches each object to a
+# query of its own, and the Hungarian assignment's time grows as the cube of
+# the query count (about 240 ms at 256 queries on a 2-vCPU container), so a
+# scene of 1024 objects already costs seconds per training step. The cap also
+# bounds the masks that rendering one scene draws.
+MAX_OBJECTS = 1024
+
 
 def class_color(class_id: int) -> tuple[float, float, float]:
     return CLASS_COLORS[class_id % len(CLASS_COLORS)]
@@ -56,8 +63,8 @@ class SceneConfig:
     def __post_init__(self):
         if len(self.image_size) != 2 or any(type(v) is not int or v < 1 for v in self.image_size):
             raise ContractError(f"image_size must be two positive integers, got {self.image_size}")
-        if not 1 <= self.max_objects < 2**63:  # the object count is an int64 draw below max_objects + 1
-            raise ContractError(f"max_objects must lie in [1, 2**63 - 1], got {self.max_objects}")
+        if not 1 <= self.max_objects <= MAX_OBJECTS:
+            raise ContractError(f"max_objects must lie in [1, {MAX_OBJECTS}], got {self.max_objects}")
         if not self.catalog or len(set(self.catalog)) != len(self.catalog):
             raise ContractError("catalog must be nonempty with unique names")
 
@@ -306,7 +313,13 @@ def load_catalog(path) -> list[str]:
     return catalog
 
 
-def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
+def load_dataset(data_dir, max_objects: int | None = None) -> tuple[list[Scene], list[str]]:
+    """The scenes of a dataset directory, in file name order, and its catalog.
+
+    A scene with more objects than ``max_objects``, when given, raises
+    CapacityError naming its annotation file: ``train`` passes its query
+    count, so no scene fails at its first step after earlier ones trained.
+    """
     root = Path(data_dir)
     cat_path = root / "catalog.json"
     if not cat_path.exists():
@@ -320,10 +333,11 @@ def load_dataset(data_dir) -> tuple[list[Scene], list[str]]:
         if scene.image.shape != scenes[0].image.shape:
             raise ParseError(f"{stem.with_name(stem.name + '.ppm')}: image shape {scene.image.shape} differs from "
                              f"{stems[0].name}.ppm's {scenes[0].image.shape}; a dataset holds one image size")
+        path = stem.with_name(stem.name + ".json")
         for g in scene.objects:
             if not 0 <= g.class_id < len(catalog):
-                raise ParseError(
-                    f"{stem.with_name(stem.name + '.json')}: class_id {g.class_id} is outside the "
-                    f"{len(catalog)}-class catalog"
-                )
+                raise ParseError(f"{path}: class_id {g.class_id} is outside the {len(catalog)}-class catalog")
+        if max_objects is not None and len(scene.objects) > max_objects:
+            raise CapacityError(f"{path}: {len(scene.objects)} objects exceed the model's {max_objects} queries "
+                                "(one prediction slot each)")
     return scenes, catalog

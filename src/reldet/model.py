@@ -17,7 +17,13 @@ sqrt(d / num_heads)) V, batched over heads), or a ``numeric.ffn_block``. The
 box head is one ``numeric.mlp`` ending in a sigmoid, the class head one
 ending in a softmax. The encoder's encodings are computed once per token
 count and width and shared read-only; the decoder's are its learned query
-embeddings.
+embeddings. So the first decoder layer's self-attention reads those
+embeddings alone and depends on parameters only: a tape-less forward takes
+its output from a one-entry cache, shared read-only, keyed by the head count
+and the shapes and bytes of the query embeddings and of that sublayer's eight
+projection tensors. Any changed byte, an in-place edit or a rebound tensor
+alike, recomputes it. A forward under a tape bypasses the cache, because its
+record must be on the tape for gradients to reach those parameters.
 
 Parameters live in an ordered name -> Tensor dict whose tensors are views
 into one C-contiguous float64 buffer, the parameter arena, laid out in
@@ -272,8 +278,32 @@ def encoder_forward(tokens: Tensor, pe: Tensor, params, config: ModelConfig) -> 
     return x
 
 
+# The last tape-less self-attention over the query embeddings alone: (key, read-only output).
+# One tuple, read and replaced whole, so forwards in two threads at worst recompute it.
+_query_attention_entry: tuple = (None, None)
+
+
+def _query_attention(queries: Tensor, proj, heads: int) -> Tensor:
+    """``attention_block(queries, queries, queries, queries, proj, heads)``
+    for a tape-less forward, reused while ``heads`` and the shape and bytes
+    of the queries and of every tensor in ``proj`` stay those of the last
+    call; any other value recomputes it and replaces the entry."""
+    global _query_attention_entry
+    key = (heads, *[(t.data.shape, t.data.tobytes()) for t in (queries, *proj)])
+    cached_key, y = _query_attention_entry
+    if key != cached_key:
+        y = numeric.attention_block(queries, queries, queries, queries, proj, heads).data
+        y.flags.writeable = False
+        _query_attention_entry = key, y
+    return Tensor(y)
+
+
 def _decoder_layer(x: Tensor, qe: Tensor, memory: Tensor, mem_pe: Tensor, params, prefix: str, heads: int) -> Tensor:
-    x = numeric.attention_block(x, qe, x, qe, _param_getter(f"{prefix}.self_attn", _ATTN_PROJ)(params), heads)
+    proj = _param_getter(f"{prefix}.self_attn", _ATTN_PROJ)(params)
+    if x is qe and numeric.Tape.active is None:  # the layer reads the queries alone: parameters only
+        x = _query_attention(qe, proj, heads)
+    else:
+        x = numeric.attention_block(x, qe, x, qe, proj, heads)
     x = numeric.attention_block(x, qe, memory, mem_pe, _param_getter(f"{prefix}.cross_attn", _ATTN_PROJ)(params), heads)
     return numeric.ffn_block(x, _param_getter(f"{prefix}.ffn", _FFN_LAYERS)(params))
 

@@ -71,6 +71,15 @@ def test_gen_data_image_beyond_memory_exits_2(tmp_path, capsys, size):
     assert not (tmp_path / "ds").exists()
 
 
+def test_gen_data_max_objects_above_the_cap_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_scene", None)  # no scene is drawn: calling it would raise TypeError
+    out = tmp_path / "ds"
+    assert run("gen-data", "--seed", "1", "--count", "1", "--out", str(out), "--max-objects", "1025") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_objects must lie in [1, 1024]") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["9223372036854775808", "1000000000000000000000000000000"])
 def test_gen_data_max_objects_beyond_int64_exits_2(tmp_path, capsys, count):
     # the per-scene object count is an int64 draw below max_objects + 1
@@ -182,6 +191,20 @@ def test_mixed_image_sizes_exit_2_naming_the_file(mixed_sizes, checkpoint, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error:") and "scene_00005.ppm" in err and "differs from scene_00000.ppm" in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_train_refuses_a_scene_with_more_objects_than_queries_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # scene_00000 holds 1 object and scene_00001 holds 2: one query fits the first scene only
+    ds, out = tmp_path / "ds", tmp_path / "ck"
+    assert run("gen-data", "--seed", "2", "--count", "3", "--out", str(ds), "--img-size", "16",
+               "--max-objects", "6") == 0
+    assert [len(json.loads((ds / f"scene_0000{i}.json").read_text())["objects"]) for i in range(3)] == [1, 2, 2]
+    steps = []
+    monkeypatch.setattr("reldet.training.train_step", lambda *a: steps.append(a))
+    assert run("train", "--data", str(ds), "--out", str(out), *TRAIN_FLAGS, "--queries", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds / 'scene_00001.json'}: 2 objects exceed the model's 1 queries")
+    assert steps == [] and not out.exists()
 
 
 def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):

@@ -88,7 +88,12 @@ def test_scene_config_rejects_an_object_count_no_int64_draw_reaches(max_objects)
     # generate_scene draws the count from [1, max_objects + 1), which must fit an int64
     with pytest.raises(ContractError, match="max_objects"):
         SceneConfig(max_objects=max_objects)
-    assert SceneConfig(max_objects=2**63 - 1).max_objects == 2**63 - 1  # constructed, never drawn from
+    assert SceneConfig(max_objects=data.MAX_OBJECTS).max_objects == data.MAX_OBJECTS  # constructed, never drawn from
+
+
+def test_scene_config_caps_the_object_count():
+    with pytest.raises(ContractError, match=r"max_objects must lie in \[1, 1024\], got 1025"):
+        SceneConfig(max_objects=data.MAX_OBJECTS + 1)
 
 
 ORACLE_CONFIGS = [

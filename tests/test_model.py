@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reldet import checks, data, model, numeric
+from reldet import checks, data, model, numeric, training
 from reldet.errors import ContractError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms
@@ -175,6 +175,105 @@ def test_forwards_share_one_read_only_pe_table(rng, monkeypatch):
     with pytest.raises(ValueError):
         seen[0][0, 0] = 1.0
     np.testing.assert_array_equal(seen[0][0, 1::2], np.ones(cfg.model_dim // 2))
+
+
+def _bits(out) -> tuple:
+    return out.class_probs.data.tobytes(), out.boxes.data.tobytes()
+
+
+def _taped_bits(image, params, cfg) -> tuple:
+    with numeric.Tape():
+        return _bits(forward(image, params, cfg))
+
+
+@pytest.mark.parametrize("edit", ["query_embed entry in place", "bq +0.0 to -0.0", "rebound query_embed"])
+def test_tapeless_forward_follows_every_edit_of_the_query_attention_parameters(rng, edit):
+    # the first decoder self-attention is reused only while its inputs keep every byte
+    cfg = TINY
+    params = init_params(cfg)
+    image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
+    before = _bits(forward(image, params, cfg))
+    entry = model._query_attention_entry
+    if edit == "query_embed entry in place":
+        params["query_embed"].data[1, 2] += 0.25
+    elif edit == "bq +0.0 to -0.0":
+        bq = params["decoder.0.self_attn.bq"].data
+        assert bq[0] == 0.0 and not np.signbit(bq[0])
+        bq[0] = -0.0
+    else:  # as checks.equivariance_deviations permutes the queries
+        perm = np.roll(np.arange(cfg.num_queries), 1)
+        params["query_embed"] = Tensor(params["query_embed"].data[perm])
+    after = _bits(forward(image, params, cfg))
+    assert model._query_attention_entry[0] != entry[0]
+    assert after == _taped_bits(image, params, cfg)
+    assert (after == before) == (edit == "bq +0.0 to -0.0")  # a signed zero bias adds the same values
+
+
+def test_reloaded_checkpoint_reuses_the_query_attention(rng, tmp_path):
+    cfg = TINY
+    params = init_params(cfg)
+    image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
+    first = _bits(forward(image, params, cfg))
+    entry = model._query_attention_entry
+    training.save_checkpoint(tmp_path, params, cfg)
+    loaded, loaded_cfg = training.load_checkpoint(tmp_path)
+    assert model.arena_of(loaded) is not model.arena_of(params)
+    assert _bits(forward(image, loaded, loaded_cfg)) == first == _taped_bits(image, loaded, loaded_cfg)
+    assert model._query_attention_entry is entry
+
+
+def test_head_counts_never_share_a_query_attention_entry(rng):
+    # num_heads changes no parameter, only how the attention splits them
+    cfgs = [TINY, dataclasses.replace(TINY, num_heads=1)]
+    image = Tensor(rng.uniform(0, 1, (3, *TINY.image_size)))
+    params = init_params(TINY)
+    outs, keys = [], []
+    for cfg in cfgs + cfgs:
+        outs.append(_bits(forward(image, params, cfg)))
+        keys.append(model._query_attention_entry[0])
+        assert outs[-1] == _taped_bits(image, params, cfg)
+    assert outs[0] != outs[1] and outs[:2] == outs[2:]
+    assert keys[0] != keys[1] and keys[:2] == keys[2:]
+
+
+def test_query_attention_entry_is_read_only_and_handed_on(rng, monkeypatch):
+    cfg = TINY
+    params = init_params(cfg)
+    seen = []
+    real = model._query_attention
+
+    def spy(queries, proj, heads):
+        seen.append(real(queries, proj, heads).data)
+        return Tensor(seen[-1])
+
+    monkeypatch.setattr(model, "_query_attention", spy)
+    image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
+    forward(image, params, cfg)
+    forward(image, params, cfg)
+    assert len(seen) == 2 and seen[0] is seen[1] is model._query_attention_entry[1]
+    with pytest.raises(ValueError):
+        seen[0][0, 0] = 1.0
+
+
+def test_taped_forward_neither_reads_nor_writes_the_query_attention_entry(rng, monkeypatch):
+    cfg = TINY
+    params = init_params(cfg)
+    calls = []
+    real = model._query_attention
+
+    def counter(queries, proj, heads):
+        calls.append(heads)
+        return real(queries, proj, heads)
+
+    monkeypatch.setattr(model, "_query_attention", counter)
+    monkeypatch.setattr(model, "_query_attention_entry", (None, None))
+    image = Tensor(rng.uniform(0, 1, (3, *cfg.image_size)))
+    with numeric.Tape() as tape:
+        forward(image, params, cfg)
+    assert calls == [] and model._query_attention_entry == (None, None)
+    assert Counter(op_names(tape))["attention_block"] == cfg.num_encoder_layers + 2 * (cfg.num_decoder_layers + 1)
+    forward(image, params, cfg)
+    assert calls == [cfg.num_heads] and model._query_attention_entry[1] is not None
 
 
 def test_attention_single_position_is_value_projection(rng):
