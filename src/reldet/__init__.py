@@ -8,6 +8,6 @@ average-precision evaluation.
 
 __version__ = "0.1.0"
 
-from .numeric import Tape, Tensor, backward, finite_diff_grad
+from .numeric import Tape, Tensor, backward
 
-__all__ = ["Tape", "Tensor", "backward", "finite_diff_grad", "__version__"]
+__all__ = ["Tape", "Tensor", "backward", "__version__"]

@@ -6,6 +6,12 @@ enumeration for average precision, closed-form GIoU properties and query
 permutation equivariance. A routine takes its sizes and an ``rng`` as
 parameters, draws from the ``rng`` in a fixed order, and returns
 ``(checks, failures)``: how many checks ran and one message per failed check.
+
+Every gradient check takes its central differences from one routine,
+``finite_diff_grad``, with one step, 1e-5. A block's check seeds
+``numeric.backward`` with a random probe r, a vector-Jacobian product, and
+differences ``np.sum(op(x) * r)``; the end-to-end check differences the set
+loss itself in a sample of parameter entries.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from .evaluation import average_precision
 from .geometry import LossWeights, box_pairs
 from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, forward, init_params
-from .numeric import Tape, Tensor
+from .numeric import Tape, Tensor, tape_suspended
+
+_FD_STEP = 1e-5  # the step of every central difference
 
 
 def grad_excess(analytic, fd, rtol: float, atol: float = 1e-7) -> float:
@@ -37,31 +45,46 @@ def grad_excess(analytic, fd, rtol: float, atol: float = 1e-7) -> float:
     return float(np.max(np.where(np.isnan(excess), np.inf, excess)))
 
 
-def probe_loss(y: Tensor, probe) -> Tensor:
-    """sum(y * probe) as a [1, 1] tensor, for a probe array of y's shape.
+def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
+    """Central differences of the scalar ``f()`` in each entry of the array x that f reads.
 
-    A one-layer ``mlp`` of y flattened to [1, n] against the probe as an
-    [n, 1] weight with a zero bias, so the probe costs no op the model does
-    not use.
+    Each entry is set in place to base + 1e-5, then to base - 1e-5, and
+    (up - dn) / (2 * 1e-5) taken. The entry is restored afterwards and the
+    tape, suspended while f runs so that no probe records, is restored too,
+    even if f raises. x must be C-contiguous, or the writes miss what f reads;
+    a one-entry slice of a parameter differences that entry alone.
     """
-    n = y.size
-    return numeric.mlp(numeric.reshape(y, (1, n)), (Tensor(np.reshape(probe, (n, 1))), Tensor(np.zeros(1))))
+    flat = x.reshape(-1)
+    g = np.empty(flat.size)
+    with tape_suspended():
+        for i in range(flat.size):
+            base = flat[i]
+            try:
+                flat[i] = base + _FD_STEP
+                up = f()
+                flat[i] = base - _FD_STEP
+                dn = f()
+            finally:
+                flat[i] = base
+            g[i] = (up - dn) / (2 * _FD_STEP)
+    return g.reshape(x.shape)
 
 
 def fd_excess(op, x_data, rng, rtol: float = 1e-4) -> float:
-    """grad_excess of d(probe_loss(op(x), r))/dx against central differences.
+    """grad_excess of d(sum(op(x) * r))/dx, from ``backward`` seeded with r,
+    against central differences of ``np.sum(op(x) * r)``.
 
     One random probe r, drawn from ``rng`` after the forward pass, exercises
-    the whole Jacobian through a single scalar.
+    the whole Jacobian in one backward pass.
     """
     x = Tensor(x_data, requires_grad=True)
     with Tape():
         y = op(x)
-        probe = rng.standard_normal(y.shape)
-        loss = probe_loss(y, probe)
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(lambda t: probe_loss(op(t), probe), Tensor(x_data))
-    return grad_excess(x.grad, fd.data, rtol)
+    probe = rng.standard_normal(y.shape)
+    numeric.backward(y, probe)
+    xs = np.array(x_data, dtype=np.float64)
+    fd = finite_diff_grad(lambda: np.sum(op(Tensor(xs)).data * probe), xs)
+    return grad_excess(x.grad, fd, rtol)
 
 
 def op_cases(rng) -> list:
@@ -175,18 +198,11 @@ def gradient_end_to_end(rng, config: ModelConfig, targets, samples: int):
 
     names = list(params)
     failures = []
-    eps = 1e-5
     for _ in range(samples):
         name = names[int(rng.integers(0, len(names)))]
         flat = params[name].data.reshape(-1)
         idx = int(rng.integers(0, flat.size))
-        base = flat[idx]
-        flat[idx] = base + eps
-        up = loss_at()
-        flat[idx] = base - eps
-        dn = loss_at()
-        flat[idx] = base
-        fd = (up - dn) / (2 * eps)
+        fd = finite_diff_grad(loss_at, flat[idx:idx + 1])[0]
         analytic = params[name].grad.reshape(-1)[idx]
         if grad_excess(analytic, fd, rtol=1e-3, atol=1e-6) > 0:
             failures.append(f"{name}[{idx}]: backward {analytic:.6e} vs fd {fd:.6e}")

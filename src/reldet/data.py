@@ -63,6 +63,8 @@ class SceneConfig:
     def __post_init__(self):
         if len(self.image_size) != 2 or any(type(v) is not int or v < 1 for v in self.image_size):
             raise ContractError(f"image_size must be two positive integers, got {self.image_size}")
+        if type(self.max_objects) is not int:
+            raise ContractError(f"max_objects must be an integer, got {self.max_objects!r}")
         if not 1 <= self.max_objects <= MAX_OBJECTS:
             raise ContractError(f"max_objects must lie in [1, {MAX_OBJECTS}], got {self.max_objects}")
         if not self.catalog or len(set(self.catalog)) != len(self.catalog):

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode autodiff on an explicit tape.
 
 Every model and loss operation downstream is composed from the primitives
-here, so each primitive carries its own backward rule and can be checked
-against ``finite_diff_grad``. Tapes are rebuilt per forward pass
+here, so each primitive carries its own backward rule, which ``checks``
+compares with central differences. Tapes are rebuilt per forward pass
 (define-by-run) and are used up by one ``backward``. At most one tape records
 at a time in a process: ``Tape.active``, set by ``with Tape():``.
 
@@ -14,12 +14,11 @@ constant), for which the rule computes nothing. The tape keeps no op output,
 so an intermediate tensor is freed by reference counting as soon as the
 forward drops it, and a training step leaves the cyclic garbage collector
 next to nothing to track. ``tape_suspended`` runs code that must not record,
-such as the probes of ``finite_diff_grad``.
+such as the probes of a central difference.
 
-There are seven primitives: ``reshape``, which ``checks.probe_loss``
-flattens with, and the six fused ones below, the blocks the model and its
-loss are built from. No op broadcasts. Each activation, the layer norm and
-the affine map ``x @ w + b[None, :]`` (backward ``(g @ w.T, x.T @ g,
+There are six primitives, the fused blocks below that the model and its loss
+are built from. No op broadcasts. Each activation, the layer norm and the
+affine map ``x @ w + b[None, :]`` (backward ``(g @ w.T, x.T @ g,
 np.add.reduce(g, axis=0))``, and nothing for an input without a node id)
 have one implementation, which every block that needs it shares.
 
@@ -56,7 +55,6 @@ from .errors import ContractError, ShapeError
 from .geometry import box_pairs
 
 _LN_EPS = 1e-5  # added to the variance in _layer_norm
-_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 
 class Tensor:
@@ -89,14 +87,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def __float__(self) -> float:
-        return self.item()
 
 
 class Tape:
@@ -169,30 +159,43 @@ def tape_suspended():
         Tape.active = saved
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf on the loss's tape.
+def backward(y: Tensor, grad=None) -> None:
+    """Carry the seed ``grad`` at y back to every leaf on y's tape, into the leaf's ``.grad``.
+
+    The seed is an array of y's shape, ones by default, which only a
+    one-entry y (a loss) may take: each leaf then gets d(y)/d(leaf). A probe
+    array r as the seed gives the vector-Jacobian product d(sum(y * r))/d(leaf),
+    which is how ``checks`` compares each block's rule with central
+    differences. The walk starts from a copy of the seed, so the caller's
+    array is never written.
 
     Walks the tape in exact reverse recording order, accumulating (+=) across
     fan-out; the gradients live in a list indexed by node id. Leaves recorded
-    on the tape but unreachable from the loss get a zero gradient. ``grad`` is
-    overwritten, not accumulated, across calls: a leaf that already holds a
+    on the tape but unreachable from y get a zero gradient. A leaf's ``.grad``
+    is overwritten, not accumulated, across calls: a leaf that already holds a
     ``grad`` array gets the new gradient (or the zeros) written into it in
     place, so parameter gradients land in the model's gradient arena; any
     other leaf gets a fresh array. An op output is not a leaf and gets no
     ``grad``, even if its ``requires_grad`` was set after the op.
 
-    ``backward`` consumes the tape: it ends by detaching the leaves and the
-    loss from the tape and dropping every record, so the closures and the
-    arrays they saved are freed by reference counting. A second ``backward``
-    on the same tape raises ``ContractError``.
+    ``backward`` consumes the tape: it ends by detaching the leaves and y
+    from the tape and dropping every record, so the closures and the arrays
+    they saved are freed by reference counting. A second ``backward`` on the
+    same tape raises ``ContractError``.
     """
-    tape = loss.tape
-    if tape is None or loss.node_id is None or not tape.records:
-        raise ContractError("backward needs a loss recorded on a non-empty tape (backward consumes its tape)")
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    tape = y.tape
+    if tape is None or y.node_id is None or not tape.records:
+        raise ContractError("backward needs an output recorded on a non-empty tape (backward consumes its tape)")
+    if grad is None:
+        if y.data.size != 1:
+            raise ContractError(f"backward without a seed needs a scalar loss, got shape {y.data.shape}")
+        grad = np.ones_like(y.data)
+    else:
+        grad = np.array(grad, dtype=np.float64)
+        if grad.shape != y.data.shape:
+            raise ShapeError(f"backward seed of shape {grad.shape} for an output of shape {y.data.shape}")
     grads: list[Optional[np.ndarray]] = [None] * tape._n
-    grads[loss.node_id] = np.ones_like(loss.data)
+    grads[y.node_id] = grad
     for _, out_id, in_ids, rule in reversed(tape.records):
         g = grads[out_id]
         if g is None:
@@ -213,33 +216,10 @@ def backward(loss: Tensor) -> None:
             np.copyto(t.grad, g)
         t.tape = None
         t.node_id = None
-    loss.tape = None
-    loss.node_id = None
+    y.tape = None
+    y.node_id = None
     tape.records.clear()
     tape.leaves.clear()
-
-
-def finite_diff_grad(f, x: Tensor) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a
-    time, with step 1e-5.
-
-    The independent oracle for every backward rule in this module. The active
-    tape is suspended while ``f`` is evaluated so the probe evaluations never
-    pollute it, and restored even if ``f`` raises.
-    """
-    base = x.data
-    g = np.zeros_like(base)
-    flat = g.reshape(-1)
-    with tape_suspended():
-        for i in range(base.size):
-            up = base.reshape(-1).copy()
-            up[i] += _FD_STEP
-            dn = base.reshape(-1).copy()
-            dn[i] -= _FD_STEP
-            fu = float(f(Tensor(up.reshape(base.shape))))
-            fl = float(f(Tensor(dn.reshape(base.shape))))
-            flat[i] = (fu - fl) / (2.0 * _FD_STEP)
-    return Tensor(g)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +304,6 @@ def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != width or w.shape[1] != b.shape[0]:
         raise ShapeError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
     return w.shape[1]
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _tensor_arg(x, "reshape")
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.data.size:
-        raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
-    old = x.data.shape
-    return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------

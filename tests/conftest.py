@@ -25,7 +25,7 @@ def assert_grad_close(analytic, fd, rtol, label=""):
 
 
 def gradcheck(op, x_data, rng, rtol=1e-4, label=""):
-    """d(sum(op(x) * r))/dx for a random probe r, through reldet.checks.probe_loss,
+    """d(sum(op(x) * r))/dx for a random probe r, from backward seeded with r,
     against central differences (reldet.checks.fd_excess)."""
     excess = checks.fd_excess(op, x_data, rng, rtol)
     assert excess <= 0, f"{label}: gradient mismatch, worst excess {excess:.3e}"

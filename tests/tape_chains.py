@@ -7,7 +7,7 @@
   ``sum_all``, ``mean``, ``layer_norm``, ``narrow``, ``take_rows``,
   ``take_pairs``), each with its own backward rule, and the generic ones the
   backbone, the relation step and the class head were glued from: ``relu``,
-  ``softmax``, ``matmul``, ``transpose`` and ``concat``;
+  ``softmax``, ``matmul``, ``transpose``, ``reshape`` and ``concat``;
 - ``hungarian_loss_chain``: the set loss as a chain of those ops (55 tape
   records on a 5-object scene); ``numeric.set_loss`` must equal it bit for
   bit, forward and backward. ``add_layer_norm_chain`` is the residual layer
@@ -49,7 +49,6 @@ import math
 
 import numpy as np
 
-from reldet import numeric
 from reldet.errors import ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
@@ -297,6 +296,15 @@ def transpose(x: Tensor) -> Tensor:
     return _record("transpose", Tensor(x.data.T), (x,), lambda g, ids: (g.T,))
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    x = _tensor_arg(x, "reshape")
+    shape = tuple(int(s) for s in shape)
+    if math.prod(shape) != x.data.size:
+        raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
+    old = x.data.shape
+    return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
+
+
 def concat(tensors) -> Tensor:
     """Join tensors along their last axis; every other extent must agree."""
     ts = [_tensor_arg(t, "concat") for t in tensors]
@@ -400,7 +408,7 @@ def giou_pairwise(a, b) -> Tensor:
     eh = sub(maximum(ay2, by2), minimum(ay1, by1))
     enclose = mul(ew, eh)
     slack = div(sub(enclose, union), maximum(enclose, _TINY))
-    return numeric.reshape(sub(iou_col, slack), (at.shape[0],))
+    return reshape(sub(iou_col, slack), (at.shape[0],))
 
 
 def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
@@ -411,7 +419,7 @@ def box_loss_pairwise(b, bhat: Tensor, w: LossWeights) -> Tensor:
     g = giou_pairwise(Tensor(b_arr), bhat)
     giou_term = mul(sub(1.0, g), w.lambda_iou)
     diffs = absolute(sub(bhat, Tensor(b_arr)))
-    l1 = numeric.reshape(matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
+    l1 = reshape(matmul(diffs, Tensor(np.ones((4, 1)))), (bhat.shape[0],))
     return add(giou_term, mul(l1, w.lambda_l1))
 
 
@@ -498,7 +506,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def conv3x3_chain(x, w, b):
     _, h, wd = x.shape
     out = linear(im2col(x, 3, stride=2, pad=1), w, b)
-    return numeric.reshape(transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
+    return reshape(transpose(out), (b.shape[0], (h + 1) // 2, (wd + 1) // 2))
 
 
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -534,7 +542,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def pixel_rows(f):
     """A [C, H, W] map's pixels as [H*W, C] rows, as the model's reduction read them."""
     c, fh, fw = f.shape
-    return transpose(numeric.reshape(f, (c, fh * fw)))
+    return transpose(reshape(f, (c, fh * fw)))
 
 
 def backbone_chain(image, layers):

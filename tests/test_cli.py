@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 import traceback
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reldet import cli, numeric
+from reldet import checks, cli, numeric
 from reldet.data import read_ppm
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
@@ -448,17 +449,22 @@ def test_selftest_passes_and_reports_suites(capsys):
     assert "0 failed" in out
 
 
-def test_selftest_broken_gradient_exits_1(monkeypatch, capsys):
+@pytest.mark.parametrize("block", ["backbone", "attention_block", "ffn_block", "relation", "mlp", "set_loss"])
+def test_selftest_broken_gradient_exits_1(monkeypatch, capsys, block):
+    # a 0.1% error in one block's rule fails that block's gradient cases and no other's
     real_record = numeric._record
 
     def record(op, out, inputs, rule):
-        if op == "mlp":  # the forward is kept, every gradient of the backward doubles
-            return real_record(op, out, inputs, lambda g, ids: tuple(None if ig is None else 2 * ig for ig in rule(g, ids)))
+        if op == block:  # the forward is kept, every gradient of the backward is 0.1% off
+            return real_record(op, out, inputs, lambda g, ids: tuple(None if ig is None else 1.001 * ig for ig in rule(g, ids)))
         return real_record(op, out, inputs, rule)
 
     monkeypatch.setattr(numeric, "_record", record)
     assert run("selftest", "--seed", "0") == 1
     assert "FAIL gradient_ops" in capsys.readouterr().out
+    _, failures = checks.gradient_ops(np.random.default_rng(0))
+    blocks = {re.match(r"[a-z_]+", message).group() for message in failures}
+    assert failures and blocks == {block}, failures
 
 
 def test_selftest_negative_seed_exits_2():

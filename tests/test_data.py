@@ -91,6 +91,12 @@ def test_scene_config_rejects_an_object_count_no_int64_draw_reaches(max_objects)
     assert SceneConfig(max_objects=data.MAX_OBJECTS).max_objects == data.MAX_OBJECTS  # constructed, never drawn from
 
 
+@pytest.mark.parametrize("max_objects", [2.5, True, "3", None])
+def test_scene_config_refuses_an_object_count_that_is_not_an_int(max_objects):
+    with pytest.raises(ContractError, match=r"max_objects must be an integer, got"):
+        SceneConfig(max_objects=max_objects)
+
+
 def test_scene_config_caps_the_object_count():
     with pytest.raises(ContractError, match=r"max_objects must lie in \[1, 1024\], got 1025"):
         SceneConfig(max_objects=data.MAX_OBJECTS + 1)

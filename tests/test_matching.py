@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reldet import numeric
+from reldet.checks import finite_diff_grad
 from reldet.errors import CapacityError, ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights, box_rows
 from reldet.matching import (
@@ -257,7 +258,7 @@ def test_hungarian_loss_perfect_prediction_is_zero():
     gts = [GroundTruth(0, b)]
     loss = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0, 1), 0.0), W, null_weight=1.0).total
     # p = 1 on both slots is clamped log(1) = 0; matched box is exact
-    assert float(loss) == 0.0
+    assert loss.data == 0.0
 
 
 def test_hungarian_loss_single_null_slot():
@@ -265,10 +266,10 @@ def test_hungarian_loss_single_null_slot():
     boxes = Tensor(np.zeros((1, 4)))
     gts = []
     loss = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=1.0).total
-    assert float(loss) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert loss.data == pytest.approx(np.log(2.0), abs=1e-12)
     # scaling null_weight to zero removes the only contribution
     gone = hungarian_loss_terms(gts, FakeOutput(probs, boxes), Assignment((0,), 0.0), W, null_weight=0.0).total
-    assert float(gone) == 0.0
+    assert gone.data == 0.0
 
 
 def test_hungarian_loss_parts_add_up(rng):
@@ -276,7 +277,7 @@ def test_hungarian_loss_parts_add_up(rng):
     gts = [GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2)), GroundTruth(1, Box(0.7, 0.6, 0.3, 0.2))]
     out = FakeOutput(Tensor(probs_data), Tensor(boxes_data))
     parts = hungarian_loss_terms(gts, out, Assignment((2, 0, 1, 3), 0.0), W, null_weight=0.1)
-    assert float(parts.total) == pytest.approx(parts.cls + parts.box, abs=1e-12)
+    assert parts.total.data == pytest.approx(parts.cls + parts.box, abs=1e-12)
 
 
 def test_hungarian_loss_rejects_an_assignment_that_misses_slots(rng):
@@ -305,8 +306,8 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     with Tape():
         loss = loss_from_logits(lg)
     numeric.backward(loss)
-    fd = numeric.finite_diff_grad(loss_from_logits, Tensor(logits0))
-    assert_grad_close(lg.grad, fd.data, rtol=1e-4, label="loss/logits")
+    fd = finite_diff_grad(lambda: loss_from_logits(Tensor(logits0)).data, logits0)
+    assert_grad_close(lg.grad, fd, rtol=1e-4, label="loss/logits")
 
     def loss_from_boxes(bx):
         probs = Tensor(chain.softmax(Tensor(logits0)).data)
@@ -316,5 +317,5 @@ def test_hungarian_loss_gradient_matches_fd(rng):
     with Tape():
         loss = loss_from_boxes(bx)
     numeric.backward(loss)
-    fd = numeric.finite_diff_grad(loss_from_boxes, Tensor(boxes0))
-    assert_grad_close(bx.grad, fd.data, rtol=1e-4, label="loss/boxes")
+    fd = finite_diff_grad(lambda: loss_from_boxes(Tensor(boxes0)).data, boxes0)
+    assert_grad_close(bx.grad, fd, rtol=1e-4, label="loss/boxes")

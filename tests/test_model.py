@@ -139,8 +139,7 @@ def test_channel_reduce_equals_the_chain_bit_for_bit(cfg):
             with numeric.Tape():
                 tokens = reduce(image, params)
                 memory = encoder_forward(tokens, pe, params, cfg)
-                loss = checks.probe_loss(memory, probe)
-            numeric.backward(loss)
+            numeric.backward(memory, probe)
             got.append([a.tobytes() for a in (tokens.data, memory.data, model.arena_of(params, "grad"))]
                        + [None if image.grad is None else image.grad.tobytes()])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
@@ -364,8 +363,7 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
         q, kv = Tensor(x, requires_grad=True), Tensor(memory, requires_grad=True)
         with numeric.Tape():
             out = attend(q, kv, kv, params, prefix, num_heads)
-            loss = checks.probe_loss(out, probe)
-        numeric.backward(loss)
+        numeric.backward(out, probe)
         grads = {name: p.grad for name, p in params.items() if name.startswith(prefix)}
         results.append({"out": out.data, "q": q.grad, "kv": kv.grad, **grads})
     reference, fused = results

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reldet import checks, numeric
+from reldet.checks import finite_diff_grad
 from reldet.errors import ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights, box_rows
 from reldet.matching import Assignment, GroundTruth, hungarian_loss_terms
 from reldet.model import DetectionOutput
-from reldet.numeric import Tape, Tensor, backward, finite_diff_grad
+from reldet.numeric import Tape, Tensor, backward
 from reldet.relation import build_knn_graph, neighbor_mean_matrix
 
 import tape_chains as chain
@@ -131,11 +132,58 @@ def test_backward_accumulates_across_fanout():
 
 
 def test_backward_requires_scalar_loss():
+    # without a seed
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
         y = chain.mul(x, 2.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="scalar"):
         backward(y)
+
+
+def test_backward_refuses_a_seed_of_another_shape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    for seed in [np.ones(3), np.ones((2, 1)), 1.0]:
+        with Tape():
+            y = chain.mul(x, 2.0)
+        with pytest.raises(ShapeError, match="seed"):
+            backward(y, seed)
+
+
+def test_backward_leaves_the_callers_seed_unchanged():
+    # a pass-through rule hands the seed on as it is, and every block's rule reads it
+    cases = [("add", lambda x: chain.add(x, 0.0), np.ones((2, 3)))] + checks.op_cases(np.random.default_rng(0))
+    for name, op, x_data in cases:
+        x = Tensor(x_data, requires_grad=True)
+        with Tape():
+            y = op(x)
+        seed = np.random.default_rng(1).standard_normal(y.shape)
+        kept = seed.copy()
+        backward(y, seed)
+        x.grad += 1.0
+        assert _bits(seed) == _bits(kept), name
+
+
+def _probe_loss(y, probe):
+    """sum(y * probe) as a one-layer ``mlp`` of y flattened to [1, n]: the
+    scalar loss the gradient checks built before ``backward`` took a seed."""
+    n = y.data.size
+    return numeric.mlp(chain.reshape(y, (1, n)), (Tensor(np.reshape(probe, (n, 1))), Tensor(np.zeros(1))))
+
+
+def test_seeded_backward_equals_the_probe_loss_route_bit_for_bit():
+    # on every case of every block's gradient check
+    for name, op, x_data in checks.op_cases(np.random.default_rng(0)):
+        probe = np.random.default_rng(1).standard_normal(op(Tensor(x_data)).shape)
+        grads = []
+        for seed in (probe, None):
+            x = Tensor(x_data, requires_grad=True)
+            with Tape():
+                y = op(x)
+                if seed is None:
+                    y = _probe_loss(y, probe)
+            backward(y, seed)
+            grads.append(_bits(x.grad))
+        assert grads[0] == grads[1], name
 
 
 def test_backward_requires_tape():
@@ -249,21 +297,27 @@ def test_backward_random_composite_matches_fd(rng):
     with Tape():
         loss = f(x)
     backward(loss)
-    fd = finite_diff_grad(f, Tensor(x.data))
-    assert_grad_close(x.grad, fd.data, rtol=1e-6, label="composite")
+    xs = x.data.copy()
+    fd = finite_diff_grad(lambda: f(Tensor(xs)).data, xs)
+    assert_grad_close(x.grad, fd, rtol=1e-6, label="composite")
 
 
 def test_finite_diff_on_quadratic():
-    fd = finite_diff_grad(lambda t: chain.sum_all(chain.mul(t, t)), Tensor([1.0, 2.0]))
-    np.testing.assert_allclose(fd.data, [2.0, 4.0], atol=1e-6)
+    x = np.array([1.0, 2.0])
+    fd = finite_diff_grad(lambda: chain.sum_all(chain.mul(Tensor(x), Tensor(x))).data, x)
+    np.testing.assert_allclose(fd, [2.0, 4.0], atol=1e-6)
+    # the one formula: base +- 1e-5 in place, then (up - dn) / (2 * 1e-5); x is restored
+    up, dn = (np.sum(np.array([1.0, 2.0 + step]) ** 2) for step in (1e-5, -1e-5))
+    assert finite_diff_grad(lambda: np.sum(x ** 2), x[1:]).tolist() == [(up - dn) / (2 * 1e-5)]
+    assert x.tolist() == [1.0, 2.0]
 
 
 def test_finite_diff_constant_and_linear(rng):
-    x = Tensor(rng.standard_normal(4))
-    zero = finite_diff_grad(lambda t: Tensor(3.5), x)
-    np.testing.assert_allclose(zero.data, np.zeros(4), atol=1e-12)
-    ones = finite_diff_grad(chain.sum_all, x)
-    np.testing.assert_allclose(ones.data, np.ones(4), atol=1e-9)
+    x = rng.standard_normal(4)
+    zero = finite_diff_grad(lambda: 3.5, x)
+    np.testing.assert_allclose(zero, np.zeros(4), atol=1e-12)
+    ones = finite_diff_grad(lambda: np.sum(x), x)
+    np.testing.assert_allclose(ones, np.ones(4), atol=1e-9)
 
 
 def test_nested_tape_rejected():
@@ -298,13 +352,16 @@ def test_tape_is_inactive_after_its_body_raises():
 
 
 def test_finite_diff_restores_the_active_tape_when_f_raises():
-    def f(t):
+    # and the entry it moved
+    def f():
         raise ValueError("probe fails")
 
+    x = np.array([1.0])
     with Tape() as tape:
         with pytest.raises(ValueError):
-            finite_diff_grad(f, Tensor([1.0]))
+            finite_diff_grad(f, x)
         assert Tape.active is tape
+    assert x.tolist() == [1.0]
 
 
 def test_exact_shape_rule_rejects_general_broadcast():
@@ -446,16 +503,16 @@ UNARY_CASES = [
     ("relu", chain.relu, _away_from_kinks),
     ("sigmoid", chain.sigmoid, None),
     ("log", chain.log, lambda a: np.abs(a) + 0.5),
-    ("mean", lambda x: numeric.reshape(chain.mean(x), (1,)), None),
-    ("sum_all", lambda x: numeric.reshape(chain.sum_all(x), (1,)), None),
+    ("mean", chain.mean, None),
+    ("sum_all", chain.sum_all, None),
     ("softmax", chain.softmax, None),
     ("layer_norm", lambda x: chain.add_layer_norm_chain(x, Tensor(np.zeros((3, 4)))), None),
     ("transpose", chain.transpose, None),
-    ("reshape", lambda x: numeric.reshape(x, (6, 2)), None),
+    ("reshape", lambda x: chain.reshape(x, (6, 2)), None),
     ("narrow", lambda x: chain.narrow(x, 1, 1, 2), None),
     ("take_rows", lambda x: chain.take_rows(x, [2, 0, 2]), None),
     ("take_pairs", lambda x: chain.take_pairs(x, [0, 2, 1], [3, 0, 0]), None),
-    ("im2col", lambda x: chain.im2col(numeric.reshape(x, (1, 3, 4)), 2, stride=1, pad=1), None),
+    ("im2col", lambda x: chain.im2col(chain.reshape(x, (1, 3, 4)), 2, stride=1, pad=1), None),
 ]
 
 
@@ -540,8 +597,7 @@ def test_add_layer_norm_equals_the_chain_bit_for_bit(rows):
         x, r = Tensor(xs[0], requires_grad=True), Tensor(xs[1], requires_grad=True)
         with Tape():
             y = chain.add_layer_norm_chain(x, r)
-            loss = checks.probe_loss(y, probe)
-        backward(loss)
+        backward(y, probe)
         assert _bits(x.grad) == _bits(r.grad)
         fused, inv = numeric._layer_norm(xs[0] + xs[1])
         assert _bits(fused) == _bits(y.data)
@@ -578,8 +634,7 @@ def test_conv3x3_equals_the_chain_bit_for_bit(shape):
             w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
             with Tape():
                 y = op(x, w, b)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             got.append((_bits(y.data), _bits(w.grad), _bits(b.grad), None if x.grad is None else _bits(x.grad)))
         assert got[0] == got[1] == got[2], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
@@ -606,8 +661,7 @@ def test_backbone_equals_the_chain_bit_for_bit(shape, stages):
             layers = [Tensor(a, requires_grad=True) for a in layers0]
             with Tape():
                 y = op(x, layers)
-                loss = checks.probe_loss(y, np.random.default_rng(seed).standard_normal(y.shape))
-            backward(loss)
+            backward(y, np.random.default_rng(seed).standard_normal(y.shape))
             got.append([_bits(y.data), None if x.grad is None else _bits(x.grad)] + [_bits(t.grad) for t in layers])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
@@ -626,8 +680,7 @@ def test_relation_equals_the_chain_bit_for_bit(nodes):
             x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
             with Tape():
                 y = op(x, m, w, b)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             got.append([_bits(a) for a in (y.data, x.grad, w.grad, b.grad)])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
@@ -704,8 +757,7 @@ def test_mha_equals_the_chain_bit_for_bit(kind, heads, queries):
                     y = op(x, qe, memory, Tensor(pe), proj, heads)
                 else:
                     y = op(op(qe, qe, qe, qe, proj, heads), qe, memory, Tensor(pe), proj, heads)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             inputs = {"self": [x], "cross": [x, qe, memory], "query": [qe, memory]}[kind]
             got.append([_bits(y.data)] + [_bits(t.grad) for t in inputs + proj])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
@@ -727,8 +779,7 @@ def test_ffn_block_equals_the_chain_bit_for_bit(rows):
             layers = [Tensor(a, requires_grad=True) for a in layers0]
             with Tape():
                 y = op(x, layers)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             got.append([_bits(y.data), _bits(x.grad)] + [_bits(t.grad) for t in layers])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
@@ -764,8 +815,7 @@ def test_mlp_equals_the_chain_bit_for_bit(head, rows):
             layers = [Tensor(a, requires_grad=True) for a in layers0]
             with Tape():
                 y = op(x, layers, output)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             got.append([_bits(y.data), _bits(x.grad)] + [_bits(t.grad) for t in layers])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
         # a ReLU sends -0.0 for every negative pre-activation: the first layer has some
@@ -786,8 +836,7 @@ def test_one_layer_mlp_equals_linear_bit_for_bit(width_in, width_out, rows):
             x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
             with Tape():
                 y = op(x, w, b)
-                loss = checks.probe_loss(y, probe)
-            backward(loss)
+            backward(y, probe)
             got.append([_bits(y.data), _bits(x.grad), _bits(w.grad), _bits(b.grad)])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
@@ -841,17 +890,16 @@ def test_mha_and_mlp_skip_the_gradients_of_constant_inputs(rng):
 
 
 def test_docstring_lists_every_primitive():
-    # the op names numeric records against the names its module docstring lists:
-    # the plain primitives in one sentence, the fused ones as bullets, as many
-    # as that sentence counts
+    # numeric's surface is the six fused blocks plus backward and tape_suspended:
+    # the module docstring's bullets, the op names it records and its public
+    # functions are one set
     doc = numeric.__doc__
-    total, plain, count = re.search(r"There are (\w+) primitives: (.*?) and the (\w+) fused ones below",
-                                    doc, re.DOTALL).groups()
-    fused = re.findall(r"^- ``(\w+)\(", doc, re.MULTILINE)
-    plain = re.findall(r"``(\w+)``,", plain)
-    numbers = ["one", "two", "three", "four", "five", "six", "seven", "eight"]
-    assert numbers.index(count) + 1 == len(fused) and numbers.index(total) + 1 == len(fused) + len(plain)
-    assert set(plain) | set(fused) == set(re.findall(r'_record\("(\w+)"', inspect.getsource(numeric)))
+    assert re.search(r"There are six primitives", doc)
+    bullets = set(re.findall(r"^- ``(\w+)\(", doc, re.MULTILINE))
+    recorded = set(re.findall(r'_record\("(\w+)"', inspect.getsource(numeric)))
+    public = {name for name, obj in vars(numeric).items()
+              if inspect.isfunction(obj) and obj.__module__ == numeric.__name__ and not name.startswith("_")}
+    assert len(bullets) == 6 and bullets == recorded == public - {"backward", "tape_suspended"}
 
 
 def test_fused_backward_rules_are_named_after_their_ops():

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reldet import checks, numeric
 from reldet.errors import ContractError, ShapeError
-from reldet.numeric import Tape, Tensor
+from reldet.numeric import Tensor
 from reldet.relation import RelationGraph, aggregate, build_knn_graph, neighbor_mean_matrix
 
-from conftest import assert_grad_close
+from conftest import gradcheck
 
 
 def params_from(w, b):
@@ -167,34 +166,6 @@ def test_aggregate_gradients_match_fd(rng):
     feats0 = rng.standard_normal((n, d)) + 0.3
     w0 = rng.standard_normal((d, 2 * d))
     b0 = rng.standard_normal(d)
-    probe = rng.standard_normal((n, d))
-
-    def though_feats(f):
-        return checks.probe_loss(aggregate(f, g, Tensor(w0), Tensor(b0)), probe)
-
-    feats = Tensor(feats0, requires_grad=True)
-    with Tape():
-        loss = though_feats(feats)
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(though_feats, Tensor(feats0))
-    assert_grad_close(feats.grad, fd.data, rtol=1e-4, label="aggregate/features")
-
-    def through_weight(wt):
-        return checks.probe_loss(aggregate(Tensor(feats0), g, wt, Tensor(b0)), probe)
-
-    wt = Tensor(w0, requires_grad=True)
-    with Tape():
-        loss = through_weight(wt)
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(through_weight, Tensor(w0))
-    assert_grad_close(wt.grad, fd.data, rtol=1e-4, label="aggregate/weight")
-
-    def through_bias(bt):
-        return checks.probe_loss(aggregate(Tensor(feats0), g, Tensor(w0), bt), probe)
-
-    bt = Tensor(b0, requires_grad=True)
-    with Tape():
-        loss = through_bias(bt)
-    numeric.backward(loss)
-    fd = numeric.finite_diff_grad(through_bias, Tensor(b0))
-    assert_grad_close(bt.grad, fd.data, rtol=1e-4, label="aggregate/bias")
+    gradcheck(lambda f: aggregate(f, g, Tensor(w0), Tensor(b0)), feats0, rng, label="aggregate/features")
+    gradcheck(lambda w: aggregate(Tensor(feats0), g, w, Tensor(b0)), w0, rng, label="aggregate/weight")
+    gradcheck(lambda b: aggregate(Tensor(feats0), g, Tensor(w0), b), b0, rng, label="aggregate/bias")
