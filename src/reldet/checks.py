@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numeric
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .evaluation import average_precision
 from .geometry import LossWeights, box_pairs
 from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms
@@ -51,9 +51,12 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     Each entry is set in place to base + 1e-5, then to base - 1e-5, and
     (up - dn) / (2 * 1e-5) taken. The entry is restored afterwards and the
     tape, suspended while f runs so that no probe records, is restored too,
-    even if f raises. x must be C-contiguous, or the writes miss what f reads;
-    a one-entry slice of a parameter differences that entry alone.
+    even if f raises. x must be C-contiguous, or the writes miss what f reads
+    (ContractError otherwise); a one-entry slice of a parameter differences
+    that entry alone.
     """
+    if not x.flags.c_contiguous:
+        raise ContractError("finite_diff_grad needs a C-contiguous x: a strided view's reshape is a copy f never reads")
     flat = x.reshape(-1)
     g = np.empty(flat.size)
     with tape_suspended():

@@ -61,14 +61,17 @@ class SceneConfig:
     catalog: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self):
-        if len(self.image_size) != 2 or any(type(v) is not int or v < 1 for v in self.image_size):
-            raise ContractError(f"image_size must be two positive integers, got {self.image_size}")
+        size = self.image_size
+        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int or v < 1 for v in size):
+            raise ContractError(f"image_size must be a tuple of two positive integers, got {size!r}")
         if type(self.max_objects) is not int:
             raise ContractError(f"max_objects must be an integer, got {self.max_objects!r}")
         if not 1 <= self.max_objects <= MAX_OBJECTS:
             raise ContractError(f"max_objects must lie in [1, {MAX_OBJECTS}], got {self.max_objects}")
-        if not self.catalog or len(set(self.catalog)) != len(self.catalog):
-            raise ContractError("catalog must be nonempty with unique names")
+        names = self.catalog
+        if not isinstance(names, tuple) or not all(isinstance(n, str) for n in names) or not names \
+                or len(set(names)) != len(names):
+            raise ContractError(f"catalog must be a nonempty tuple of distinct class names, got {names!r}")
 
 
 @dataclass
@@ -308,10 +311,12 @@ def save_dataset(scenes: list[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
 
 
 def load_catalog(path) -> list[str]:
-    """Class names from a catalog.json: a JSON list of strings."""
+    """Class names from a catalog.json: a nonempty JSON list of distinct strings."""
     catalog = _read_json(Path(path))
     if not isinstance(catalog, list) or not all(isinstance(name, str) for name in catalog):
         raise ParseError(f"{path} is not a JSON list of class names")
+    if not catalog or len(set(catalog)) != len(catalog):
+        raise ParseError(f"{path}: a catalog needs at least one class and distinct class names")
     return catalog
 
 

@@ -109,15 +109,18 @@ def test_train_epochs_zero_exits_2(dataset, tmp_path):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), "--epochs", "0") == 2
 
 
-def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path):
-    bad_ds = shutil.copytree(dataset, tmp_path / "ds")
-    (bad_ds / "catalog.json").write_text('["transformer", ')
-    assert run("train", "--data", str(bad_ds), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS) == 2
-    assert run("eval", "--data", str(bad_ds), "--checkpoint", str(checkpoint)) == 2
-    bad_ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
-    (bad_ckpt / "catalog.json").write_text("{}")
-    assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
-               "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / "p")) == 2
+def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path, capsys):
+    # a duplicate name would train and score two table rows under one name
+    for i, text in enumerate(['["transformer", ', "{}", '["a", "a", "b", "c", "d"]']):
+        bad_ds = shutil.copytree(dataset, tmp_path / f"ds{i}")
+        (bad_ds / "catalog.json").write_text(text)
+        assert run("train", "--data", str(bad_ds), "--out", str(tmp_path / f"ck{i}"), *TRAIN_FLAGS) == 2
+        assert run("eval", "--data", str(bad_ds), "--checkpoint", str(checkpoint)) == 2
+        bad_ckpt = shutil.copytree(checkpoint, tmp_path / f"ckpt{i}")
+        (bad_ckpt / "catalog.json").write_text(text)
+        assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
+                   "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / f"p{i}")) == 2
+        assert capsys.readouterr().err.count("catalog.json") == 3, text
 
 
 def _edited(dataset, tmp_path, edit):

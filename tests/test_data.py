@@ -78,9 +78,12 @@ def test_scene_config_validation():
         SceneConfig(max_objects=0)
     with pytest.raises(ContractError):
         SceneConfig(catalog=("a", "a"))
-    for size in [(0, 8), (8, -8), (8,), (8.0, 8)]:
+    for size in [(0, 8), (8, -8), (8,), (8.0, 8), 32, [32, 32]]:
         with pytest.raises(ContractError):
             SceneConfig(image_size=size)
+    for catalog in ["abc", ["a", "b"], ("a", 1), ()]:
+        with pytest.raises(ContractError):
+            SceneConfig(catalog=catalog)
 
 
 @pytest.mark.parametrize("max_objects", [2**63, 10**30, float("nan")])

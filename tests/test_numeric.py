@@ -312,6 +312,15 @@ def test_finite_diff_on_quadratic():
     assert x.tolist() == [1.0, 2.0]
 
 
+def test_finite_diff_refuses_a_strided_x():
+    # reshape(-1) of a transposed or strided view is a copy f never reads: every entry would read 0
+    a = np.arange(6.0).reshape(2, 3)
+    for view in [a.T, a[:, ::2]]:
+        with pytest.raises(ContractError, match="C-contiguous"):
+            finite_diff_grad(lambda: float(np.sum(a * a)), view)
+    assert a.tolist() == np.arange(6.0).reshape(2, 3).tolist()
+
+
 def test_finite_diff_constant_and_linear(rng):
     x = rng.standard_normal(4)
     zero = finite_diff_grad(lambda: 3.5, x)
