@@ -189,15 +189,15 @@ def gradient_end_to_end(rng, config: ModelConfig, targets, samples: int):
     params = init_params(config)
     image = Tensor(rng.uniform(0, 1, (3, *config.image_size)))
     gts = list(targets)
-    w = LossWeights(2.0, 5.0)
+    w = LossWeights()
     with Tape():
         out = forward(image, params, config)
         assign = hungarian(build_cost_matrix(gts, out.class_probs.data, out.boxes.data, w))
-        loss = hungarian_loss_terms(gts, out, assign, w, 0.1).total
+        loss = hungarian_loss_terms(gts, out, assign, w).total
     numeric.backward(loss)
 
     def loss_at():
-        return float(hungarian_loss_terms(gts, forward(image, params, config), assign, w, 0.1).total.data)
+        return float(hungarian_loss_terms(gts, forward(image, params, config), assign, w).total.data)
 
     names = list(params)
     failures = []

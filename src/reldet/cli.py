@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import checks, data, evaluation
+from . import checks, evaluation
 from .data import (
     SceneConfig,
     annotations_to_json,
     class_color,
+    class_names,
     encode_json,
     encode_ppm,
     generate_scene,
@@ -39,46 +41,55 @@ from .errors import (
     ShapeError,
 )
 from .geometry import Box, LossWeights
-from .matching import GroundTruth
-from .model import ModelConfig, forward
+from .matching import DEFAULT_NULL_WEIGHT, GroundTruth
+from .model import ModelConfig, check_image_size, forward
 from .numeric import Tensor
-from .training import load_checkpoint, save_checkpoint, train, write_log
+from .training import DEFAULT_LR, load_checkpoint, save_checkpoint, train, write_log
+
+# train's model flags, by dest, and the ModelConfig field each sets: ModelConfig()
+# gives their defaults, and cmd_train builds the config from this table
+_MODEL_FIELDS = {"d_model": "model_dim", "heads": "num_heads", "enc_layers": "num_encoder_layers",
+                 "dec_layers": "num_decoder_layers", "queries": "num_queries", "knn_k": "knn_k", "seed": "seed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The five subcommands. Each default of a setting is read from the code
+    that uses it (SceneConfig, ModelConfig, LossWeights and the lr, null weight
+    and IoU constants); the literals here are the CLI's own."""
     parser = argparse.ArgumentParser(prog="reldet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    scene, model, loss = SceneConfig(), ModelConfig(), LossWeights()
 
     g = sub.add_parser("gen-data", help="write a synthetic scene dataset")
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--count", type=int, default=20)
     g.add_argument("--out", required=True)
-    g.add_argument("--img-size", type=int, default=32)
-    g.add_argument("--max-objects", type=int, default=3)
-    g.add_argument("--classes", default=",".join(data.DEFAULT_CLASSES),
-                   help="comma-separated class names")
+    g.add_argument("--img-size", type=int, default=scene.image_size[0])  # square images
+    g.add_argument("--max-objects", type=int, default=scene.max_objects)
+    g.add_argument("--classes", default=",".join(scene.catalog), help="comma-separated class names")
 
     t = sub.add_parser("train", help="train a detector on a dataset directory")
     t.add_argument("--data", required=True)
     t.add_argument("--epochs", type=int, default=300)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--d-model", type=int, default=32)
-    t.add_argument("--heads", type=int, default=4)
-    t.add_argument("--enc-layers", type=int, default=2)
-    t.add_argument("--dec-layers", type=int, default=2)
-    t.add_argument("--queries", type=int, default=16)
-    t.add_argument("--knn-k", type=int, default=3)
-    t.add_argument("--lambda-iou", type=float, default=2.0)
-    t.add_argument("--lambda-l1", type=float, default=5.0)
-    t.add_argument("--null-weight", type=float, default=0.1)
-    t.add_argument("--seed", type=int, default=3)
+    t.add_argument("--lr", type=float, default=DEFAULT_LR)
+    t.add_argument("--d-model", type=int)
+    t.add_argument("--heads", type=int)
+    t.add_argument("--enc-layers", type=int)
+    t.add_argument("--dec-layers", type=int)
+    t.add_argument("--queries", type=int)
+    t.add_argument("--knn-k", type=int)
+    t.add_argument("--lambda-iou", type=float, default=loss.lambda_iou)
+    t.add_argument("--lambda-l1", type=float, default=loss.lambda_l1)
+    t.add_argument("--null-weight", type=float, default=DEFAULT_NULL_WEIGHT)
+    t.add_argument("--seed", type=int)
     t.add_argument("--out", required=True, help="checkpoint directory")
     t.add_argument("--log", default=None, help="CSV loss log path (default: <out>/train_log.csv)")
+    t.set_defaults(**{dest: getattr(model, field) for dest, field in _MODEL_FIELDS.items()})
 
     e = sub.add_parser("eval", help="score a checkpoint on a dataset")
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--iou-thresh", type=float, default=0.5)
+    e.add_argument("--iou-thresh", type=float, default=evaluation.DEFAULT_IOU_THRESH)
     e.add_argument("--json", default=None, help="also write the report as JSON to this path")
 
     p = sub.add_parser("predict", help="run one image and render detections")
@@ -91,20 +102,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _directories_for_run(*directories: Path):
+    """Make ``directories`` before the run, so a path that cannot be made
+    fails before any work; if the run then fails, remove again the topmost
+    directory of each that the run made, and nothing that was there before."""
+    created = []
+    try:
+        for directory in directories:
+            missing = [d for d in (directory, *directory.parents) if not d.exists()]
+            created += missing[-1:]
+            directory.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for directory in created:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
+
+
 def cmd_gen_data(args) -> int:
     if args.count <= 0:
         raise ContractError("gen-data: --count must be positive (nothing to generate)")
     if args.seed < 0:
         raise ContractError("gen-data: --seed must be nonnegative")
-    if args.img_size < 8 or args.img_size % 8:
-        raise ContractError(f"gen-data: --img-size {args.img_size} must be a positive multiple of 8 "
-                            "(the model downsamples images by 8)")
+    check_image_size(args.img_size, args.img_size)
     catalog = tuple(name.strip() for name in args.classes.split(",") if name.strip())
     cfg = SceneConfig(image_size=(args.img_size, args.img_size), max_objects=args.max_objects, catalog=catalog)
-    scenes = [generate_scene(args.seed + i, cfg) for i in range(args.count)]
-    save_dataset(scenes, args.out, catalog)
-    total = sum(len(s.objects) for s in scenes)
-    print(f"wrote {args.count} scenes ({total} objects, {len(catalog)} classes) to {args.out}")
+    objects = []  # each scene's object count, tallied as save_dataset writes it
+
+    def scenes():
+        for i in range(args.count):
+            scene = generate_scene(args.seed + i, cfg)
+            objects.append(len(scene.objects))
+            yield scene
+
+    with _directories_for_run(Path(args.out)):
+        save_dataset(scenes(), args.out, catalog)
+    print(f"wrote {args.count} scenes ({sum(objects)} objects, {len(catalog)} classes) to {args.out}")
     return 0
 
 
@@ -113,34 +147,16 @@ def cmd_train(args) -> int:
         raise ContractError("train: --epochs must be positive (nothing to train)")
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out / "train_log.csv"
-    created = []  # the topmost directories this run makes; a failing run removes them again
-    try:
-        for directory in (out, log_path.parent):
-            missing = [d for d in (directory, *directory.parents) if not d.exists()]
-            created += missing[-1:]
-            directory.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
+    with _directories_for_run(out, log_path.parent):
         scenes, catalog = load_dataset(args.data, max_objects=args.queries)
         h, w = scenes[0].image.shape[1:]
-        config = ModelConfig(
-            image_size=(h, w),
-            model_dim=args.d_model,
-            num_heads=args.heads,
-            num_encoder_layers=args.enc_layers,
-            num_decoder_layers=args.dec_layers,
-            num_queries=args.queries,
-            num_classes=len(catalog),
-            knn_k=args.knn_k,
-            seed=args.seed,
-        )
+        config = ModelConfig(image_size=(h, w), num_classes=len(catalog),
+                             **{field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()})
         weights = LossWeights(args.lambda_iou, args.lambda_l1)
         params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
         save_checkpoint(out, params, config)
         write_atomic(out / "catalog.json", encode_json(list(catalog)))
         write_log(rows, log_path)
-    except BaseException:
-        for directory in created:
-            shutil.rmtree(directory, ignore_errors=True)
-        raise
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
           f"final loss {rows[-1].total:.4f}; checkpoint in {out}")
     return 0
@@ -188,12 +204,11 @@ def _draw_outline(img: np.ndarray, box: Box, color) -> None:
 def cmd_predict(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     image = read_ppm(args.image)
-    # a checkpoint saved without train (no catalog.json) names its classes class_<i>
-    cat_path, source = Path(args.checkpoint) / "catalog.json", f"image {args.image}"
+    # a checkpoint saved without train has no catalog.json
+    cat_path, source, catalog = Path(args.checkpoint) / "catalog.json", f"image {args.image}", None
     if cat_path.exists():
         catalog, source = load_catalog(cat_path), f"{source} with {cat_path}"
-    else:
-        catalog = [f"class_{i}" for i in range(config.num_classes)]
+    catalog = class_names(config.num_classes, catalog)
     _check_compatible(config, image, catalog, source)
     dets = evaluation.extract_detections(forward(Tensor(image), params, config))
     doc = annotations_to_json(Path(args.image).name, image, dets, catalog)

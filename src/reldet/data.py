@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -52,6 +53,11 @@ MAX_OBJECTS = 1024
 
 def class_color(class_id: int) -> tuple[float, float, float]:
     return CLASS_COLORS[class_id % len(CLASS_COLORS)]
+
+
+def class_names(num_classes: int, catalog=None) -> list[str]:
+    """``catalog`` when there is one, else ``class_0`` ... ``class_<num_classes - 1>``."""
+    return [f"class_{i}" for i in range(num_classes)] if catalog is None else catalog
 
 
 @dataclass(frozen=True)
@@ -302,7 +308,9 @@ def load_scene(stem) -> Scene:
     return Scene(Tensor(image), objects)
 
 
-def save_dataset(scenes: list[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
+def save_dataset(scenes: Iterable[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
+    """Write each scene as it comes, then ``catalog.json``; ``scenes`` is read
+    once, so a generator keeps one scene in memory at a time."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, scene in enumerate(scenes):

@@ -14,11 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Scene
+from .data import Scene, class_names
 from .errors import ContractError
 from .geometry import Box, box_pairs, box_rows
 from .matching import GroundTruth
 from .model import DetectionOutput, ModelConfig, forward
+
+DEFAULT_IOU_THRESH = 0.5  # the overlap at which a detection matches a ground truth, as in the paper's mAP@0.5
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
 
 def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names=None) -> APReport:
     """Score already-extracted detections; the model-free core of evaluation."""
-    if names is None:
-        names = [f"class_{c}" for c in range(num_classes)]
+    names = class_names(num_classes, names)
     if len(per_scene_dets) != len(per_scene_gts):
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     # classes never compete for a ground truth, so one greedy pass per scene
@@ -197,7 +198,7 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
     return APReport(iou_thresh, per_class, mean_ap)
 
 
-def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thresh: float = 0.5,
+def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thresh: float = DEFAULT_IOU_THRESH,
                      names=None) -> APReport:
     """Run the detector over every scene and score pooled detections."""
     if not dataset:

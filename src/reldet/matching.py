@@ -23,6 +23,8 @@ from .errors import CapacityError, ContractError, DomainError, ShapeError
 from .geometry import Box, LossWeights, box_pairs, box_rows
 from .numeric import Tensor
 
+DEFAULT_NULL_WEIGHT = 0.1  # the weight of a no-object slot's class term, as in DETR
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -180,7 +182,7 @@ class LossBreakdown:
 
 
 def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: LossWeights,
-                         null_weight: float = 0.1) -> LossBreakdown:
+                         null_weight: float = DEFAULT_NULL_WEIGHT) -> LossBreakdown:
     """Set-prediction loss under a fixed assignment; differentiable through preds.
 
     ``gt`` lists the G real targets; ``preds`` carries tensors:

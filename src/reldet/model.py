@@ -51,6 +51,14 @@ from .relation import aggregate, build_knn_graph
 _FFN_MULT = 2  # feed-forward hidden width, in units of model_dim
 
 
+def check_image_size(h: int, w: int) -> None:
+    """The one rule on image sizes, for ``gen-data``'s flag and model configs
+    alike: ContractError unless both extents are a positive multiple of 8."""
+    if h % 8 or w % 8 or h < 8 or w < 8:
+        raise ContractError(f"image size {h}x{w} must be a positive multiple of 8 in both extents "
+                            "(the model downsamples images by 8)")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: tuple[int, int] = (32, 32)
@@ -71,9 +79,7 @@ class ModelConfig:
         size = self.image_size
         if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in (*size, *ints)):
             raise ContractError(f"model config fields must be integers and image_size a pair of them: {self}")
-        h, w = size
-        if h % 8 or w % 8 or h < 8 or w < 8:
-            raise ContractError(f"image size {self.image_size} must be a multiple of 8 in both extents")
+        check_image_size(*size)
         if self.num_heads < 1:
             raise ContractError(f"need at least one attention head, got {self.num_heads}")
         if self.model_dim < 2 or self.model_dim % 2:

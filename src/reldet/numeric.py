@@ -172,11 +172,13 @@ def backward(y: Tensor, grad=None) -> None:
     Walks the tape in exact reverse recording order, accumulating (+=) across
     fan-out; the gradients live in a list indexed by node id. Leaves recorded
     on the tape but unreachable from y get a zero gradient. A leaf's ``.grad``
-    is overwritten, not accumulated, across calls: a leaf that already holds a
-    ``grad`` array gets the new gradient (or the zeros) written into it in
-    place, so parameter gradients land in the model's gradient arena; any
-    other leaf gets a fresh array. An op output is not a leaf and gets no
-    ``grad``, even if its ``requires_grad`` was set after the op.
+    is overwritten, not accumulated, across calls: a leaf without a ``grad``
+    array first gets a fresh one laid out like its ``data`` (C order), and
+    the new gradient (or the zeros) is then written into the leaf's array in
+    place. So parameter gradients land in the model's gradient arena, and a
+    rule's transposed gradient view still leaves a C-ordered ``grad``. An op
+    output is not a leaf and gets no ``grad``, even if its ``requires_grad``
+    was set after the op.
 
     ``backward`` consumes the tape: it ends by detaching the leaves and y
     from the tape and dropping every record, so the closures and the arrays
@@ -209,11 +211,11 @@ def backward(y: Tensor, grad=None) -> None:
     for t in tape.leaves:
         g = grads[t.node_id]
         if t.grad is None:
-            t.grad = np.zeros_like(t.data) if g is None else np.array(g, copy=True)
-        elif g is None:
-            t.grad.fill(0.0)  # unreachable from the loss; stays a view of its buffer
+            t.grad = np.empty_like(t.data)
+        if g is None:
+            t.grad.fill(0.0)  # unreachable from the loss
         else:
-            np.copyto(t.grad, g)
+            t.grad[...] = g
         t.tape = None
         t.node_id = None
     y.tape = None

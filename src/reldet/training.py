@@ -16,7 +16,7 @@ from . import numeric
 from .data import Scene, _read_json, encode_json, write_atomic
 from .errors import ContractError, IntegrityError, NumericError, ParseError
 from .geometry import LossWeights
-from .matching import build_cost_matrix, hungarian, hungarian_loss_terms
+from .matching import DEFAULT_NULL_WEIGHT, build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
 from .numeric import Tape, Tensor
 
@@ -24,6 +24,7 @@ from .numeric import Tape, Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+DEFAULT_LR = 1e-3  # Adam's learning rate unless train is given another
 
 
 @dataclass
@@ -37,7 +38,7 @@ class OptimizerState:
     step, sized to the arena of the parameters it is given.
     """
 
-    lr: float = 1e-3
+    lr: float = DEFAULT_LR
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -124,8 +125,8 @@ def train(
     config: ModelConfig,
     epochs: int,
     weights: LossWeights = LossWeights(),
-    null_weight: float = 0.1,
-    lr: float = 1e-3,
+    null_weight: float = DEFAULT_NULL_WEIGHT,
+    lr: float = DEFAULT_LR,
 ) -> tuple[dict[str, Tensor], OptimizerState, list[TrainLogRow]]:
     """Train from a fresh init (seeded by ``config.seed``) over the dataset
     in order; deterministic.

@@ -102,6 +102,7 @@ def overfit_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_a4_overfit_surrogate(overfit_runs):
     run = overfit_runs[3]
     record("A4", run["map"] >= 0.90 and run["time"] < 900.0,
@@ -109,6 +110,7 @@ def test_a4_overfit_surrogate(overfit_runs):
            f"(threshold 0.90), train time {run['time']:.0f}s")
 
 
+@pytest.mark.slow
 def test_a5_relation_ablation(overfit_runs):
     on, off = overfit_runs[3], overfit_runs[0]
     gap = on["map"] - off["map"]

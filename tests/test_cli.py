@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,8 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reldet import checks, cli, numeric
-from reldet.data import read_ppm
+from reldet import checks, cli, data, numeric
+from reldet.data import SceneConfig, load_dataset, read_ppm
+from reldet.errors import CapacityError
+from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
+from reldet.geometry import LossWeights
+from reldet.matching import DEFAULT_NULL_WEIGHT, hungarian_loss_terms
+from reldet.model import ModelConfig
+from reldet.training import DEFAULT_LR, OptimizerState, train
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
                "--dec-layers", "1", "--queries", "6", "--seed", "0"]
@@ -50,6 +57,60 @@ def test_gen_data_deterministic_bytes(tmp_path):
                    "--img-size", "16") == 0
     for fname in ("scene_00000.ppm", "scene_00001.json", "catalog.json"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+def test_gen_data_writes_each_scene_before_drawing_the_next(tmp_path, monkeypatch, capsys):
+    events = []
+    draw, save = cli.generate_scene, data.save_scene
+    monkeypatch.setattr(cli, "generate_scene", lambda seed, cfg: events.append(("draw", seed)) or draw(seed, cfg))
+    monkeypatch.setattr(data, "save_scene",
+                        lambda scene, stem, catalog: events.append(("save", stem.name)) or save(scene, stem, catalog))
+    assert run("gen-data", "--seed", "5", "--count", "3", "--out", str(tmp_path / "ds")) == 0
+    assert events == [("draw", 5), ("save", "scene_00000"), ("draw", 6), ("save", "scene_00001"),
+                      ("draw", 7), ("save", "scene_00002")]
+    scenes, _ = load_dataset(tmp_path / "ds")
+    objects = sum(len(scene.objects) for scene in scenes)
+    assert capsys.readouterr().out == f"wrote 3 scenes ({objects} objects, 5 classes) to {tmp_path / 'ds'}\n"
+
+
+def test_gen_data_failing_part_way_removes_the_directory_it_made(tmp_path, monkeypatch, capsys):
+    draw = cli.generate_scene
+
+    def fail_on_the_third(seed, cfg):
+        if seed == 3:
+            raise CapacityError("the third scene does not fit")
+        return draw(seed, cfg)
+
+    monkeypatch.setattr(cli, "generate_scene", fail_on_the_third)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "new" / "ds", kept):
+        assert run("gen-data", "--seed", "1", "--count", "3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: the third scene does not fit\n"
+    assert not (tmp_path / "new").exists()
+    assert sorted(p.name for p in kept.iterdir()) == [f"scene_0000{i}.{ext}" for i in (0, 1) for ext in ("json", "ppm")]
+
+
+def test_every_default_is_read_from_its_owner():
+    parser = cli._build_parser()
+    scene, model, loss = SceneConfig(), ModelConfig(), LossWeights()
+    g = parser.parse_args(["gen-data", "--out", "o"])
+    assert ((g.img_size, g.img_size), g.max_objects, tuple(g.classes.split(","))) == \
+        (scene.image_size, scene.max_objects, scene.catalog)
+    t = parser.parse_args(["train", "--data", "d", "--out", "o"])
+    assert (t.d_model, t.heads, t.enc_layers, t.dec_layers, t.queries, t.knn_k, t.seed) == \
+        (model.model_dim, model.num_heads, model.num_encoder_layers, model.num_decoder_layers, model.num_queries,
+         model.knn_k, model.seed)
+    assert (t.lambda_iou, t.lambda_l1) == (loss.lambda_iou, loss.lambda_l1)
+    train_defaults = inspect.signature(train).parameters
+    assert t.lr == DEFAULT_LR == OptimizerState().lr == train_defaults["lr"].default
+    assert t.null_weight == DEFAULT_NULL_WEIGHT == train_defaults["null_weight"].default \
+        == inspect.signature(hungarian_loss_terms).parameters["null_weight"].default
+    e = parser.parse_args(["eval", "--data", "d", "--checkpoint", "c"])
+    assert e.iou_thresh == DEFAULT_IOU_THRESH == inspect.signature(evaluate_dataset).parameters["iou_thresh"].default
+    p = parser.parse_args(["predict", "--image", "i", "--checkpoint", "c", "--out", "o"])
+    assert vars(p) == {"command": "predict", "image": "i", "checkpoint": "c", "out": "o"}
+    assert parser.parse_args(["selftest"]).seed == 0
 
 
 def test_gen_data_count_zero_exits_2(tmp_path):

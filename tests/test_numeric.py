@@ -231,6 +231,21 @@ def test_unreached_leaf_with_a_grad_is_zeroed_in_place():
     np.testing.assert_array_equal(x.grad, [0.0])
 
 
+def test_fresh_leaf_gets_a_c_ordered_grad_from_a_transposed_rule_gradient(rng):
+    # relation's rule hands back w's gradient as a transposed view
+    x, m = Tensor(rng.standard_normal((3, 2))), np.full((3, 3), 1 / 3)
+    w_data, b = rng.standard_normal((5, 4)), Tensor(rng.standard_normal(5))
+    probe = rng.standard_normal((3, 5))
+    fresh, held = Tensor(w_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+    held.grad = np.zeros_like(w_data)
+    for w in (fresh, held):
+        with Tape():
+            y = numeric.relation(x, m, w, b)
+        backward(y, probe)
+    assert fresh.grad.flags.c_contiguous
+    assert fresh.grad.tobytes() == held.grad.tobytes()
+
+
 def test_grad_shape_matches_data(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape():
