@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bit-identity digest of reldet's training and inference, part by part.
 
-Each part is the sha256 of float64 bytes:
+Each part is the sha256 of float64 bytes, or of file bytes for ``checkpoint``:
 
 - ``scenes``: the images, class ids and boxes (cx, cy, w, h) of every scene
   the parts below train on or run, so a renderer change that alters a scene
@@ -11,7 +11,10 @@ Each part is the sha256 of float64 bytes:
   objects over 3 epochs, then the final parameter and gradient arenas;
 - ``q64.*``: the same at 64 queries on scenes of up to 12 objects;
 - ``tapeless``: the class probabilities and boxes of a tape-less ``forward``
-  of the trained 16-query model on 5 further scenes.
+  of the trained 16-query model on 5 further scenes;
+- ``checkpoint``: the file bytes of that model's ``weights.bin`` and
+  ``manifest.json``, as ``save_checkpoint`` writes them, and of its
+  ``write_log`` loss log.
 
 Usage:
 
@@ -33,6 +36,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +106,13 @@ def digest(src: str) -> dict[str, str]:
             for scene in held:
                 out = model.forward(scene.image, params, config)
                 tapeless += [out.class_probs.data, out.boxes.data]
+            with tempfile.TemporaryDirectory() as tmp:
+                training.save_checkpoint(tmp, params, config)
+                training.write_log(rows, Path(tmp) / "train_log.csv")
+                files = [Path(tmp) / name for name in ("weights.bin", "manifest.json", "train_log.csv")]
+                checkpoint = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
     parts["tapeless"] = _sha(*tapeless)
+    parts["checkpoint"] = checkpoint
     return parts
 
 

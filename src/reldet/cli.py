@@ -175,15 +175,14 @@ def _check_compatible(config: ModelConfig, image, catalog, source: str) -> None:
 def cmd_eval(args) -> int:
     if not 0.0 < args.iou_thresh <= 1.0:
         raise ContractError(f"eval: --iou-thresh {args.iou_thresh} must lie in (0, 1]")
-    if args.json:
-        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-    params, config = load_checkpoint(args.checkpoint)
-    scenes, catalog = load_dataset(args.data)
-    _check_compatible(config, scenes[0].image, catalog, f"dataset {args.data}")  # one size: load_dataset checks
-    report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh, names=list(catalog))
-    print(report.to_table())
-    if args.json:
-        write_atomic(args.json, encode_json(report.to_json_dict()))
+    with _directories_for_run(*([Path(args.json).parent] if args.json else [])):
+        params, config = load_checkpoint(args.checkpoint)
+        scenes, catalog = load_dataset(args.data)
+        _check_compatible(config, scenes[0].image, catalog, f"dataset {args.data}")  # one size: load_dataset checks
+        report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh, names=list(catalog))
+        print(report.to_table())
+        if args.json:
+            write_atomic(args.json, encode_json(report.to_json_dict()))
     return 0
 
 
@@ -202,26 +201,26 @@ def _draw_outline(img: np.ndarray, box: Box, color) -> None:
 
 
 def cmd_predict(args) -> int:
-    params, config = load_checkpoint(args.checkpoint)
-    image = read_ppm(args.image)
-    # a checkpoint saved without train has no catalog.json
-    cat_path, source, catalog = Path(args.checkpoint) / "catalog.json", f"image {args.image}", None
-    if cat_path.exists():
-        catalog, source = load_catalog(cat_path), f"{source} with {cat_path}"
-    catalog = class_names(config.num_classes, catalog)
-    _check_compatible(config, image, catalog, source)
-    dets = evaluation.extract_detections(forward(Tensor(image), params, config))
-    doc = annotations_to_json(Path(args.image).name, image, dets, catalog)
-    for rec, d in zip(doc["objects"], dets):
-        rec["confidence"] = d.confidence
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path, ppm_path = prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".ppm")
-    write_atomic(json_path, encode_json(doc))
-    rendered = image.copy()
-    for d in dets:
-        _draw_outline(rendered, d.box, class_color(d.class_id))
-    write_atomic(ppm_path, encode_ppm(rendered))
+    with _directories_for_run(prefix.parent):
+        params, config = load_checkpoint(args.checkpoint)
+        image = read_ppm(args.image)
+        # a checkpoint saved without train has no catalog.json
+        cat_path, source, catalog = Path(args.checkpoint) / "catalog.json", f"image {args.image}", None
+        if cat_path.exists():
+            catalog, source = load_catalog(cat_path), f"{source} with {cat_path}"
+        catalog = class_names(config.num_classes, catalog)
+        _check_compatible(config, image, catalog, source)
+        dets = evaluation.extract_detections(forward(Tensor(image), params, config))
+        doc = annotations_to_json(Path(args.image).name, image, dets, catalog)
+        for rec, d in zip(doc["objects"], dets):
+            rec["confidence"] = d.confidence
+        write_atomic(json_path, encode_json(doc))
+        rendered = image.copy()
+        for d in dets:
+            _draw_outline(rendered, d.box, class_color(d.class_id))
+        write_atomic(ppm_path, encode_ppm(rendered))
     print(f"{len(dets)} detections; wrote {json_path.name} and {ppm_path.name}")
     return 0
 

@@ -28,10 +28,12 @@ record must be on the tape for gradients to reach those parameters.
 Parameters live in an ordered name -> Tensor dict whose tensors are views
 into one C-contiguous float64 buffer, the parameter arena, laid out in
 ``param_spec`` order; their ``grad`` arrays are views into a matching
-gradient buffer. Adam and checkpoints work on the two buffers whole
-(``arena_of``). Rebinding a dict entry to a fresh Tensor takes that parameter
-out of the arena: fine for a forward-only experiment such as the query
-permutation in ``checks.equivariance_deviations``, refused by ``arena_of``.
+gradient buffer. Adam works on the two buffers whole (``arena_of``). A
+checkpoint does not read the arena: it writes the tensors one after another
+in ``param_spec`` order, which save and load both check. Rebinding a dict
+entry to a fresh Tensor takes that parameter out of the arena: a forward
+(such as the query permutation in ``checks.equivariance_deviations``) or a
+save accepts it, ``arena_of`` and so Adam refuses it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numeric
+from .data import SceneConfig
 from .errors import CapacityError, ContractError, ShapeError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
@@ -61,14 +64,14 @@ def check_image_size(h: int, w: int) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    image_size: tuple[int, int] = (32, 32)
+    image_size: tuple[int, int] = SceneConfig().image_size
     backbone_channels: int = 16
     model_dim: int = 32
     num_heads: int = 4
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2  # first decode pass; the relation refine pass adds one more layer
     num_queries: int = 16
-    num_classes: int = 5
+    num_classes: int = len(SceneConfig().catalog)
     knn_k: int = 3
     seed: int = 3
 

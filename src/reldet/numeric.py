@@ -84,10 +84,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
 
 class Tape:
     """Ordered record of executed ops; backward replays it exactly reversed.

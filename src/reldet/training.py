@@ -163,36 +163,28 @@ def write_log(rows: list[TrainLogRow], path) -> None:
 # checkpoints: manifest.json + weights.bin (little-endian float64)
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    d["image_size"] = list(config.image_size)
-    return d
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["image_size"] = tuple(d["image_size"])
-    return ModelConfig(**d)
+def _layout(config: ModelConfig) -> list[tuple[str, tuple]]:
+    """The checkpoint's tensor list, (name, shape) in ``param_spec`` order: the
+    one layout rule that save and load both check."""
+    return [(name, shape) for name, shape, _ in param_spec(config)]
 
 
 def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) -> None:
-    """Write ``weights.bin`` (the parameter arena as one little-endian float64
-    blob), then ``manifest.json``, each atomically: a save that fails part way
-    leaves any earlier file of the same name whole and no temporary file."""
-    flat = arena_of(params)
-    # weights.bin lists the tensors in manifest order, which is the dict order
-    start, offset = flat.__array_interface__["data"][0], 0
-    for name, p in params.items():
-        if p.data.__array_interface__["data"][0] != start + 8 * offset:
-            raise ContractError(f"parameter {name} is out of dict order in the parameter arena")
-        offset += p.size
+    """Write ``weights.bin`` (each tensor as little-endian float64, in manifest
+    order), then ``manifest.json``, each atomically: a save that fails part
+    way leaves any earlier file of the same name whole and no temporary file.
+
+    ContractError, before any directory is made, unless the names and shapes
+    of ``params``, in dict order, are the layout of ``config`` that
+    ``load_checkpoint`` checks.
+    """
+    layout = _layout(config)
+    if [(name, p.shape) for name, p in params.items()] != layout:
+        raise ContractError("parameters do not match the model layout for the config they are saved with")
     out = Path(ckpt_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": _config_to_dict(config),
-        "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
-    }
-    write_atomic(out / "weights.bin", flat.astype("<f8", copy=False).tobytes())
+    manifest = {"config": asdict(config), "tensors": [{"name": name, "shape": list(shape)} for name, shape in layout]}
+    write_atomic(out / "weights.bin", b"".join(p.data.astype("<f8", copy=False).tobytes() for p in params.values()))
     write_atomic(out / "manifest.json", encode_json(manifest))
 
 
@@ -206,7 +198,8 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     except ParseError as e:
         raise IntegrityError(f"bad manifest.json in {root}: {e.__cause__}") from e
     try:
-        config = _config_from_dict(manifest["config"])
+        d = manifest["config"]
+        config = ModelConfig(**{**d, "image_size": tuple(d["image_size"])})
         listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise IntegrityError(f"bad config or tensors in {root / 'manifest.json'}: {e!r}") from e
@@ -214,7 +207,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     # match it, and is refused before ``param_spec`` would walk that many layers
     if config.num_encoder_layers + config.num_decoder_layers > len(listed):
         raise IntegrityError("manifest layer counts exceed its tensor list")
-    expected = [(name, tuple(shape)) for name, shape, _ in param_spec(config)]
+    expected = _layout(config)
     if listed != expected:
         raise IntegrityError("manifest tensor list does not match the model layout for its config")
     try:

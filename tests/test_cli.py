@@ -328,7 +328,7 @@ def test_train_log_into_a_missing_directory(dataset, tmp_path):
     assert not (tmp_path / "ck" / "train_log.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train-log", "train-out", "eval-json"])
+@pytest.mark.parametrize("command", ["train-log", "train-out", "eval-json", "predict-out"])
 def test_uncreatable_output_directory_exits_2_before_any_work(dataset, checkpoint, tmp_path, monkeypatch, command):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, so no directory can be made under it")
@@ -344,8 +344,21 @@ def test_uncreatable_output_directory_exits_2_before_any_work(dataset, checkpoin
         "train-out": ["train", "--data", str(dataset), "--out", str(blocker / "ck"), *TRAIN_FLAGS],
         "eval-json": ["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
                       "--json", str(blocker / "reports" / "eval.json")],
+        "predict-out": ["predict", "--image", str(dataset / "scene_00000.ppm"), "--checkpoint", str(checkpoint),
+                        "--out", str(blocker / "preds" / "pred")],
     }[command]
     assert run(*argv) == 2
+
+
+def test_failing_eval_removes_the_directory_it_made(tmp_path, capsys):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for report in (tmp_path / "new" / "deep" / "r.json", kept / "r.json"):
+        assert run("eval", "--data", str(tmp_path / "nodata"), "--checkpoint", str(tmp_path / "nock"),
+                   "--json", str(report)) == 4
+        assert capsys.readouterr().err.startswith("checkpoint mismatch: no manifest.json")
+    assert not (tmp_path / "new").exists()
+    assert kept.is_dir() and not any(kept.iterdir())
 
 
 def test_eval_prints_table_and_json(dataset, checkpoint, tmp_path, capsys):

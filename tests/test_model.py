@@ -50,6 +50,12 @@ def test_config_validation():
         ModelConfig(num_queries=0)
 
 
+def test_model_defaults_read_the_default_scenes():
+    scene, cfg = data.SceneConfig(), ModelConfig()
+    assert cfg.image_size == scene.image_size == (32, 32)
+    assert cfg.num_classes == len(scene.catalog) == len(data.DEFAULT_CLASSES) == 5
+
+
 def test_init_params_deterministic_and_finite():
     cfg = TINY
     a = init_params(cfg)

@@ -256,14 +256,38 @@ def test_params_are_views_of_one_arena_in_spec_order(tmp_path):
     assert_arena_in_spec_order(loaded, config)
 
 
-def test_rebound_parameter_is_refused_by_adam_and_save(tmp_path):
-    params = init_params(CFG)
-    params["query_embed"] = Tensor(params["query_embed"].data.copy(), requires_grad=True)
+def rebound_query_embed(params):
+    """``params`` with ``query_embed`` rebound to a fresh Tensor outside the arena."""
+    params["query_embed"] = Tensor(params["query_embed"].data + 1.0, requires_grad=True)
     params["query_embed"].grad = np.zeros(params["query_embed"].shape)
+    return params
+
+
+def test_rebound_parameter_is_refused_by_adam():
     with pytest.raises(ContractError, match="query_embed"):
-        adam_step(params, OptimizerState())
-    with pytest.raises(ContractError, match="query_embed"):
-        save_checkpoint(tmp_path / "ckpt", params, CFG)
+        adam_step(rebound_query_embed(init_params(CFG)), OptimizerState())
+
+
+def test_rebound_parameter_is_saved_and_loads_back(tmp_path):
+    params = rebound_query_embed(init_params(CFG))
+    save_checkpoint(tmp_path / "ckpt", params, CFG)
+    loaded, config = load_checkpoint(tmp_path / "ckpt")
+    assert config == CFG
+    for name, p in params.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["other config", "missing entry", "reordered"])
+def test_save_refuses_parameters_off_the_config_layout_before_making_a_directory(tmp_path, case):
+    params = init_params(CFG)
+    if case == "other config":
+        config = dataclasses.replace(CFG, num_queries=CFG.num_queries + 2)
+    else:
+        config, names = CFG, list(params)
+        names = names[1:] if case == "missing entry" else [names[1], names[0], *names[2:]]
+        params = {name: params[name] for name in names}
+    with pytest.raises(ContractError, match="layout"):
+        save_checkpoint(tmp_path / "ckpt" / "deep", params, config)
     assert not (tmp_path / "ckpt").exists()
 
 
@@ -271,7 +295,7 @@ def write_checkpoint_per_tensor(ckpt_dir, params, config):
     """The checkpoint writer before the arena: one write per tensor."""
     ckpt_dir.mkdir(parents=True)
     manifest = {
-        "config": training._config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
     (ckpt_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
