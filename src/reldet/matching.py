@@ -64,14 +64,14 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     n = probs.shape[0]
     if len(gt) > n:
         raise CapacityError(f"{len(gt)} ground-truth objects exceed {n} prediction slots")
-    if not np.all(np.isfinite(boxes)):
+    if not np.isfinite(boxes).all():
         raise DomainError("predicted boxes have non-finite fields")
-    if np.any(boxes[:, 2:] < 0):
+    if (boxes[:, 2:] < 0).any():
         raise DomainError("predicted boxes have negative size")
-    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+    if (probs < 0).any() or (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ContractError("class probabilities must be nonnegative and sum to 1")
     cls = np.array([y.class_id for y in gt], dtype=np.intp)
-    if np.any((cls < 0) | (cls >= probs.shape[1] - 1)):
+    if ((cls < 0) | (cls >= probs.shape[1] - 1)).any():
         raise ContractError(f"target class ids {cls.tolist()} outside [0, {probs.shape[1] - 1})")
     pairs = box_pairs(box_rows(y.box for y in gt), boxes, grid=True)
     d = np.abs(pairs.delta)

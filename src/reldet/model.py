@@ -53,6 +53,12 @@ from .relation import aggregate, build_knn_graph
 
 _FFN_MULT = 2  # feed-forward hidden width, in units of model_dim
 
+# The most encoder or decoder layers a config may ask for. ``param_spec`` lists
+# each layer's tensors one by one, so a count such as 10**400 would grow that
+# list until memory ran out; 1024 layers, like ``data.MAX_OBJECTS`` objects,
+# already cost seconds per training step.
+MAX_LAYERS = 1024
+
 
 def check_image_size(h: int, w: int) -> None:
     """The one rule on image sizes, for ``gen-data``'s flag and model configs
@@ -89,8 +95,11 @@ class ModelConfig:
             raise ContractError(f"model_dim {self.model_dim} must be positive and even (sin/cos encodings)")
         if self.model_dim % self.num_heads:
             raise ContractError(f"model_dim {self.model_dim} not divisible by {self.num_heads} heads")
-        if self.backbone_channels < 1 or self.num_encoder_layers < 0 or self.num_decoder_layers < 0:
-            raise ContractError("need at least one backbone channel and no negative layer count")
+        if self.backbone_channels < 1:
+            raise ContractError("need at least one backbone channel")
+        if not (0 <= self.num_encoder_layers <= MAX_LAYERS and 0 <= self.num_decoder_layers <= MAX_LAYERS):
+            raise ContractError(f"layer counts must lie in [0, {MAX_LAYERS}], got {self.num_encoder_layers} encoder "
+                                f"and {self.num_decoder_layers} decoder layers")
         if self.num_queries < 1 or self.num_classes < 1:
             raise ContractError("need at least one query and one class")
         if self.knn_k < 0 or self.seed < 0:

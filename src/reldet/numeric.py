@@ -20,7 +20,11 @@ There are six primitives, the fused blocks below that the model and its loss
 are built from. No op broadcasts. Each activation, the layer norm and the
 affine map ``x @ w + b[None, :]`` (backward ``(g @ w.T, x.T @ g,
 np.add.reduce(g, axis=0))``, and nothing for an input without a node id)
-have one implementation, which every block that needs it shares.
+have one implementation, which every block that needs it shares. A product
+of two 2-D arrays runs through ``np.dot``, which makes the BLAS call that
+``@`` makes, with the same bytes, at less call overhead; the batched 3-D
+per-head products stay ``@``, because ``np.dot`` on an N-D operand is a
+tensor contraction that folds the batch into rows, which changes bits.
 
 Each fused primitive records one tape entry with the forward and gradient
 bits of the chain of small ops it replaces (``tests/tape_chains.py`` keeps
@@ -224,10 +228,12 @@ def backward(y: Tensor, grad=None) -> None:
 # array helpers: the activations, the layer norm and the affine map
 
 
-def _tensor_arg(x, op: str) -> Tensor:
-    if not isinstance(x, Tensor):
-        raise ContractError(f"{op}: expected a Tensor, got {type(x).__name__}")
-    return x
+def _tensor_args(op: str, *ts) -> tuple:
+    """``ts`` as a tuple, once each is checked to be a Tensor; ContractError naming ``op`` otherwise."""
+    for t in ts:
+        if not isinstance(t, Tensor):
+            raise ContractError(f"{op}: expected a Tensor, got {type(t).__name__}")
+    return ts
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -246,10 +252,17 @@ def _relu(h: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis. ``np.maximum.reduce`` and
-    ``np.add.reduce`` are ``ndarray.max`` and ``.sum``'s IEEE operations at
-    less call overhead."""
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    """Max-shifted softmax over the last axis; ``np.add.reduce`` is
+    ``ndarray.sum``'s IEEE operations at less call overhead.
+
+    The shift is ``np.fmax.reduce``, which is faster than ``np.maximum.reduce``
+    and returns the same values. On a row without NaN both give the row's
+    largest entry, at most with the other sign of a zero: x - 0.0 and x -
+    (-0.0) differ only for a zero x, and exp(+0) = exp(-0) = 1. On a row with
+    a NaN, fmax skips it where maximum propagates it, but the NaN entry stays
+    NaN through the shift and the exp, so the row's sum and then every entry
+    are NaN under either shift."""
+    e = z - np.fmax.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
@@ -280,8 +293,9 @@ def _layer_norm_grad(y: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarra
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b[None, :]``, with the bias added in place: the same IEEE operations."""
-    y = x @ w
+    """``x @ w + b[None, :]`` for 2-D x and w, the product through ``np.dot``
+    and the bias added in place: the same IEEE operations."""
+    y = np.dot(x, w)
     y += b
     return y
 
@@ -291,8 +305,8 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, ids) -> tuple:
     its output; None for each of the three whose entry in ``ids`` is None
     (an input without a node id)."""
     return (
-        g @ w.T if ids[0] is not None else None,
-        x.T @ g if ids[1] is not None else None,
+        np.dot(g, w.T) if ids[0] is not None else None,
+        np.dot(x.T, g) if ids[1] is not None else None,
         np.add.reduce(g, axis=0) if ids[2] is not None else None,
     )
 
@@ -321,7 +335,7 @@ def backbone(image: Tensor, layers: Sequence[Tensor]) -> Tensor:
     same pixels. The forward and backward keep the array layouts of the
     chain of conv, ReLU, reshape and transpose records that this replaces.
     """
-    x, *ts = (_tensor_arg(t, "backbone") for t in (image, *layers))
+    x, *ts = _tensor_args("backbone", image, *layers)
     if not ts or len(ts) % 2:
         raise ContractError(f"backbone needs a weight and a bias per stage, got {len(ts)} tensors")
     y = x.data
@@ -395,7 +409,7 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
     layer norm's, the value's and then the query-plus-key gradient, in the
     chain's order; otherwise it lists (x, kv, x, pos, kv, kv_pos, *proj).
     """
-    x, pos, kv, kv_pos, *proj = (_tensor_arg(t, "attention_block") for t in (x, pos, kv, kv_pos, *proj))
+    x, pos, kv, kv_pos, *proj = _tensor_args("attention_block", x, pos, kv, kv_pos, *proj)
     if len(proj) != 8:
         raise ContractError(f"attention_block needs 8 projection tensors (wq, bq, ..., wo, bo), got {len(proj)}")
     xx, xv = x.data, kv.data
@@ -429,7 +443,7 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
     def bwd(g, ids):
         either = lambda i: ids[i] if ids[i] is not None else ids[i + 1]  # an id of slot i or i + 1
         g = _layer_norm_grad(y, inv, g)
-        go = (g @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
+        go = np.dot(g, wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
         ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
         gqp = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
         gq = _affine_grads(xq, wq, gqp, (either(2), *ids[w0:w0 + 2]))
@@ -494,7 +508,7 @@ def mlp(x: Tensor, layers: Sequence[Tensor], output: Optional[str] = None) -> Te
     or ``"softmax"`` over each row. One record with the bits of the chain of
     affine, relu and sigmoid or softmax records. One layer, ``mlp(x, (w,
     b))``, is ``x @ w + b[None, :]`` alone."""
-    x, *ts = (_tensor_arg(t, "mlp") for t in (x, *layers))
+    x, *ts = _tensor_args("mlp", x, *layers)
     if output not in _OUTPUTS:
         raise ContractError(f"mlp output must be None, 'sigmoid' or 'softmax', got {output!r}")
     squash, squash_grad = _OUTPUTS[output]
@@ -508,7 +522,7 @@ def ffn_block(x: Tensor, layers: Sequence[Tensor]) -> Tensor:
     [m, d] rows, as one record with the bits of that chain. The record lists
     x twice, (x, x, *layers), for the layer norm's gradient and then the
     perceptron's, the order in which the chain added them."""
-    x, *ts = (_tensor_arg(t, "ffn_block") for t in (x, *layers))
+    x, *ts = _tensor_args("ffn_block", x, *layers)
     h, rule = _mlp_core("ffn_block", x.data, ts)
     if h.shape != x.shape:
         raise ShapeError(f"ffn_block: the layers map {x.shape} rows to {h.shape}, not to the residual's shape")
@@ -528,21 +542,21 @@ def relation(x: Tensor, m, w: Tensor, b: Tensor) -> Tensor:
     transpose, affine and relu records it replaces. The record lists x twice,
     (x, x, w, b), for the concat's slice of the gradient and then the
     product's ``m.T @ g``, the order in which the chain added them."""
-    x, w, b = (_tensor_arg(t, "relation") for t in (x, w, b))
+    x, w, b = _tensor_args("relation", x, w, b)
     xx, m = x.data, np.asarray(m, dtype=np.float64)
     if xx.ndim != 2 or m.shape != (xx.shape[0],) * 2:
         raise ShapeError(f"relation: rows {xx.shape} and a mixing matrix {m.shape} disagree")
     d = xx.shape[1]
     wt = np.ascontiguousarray(w.data.T)  # C order, as the chain held it: the BLAS bits depend on the layout
     _check_affine("relation", 2 * d, wt, b.data)
-    h = np.concatenate([xx, m @ xx], axis=-1)
+    h = np.concatenate([xx, np.dot(m, xx)], axis=-1)
     y = _affine(h, wt, b.data)
     mask = _relu(y)
 
     def bwd(g, ids):
         gh, gwt, gb = _affine_grads(h, wt, g * mask, (ids[0], *ids[2:]))
         gw = None if gwt is None else gwt.T
-        return (None, None, gw, gb) if gh is None else (gh[:, :d], m.T @ gh[:, d:], gw, gb)
+        return (None, None, gw, gb) if gh is None else (gh[:, :d], np.dot(m.T, gh[:, d:]), gw, gb)
 
     return _record("relation", Tensor(y), (x, x, w, b), bwd)
 
@@ -572,8 +586,7 @@ def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: 
     the order in which fan-out gradients are summed and the tie masks of the
     min/max and relu ops, so the gradients are the chain's bit for bit.
     """
-    probs = _tensor_arg(probs, "set_loss")
-    boxes = _tensor_arg(boxes, "set_loss")
+    probs, boxes = _tensor_args("set_loss", probs, boxes)
     rows = np.asarray(perm, dtype=np.intp)
     cls_ids = np.asarray(classes, dtype=np.intp)
     t = np.asarray(targets, dtype=np.float64)

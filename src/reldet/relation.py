@@ -46,12 +46,14 @@ def build_knn_graph(centers, k: int) -> RelationGraph:
         dy = pts[:, 1, None] - pts[None, :, 1]
         dist = np.sqrt(dx * dx + dy * dy)
         np.fill_diagonal(dist, np.inf)  # a node is never its own neighbor
-        rows = np.arange(n)
+        row_start = np.arange(0, n * n, n)  # node i's pick j is entry i*n + j of the flat [n, n] arrays
+        flat_adj, flat_dist = adj.reshape(-1), dist.reshape(-1)  # views: both arrays are C-contiguous
         for _ in range(min(k, n - 1)):
             # argmin returns the first of equal minima, so ties go to the lower index
             nearest = dist.argmin(axis=1)
-            adj[rows, nearest] = True
-            dist[rows, nearest] = np.inf
+            nearest += row_start
+            flat_adj[nearest] = True
+            flat_dist[nearest] = np.inf
         adj |= adj.T
     return RelationGraph(n, adj)
 

@@ -53,9 +53,13 @@ from reldet.errors import ContractError, DomainError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
 from reldet.numeric import (Tensor, _affine, _affine_grads, _conv3x3_indices, _record, _softmax, _softmax_grad,
-                            _tensor_arg)
+                            _tensor_args)
 
 _TINY = 1e-12
+
+
+def _tensor_arg(x, op: str) -> Tensor:
+    return _tensor_args(op, x)[0]
 
 
 def _as_pair(a, b, op: str):

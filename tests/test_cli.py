@@ -18,7 +18,7 @@ from reldet.errors import CapacityError
 from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
 from reldet.geometry import LossWeights
 from reldet.matching import DEFAULT_NULL_WEIGHT, hungarian_loss_terms
-from reldet.model import ModelConfig
+from reldet.model import MAX_LAYERS, ModelConfig
 from reldet.training import DEFAULT_LR, OptimizerState, train
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
@@ -286,6 +286,18 @@ def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--enc-layers", "--dec-layers"])
+@pytest.mark.parametrize("layers", [str(MAX_LAYERS + 1), "100000000", str(10**400)])
+def test_train_layer_count_above_the_cap_exits_2(dataset, tmp_path, capsys, monkeypatch, flag, layers):
+    # refused by the config, before param_spec lists any layer: no parameter is made
+    monkeypatch.setattr("reldet.training.init_params", None)  # calling it would raise TypeError
+    out = tmp_path / "ck"
+    assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, layers) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: layer counts must lie in [0, {MAX_LAYERS}]") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("queries", ["10000000000000", "1000000000000000000"])
@@ -567,13 +579,14 @@ def test_eval_manifest_with_zero_heads_exits_4(dataset, checkpoint, tmp_path, ca
 
 @pytest.mark.parametrize("field", ["num_encoder_layers", "num_decoder_layers"])
 def test_eval_manifest_with_a_huge_layer_count_exits_4(dataset, checkpoint, tmp_path, capsys, field):
-    # refused from the tensor list's length, without walking 10**400 layers
+    # refused by ModelConfig's layer cap, without walking 10**400 layers
     ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
     manifest = json.loads((ckpt / "manifest.json").read_text())
     manifest["config"][field] = 10**400
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
-    assert capsys.readouterr().err.startswith("checkpoint mismatch: manifest layer counts")
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch: bad config") and f"layer counts must lie in [0, {MAX_LAYERS}]" in err
 
 
 def test_eval_undecodable_manifest_exits_4(dataset, checkpoint, tmp_path):

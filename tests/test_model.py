@@ -10,6 +10,7 @@ from reldet.errors import ContractError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms
 from reldet.model import (
+    MAX_LAYERS,
     ModelConfig,
     backbone_forward,
     box_head,
@@ -48,6 +49,15 @@ def test_config_validation():
         ModelConfig(model_dim=30, num_heads=4)
     with pytest.raises(ContractError):
         ModelConfig(num_queries=0)
+
+
+@pytest.mark.parametrize("field", ["num_encoder_layers", "num_decoder_layers"])
+def test_config_caps_the_layer_counts(field):
+    # param_spec lists every layer's tensors, so an uncapped count would grow that list without bound
+    assert len(param_spec(ModelConfig(**{field: MAX_LAYERS}))) > MAX_LAYERS
+    for count in (MAX_LAYERS + 1, 10**400, -1):
+        with pytest.raises(ContractError, match=rf"layer counts must lie in \[0, {MAX_LAYERS}\]"):
+            ModelConfig(**{field: count})
 
 
 def test_model_defaults_read_the_default_scenes():

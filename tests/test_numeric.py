@@ -82,6 +82,50 @@ def test_softmax_shift_invariance_and_normalization(xs, c):
     assert np.all(base > 0) and np.all(base < 1)
 
 
+def test_softmax_fmax_shift_returns_the_max_shift_values():
+    # every row of 4 drawn from NaN, +-inf, +-0, +-1e308 and ordinary values; np.fmax skips a NaN
+    # where np.maximum propagates it, but a NaN entry makes the row's sum NaN under either shift
+    pool = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 1.0, -2.5]
+    z = np.array(np.meshgrid(*[pool] * 4, indexing="ij")).reshape(4, -1).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = numeric._softmax(z.copy())
+        e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        want = e / np.add.reduce(e, axis=-1, keepdims=True)
+        np.testing.assert_array_equal(numeric._softmax(z.reshape(-1, 9, 4).copy()), got.reshape(-1, 9, 4))
+    has_nan = np.isnan(z).any(axis=1)
+    assert has_nan.sum() == len(pool) ** 4 - (len(pool) - 1) ** 4
+    assert _bits(got[~has_nan]) == _bits(want[~has_nan])
+    assert np.isnan(got[has_nan]).all() and np.isnan(want[has_nan]).all()
+
+
+def _valid_block_calls():
+    """(block name, call taking a list of the block's Tensor arguments, those arguments) for each
+    of the six blocks, with arguments that the block accepts."""
+    z = lambda *shape: Tensor(np.full(shape, 0.25))
+    probs, boxes = Tensor(np.full((2, 3), 1 / 3)), Tensor(np.full((2, 4), 0.5))
+    return [
+        ("backbone", lambda ts: numeric.backbone(ts[0], ts[1:]), [z(3, 8, 8), z(27, 4), z(4), z(36, 2), z(2)]),
+        ("attention_block", lambda ts: numeric.attention_block(*ts[:4], ts[4:], 2),
+         [z(2, 4), z(2, 4), z(3, 4), z(3, 4), *[z(4, 4), z(4)] * 4]),
+        ("ffn_block", lambda ts: numeric.ffn_block(ts[0], ts[1:]), [z(2, 4), z(4, 5), z(5), z(5, 4), z(4)]),
+        ("mlp", lambda ts: numeric.mlp(ts[0], ts[1:], "softmax"), [z(2, 4), z(4, 3), z(3), z(3, 2), z(2)]),
+        ("relation", lambda ts: numeric.relation(ts[0], np.eye(3), *ts[1:]), [z(3, 2), z(4, 4), z(4)]),
+        ("set_loss", lambda ts: numeric.set_loss(*ts, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights()),
+         [probs, boxes]),
+    ]
+
+
+@pytest.mark.parametrize("block", range(6), ids=[name for name, _, _ in _valid_block_calls()])
+def test_each_block_refuses_a_bare_array_at_any_tensor_position(block):
+    name, call, tensors = _valid_block_calls()[block]
+    call(tensors)
+    for i in sorted({0, len(tensors) // 2, len(tensors) - 1}):
+        args = [*tensors[:i], tensors[i].data, *tensors[i + 1:]]
+        with pytest.raises(ContractError, match=f"^{name}: expected a Tensor, got ndarray$"):
+            call(args)
+
+
 def test_relu_sigmoid_layernorm_definitions():
     np.testing.assert_array_equal(chain.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert chain.sigmoid(Tensor([0.0])).data[0] == 0.5

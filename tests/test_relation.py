@@ -15,8 +15,8 @@ def params_from(w, b):
 
 
 def knn_adjacency_oracle(centers, k):
-    """The sort-per-node loop that the argsort replaced: each node links to
-    its k nearest others by a stable sort over the other indices."""
+    """The reference for ``build_knn_graph``, one sort per node: each node
+    links to its k nearest others by a stable sort over the other indices."""
     pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
     adj = np.zeros((n, n), dtype=bool)
@@ -52,6 +52,17 @@ def test_knn_adjacency_matches_sort_per_node_oracle(seed):
         pts[n // 2 :] = pts[: n - n // 2]
     for k in (1, 2, 3, 5, n - 1, n + 2):
         np.testing.assert_array_equal(build_knn_graph(pts, k).adjacency, knn_adjacency_oracle(pts, k))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_knn_adjacency_matches_the_oracle_on_duplicate_centers(n):
+    # the query counts of the default and the crowded config; every center repeats another
+    # and sits on a coarse grid, so equal distances occur in every row
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pts = (np.round(rng.uniform(0, 1, (n // 2, 2)) * 4) / 4)[rng.permutation(n) % (n // 2)]
+        for k in (1, 2, 3, 5, n - 1):
+            np.testing.assert_array_equal(build_knn_graph(pts, k).adjacency, knn_adjacency_oracle(pts, k))
 
 
 def test_knn_duplicate_centers_tie_to_lower_index():
