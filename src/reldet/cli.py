@@ -21,11 +21,9 @@ from .data import (
     SceneConfig,
     annotations_to_json,
     class_color,
-    class_names,
     encode_json,
     encode_ppm,
     generate_scene,
-    load_catalog,
     load_dataset,
     read_ppm,
     save_dataset,
@@ -150,26 +148,23 @@ def cmd_train(args) -> int:
     with _directories_for_run(out, log_path.parent):
         scenes, catalog = load_dataset(args.data, max_objects=args.queries)
         h, w = scenes[0].image.shape[1:]
-        config = ModelConfig(image_size=(h, w), num_classes=len(catalog),
+        config = ModelConfig(image_size=(h, w), catalog=tuple(catalog),
                              **{field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()})
         weights = LossWeights(args.lambda_iou, args.lambda_l1)
         params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
         save_checkpoint(out, params, config)
-        write_atomic(out / "catalog.json", encode_json(list(catalog)))
         write_log(rows, log_path)
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
           f"final loss {rows[-1].total:.4f}; checkpoint in {out}")
     return 0
 
 
-def _check_compatible(config: ModelConfig, image, catalog, source: str) -> None:
-    """IntegrityError (exit 4) unless ``image``'s size and the class count of
-    ``catalog`` are the checkpoint's; ``source`` names where they came from."""
+def _check_image_size(config: ModelConfig, image, source: str) -> None:
+    """IntegrityError (exit 4) unless ``image``'s size is the checkpoint's;
+    ``source`` names where the image came from."""
     (h, w), (hc, wc) = image.shape[1:], config.image_size
     if (h, w) != (hc, wc):
         raise IntegrityError(f"{source}: images are {h}x{w} but the checkpoint expects {hc}x{wc}")
-    if len(catalog) != config.num_classes:
-        raise IntegrityError(f"{source}: {len(catalog)} classes but the checkpoint has {config.num_classes}")
 
 
 def cmd_eval(args) -> int:
@@ -178,8 +173,11 @@ def cmd_eval(args) -> int:
     with _directories_for_run(*([Path(args.json).parent] if args.json else [])):
         params, config = load_checkpoint(args.checkpoint)
         scenes, catalog = load_dataset(args.data)
-        _check_compatible(config, scenes[0].image, catalog, f"dataset {args.data}")  # one size: load_dataset checks
-        report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh, names=list(catalog))
+        _check_image_size(config, scenes[0].image, f"dataset {args.data}")  # one size: load_dataset checks
+        if tuple(catalog) != config.catalog:  # the class ids of both must name the same classes
+            raise IntegrityError(f"dataset {args.data}: classes {', '.join(catalog)} but the checkpoint has "
+                                 f"{', '.join(config.catalog)}")
+        report = evaluation.evaluate_dataset(scenes, params, config, args.iou_thresh)
         print(report.to_table())
         if args.json:
             write_atomic(args.json, encode_json(report.to_json_dict()))
@@ -206,14 +204,9 @@ def cmd_predict(args) -> int:
     with _directories_for_run(prefix.parent):
         params, config = load_checkpoint(args.checkpoint)
         image = read_ppm(args.image)
-        # a checkpoint saved without train has no catalog.json
-        cat_path, source, catalog = Path(args.checkpoint) / "catalog.json", f"image {args.image}", None
-        if cat_path.exists():
-            catalog, source = load_catalog(cat_path), f"{source} with {cat_path}"
-        catalog = class_names(config.num_classes, catalog)
-        _check_compatible(config, image, catalog, source)
+        _check_image_size(config, image, f"image {args.image}")
         dets = evaluation.extract_detections(forward(Tensor(image), params, config))
-        doc = annotations_to_json(Path(args.image).name, image, dets, catalog)
+        doc = annotations_to_json(Path(args.image).name, image, dets, config.catalog)
         for rec, d in zip(doc["objects"], dets):
             rec["confidence"] = d.confidence
         write_atomic(json_path, encode_json(doc))
@@ -231,7 +224,7 @@ def cmd_predict(args) -> int:
 
 
 _TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                    num_encoder_layers=1, num_decoder_layers=1, num_queries=5, num_classes=2,
+                    num_encoder_layers=1, num_decoder_layers=1, num_queries=5, catalog=("a", "b"),
                     knn_k=2, seed=0)
 
 # (suite name, checks routine, sizes); every routine draws from one shared rng

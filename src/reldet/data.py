@@ -55,9 +55,13 @@ def class_color(class_id: int) -> tuple[float, float, float]:
     return CLASS_COLORS[class_id % len(CLASS_COLORS)]
 
 
-def class_names(num_classes: int, catalog=None) -> list[str]:
-    """``catalog`` when there is one, else ``class_0`` ... ``class_<num_classes - 1>``."""
-    return [f"class_{i}" for i in range(num_classes)] if catalog is None else catalog
+def check_catalog(names) -> None:
+    """The one rule on class catalogs, for scene configs, model configs and
+    catalog files alike: ContractError unless ``names`` is a nonempty tuple of
+    distinct strings."""
+    if not isinstance(names, tuple) or not all(isinstance(n, str) for n in names) or not names \
+            or len(set(names)) != len(names):
+        raise ContractError(f"catalog must be a nonempty tuple of distinct class names, got {names!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,7 @@ class SceneConfig:
             raise ContractError(f"max_objects must be an integer, got {self.max_objects!r}")
         if not 1 <= self.max_objects <= MAX_OBJECTS:
             raise ContractError(f"max_objects must lie in [1, {MAX_OBJECTS}], got {self.max_objects}")
-        names = self.catalog
-        if not isinstance(names, tuple) or not all(isinstance(n, str) for n in names) or not names \
-                or len(set(names)) != len(names):
-            raise ContractError(f"catalog must be a nonempty tuple of distinct class names, got {names!r}")
+        check_catalog(self.catalog)
 
 
 @dataclass
@@ -321,10 +322,12 @@ def save_dataset(scenes: Iterable[Scene], out_dir, catalog=DEFAULT_CLASSES) -> N
 def load_catalog(path) -> list[str]:
     """Class names from a catalog.json: a nonempty JSON list of distinct strings."""
     catalog = _read_json(Path(path))
-    if not isinstance(catalog, list) or not all(isinstance(name, str) for name in catalog):
+    if not isinstance(catalog, list):  # tuple("abc") would pass as three class names
         raise ParseError(f"{path} is not a JSON list of class names")
-    if not catalog or len(set(catalog)) != len(catalog):
-        raise ParseError(f"{path}: a catalog needs at least one class and distinct class names")
+    try:
+        check_catalog(tuple(catalog))
+    except ContractError as e:
+        raise ParseError(f"{path}: {e}") from e
     return catalog
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Scene, class_names
+from .data import Scene
 from .errors import ContractError
 from .geometry import Box, box_pairs, box_rows
 from .matching import GroundTruth
@@ -166,8 +166,9 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
 
 
 def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names=None) -> APReport:
-    """Score already-extracted detections; the model-free core of evaluation."""
-    names = class_names(num_classes, names)
+    """Score already-extracted detections; the model-free core of evaluation.
+    Classes are named by ``names``, else ``class_0`` ... ``class_<num_classes - 1>``."""
+    names = [f"class_{i}" for i in range(num_classes)] if names is None else names
     if len(per_scene_dets) != len(per_scene_gts):
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     # classes never compete for a ground truth, so one greedy pass per scene
@@ -198,9 +199,10 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
     return APReport(iou_thresh, per_class, mean_ap)
 
 
-def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thresh: float = DEFAULT_IOU_THRESH,
-                     names=None) -> APReport:
-    """Run the detector over every scene and score pooled detections."""
+def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig,
+                     iou_thresh: float = DEFAULT_IOU_THRESH) -> APReport:
+    """Run the detector over every scene and score pooled detections, naming
+    the classes by ``config.catalog``."""
     if not dataset:
         raise ContractError("evaluate_dataset needs a nonempty dataset")
     per_scene_dets = []
@@ -209,4 +211,4 @@ def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig, iou_thre
         out = forward(scene.image, params, config)
         per_scene_dets.append(extract_detections(out))
         per_scene_gts.append(scene.objects)
-    return evaluate_detections(per_scene_dets, per_scene_gts, config.num_classes, iou_thresh, names)
+    return evaluate_detections(per_scene_dets, per_scene_gts, config.num_classes, iou_thresh, config.catalog)

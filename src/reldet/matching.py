@@ -83,7 +83,7 @@ def _finite_matrix(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ContractError(f"cost matrix must be 2-d, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ContractError("cost matrix must be finite")
     return c
 

@@ -30,7 +30,10 @@ into one C-contiguous float64 buffer, the parameter arena, laid out in
 ``param_spec`` order; their ``grad`` arrays are views into a matching
 gradient buffer. Adam works on the two buffers whole (``arena_of``). A
 checkpoint does not read the arena: it writes the tensors one after another
-in ``param_spec`` order, which save and load both check. Rebinding a dict
+in ``param_spec`` order, which save and load both check. The config names
+the classes the heads score (``catalog``; ``num_classes`` is its length),
+so a checkpoint's manifest carries the class names with the rest of the
+config. Rebinding a dict
 entry to a fresh Tensor takes that parameter out of the arena: a forward
 (such as the query permutation in ``checks.equivariance_deviations``) or a
 save accepts it, ``arena_of`` and so Adam refuses it.
@@ -46,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numeric
-from .data import SceneConfig
+from .data import SceneConfig, check_catalog
 from .errors import CapacityError, ContractError, ShapeError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
@@ -77,18 +80,19 @@ class ModelConfig:
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2  # first decode pass; the relation refine pass adds one more layer
     num_queries: int = 16
-    num_classes: int = len(SceneConfig().catalog)
+    catalog: tuple[str, ...] = SceneConfig().catalog  # the class names, in class id order
     knn_k: int = 3
     seed: int = 3
 
     def __post_init__(self):
         """The one validation of a model config, for ``train``'s flags and for
         checkpoint manifests alike; raises ContractError."""
-        ints = [getattr(self, f.name) for f in fields(self) if f.name != "image_size"]
+        ints = [getattr(self, f.name) for f in fields(self) if f.name not in ("image_size", "catalog")]
         size = self.image_size
         if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in (*size, *ints)):
             raise ContractError(f"model config fields must be integers and image_size a pair of them: {self}")
         check_image_size(*size)
+        check_catalog(self.catalog)
         if self.num_heads < 1:
             raise ContractError(f"need at least one attention head, got {self.num_heads}")
         if self.model_dim < 2 or self.model_dim % 2:
@@ -100,10 +104,14 @@ class ModelConfig:
         if not (0 <= self.num_encoder_layers <= MAX_LAYERS and 0 <= self.num_decoder_layers <= MAX_LAYERS):
             raise ContractError(f"layer counts must lie in [0, {MAX_LAYERS}], got {self.num_encoder_layers} encoder "
                                 f"and {self.num_decoder_layers} decoder layers")
-        if self.num_queries < 1 or self.num_classes < 1:
-            raise ContractError("need at least one query and one class")
+        if self.num_queries < 1:
+            raise ContractError("need at least one query")
         if self.knn_k < 0 or self.seed < 0:
             raise ContractError("knn_k and seed must be nonnegative")
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.catalog)
 
     @property
     def num_tokens(self) -> int:

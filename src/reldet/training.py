@@ -7,6 +7,7 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -160,7 +161,7 @@ def write_log(rows: list[TrainLogRow], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: manifest.json + weights.bin (little-endian float64)
+# checkpoints: weights.bin (little-endian float64) + manifest.json, the commit record
 
 
 def _layout(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -174,6 +175,12 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
     order), then ``manifest.json``, each atomically: a save that fails part
     way leaves any earlier file of the same name whole and no temporary file.
 
+    The manifest holds the config, class catalog included, the tensor list
+    and the sha256 of ``weights.bin``. It is written last and commits the
+    weights: after a save that fails between the two writes, the earlier
+    manifest no longer vouches for the new weights, and ``load_checkpoint``
+    refuses them.
+
     ContractError, before any directory is made, unless the names and shapes
     of ``params``, in dict order, are the layout of ``config`` that
     ``load_checkpoint`` checks.
@@ -183,13 +190,17 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
         raise ContractError("parameters do not match the model layout for the config they are saved with")
     out = Path(ckpt_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": asdict(config), "tensors": [{"name": name, "shape": list(shape)} for name, shape in layout]}
-    write_atomic(out / "weights.bin", b"".join(p.data.astype("<f8", copy=False).tobytes() for p in params.values()))
+    blob = b"".join(p.data.astype("<f8", copy=False).tobytes() for p in params.values())
+    manifest = {"config": asdict(config), "tensors": [{"name": name, "shape": list(shape)} for name, shape in layout],
+                "weights_sha256": hashlib.sha256(blob).hexdigest()}
+    write_atomic(out / "weights.bin", blob)
     write_atomic(out / "manifest.json", encode_json(manifest))
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Restore bit-identical tensors; any manifest inconsistency is an error."""
+    """Restore bit-identical tensors and their config; IntegrityError for any
+    manifest inconsistency, for a ``weights.bin`` whose sha256 is not the one
+    the manifest records, or for non-finite weights."""
     root = Path(ckpt_dir)
     try:
         manifest = _read_json(root / "manifest.json")
@@ -199,8 +210,12 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         raise IntegrityError(f"bad manifest.json in {root}: {e.__cause__}") from e
     try:
         d = manifest["config"]
-        config = ModelConfig(**{**d, "image_size": tuple(d["image_size"])})
+        # JSON has no tuples, and tuple("abc") would pass as three class names
+        if not (isinstance(d["image_size"], list) and isinstance(d["catalog"], list)):
+            raise TypeError("image_size and catalog must be JSON lists")
+        config = ModelConfig(**{**d, "image_size": tuple(d["image_size"]), "catalog": tuple(d["catalog"])})
         listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
+        sha = manifest["weights_sha256"]
     except (KeyError, TypeError, ValueError) as e:
         raise IntegrityError(f"bad config or tensors in {root / 'manifest.json'}: {e!r}") from e
     expected = _layout(config)
@@ -213,9 +228,12 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     total = sum(int(np.prod(shape)) for _, shape in expected)
     if len(blob) != total * 8:
         raise IntegrityError(f"weights.bin holds {len(blob)} bytes, expected {total * 8}")
+    if hashlib.sha256(blob).hexdigest() != sha:
+        raise IntegrityError(f"weights.bin in {root} is not the one its manifest.json commits (sha256 differs)")
     # one copy of the blob is the arena; the parameters are views of it
-    params = arena_views(expected, np.frombuffer(blob, dtype="<f8").copy())
-    bad = [name for name, p in params.items() if not np.all(np.isfinite(p.data))]
-    if bad:
-        raise IntegrityError(f"weights.bin holds non-finite values (first in {bad[0]})")
+    arena = np.frombuffer(blob, dtype="<f8").copy()
+    params = arena_views(expected, arena)
+    if not np.isfinite(arena).all():
+        name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
+        raise IntegrityError(f"weights.bin holds non-finite values (first in {name})")
     return params, config

@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 from reldet import checks, cli
-from reldet.data import DEFAULT_CLASSES, SceneConfig, generate_scene
+from reldet.data import SceneConfig, generate_scene
 from reldet.evaluation import evaluate_dataset
 from reldet.geometry import Box
 from reldet.matching import GroundTruth
@@ -56,7 +56,7 @@ def test_a2_gradient_suite():
 
     # end-to-end: 16x16 image, d=8, N=4, 20 sampled parameters, rel <= 1e-3
     cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
+                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
                       knn_k=1, seed=5)
     gts = [GroundTruth(0, Box(0.35, 0.4, 0.3, 0.3)), GroundTruth(1, Box(0.7, 0.6, 0.25, 0.2))]
     count, fails = checks.gradient_end_to_end(np.random.default_rng(77), cfg, gts, samples=20)
@@ -97,7 +97,7 @@ def overfit_runs():
         t0 = time.perf_counter()
         params, _, rows = train(scenes, cfg, epochs=300)
         elapsed = time.perf_counter() - t0
-        report = evaluate_dataset(scenes, params, cfg, 0.5, names=list(DEFAULT_CLASSES))
+        report = evaluate_dataset(scenes, params, cfg, 0.5)
         runs[k] = {"loss": rows[-1].total, "map": report.mean_ap, "time": elapsed, "report": report}
     return runs
 

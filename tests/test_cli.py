@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -10,7 +11,7 @@ import traceback
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from reldet import checks, cli, data, numeric
 from reldet.data import SceneConfig, load_dataset, read_ppm
@@ -156,8 +157,10 @@ def test_gen_data_unwritable_path_exits_2():
 
 
 def test_train_writes_checkpoint_and_log(checkpoint):
-    assert (checkpoint / "manifest.json").exists()
-    assert (checkpoint / "weights.bin").exists()
+    # the class names travel in the manifest's config, so no third checkpoint file
+    assert sorted(f.name for f in checkpoint.iterdir()) == ["manifest.json", "train_log.csv", "weights.bin"]
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    assert manifest["config"]["catalog"] == list(SceneConfig().catalog)
     log = (checkpoint / "train_log.csv").read_text().splitlines()
     assert log[0] == "epoch,scene,total,cls,box"
     assert len(log) == 1 + 2 * 5  # header + epochs * scenes
@@ -172,16 +175,12 @@ def test_train_epochs_zero_exits_2(dataset, tmp_path):
 
 def test_malformed_catalog_exits_2(dataset, checkpoint, tmp_path, capsys):
     # a duplicate name would train and score two table rows under one name
-    for i, text in enumerate(['["transformer", ', "{}", '["a", "a", "b", "c", "d"]']):
+    for i, text in enumerate(['["transformer", ', "{}", '"abcde"', '["a", "a", "b", "c", "d"]']):
         bad_ds = shutil.copytree(dataset, tmp_path / f"ds{i}")
         (bad_ds / "catalog.json").write_text(text)
         assert run("train", "--data", str(bad_ds), "--out", str(tmp_path / f"ck{i}"), *TRAIN_FLAGS) == 2
         assert run("eval", "--data", str(bad_ds), "--checkpoint", str(checkpoint)) == 2
-        bad_ckpt = shutil.copytree(checkpoint, tmp_path / f"ckpt{i}")
-        (bad_ckpt / "catalog.json").write_text(text)
-        assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
-                   "--checkpoint", str(bad_ckpt), "--out", str(tmp_path / f"p{i}")) == 2
-        assert capsys.readouterr().err.count("catalog.json") == 3, text
+        assert capsys.readouterr().err.count("catalog.json") == 2, text
 
 
 def _edited(dataset, tmp_path, edit):
@@ -385,7 +384,7 @@ def test_eval_prints_table_and_json(dataset, checkpoint, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, target", [
-    ("train", "train_log.csv"), ("train", "catalog.json"), ("eval", "report.json"),
+    ("train", "train_log.csv"), ("train", "manifest.json"), ("eval", "report.json"),
     ("predict", "pred.json"), ("predict", "pred.ppm"),
 ])
 def test_failed_report_write_keeps_the_earlier_file(dataset, checkpoint, tmp_path, monkeypatch, command, target):
@@ -491,24 +490,6 @@ def test_predict_dotted_prefix_keeps_its_tail(dataset, checkpoint, tmp_path):
     assert read_ppm(tmp_path / "runs" / "pred_0.5.ppm").shape == (3, 16, 16)
 
 
-def test_predict_without_a_catalog_names_classes_by_index(dataset, checkpoint, tmp_path):
-    # a checkpoint written by training.save_checkpoint alone has no catalog.json
-    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
-    (ckpt / "catalog.json").unlink()
-    image = str(dataset / "scene_00000.ppm")
-    assert run("predict", "--image", image, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "named")) == 0
-    assert run("predict", "--image", image, "--checkpoint", str(ckpt), "--out", str(tmp_path / "bare")) == 0
-    named = json.loads((tmp_path / "named.json").read_text())
-    bare = json.loads((tmp_path / "bare.json").read_text())
-    assert bare["objects"], "no detection to name"
-    for obj in bare["objects"]:
-        assert obj["class_name"] == f"class_{obj['class_id']}"
-    for obj in named["objects"]:
-        obj["class_name"] = f"class_{obj['class_id']}"
-    assert bare == named
-    assert (tmp_path / "bare.ppm").read_bytes() == (tmp_path / "named.ppm").read_bytes()
-
-
 def test_predict_image_of_another_size_exits_4_naming_it(checkpoint, tmp_path, capsys):
     assert run("gen-data", "--seed", "3", "--count", "1", "--out", str(tmp_path / "big"), "--img-size", "32") == 0
     image = tmp_path / "big" / "scene_00000.ppm"
@@ -518,12 +499,17 @@ def test_predict_image_of_another_size_exits_4_naming_it(checkpoint, tmp_path, c
     assert not (tmp_path / "p.json").exists()
 
 
-def test_predict_short_catalog_exits_4(dataset, checkpoint, tmp_path, capsys):
-    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
-    (ckpt / "catalog.json").write_text('["a"]')
-    assert run("predict", "--image", str(dataset / "scene_00000.ppm"),
-               "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")) == 4
-    assert capsys.readouterr().err.startswith("checkpoint mismatch")
+def test_eval_on_another_catalog_exits_4_naming_both(checkpoint, tmp_path, capsys):
+    # as many classes as the checkpoint's, under other names: a class id would score another class
+    other = tmp_path / "other"
+    assert run("gen-data", "--seed", "1", "--count", "2", "--out", str(other), "--img-size", "16",
+               "--classes", "a,b,c,d,e") == 0
+    capsys.readouterr()
+    assert run("eval", "--data", str(other), "--checkpoint", str(checkpoint), "--json", str(tmp_path / "r.json")) == 4
+    err = capsys.readouterr().err
+    assert err == (f"checkpoint mismatch: dataset {other}: classes a, b, c, d, e but the checkpoint has "
+                   "transformer, insulator, bushing, robot, uav\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_predict_unreadable_image_exits_2(checkpoint, tmp_path):
@@ -609,10 +595,38 @@ def test_deeply_nested_json_exits_cleanly(dataset, checkpoint, tmp_path, target,
 def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):
     ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
     weights = np.frombuffer((ckpt / "weights.bin").read_bytes(), dtype="<f8").copy()
-    weights[len(weights) // 2] = np.nan
+    weights[-1] = np.nan
     (ckpt / "weights.bin").write_bytes(weights.tobytes())
+    # committed by their manifest, as a save of a non-finite parameter writes them
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["weights_sha256"] = hashlib.sha256(weights.tobytes()).hexdigest()
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
     assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
-    assert "non-finite" in capsys.readouterr().err
+    assert f"non-finite values (first in {manifest['tensors'][-1]['name']})" in capsys.readouterr().err
+
+
+def test_interrupted_resave_exits_4_at_load(dataset, checkpoint, tmp_path, monkeypatch, capsys):
+    # a second train into an existing checkpoint dies between its weights and its manifest
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith("manifest.json"):
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        run("train", "--data", str(dataset), "--out", str(ckpt), *TRAIN_FLAGS, "--knn-k", "0", "--lr", "0.01")
+    monkeypatch.undo()
+    assert (ckpt / "weights.bin").read_bytes() != (checkpoint / "weights.bin").read_bytes()
+    assert (ckpt / "manifest.json").read_bytes() == (checkpoint / "manifest.json").read_bytes()
+    capsys.readouterr()
+    for argv in (["eval", "--data", str(dataset)],
+                 ["predict", "--image", str(dataset / "scene_00000.ppm"), "--out", str(tmp_path / "p")]):
+        assert run(*argv, "--checkpoint", str(ckpt)) == 4
+        assert capsys.readouterr().err == (f"checkpoint mismatch: weights.bin in {ckpt} is not the one its "
+                                           "manifest.json commits (sha256 differs)\n")
 
 
 @pytest.mark.parametrize("thresh", ["2", "0", "-0.5", "nan", "1.0000001"])
@@ -709,11 +723,16 @@ def test_fuzzed_annotation_exits_cleanly(fuzz_base, path, value, command):
 
 
 CONFIG_FIELDS = ["image_size", "backbone_channels", "model_dim", "num_heads", "num_encoder_layers",
-                 "num_decoder_layers", "num_queries", "num_classes", "knn_k", "seed"]
+                 "num_decoder_layers", "num_queries", "catalog", "knn_k", "seed"]
 
 
 @given(st.sampled_from(CONFIG_FIELDS), st.one_of(JUNK, st.just(DROP), st.lists(st.integers(-8, 24), max_size=3)),
        st.integers(-1, 300))
+@example("catalog", "abc", -1)  # tuple("abc") would pass as three class names
+@example("catalog", [], -1)
+@example("catalog", ["a", "a"], -1)
+@example("catalog", [1], -1)
+@example("catalog", None, -1)
 def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, field, value, nan_at):
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = shutil.copytree(fuzz_base / "ckpt", os.path.join(tmp, "ckpt"))
@@ -727,7 +746,9 @@ def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, field, value, nan_at):
             weights = np.fromfile(weights_path, dtype="<f8")
             weights[nan_at % weights.size] = np.nan
             weights.tofile(weights_path)
-        assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt), allowed=(0, 4))
+        # no junk or dropped catalog names the dataset's five classes
+        assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt),
+                          allowed=(4,) if field == "catalog" else (0, 4))
 
 
 FLAGS = {

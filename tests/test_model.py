@@ -38,7 +38,7 @@ def multi_head_attention(q, k, v, params, prefix, num_heads):
 
 
 TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                   num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
+                   num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
                    knn_k=1, seed=3)
 
 
@@ -49,6 +49,14 @@ def test_config_validation():
         ModelConfig(model_dim=30, num_heads=4)
     with pytest.raises(ContractError):
         ModelConfig(num_queries=0)
+
+
+def test_config_catalog_names_the_classes():
+    assert ModelConfig(catalog=("a", "b")).num_classes == 2
+    assert len(dataclasses.fields(ModelConfig)) == 10  # catalog took num_classes' place
+    for catalog in ["abc", ["a", "b"], ("a", 1), ("a", "a"), ()]:
+        with pytest.raises(ContractError, match="catalog must be a nonempty tuple of distinct class names"):
+            ModelConfig(catalog=catalog)
 
 
 @pytest.mark.parametrize("field", ["num_encoder_layers", "num_decoder_layers"])
@@ -548,7 +556,7 @@ def test_decoder_relation_ablation_equivalence(rng):
     # step to relu, so the refine pass runs directly on the (rectified)
     # pass-1 embeddings
     cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, num_classes=2,
+                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
                       knn_k=0, seed=3)
     params = init_params(cfg)
     d = cfg.model_dim

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from reldet import numeric, training
-from reldet.data import SceneConfig, generate_scene
+from reldet.data import DEFAULT_CLASSES, SceneConfig, generate_scene
 from reldet.errors import ContractError, IntegrityError, NumericError
 from reldet.geometry import LossWeights
 from reldet.model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
@@ -29,7 +30,7 @@ from reldet.training import (
 import tape_chains as chain
 
 CFG = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                  num_encoder_layers=1, num_decoder_layers=1, num_queries=6, num_classes=5,
+                  num_encoder_layers=1, num_decoder_layers=1, num_queries=6, catalog=DEFAULT_CLASSES,
                   knn_k=2, seed=0)
 
 
@@ -188,6 +189,21 @@ def test_checkpoint_truncated_weights_rejected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_manifest_names_the_classes_and_commits_the_weights(tmp_path):
+    cfg = dataclasses.replace(CFG, catalog=("transformer", "bušing", "uav", "robot", "insulator"))
+    save_checkpoint(tmp_path / "ckpt", init_params(cfg), cfg)
+    assert sorted(f.name for f in (tmp_path / "ckpt").iterdir()) == ["manifest.json", "weights.bin"]
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert manifest["config"]["catalog"] == list(cfg.catalog)
+    blob = (tmp_path / "ckpt" / "weights.bin").read_bytes()
+    assert manifest["weights_sha256"] == hashlib.sha256(blob).hexdigest()
+    assert load_checkpoint(tmp_path / "ckpt")[1] == cfg
+    # one flipped bit keeps the byte count, and the manifest no longer commits the file
+    (tmp_path / "ckpt" / "weights.bin").write_bytes(blob[:100] + bytes([blob[100] ^ 1]) + blob[101:])
+    with pytest.raises(IntegrityError, match="weights.bin"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_permuted_manifest_rejected(tmp_path):
     params = init_params(CFG)
     save_checkpoint(tmp_path / "ckpt", params, CFG)
@@ -292,16 +308,21 @@ def test_save_refuses_parameters_off_the_config_layout_before_making_a_directory
 
 
 def write_checkpoint_per_tensor(ckpt_dir, params, config):
-    """The checkpoint writer before the arena: one write per tensor."""
+    """The checkpoint writer before the arena: one write per tensor, and the
+    sha256 of the bytes written."""
     ckpt_dir.mkdir(parents=True)
+    sha = hashlib.sha256()
+    with open(ckpt_dir / "weights.bin", "wb") as fh:
+        for p in params.values():
+            blob = p.data.astype("<f8").tobytes()
+            fh.write(blob)
+            sha.update(blob)
     manifest = {
         "config": dataclasses.asdict(config),
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
+        "weights_sha256": sha.hexdigest(),
     }
     (ckpt_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    with open(ckpt_dir / "weights.bin", "wb") as fh:
-        for p in params.values():
-            fh.write(p.data.astype("<f8").tobytes())
 
 
 def test_per_tensor_checkpoint_loads_and_resaves_byte_identical(tmp_path):
@@ -342,14 +363,18 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch, 
     monkeypatch.undo()
 
     assert sorted(f.name for f in ckpt.iterdir()) == sorted(before)  # no temporary file left
+    if fail_at == "manifest rename":
+        # the weights rename happens before the manifest's, and the earlier
+        # manifest does not commit the new weights
+        assert (ckpt / "manifest.json").read_bytes() == before["manifest.json"]
+        with pytest.raises(IntegrityError, match="weights.bin .* is not the one its manifest.json commits"):
+            load_checkpoint(ckpt)
+        return
+    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
     loaded, config = load_checkpoint(ckpt)
     assert config == CFG
-    # the weights rename happens before the manifest's: a later failure keeps the new weights
-    expected = old if fail_at == "weights write" else new
-    for name, p in expected.items():
+    for name, p in old.items():
         assert loaded[name].data.tobytes() == p.data.tobytes(), name
-    if fail_at == "weights write":
-        assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
 
 
 @pytest.mark.parametrize("num_queries,max_objects", [(16, 3), (64, 12)])
