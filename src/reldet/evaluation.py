@@ -165,10 +165,8 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
     return float(total / num_gt)
 
 
-def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names=None) -> APReport:
-    """Score already-extracted detections; the model-free core of evaluation.
-    Classes are named by ``names``, else ``class_0`` ... ``class_<num_classes - 1>``."""
-    names = [f"class_{i}" for i in range(num_classes)] if names is None else names
+def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names) -> APReport:
+    """Score already-extracted detections, class id i named ``names[i]``; the model-free core of evaluation."""
     if len(per_scene_dets) != len(per_scene_gts):
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     # classes never compete for a ground truth, so one greedy pass per scene

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import numeric
 from .data import SceneConfig, check_catalog
-from .errors import CapacityError, ContractError, ShapeError
+from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
 
@@ -372,9 +372,12 @@ def predict_heads(embeddings: Tensor, params) -> DetectionOutput:
 
 
 def forward(image: Tensor, params, config: ModelConfig) -> DetectionOutput:
-    """Full pipeline; deterministic given (image, params, config)."""
+    """Full pipeline; deterministic given (image, params, config); NumericError on a non-finite output, taped or not."""
     tokens = channel_reduce(backbone_forward(image, params, config), params)
     pe = sinusoidal_pe(config.num_tokens, config.model_dim)
     memory = encoder_forward(tokens, pe, params, config)
     embeddings, _ = decoder_forward(memory, params["query_embed"], pe, params, config)
-    return predict_heads(embeddings, params)
+    out = predict_heads(embeddings, params)
+    if not (np.isfinite(out.class_probs.data).all() and np.isfinite(out.boxes.data).all()):
+        raise NumericError("non-finite model outputs (class probabilities or boxes)")
+    return out

@@ -8,7 +8,7 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +107,9 @@ def train_step(
     null_weight: float,
     config: ModelConfig,
 ):
-    """One optimization step on one scene; returns the loss breakdown."""
+    """One optimization step on one scene; returns the loss breakdown. NumericError (divergence) moves no parameter."""
     with Tape():
         out = forward(scene.image, params, config)
-        if not (np.isfinite(out.class_probs.data).all() and np.isfinite(out.boxes.data).all()):
-            raise NumericError("non-finite model outputs (class probabilities or boxes)")
         # matching runs on detached floats; sigma is a constant to the tape
         cost = build_cost_matrix(scene.objects, out.class_probs.data, out.boxes.data, weights)
         assign = hungarian(cost)
@@ -133,8 +131,8 @@ def train(
     in order; deterministic.
 
     Raises ContractError before the first step when ``lr <= 0`` or
-    ``null_weight < 0``. A NaN fails both comparisons and passes, so it ends
-    in the first step's NumericError instead.
+    ``null_weight < 0``. A NaN fails both comparisons and passes: it ends in
+    the NumericError of the first step (null weight) or of the second (lr).
     """
     if lr <= 0 or null_weight < 0:
         raise ContractError(f"train needs a positive learning rate and a nonnegative null weight, "
@@ -145,10 +143,7 @@ def train(
     for epoch in range(epochs):
         for idx, scene in enumerate(dataset):
             parts = train_step(scene, params, state, weights, null_weight, config)
-            total = float(parts.total.data)
-            if not np.isfinite(total):
-                raise NumericError(f"non-finite loss at epoch {epoch}, scene {idx}")
-            rows.append(TrainLogRow(epoch, idx, total, parts.cls, parts.box))
+            rows.append(TrainLogRow(epoch, idx, float(parts.total.data), parts.cls, parts.box))
     return params, state, rows
 
 
@@ -198,9 +193,11 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Restore bit-identical tensors and their config; IntegrityError for any
-    manifest inconsistency, for a ``weights.bin`` whose sha256 is not the one
-    the manifest records, or for non-finite weights."""
+    """Restore bit-identical tensors and their config; IntegrityError for a
+    manifest config that is not an object of exactly ``ModelConfig``'s fields
+    (no default fills one; JSON lists become tuples) or that ``ModelConfig``
+    refuses, any other manifest inconsistency, a ``weights.bin`` whose sha256 is
+    not the one the manifest records, or non-finite weights."""
     root = Path(ckpt_dir)
     try:
         manifest = _read_json(root / "manifest.json")
@@ -210,10 +207,12 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         raise IntegrityError(f"bad manifest.json in {root}: {e.__cause__}") from e
     try:
         d = manifest["config"]
-        # JSON has no tuples, and tuple("abc") would pass as three class names
-        if not (isinstance(d["image_size"], list) and isinstance(d["catalog"], list)):
-            raise TypeError("image_size and catalog must be JSON lists")
-        config = ModelConfig(**{**d, "image_size": tuple(d["image_size"]), "catalog": tuple(d["catalog"])})
+        if not isinstance(d, dict):
+            raise TypeError(f"config must be a JSON object, got a {type(d).__name__}")
+        odd = d.keys() ^ {f.name for f in fields(ModelConfig)}
+        if odd:
+            raise KeyError(f"config must name every ModelConfig field and no other: {', '.join(sorted(odd))}")
+        config = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
         listed = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
         sha = manifest["weights_sha256"]
     except (KeyError, TypeError, ValueError) as e:

@@ -110,9 +110,7 @@ def average_precision(flags, num_gt: int):
     return float(total / num_gt)
 
 
-def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names=None) -> APReport:
-    if names is None:
-        names = [f"class_{c}" for c in range(num_classes)]
+def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thresh: float, names) -> APReport:
     if len(per_scene_dets) != len(per_scene_gts):
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     per_scene_flags = [match_detections(dets, gts, iou_thresh) for dets, gts in zip(per_scene_dets, per_scene_gts)]

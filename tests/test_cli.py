@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -19,8 +20,8 @@ from reldet.errors import CapacityError
 from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
 from reldet.geometry import LossWeights
 from reldet.matching import DEFAULT_NULL_WEIGHT, hungarian_loss_terms
-from reldet.model import MAX_LAYERS, ModelConfig
-from reldet.training import DEFAULT_LR, OptimizerState, train
+from reldet.model import MAX_LAYERS, ModelConfig, arena_of
+from reldet.training import DEFAULT_LR, OptimizerState, load_checkpoint, save_checkpoint, train
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
                "--dec-layers", "1", "--queries", "6", "--seed", "0"]
@@ -276,6 +277,15 @@ def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric divergence")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_null_weight_exits_3(dataset, tmp_path, capsys, value):
+    # with finite outputs the loss turns non-finite only through the null weight, and so does the
+    # gradient: Adam refuses it before train_step returns the loss
+    out = str(tmp_path / "ck")
+    assert run("train", "--data", str(dataset), "--out", out, *TRAIN_FLAGS, "--null-weight", value) == 3
+    assert capsys.readouterr().err.startswith("numeric divergence: non-finite gradient for parameter")
+
+
 @pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--null-weight", "-1"),
                                          ("--lambda-iou", "-1"), ("--heads", "3"), ("--queries", "0")])
 def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset, tmp_path, capsys, flag, value):
@@ -443,6 +453,44 @@ def test_eval_manifest_without_image_size_exits_4(dataset, checkpoint, tmp_path)
     del manifest["config"]["image_size"]
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+
+
+@pytest.mark.parametrize("key, value", [("knn_k", None), ("num_classes", 5)])  # None drops the key
+def test_eval_manifest_config_not_naming_every_field_exits_4(dataset, tmp_path, capsys, key, value):
+    # knn_k changes no tensor shape, and 0 is not its default: no default may fill it in
+    ckpt = tmp_path / "ckpt"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt), *TRAIN_FLAGS, "--knn-k", "0") == 0
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    if value is None:
+        del manifest["config"][key]
+    else:
+        manifest["config"][key] = value
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch: bad config") and f"no other: {key}" in err
+
+
+@pytest.mark.parametrize("edit", ["box_head scaled by 1e300", "class_head.weight set to 1e308"])
+def test_diverging_checkpoint_exits_3_on_eval_and_predict(dataset, checkpoint, tmp_path, capsys, edit):
+    # finite weights, committed by their manifest, whose forward overflows
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    params, config = load_checkpoint(ckpt)
+    if edit.startswith("box_head"):
+        for name, p in params.items():
+            if name.startswith("box_head."):
+                p.data[...] *= 1e300
+    else:
+        params["class_head.weight"].data[...] = 1e308
+    save_checkpoint(ckpt, params, config)
+    new = tmp_path / "new"
+    for argv in (["eval", "--data", str(dataset), "--json", str(new / "r.json")],
+                 ["predict", "--image", str(dataset / "scene_00000.ppm"), "--out", str(new / "p")]):
+        assert run(*argv, "--checkpoint", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric divergence: non-finite model outputs (class probabilities or boxes)\n"
+        assert not new.exists()
 
 
 def test_predict_outputs(dataset, checkpoint, tmp_path):
@@ -722,33 +770,38 @@ def test_fuzzed_annotation_exits_cleanly(fuzz_base, path, value, command):
         assert_clean_exit(*run_captured(*argv), allowed=(0, 2))
 
 
-CONFIG_FIELDS = ["image_size", "backbone_channels", "model_dim", "num_heads", "num_encoder_layers",
-                 "num_decoder_layers", "num_queries", "catalog", "knn_k", "seed"]
+# paths under the manifest's config: the whole object, then each field
+CONFIG_PATHS = [()] + [(f.name,) for f in dataclasses.fields(ModelConfig)]
 
 
-@given(st.sampled_from(CONFIG_FIELDS), st.one_of(JUNK, st.just(DROP), st.lists(st.integers(-8, 24), max_size=3)),
+@given(st.sampled_from(CONFIG_PATHS), st.one_of(JUNK, st.just(DROP), st.lists(st.integers(-8, 24), max_size=3)),
        st.integers(-1, 300))
-@example("catalog", "abc", -1)  # tuple("abc") would pass as three class names
-@example("catalog", [], -1)
-@example("catalog", ["a", "a"], -1)
-@example("catalog", [1], -1)
-@example("catalog", None, -1)
-def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, field, value, nan_at):
+@example(("catalog",), "abc", -1)  # tuple("abc") would pass as three class names
+@example(("catalog",), [], -1)
+@example(("catalog",), ["a", "a"], -1)
+@example(("catalog",), [1], -1)
+@example(("catalog",), None, -1)
+@example(("knn_k",), DROP, -1)  # changes no tensor shape
+@example((), [], -1)
+@example((), {"a": 1}, -1)
+def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, path, value, nan_at):
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = shutil.copytree(fuzz_base / "ckpt", os.path.join(tmp, "ckpt"))
+        if nan_at >= 0:  # also poison one weight, committed by the manifest as a save writes it
+            params, config = load_checkpoint(ckpt)
+            arena = arena_of(params)
+            arena[nan_at % arena.size] = np.nan
+            save_checkpoint(ckpt, params, config)
         manifest_path = os.path.join(ckpt, "manifest.json")
         with open(manifest_path) as fh:
-            manifest = _corrupt(json.load(fh), ("config", field), value)
+            manifest = _corrupt(json.load(fh), ("config", *path), value)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
-        if nan_at >= 0:  # also poison one weight
-            weights_path = os.path.join(ckpt, "weights.bin")
-            weights = np.fromfile(weights_path, dtype="<f8")
-            weights[nan_at % weights.size] = np.nan
-            weights.tofile(weights_path)
-        # no junk or dropped catalog names the dataset's five classes
+        # only junk in one field other than the catalog may still load: no default fills a dropped
+        # field, no junk catalog names the dataset's five classes, and no NaN weight loads
+        may_load = path not in [(), ("catalog",)] and value is not DROP and nan_at < 0
         assert_clean_exit(*run_captured("eval", "--data", str(fuzz_base / "ds"), "--checkpoint", ckpt),
-                          allowed=(4,) if field == "catalog" else (0, 4))
+                          allowed=(0, 4) if may_load else (4,))
 
 
 FLAGS = {

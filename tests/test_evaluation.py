@@ -24,6 +24,9 @@ import oracles
 from tape_chains import from_corners, iou
 
 
+NAMES = ("a", "b", "c", "d", "e")  # class names for the first ids
+
+
 def det(cid, conf, box):
     return ScoredDetection(cid, conf, box)
 
@@ -169,11 +172,11 @@ def test_evaluate_detections_perfect_and_empty():
     gts_b = [GroundTruth(2, Box(0.5, 0.5, 0.3, 0.3))]
     echo_a = [det(g.class_id, 1.0, g.box) for g in gts_a]
     echo_b = [det(g.class_id, 1.0, g.box) for g in gts_b]
-    report = evaluate_detections([echo_a, echo_b], [gts_a, gts_b], 3, 0.5)
+    report = evaluate_detections([echo_a, echo_b], [gts_a, gts_b], 3, 0.5, NAMES[:3])
     assert report.mean_ap == 1.0
     assert all(r.ap == 1.0 for r in report.per_class.values())
 
-    empty = evaluate_detections([[], []], [gts_a, gts_b], 3, 0.5)
+    empty = evaluate_detections([[], []], [gts_a, gts_b], 3, 0.5, NAMES[:3])
     assert empty.mean_ap == 0.0
 
 
@@ -187,7 +190,7 @@ def test_evaluate_detections_hand_built_two_scene_fixture():
         [det(0, 0.95, a1), det(0, 0.60, Box(0.45, 0.45, 0.2, 0.2))],  # hit, then a miss
         [det(0, 0.80, b1)],
     ]
-    report = evaluate_detections(dets, gts, 1, 0.5)
+    report = evaluate_detections(dets, gts, 1, 0.5, NAMES[:1])
     # pooled order by confidence: TP(0.95), TP(0.80), FP(0.60); 2 of 3 gts found
     assert report.per_class[0].tp == 2 and report.per_class[0].fp == 1
     expected = ap_enumerated([True, True, False], 3)
@@ -198,7 +201,7 @@ def test_evaluate_detections_hand_built_two_scene_fixture():
 def test_classes_without_gt_excluded_from_map():
     gts = [[GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2))]]
     dets = [[det(0, 0.9, Box(0.3, 0.3, 0.2, 0.2))]]
-    report = evaluate_detections(dets, gts, 3, 0.5)
+    report = evaluate_detections(dets, gts, 3, 0.5, NAMES[:3])
     assert report.per_class[1].ap is None and report.per_class[2].ap is None
     assert report.mean_ap == 1.0
 
@@ -206,7 +209,7 @@ def test_classes_without_gt_excluded_from_map():
 def test_report_rendering():
     gts = [[GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2))]]
     dets = [[det(0, 0.9, Box(0.3, 0.3, 0.2, 0.2))]]
-    report = evaluate_detections(dets, gts, 2, 0.5, names=["transformer", "uav"])
+    report = evaluate_detections(dets, gts, 2, 0.5, ["transformer", "uav"])
     table = report.to_table()
     assert "transformer" in table and "mAP @ IoU 0.50" in table
     doc = report.to_json_dict()
@@ -259,8 +262,8 @@ def test_evaluate_detections_equals_the_per_scene_grid_oracle(seed):
     num_classes = int(rng.integers(1, 6))
     dets, gts = random_scenes(rng, int(rng.integers(1, 12)), num_classes)
     for thresh in (0.3, 0.5, 1.0):
-        got = evaluate_detections(dets, gts, num_classes, thresh)
-        assert got == oracles.evaluate_detections(dets, gts, num_classes, thresh)
+        got = evaluate_detections(dets, gts, num_classes, thresh, NAMES[:num_classes])
+        assert got == oracles.evaluate_detections(dets, gts, num_classes, thresh, NAMES[:num_classes])
         for d, g in zip(dets, gts):
             assert match_detections(d, g, thresh) == oracles.match_detections(d, g, thresh)
 
@@ -277,17 +280,17 @@ def test_evaluate_detections_on_model_output_and_on_truth_equals_the_oracle():
         found.append(extract_detections(out))
     truth = [[det(g.class_id, 1.0, g.box) for g in s] for s in gts]
     for dets in (found, truth, [[] for _ in scenes]):
-        got = evaluate_detections(dets, gts, cfg.num_classes, 0.5, list(data.DEFAULT_CLASSES))
-        assert got == oracles.evaluate_detections(dets, gts, cfg.num_classes, 0.5, list(data.DEFAULT_CLASSES))
-    assert evaluate_detections(truth, gts, cfg.num_classes, 0.5).mean_ap == 1.0
+        got = evaluate_detections(dets, gts, cfg.num_classes, 0.5, cfg.catalog)
+        assert got == oracles.evaluate_detections(dets, gts, cfg.num_classes, 0.5, cfg.catalog)
+    assert evaluate_detections(truth, gts, cfg.num_classes, 0.5, cfg.catalog).mean_ap == 1.0
 
 
 def test_out_of_range_class_ids_are_ignored():
     g = Box(0.3, 0.3, 0.2, 0.2)
     gts = [[GroundTruth(0, g), GroundTruth(2, g), GroundTruth(-1, g)]]
     dets = [[det(2, 0.9, g), det(-1, 0.8, g), det(0, 0.7, g)]]
-    report = evaluate_detections(dets, gts, 2, 0.5)
-    assert report == oracles.evaluate_detections(dets, gts, 2, 0.5)
+    report = evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
+    assert report == oracles.evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
     assert report.per_class[0].tp == 1 and report.per_class[0].gt == 1
     assert report.per_class[1].gt == 0 and report.mean_ap == 1.0
 
@@ -296,6 +299,7 @@ def test_evaluate_detections_without_scenes_detections_or_ground_truth_equals_th
     g = GroundTruth(0, Box(0.3, 0.3, 0.2, 0.2))
     for dets, gts in [([], []), ([[]], [[]]), ([[]], [[g]]), ([[det(0, 0.5, g.box)]], [[]]),
                       ([[], [det(1, 0.5, g.box)]], [[g], []])]:
-        assert evaluate_detections(dets, gts, 2, 0.5) == oracles.evaluate_detections(dets, gts, 2, 0.5)
+        got = evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
+        assert got == oracles.evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
         for d, t in zip(dets, gts):
             assert match_detections(d, t, 0.5) == oracles.match_detections(d, t, 0.5)

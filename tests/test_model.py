@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from reldet import checks, data, model, numeric, training
-from reldet.errors import ContractError, ShapeError
+from reldet.errors import ContractError, NumericError, ShapeError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms
 from reldet.model import (
@@ -207,6 +208,18 @@ def _bits(out) -> tuple:
 def _taped_bits(image, params, cfg) -> tuple:
     with numeric.Tape():
         return _bits(forward(image, params, cfg))
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("name", ["class_head.bias", "box_head.b2"])
+def test_forward_refuses_non_finite_outputs(rng, taped, name):
+    # a NaN parameter diverges the forward whether or not a tape records it
+    params = init_params(TINY)
+    params[name].data[0] = np.nan
+    image = Tensor(rng.uniform(0, 1, (3, *TINY.image_size)))
+    with numeric.Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericError, match=r"^non-finite model outputs \(class probabilities or boxes\)$"):
+            forward(image, params, TINY)
 
 
 @pytest.mark.parametrize("edit", ["query_embed entry in place", "bq +0.0 to -0.0", "rebound query_embed"])
