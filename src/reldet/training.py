@@ -47,6 +47,17 @@ class OptimizerState:
     finite: np.ndarray | None = field(default=None, repr=False)  # bool, arena size
 
 
+def _first_non_finite(flat: np.ndarray, params: dict[str, Tensor], attr: str = "data",
+                      finite: np.ndarray | None = None) -> str | None:
+    """The finiteness rule of Adam, save and load: None when ``flat``, which
+    holds the values of every parameter's ``attr``, is finite (one pass, into
+    ``finite`` when given), else the first parameter's name that holds a
+    non-finite value."""
+    if np.isfinite(flat, out=finite).all():
+        return None
+    return next(n for n, p in params.items() if not np.isfinite(getattr(p, attr)).all())
+
+
 @dataclass(frozen=True)
 class TrainLogRow:
     epoch: int
@@ -66,7 +77,8 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     bit-identical to updating each tensor on its own with the expressions
     ``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)``,
     ``p -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)``. A non-finite gradient
-    raises NumericError naming the parameter, before anything is updated.
+    raises NumericError naming the parameter (``_first_non_finite``), before
+    anything is updated.
     """
     p = arena_of(params, "data")
     g = arena_of(params, "grad")
@@ -74,8 +86,8 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
         state.scratch = np.empty((2, p.size))
         state.finite = np.empty(p.size, dtype=bool)
-    if not np.isfinite(g, out=state.finite).all():
-        name = next(n for n, t in params.items() if not np.all(np.isfinite(t.grad)))
+    name = _first_non_finite(g, params, "grad", state.finite)
+    if name is not None:
         raise NumericError(f"non-finite gradient for parameter {name}")
     state.step += 1
     t = state.step
@@ -130,12 +142,12 @@ def train(
     """Train from a fresh init (seeded by ``config.seed``) over the dataset
     in order; deterministic.
 
-    Raises ContractError before the first step when ``lr <= 0`` or
-    ``null_weight < 0``. A NaN fails both comparisons and passes: it ends in
-    the NumericError of the first step (null weight) or of the second (lr).
+    Raises ContractError before the first step unless ``0 < lr < inf`` and
+    ``0 <= null_weight < inf``: a NaN or infinite value, which could only
+    end in non-finite weights, is refused as a negative one is.
     """
-    if lr <= 0 or null_weight < 0:
-        raise ContractError(f"train needs a positive learning rate and a nonnegative null weight, "
+    if not (0 < lr < np.inf and 0 <= null_weight < np.inf):
+        raise ContractError(f"train needs a finite positive learning rate and a finite nonnegative null weight, "
                             f"got lr {lr} and null weight {null_weight}")
     params = init_params(config)
     state = OptimizerState(lr=lr)
@@ -176,16 +188,20 @@ def save_checkpoint(ckpt_dir, params: dict[str, Tensor], config: ModelConfig) ->
     manifest no longer vouches for the new weights, and ``load_checkpoint``
     refuses them.
 
-    ContractError, before any directory is made, unless the names and shapes
+    Before any directory is made: ContractError unless the names and shapes
     of ``params``, in dict order, are the layout of ``config`` that
-    ``load_checkpoint`` checks.
+    ``load_checkpoint`` checks, and NumericError naming the first tensor that
+    holds a non-finite value, which ``load_checkpoint`` would refuse.
     """
     layout = _layout(config)
     if [(name, p.shape) for name, p in params.items()] != layout:
         raise ContractError("parameters do not match the model layout for the config they are saved with")
+    blob = b"".join(p.data.astype("<f8", copy=False).tobytes() for p in params.values())
+    name = _first_non_finite(np.frombuffer(blob, dtype="<f8"), params)
+    if name is not None:
+        raise NumericError(f"refusing to save non-finite weights (first in {name})")
     out = Path(ckpt_dir)
     out.mkdir(parents=True, exist_ok=True)
-    blob = b"".join(p.data.astype("<f8", copy=False).tobytes() for p in params.values())
     manifest = {"config": asdict(config), "tensors": [{"name": name, "shape": list(shape)} for name, shape in layout],
                 "weights_sha256": hashlib.sha256(blob).hexdigest()}
     write_atomic(out / "weights.bin", blob)
@@ -232,7 +248,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
     # one copy of the blob is the arena; the parameters are views of it
     arena = np.frombuffer(blob, dtype="<f8").copy()
     params = arena_views(expected, arena)
-    if not np.isfinite(arena).all():
-        name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
+    name = _first_non_finite(arena, params)
+    if name is not None:
         raise IntegrityError(f"weights.bin holds non-finite values (first in {name})")
     return params, config

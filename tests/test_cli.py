@@ -9,6 +9,8 @@ import re
 import shutil
 import tempfile
 import traceback
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from reldet.errors import CapacityError
 from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
 from reldet.geometry import LossWeights
 from reldet.matching import DEFAULT_NULL_WEIGHT, hungarian_loss_terms
-from reldet.model import MAX_LAYERS, ModelConfig, arena_of
+from reldet.model import MAX_LAYERS, ModelConfig
 from reldet.training import DEFAULT_LR, OptimizerState, load_checkpoint, save_checkpoint, train
 
 TRAIN_FLAGS = ["--epochs", "2", "--d-model", "8", "--heads", "2", "--enc-layers", "1",
@@ -272,21 +274,8 @@ def test_train_refuses_a_scene_with_more_objects_than_queries_before_the_first_s
     assert steps == [] and not out.exists()
 
 
-def test_train_nan_learning_rate_exits_3(dataset, tmp_path, capsys):
-    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS, "--lr", "nan") == 3
-    assert capsys.readouterr().err.startswith("numeric divergence")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_train_non_finite_null_weight_exits_3(dataset, tmp_path, capsys, value):
-    # with finite outputs the loss turns non-finite only through the null weight, and so does the
-    # gradient: Adam refuses it before train_step returns the loss
-    out = str(tmp_path / "ck")
-    assert run("train", "--data", str(dataset), "--out", out, *TRAIN_FLAGS, "--null-weight", value) == 3
-    assert capsys.readouterr().err.startswith("numeric divergence: non-finite gradient for parameter")
-
-
-@pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--null-weight", "-1"),
+@pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+                                         ("--null-weight", "-1"), ("--null-weight", "nan"), ("--null-weight", "inf"),
                                          ("--lambda-iou", "-1"), ("--heads", "3"), ("--queries", "0")])
 def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset, tmp_path, capsys, flag, value):
     # a rejected run removes the output directory it made
@@ -294,6 +283,23 @@ def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset
     assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_one_step_train_with_a_non_finite_learning_rate_exits_2(tmp_path, capsys, lr):
+    # one scene and one epoch: no later step's forward meets the weights this step would write
+    ds, out = tmp_path / "ds", tmp_path / "ck"
+    assert run("gen-data", "--seed", "1", "--count", "1", "--out", str(ds), "--img-size", "16",
+               "--max-objects", "2") == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--data", str(ds), "--out", str(out), "--epochs", "1", "--d-model", "8", "--heads", "2",
+                   "--enc-layers", "1", "--dec-layers", "1", "--queries", "4", "--lr", lr)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: train needs a finite positive learning rate"), err
+    assert "Traceback" not in err and "RuntimeWarning" not in err and caught == []
     assert not out.exists()
 
 
@@ -640,15 +646,23 @@ def test_deeply_nested_json_exits_cleanly(dataset, checkpoint, tmp_path, target,
     assert got == code and "Traceback" not in err and target in err, f"exit {got}: {err}"
 
 
-def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):
-    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+def poison_weight(ckpt, index):
+    """Set entry ``index`` of ``ckpt``'s weights.bin to NaN and commit the
+    file in its manifest, as a writer other than ``save_checkpoint``, which
+    refuses non-finite weights, could leave it; returns the manifest."""
+    ckpt = Path(ckpt)
     weights = np.frombuffer((ckpt / "weights.bin").read_bytes(), dtype="<f8").copy()
-    weights[-1] = np.nan
+    weights[index % weights.size] = np.nan
     (ckpt / "weights.bin").write_bytes(weights.tobytes())
-    # committed by their manifest, as a save of a non-finite parameter writes them
     manifest = json.loads((ckpt / "manifest.json").read_text())
     manifest["weights_sha256"] = hashlib.sha256(weights.tobytes()).hexdigest()
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return manifest
+
+
+def test_eval_weights_holding_a_nan_exit_4(dataset, checkpoint, tmp_path, capsys):
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    manifest = poison_weight(ckpt, -1)
     assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
     assert f"non-finite values (first in {manifest['tensors'][-1]['name']})" in capsys.readouterr().err
 
@@ -787,11 +801,8 @@ CONFIG_PATHS = [()] + [(f.name,) for f in dataclasses.fields(ModelConfig)]
 def test_fuzzed_checkpoint_exits_cleanly(fuzz_base, path, value, nan_at):
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = shutil.copytree(fuzz_base / "ckpt", os.path.join(tmp, "ckpt"))
-        if nan_at >= 0:  # also poison one weight, committed by the manifest as a save writes it
-            params, config = load_checkpoint(ckpt)
-            arena = arena_of(params)
-            arena[nan_at % arena.size] = np.nan
-            save_checkpoint(ckpt, params, config)
+        if nan_at >= 0:  # also poison one weight, committed by the manifest
+            poison_weight(ckpt, nan_at)
         manifest_path = os.path.join(ckpt, "manifest.json")
         with open(manifest_path) as fh:
             manifest = _corrupt(json.load(fh), ("config", *path), value)
@@ -828,4 +839,7 @@ def test_fuzzed_flags_exit_cleanly(fuzz_base, data):
             if flag in ("--epochs", "--count") and value == "7":
                 value = "2"  # keep the run short
             argv += [flag, value]
-        assert_clean_exit(*run_captured(*argv), allowed=(0, 2, 3) if command == "train" else (0, 2))
+        code, err = run_captured(*argv)
+        assert_clean_exit(code, err, allowed=(0, 2, 3) if command == "train" else (0, 2))
+        if command == "train" and code == 0:  # save refuses what load would refuse
+            load_checkpoint(os.path.join(tmp, "ck"))

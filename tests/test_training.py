@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import weakref
 
 import numpy as np
@@ -305,6 +306,28 @@ def test_save_refuses_parameters_off_the_config_layout_before_making_a_directory
     with pytest.raises(ContractError, match="layout"):
         save_checkpoint(tmp_path / "ckpt" / "deep", params, config)
     assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_save_refuses_non_finite_weights_before_making_a_directory(tmp_path, value, where):
+    # load refuses non-finite weights, so save does not write them
+    params = init_params(CFG)
+    name = next(iter(params)) if where == "first" else list(params)[-1]
+    params[name].data.flat[0 if where == "first" else -1] = value
+    with pytest.raises(NumericError, match=rf"non-finite weights \(first in {re.escape(name)}\)"):
+        save_checkpoint(tmp_path / "ckpt" / "deep", params, CFG)
+    assert not (tmp_path / "ckpt").exists()
+    # aimed at an earlier checkpoint, it leaves both files as they were
+    ckpt = tmp_path / "old"
+    old = init_params(dataclasses.replace(CFG, seed=1))
+    save_checkpoint(ckpt, old, CFG)
+    before = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    with pytest.raises(NumericError, match=re.escape(name)):
+        save_checkpoint(ckpt, params, CFG)
+    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
+    loaded, _ = load_checkpoint(ckpt)
+    assert arena_of(loaded).tobytes() == arena_of(old).tobytes()
 
 
 def write_checkpoint_per_tensor(ckpt_dir, params, config):
