@@ -40,7 +40,7 @@ from .errors import (
 )
 from .geometry import Box, LossWeights
 from .matching import DEFAULT_NULL_WEIGHT, GroundTruth
-from .model import ModelConfig, check_image_size, forward
+from .model import ModelConfig, forward
 from .numeric import Tensor
 from .training import DEFAULT_LR, load_checkpoint, save_checkpoint, train, write_log
 
@@ -123,7 +123,6 @@ def cmd_gen_data(args) -> int:
         raise ContractError("gen-data: --count must be positive (nothing to generate)")
     if args.seed < 0:
         raise ContractError("gen-data: --seed must be nonnegative")
-    check_image_size(args.img_size, args.img_size)
     catalog = tuple(name.strip() for name in args.classes.split(",") if name.strip())
     cfg = SceneConfig(image_size=(args.img_size, args.img_size), max_objects=args.max_objects, catalog=catalog)
     objects = []  # each scene's object count, tallied as save_dataset writes it

@@ -64,16 +64,27 @@ def check_catalog(names) -> None:
         raise ContractError(f"catalog must be a nonempty tuple of distinct class names, got {names!r}")
 
 
+def check_image_size(h: int, w: int) -> None:
+    """The one rule on image sizes, for scene configs and model configs alike:
+    ContractError unless both extents are a positive multiple of 8."""
+    if h % 8 or w % 8 or h < 8 or w < 8:
+        raise ContractError(f"image size {h}x{w} must be a positive multiple of 8 in both extents "
+                            "(the model downsamples images by 8)")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
+    """A scene's image size (``check_image_size``), object cap (``MAX_OBJECTS``) and catalog (``check_catalog``)."""
+
     image_size: tuple[int, int] = (32, 32)
     max_objects: int = 3
     catalog: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self):
         size = self.image_size
-        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int or v < 1 for v in size):
-            raise ContractError(f"image_size must be a tuple of two positive integers, got {size!r}")
+        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in size):
+            raise ContractError(f"image_size must be a tuple of two integers, got {size!r}")
+        check_image_size(*size)
         if type(self.max_objects) is not int:
             raise ContractError(f"max_objects must be an integer, got {self.max_objects!r}")
         if not 1 <= self.max_objects <= MAX_OBJECTS:

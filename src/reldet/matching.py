@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .errors import CapacityError, ContractError, DomainError, ShapeError
+from .errors import CapacityError, ContractError, DomainError, NumericError, ShapeError
 from .geometry import Box, LossWeights, box_pairs, box_rows
 from .numeric import Tensor
 
@@ -37,14 +37,11 @@ class GroundTruth:
 @dataclass(frozen=True)
 class Assignment:
     """A permutation sigma over the N slots: slot i is answered by prediction
-    sigma(i). Slots 0..G-1 are the real targets, the rest no-object slots."""
+    sigma(i). Slots 0..G-1 are the real targets, the rest no-object slots. The
+    solvers build valid ones; ``numeric.set_loss`` alone refuses any other."""
 
     perm: tuple
     total_cost: float
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ContractError(f"perm {self.perm} is not a permutation")
 
 
 def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarray, w: LossWeights) -> np.ndarray:
@@ -80,11 +77,12 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
 
 
 def _finite_matrix(c: np.ndarray) -> np.ndarray:
+    """Float64 ``c``: ContractError unless 2-d, NumericError (a numeric divergence) unless finite."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ContractError(f"cost matrix must be 2-d, got shape {c.shape}")
     if not np.isfinite(c).all():
-        raise ContractError("cost matrix must be finite")
+        raise NumericError("cost matrix must be finite")
     return c
 
 
@@ -192,7 +190,7 @@ def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: Lo
     slots); real slots add the box loss. Probabilities are clamped to 1e-12
     before the log as a numeric guard. The loss is one ``numeric.set_loss``
     record; ``set_loss`` raises ShapeError when ``assign`` does not cover N
-    slots or G > N.
+    slots or G > N, and ContractError when it repeats a prediction.
     """
     total, cls, box = numeric.set_loss(preds.class_probs, preds.boxes, assign.perm, [y.class_id for y in gt],
                                        box_rows(y.box for y in gt), null_weight, w)

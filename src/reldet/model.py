@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numeric
-from .data import SceneConfig, check_catalog
+from .data import SceneConfig, check_catalog, check_image_size
 from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
@@ -61,14 +61,6 @@ _FFN_MULT = 2  # feed-forward hidden width, in units of model_dim
 # list until memory ran out; 1024 layers, like ``data.MAX_OBJECTS`` objects,
 # already cost seconds per training step.
 MAX_LAYERS = 1024
-
-
-def check_image_size(h: int, w: int) -> None:
-    """The one rule on image sizes, for ``gen-data``'s flag and model configs
-    alike: ContractError unless both extents are a positive multiple of 8."""
-    if h % 8 or w % 8 or h < 8 or w < 8:
-        raise ContractError(f"image size {h}x{w} must be a positive multiple of 8 in both extents "
-                            "(the model downsamples images by 8)")
 
 
 @dataclass(frozen=True)

@@ -697,6 +697,20 @@ def test_eval_iou_threshold_outside_unit_interval_exits_2(dataset, checkpoint, c
     assert "--iou-thresh" in capsys.readouterr().err
 
 
+def test_train_whose_matching_cost_overflows_exits_3(tmp_path, capsys):
+    # legal loss weights whose product overflows the cost matrix: a numeric divergence, not an argument error
+    ds, out = tmp_path / "ds", tmp_path / "ck"
+    assert run("gen-data", "--seed", "1", "--count", "3", "--out", str(ds), "--img-size", "16",
+               "--max-objects", "2") == 0
+    capsys.readouterr()
+    code = run("train", "--data", str(ds), "--out", str(out), "--epochs", "1", "--d-model", "8", "--heads", "2",
+               "--enc-layers", "1", "--dec-layers", "1", "--queries", "4", "--lambda-iou", "1e308",
+               "--lambda-l1", "1e308")
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("numeric divergence:") and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_2():
     assert run("train", "--no-such-flag") == 2
     assert run() == 2

@@ -84,6 +84,9 @@ def test_scene_config_validation():
     for catalog in ["abc", ["a", "b"], ("a", 1), ()]:
         with pytest.raises(ContractError):
             SceneConfig(catalog=catalog)
+    for size in [(12, 12), (8, 20), (4, 8)]:  # no model reads these: the one image-size rule refuses them
+        with pytest.raises(ContractError, match="multiple of 8"):
+            SceneConfig(image_size=size)
 
 
 @pytest.mark.parametrize("max_objects", [2**63, 10**30, float("nan")])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from reldet import numeric
 from reldet.checks import finite_diff_grad
-from reldet.errors import CapacityError, ContractError, DomainError, ShapeError
+from reldet.errors import CapacityError, ContractError, DomainError, NumericError, ShapeError
 from reldet.geometry import Box, LossWeights, box_rows
 from reldet.matching import (
     Assignment,
@@ -161,7 +161,12 @@ def test_hungarian_rejects_bad_matrices():
     with pytest.raises(ContractError):
         hungarian(np.zeros(3))
     with pytest.raises(ContractError):
-        hungarian(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+        brute_force_assign(np.zeros(3))
+    # a non-finite cost is a numeric divergence, as any other non-finite value in a step
+    for bad in (np.inf, -np.inf, np.nan):
+        for solve in (hungarian, brute_force_assign):
+            with pytest.raises(NumericError, match="cost matrix must be finite"):
+                solve(np.array([[bad, 1.0], [1.0, 2.0]]))
 
 
 def test_brute_force_basics():
@@ -246,11 +251,6 @@ def test_rectangular_total_matches_scipy(g, n):
         assert len(set(got.perm[:g])) == g and got.total_cost == sum(c[i, got.perm[i]] for i in range(g))
 
 
-def test_assignment_validates_permutation():
-    with pytest.raises(ContractError):
-        Assignment((0, 0, 1), 0.0)
-
-
 def test_hungarian_loss_perfect_prediction_is_zero():
     b = Box(0.25, 0.25, 0.5, 0.5)
     probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -288,6 +288,8 @@ def test_hungarian_loss_rejects_an_assignment_that_misses_slots(rng):
     one = FakeOutput(Tensor(random_probs(rng, 1, 2)), Tensor(random_boxes(rng, 1)))
     with pytest.raises(ShapeError):  # more targets than predictions
         hungarian_loss_terms(gts, one, Assignment((0,), 0.0), W)
+    with pytest.raises(ContractError, match="set_loss needs a permutation"):  # a slot repeated: set_loss owns the rule
+        hungarian_loss_terms(gts, out, Assignment((0, 0, 1), 0.0), W)
 
 
 def test_hungarian_loss_gradient_matches_fd(rng):
