@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -65,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--img-size", type=int, default=scene.image_size[0])  # square images
     g.add_argument("--max-objects", type=int, default=scene.max_objects)
     g.add_argument("--classes", default=",".join(scene.catalog), help="comma-separated class names")
+    g.set_defaults(run=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a detector on a dataset directory")
     t.add_argument("--data", required=True)
@@ -82,21 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int)
     t.add_argument("--out", required=True, help="checkpoint directory")
     t.add_argument("--log", default=None, help="CSV loss log path (default: <out>/train_log.csv)")
-    t.set_defaults(**{dest: getattr(model, field) for dest, field in _MODEL_FIELDS.items()})
+    t.set_defaults(run=cmd_train, **{dest: getattr(model, field) for dest, field in _MODEL_FIELDS.items()})
 
     e = sub.add_parser("eval", help="score a checkpoint on a dataset")
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--iou-thresh", type=float, default=evaluation.DEFAULT_IOU_THRESH)
     e.add_argument("--json", default=None, help="also write the report as JSON to this path")
+    e.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("predict", help="run one image and render detections")
     p.add_argument("--image", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.json and <out>.ppm")
+    p.set_defaults(run=cmd_predict)
 
     s = sub.add_parser("selftest", help="run the built-in verification suites")
     s.add_argument("--seed", type=int, default=0)
+    s.set_defaults(run=cmd_selftest)
     return parser
 
 
@@ -125,17 +130,10 @@ def cmd_gen_data(args) -> int:
         raise ContractError("gen-data: --seed must be nonnegative")
     catalog = tuple(name.strip() for name in args.classes.split(",") if name.strip())
     cfg = SceneConfig(image_size=(args.img_size, args.img_size), max_objects=args.max_objects, catalog=catalog)
-    objects = []  # each scene's object count, tallied as save_dataset writes it
-
-    def scenes():
-        for i in range(args.count):
-            scene = generate_scene(args.seed + i, cfg)
-            objects.append(len(scene.objects))
-            yield scene
-
+    scenes = (generate_scene(args.seed + i, cfg) for i in range(args.count))
     with _directories_for_run(Path(args.out)):
-        save_dataset(scenes(), args.out, catalog)
-    print(f"wrote {args.count} scenes ({sum(objects)} objects, {len(catalog)} classes) to {args.out}")
+        objects = save_dataset(scenes, args.out, catalog)
+    print(f"wrote {args.count} scenes ({objects} objects, {len(catalog)} classes) to {args.out}")
     return 0
 
 
@@ -150,7 +148,7 @@ def cmd_train(args) -> int:
         config = ModelConfig(image_size=(h, w), catalog=tuple(catalog),
                              **{field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()})
         weights = LossWeights(args.lambda_iou, args.lambda_l1)
-        params, _, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
+        params, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
         save_checkpoint(out, params, config)
         write_log(rows, log_path)
     print(f"trained {args.epochs} epochs on {len(scenes)} scenes; "
@@ -262,20 +260,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handlers = {
-        "gen-data": cmd_gen_data,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "predict": cmd_predict,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow stays ignored
+            return args.run(args)
     except (ParseError, ContractError, CapacityError, DomainError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
+        return 3
+    except FloatingPointError as e:  # numpy's text, and the innermost function of this package that raised it
+        codes = [frame.f_code for frame, _ in traceback.walk_tb(e.__traceback__)]
+        code = [c for c in codes if Path(c.co_filename).parent == Path(__file__).parent][-1]
+        print(f"numeric divergence: {e} in {Path(code.co_filename).stem}.{code.co_name}", file=sys.stderr)
         return 3
     except IntegrityError as e:
         print(f"checkpoint mismatch: {e}", file=sys.stderr)

@@ -64,9 +64,13 @@ def check_catalog(names) -> None:
         raise ContractError(f"catalog must be a nonempty tuple of distinct class names, got {names!r}")
 
 
-def check_image_size(h: int, w: int) -> None:
+def check_image_size(size) -> None:
     """The one rule on image sizes, for scene configs and model configs alike:
-    ContractError unless both extents are a positive multiple of 8."""
+    ContractError unless ``size`` is a tuple of two integers (h, w), each a
+    positive multiple of 8."""
+    if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in size):
+        raise ContractError(f"image_size must be a tuple of two integers, got {size!r}")
+    h, w = size
     if h % 8 or w % 8 or h < 8 or w < 8:
         raise ContractError(f"image size {h}x{w} must be a positive multiple of 8 in both extents "
                             "(the model downsamples images by 8)")
@@ -81,10 +85,7 @@ class SceneConfig:
     catalog: tuple[str, ...] = DEFAULT_CLASSES
 
     def __post_init__(self):
-        size = self.image_size
-        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in size):
-            raise ContractError(f"image_size must be a tuple of two integers, got {size!r}")
-        check_image_size(*size)
+        check_image_size(self.image_size)
         if type(self.max_objects) is not int:
             raise ContractError(f"max_objects must be an integer, got {self.max_objects!r}")
         if not 1 <= self.max_objects <= MAX_OBJECTS:
@@ -190,10 +191,6 @@ def encode_ppm(image: np.ndarray | Tensor) -> bytes:
     return f"P6\n{w} {h}\n255\n".encode("ascii") + raster.transpose(1, 2, 0).tobytes()
 
 
-def write_ppm(image: np.ndarray | Tensor, path) -> None:
-    Path(path).write_bytes(encode_ppm(image))
-
-
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
@@ -271,7 +268,7 @@ def annotations_to_json(image_name: str, image, objects, catalog) -> dict:
 def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
     """Write <stem>.ppm and <stem>.json."""
     stem = Path(stem)
-    write_ppm(scene.image, stem.with_name(stem.name + ".ppm"))
+    stem.with_name(stem.name + ".ppm").write_bytes(encode_ppm(scene.image))
     doc = annotations_to_json(stem.name + ".ppm", scene.image, scene.objects, catalog)
     stem.with_name(stem.name + ".json").write_bytes(encode_json(doc))
 
@@ -320,14 +317,18 @@ def load_scene(stem) -> Scene:
     return Scene(Tensor(image), objects)
 
 
-def save_dataset(scenes: Iterable[Scene], out_dir, catalog=DEFAULT_CLASSES) -> None:
-    """Write each scene as it comes, then ``catalog.json``; ``scenes`` is read
-    once, so a generator keeps one scene in memory at a time."""
+def save_dataset(scenes: Iterable[Scene], out_dir, catalog=DEFAULT_CLASSES) -> int:
+    """Write each scene as it comes, then ``catalog.json``, and return the
+    number of objects written; ``scenes`` is read once, so a generator keeps
+    one scene in memory at a time."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    objects = 0
     for i, scene in enumerate(scenes):
         save_scene(scene, out / f"scene_{i:05d}", catalog)
+        objects += len(scene.objects)
     (out / "catalog.json").write_bytes(encode_json(list(catalog)))
+    return objects
 
 
 def load_catalog(path) -> list[str]:

@@ -102,18 +102,15 @@ def _scene_overlaps(per_scene_dets, per_scene_gts) -> list:
 
 
 def match_detections(dets: list[ScoredDetection], gts: list[GroundTruth], iou_thresh: float,
-                     overlap=None) -> list[bool]:
+                     overlap) -> list[bool]:
     """Greedy TP/FP flags aligned with ``dets`` as given.
 
     Internally walks detections in descending confidence (ties by input
     index); each detection claims the highest-IoU unmatched same-class ground
     truth at or above the threshold, and each ground truth matches only once.
     ``overlap`` is the IoU of every detection (row) against every ground
-    truth (column) as nested lists, as ``_scene_overlaps`` gives it; it is
-    computed here when not given.
+    truth (column) as nested lists, one scene of what ``_scene_overlaps`` gives.
     """
-    if overlap is None:
-        (overlap,) = _scene_overlaps([dets], [gts])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     taken = [False] * len(gts)
     flags = [False] * len(dets)

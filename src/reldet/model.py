@@ -79,11 +79,9 @@ class ModelConfig:
     def __post_init__(self):
         """The one validation of a model config, for ``train``'s flags and for
         checkpoint manifests alike; raises ContractError."""
-        ints = [getattr(self, f.name) for f in fields(self) if f.name not in ("image_size", "catalog")]
-        size = self.image_size
-        if not isinstance(size, tuple) or len(size) != 2 or any(type(v) is not int for v in (*size, *ints)):
-            raise ContractError(f"model config fields must be integers and image_size a pair of them: {self}")
-        check_image_size(*size)
+        check_image_size(self.image_size)
+        if any(type(getattr(self, f.name)) is not int for f in fields(self) if f.name not in ("image_size", "catalog")):
+            raise ContractError(f"model config fields must be integers: {self}")
         check_catalog(self.catalog)
         if self.num_heads < 1:
             raise ContractError(f"need at least one attention head, got {self.num_heads}")

@@ -138,9 +138,10 @@ def train(
     weights: LossWeights = LossWeights(),
     null_weight: float = DEFAULT_NULL_WEIGHT,
     lr: float = DEFAULT_LR,
-) -> tuple[dict[str, Tensor], OptimizerState, list[TrainLogRow]]:
+) -> tuple[dict[str, Tensor], list[TrainLogRow]]:
     """Train from a fresh init (seeded by ``config.seed``) over the dataset
-    in order; deterministic.
+    in order; deterministic. Returns the trained parameters and one loss row
+    per step.
 
     Raises ContractError before the first step unless ``0 < lr < inf`` and
     ``0 <= null_weight < inf``: a NaN or infinite value, which could only
@@ -156,7 +157,7 @@ def train(
         for idx, scene in enumerate(dataset):
             parts = train_step(scene, params, state, weights, null_weight, config)
             rows.append(TrainLogRow(epoch, idx, float(parts.total.data), parts.cls, parts.box))
-    return params, state, rows
+    return params, rows
 
 
 def write_log(rows: list[TrainLogRow], path) -> None:

@@ -95,7 +95,7 @@ def overfit_runs():
     for k in (3, 0):
         cfg = replace(ModelConfig(), knn_k=k)
         t0 = time.perf_counter()
-        params, _, rows = train(scenes, cfg, epochs=300)
+        params, rows = train(scenes, cfg, epochs=300)
         elapsed = time.perf_counter() - t0
         report = evaluate_dataset(scenes, params, cfg, 0.5)
         runs[k] = {"loss": rows[-1].total, "map": report.mean_ap, "time": elapsed, "report": report}

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import traceback
 import warnings
@@ -113,7 +115,7 @@ def test_every_default_is_read_from_its_owner():
     e = parser.parse_args(["eval", "--data", "d", "--checkpoint", "c"])
     assert e.iou_thresh == DEFAULT_IOU_THRESH == inspect.signature(evaluate_dataset).parameters["iou_thresh"].default
     p = parser.parse_args(["predict", "--image", "i", "--checkpoint", "c", "--out", "o"])
-    assert vars(p) == {"command": "predict", "image": "i", "checkpoint": "c", "out": "o"}
+    assert vars(p) == {"command": "predict", "image": "i", "checkpoint": "c", "out": "o", "run": cli.cmd_predict}
     assert parser.parse_args(["selftest"]).seed == 0
 
 
@@ -495,8 +497,36 @@ def test_diverging_checkpoint_exits_3_on_eval_and_predict(dataset, checkpoint, t
                  ["predict", "--image", str(dataset / "scene_00000.ppm"), "--out", str(new / "p")]):
         assert run(*argv, "--checkpoint", str(ckpt)) == 3
         err = capsys.readouterr().err
-        assert err == "numeric divergence: non-finite model outputs (class probabilities or boxes)\n"
+        assert err == "numeric divergence: overflow encountered in dot in numeric._affine\n"
         assert not new.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("train", "--lambda-iou", "1e308", "--lambda-l1", "1e308"),
+     "overflow encountered in add in matching.build_cost_matrix"),
+    (("train", "--null-weight", "1e308"), "overflow encountered in multiply in numeric.set_loss"),
+    (("train", "--lambda-l1", "1e308"), "overflow encountered in reduce in numeric.set_loss"),
+    (("eval",), "overflow encountered in dot in numeric._affine"),
+])
+def test_a_divergence_prints_one_stderr_line_from_a_real_interpreter(dataset, checkpoint, tmp_path, argv, line):
+    # a fresh interpreter, not pytest, decides what reaches stderr: numpy's RuntimeWarnings would
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = (*argv, "--data", str(dataset), "--out", str(out), "--epochs", "1", "--d-model", "8", "--heads", "2",
+                "--enc-layers", "1", "--dec-layers", "1", "--queries", "4")
+    else:  # finite weights, committed by their manifest, whose forward overflows
+        ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+        params, config = load_checkpoint(ckpt)
+        for name, p in params.items():
+            if name.startswith("box_head."):
+                p.data[...] *= 1e300
+        save_checkpoint(ckpt, params, config)
+        argv = (*argv, "--data", str(dataset), "--checkpoint", str(ckpt), "--json", str(out / "r.json"))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "reldet.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (3, f"numeric divergence: {line}\n")
+    assert not out.exists()
 
 
 def test_predict_outputs(dataset, checkpoint, tmp_path):

@@ -13,13 +13,13 @@ from reldet.data import (
     DEFAULT_CLASSES,
     Scene,
     SceneConfig,
+    encode_ppm,
     generate_scene,
     load_dataset,
     load_scene,
     read_ppm,
     save_dataset,
     save_scene,
-    write_ppm,
 )
 from reldet.geometry import Box
 from reldet.matching import GroundTruth
@@ -145,7 +145,7 @@ def test_pixel_grid_is_shared_and_read_only():
 def test_ppm_roundtrip(tmp_path, rng):
     img = rng.uniform(0, 1, (3, 5, 7))
     path = tmp_path / "img.ppm"
-    write_ppm(img, path)
+    path.write_bytes(encode_ppm(img))
     back = read_ppm(path)
     assert back.shape == (3, 5, 7)
     assert np.abs(back - img).max() <= 1.0 / 255.0
@@ -154,8 +154,8 @@ def test_ppm_roundtrip(tmp_path, rng):
 def test_ppm_deterministic_bytes(tmp_path):
     scene = generate_scene(5, SceneConfig())
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
-    write_ppm(scene.image, p1)
-    write_ppm(scene.image, p2)
+    p1.write_bytes(encode_ppm(scene.image))
+    p2.write_bytes(encode_ppm(scene.image))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -219,12 +219,18 @@ def test_dataset_roundtrip(tmp_path):
         assert back.objects == orig.objects
 
 
+def test_save_dataset_returns_the_number_of_objects_it_wrote(tmp_path):
+    scenes = [generate_scene(s, SceneConfig(max_objects=5)) for s in range(6)]
+    assert save_dataset(iter(scenes), tmp_path) == sum(len(scene.objects) for scene in scenes)
+    assert [s.objects for s in load_dataset(tmp_path)[0]] == [s.objects for s in scenes]
+
+
 def test_dotted_scene_names_load_their_own_files(tmp_path):
     # scene_1.5 is read from scene_1.5.ppm and scene_1.5.json, not from scene_1's pair
     scenes = [generate_scene(s, SceneConfig()) for s in range(4)]
     save_dataset(scenes[:2], tmp_path)
     for name, scene in zip(("scene_1", "scene_1.5"), scenes[2:]):
-        write_ppm(scene.image, tmp_path / f"{name}.ppm")
+        (tmp_path / f"{name}.ppm").write_bytes(encode_ppm(scene.image))
         doc = data.annotations_to_json(f"{name}.ppm", scene.image, scene.objects, DEFAULT_CLASSES)
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     loaded, _ = load_dataset(tmp_path)

@@ -10,6 +10,7 @@ from reldet.checks import ap_enumerated
 from reldet.errors import ContractError
 from reldet.evaluation import (
     ScoredDetection,
+    _scene_overlaps,
     average_precision,
     evaluate_detections,
     extract_detections,
@@ -29,6 +30,12 @@ NAMES = ("a", "b", "c", "d", "e")  # class names for the first ids
 
 def det(cid, conf, box):
     return ScoredDetection(cid, conf, box)
+
+
+def matched(dets, gts, iou_thresh):
+    """``match_detections`` given the overlaps ``evaluate_detections`` passes it."""
+    (overlap,) = _scene_overlaps([dets], [gts])
+    return match_detections(dets, gts, iou_thresh, overlap)
 
 
 def output_from(probs, boxes):
@@ -76,11 +83,11 @@ def test_match_detections_rules():
     g = Box(0.3, 0.3, 0.2, 0.2)
     gts = [GroundTruth(0, g), GroundTruth(0, Box(0.7, 0.7, 0.2, 0.2))]
     dets = [det(0, 0.9, g), det(0, 0.8, Box(0.7, 0.7, 0.2, 0.2))]
-    assert match_detections(dets, gts, 0.5) == [True, True]
+    assert matched(dets, gts, 0.5) == [True, True]
 
     # two detections on one ground truth: single-use rule
     dup = [det(0, 0.9, g), det(0, 0.8, g)]
-    assert match_detections(dup, [GroundTruth(0, g)], 0.5) == [True, False]
+    assert matched(dup, [GroundTruth(0, g)], 0.5) == [True, False]
 
     # IoU 0.4 pair fails a 0.5 threshold
     a = from_corners(0.0, 0.0, 0.4, 0.25)
@@ -89,20 +96,20 @@ def test_match_detections_rules():
     low = from_corners(0.0, 0.0, 0.25, 0.4)
     shifted = from_corners(0.0, 0.15, 0.25, 0.55)
     assert iou(low, shifted) == pytest.approx(0.25 / 0.55, abs=1e-12)  # about 0.45
-    assert match_detections([det(0, 0.9, low)], [GroundTruth(0, shifted)], 0.5) == [False]
+    assert matched([det(0, 0.9, low)], [GroundTruth(0, shifted)], 0.5) == [False]
 
     # class mismatch never matches
-    assert match_detections([det(1, 0.9, g)], [GroundTruth(0, g)], 0.5) == [False]
+    assert matched([det(1, 0.9, g)], [GroundTruth(0, g)], 0.5) == [False]
 
 
 def test_match_detections_prefers_higher_iou():
     close = Box(0.3, 0.3, 0.2, 0.2)
     off = Box(0.34, 0.3, 0.2, 0.2)
     gts = [GroundTruth(0, off), GroundTruth(0, close)]
-    flags = match_detections([det(0, 0.9, close)], gts, 0.5)
+    flags = matched([det(0, 0.9, close)], gts, 0.5)
     assert flags == [True]
     # a second exact detection of the remaining box still matches
-    flags = match_detections([det(0, 0.9, close), det(0, 0.8, off)], gts, 0.5)
+    flags = matched([det(0, 0.9, close), det(0, 0.8, off)], gts, 0.5)
     assert flags == [True, True]
 
 
@@ -141,12 +148,12 @@ def test_ap_invariant_under_monotone_confidence_rescale(seed, scale):
     for _ in range(int(rng.integers(1, 6))):
         cx = float(rng.uniform(0.2, 0.8))
         dets.append(det(0, float(rng.uniform(0.1, 0.9)), Box(cx, cx, 0.2, 0.2)))
-    flags = match_detections(dets, gts, 0.5)
+    flags = matched(dets, gts, 0.5)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     base = average_precision([flags[i] for i in order], 2)
 
     rescaled = [det(0, d.confidence * scale / (1 + d.confidence), d.box) for d in dets]
-    flags2 = match_detections(rescaled, gts, 0.5)
+    flags2 = matched(rescaled, gts, 0.5)
     order2 = sorted(range(len(rescaled)), key=lambda i: (-rescaled[i].confidence, i))
     assert average_precision([flags2[i] for i in order2], 2) == pytest.approx(base, abs=1e-12)
 
@@ -163,7 +170,7 @@ def test_tp_count_bounded():
     g = Box(0.3, 0.3, 0.2, 0.2)
     gts = [GroundTruth(0, g)]
     dets = [det(0, 0.9, g), det(0, 0.8, g), det(0, 0.7, g)]
-    flags = match_detections(dets, gts, 0.5)
+    flags = matched(dets, gts, 0.5)
     assert sum(flags) <= min(len(dets), len(gts))
 
 
@@ -265,7 +272,7 @@ def test_evaluate_detections_equals_the_per_scene_grid_oracle(seed):
         got = evaluate_detections(dets, gts, num_classes, thresh, NAMES[:num_classes])
         assert got == oracles.evaluate_detections(dets, gts, num_classes, thresh, NAMES[:num_classes])
         for d, g in zip(dets, gts):
-            assert match_detections(d, g, thresh) == oracles.match_detections(d, g, thresh)
+            assert matched(d, g, thresh) == oracles.match_detections(d, g, thresh)
 
 
 def test_evaluate_detections_on_model_output_and_on_truth_equals_the_oracle():
@@ -302,4 +309,4 @@ def test_evaluate_detections_without_scenes_detections_or_ground_truth_equals_th
         got = evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
         assert got == oracles.evaluate_detections(dets, gts, 2, 0.5, NAMES[:2])
         for d, t in zip(dets, gts):
-            assert match_detections(d, t, 0.5) == oracles.match_detections(d, t, 0.5)
+            assert matched(d, t, 0.5) == oracles.match_detections(d, t, 0.5)

@@ -52,6 +52,13 @@ def test_config_validation():
         ModelConfig(num_queries=0)
 
 
+@pytest.mark.parametrize("config", [data.SceneConfig, ModelConfig])
+@pytest.mark.parametrize("size", [[32, 32], (32, 32.0), (32,)])
+def test_scene_and_model_configs_refuse_an_image_size_that_is_not_two_ints_alike(config, size):
+    with pytest.raises(ContractError, match=r"^image_size must be a tuple of two integers, got "):
+        config(image_size=size)
+
+
 def test_config_catalog_names_the_classes():
     assert ModelConfig(catalog=("a", "b")).num_classes == 2
     assert len(dataclasses.fields(ModelConfig)) == 10  # catalog took num_classes' place

@@ -145,15 +145,15 @@ def test_train_step_zero_weights_reduce_to_classification():
 
 def test_overfit_single_scene_decreases_loss():
     scene = small_scene(5)
-    params, state, rows = train([scene], CFG, epochs=200, lr=1e-3)
+    params, rows = train([scene], CFG, epochs=200, lr=1e-3)
     assert rows[-1].total < rows[0].total
 
 
 def test_training_deterministic():
     scenes = [small_scene(s) for s in range(3)]
     cfg = dataclasses.replace(CFG, seed=1)
-    _, _, rows_a = train(scenes, cfg, epochs=2)
-    _, _, rows_b = train(scenes, cfg, epochs=2)
+    _, rows_a = train(scenes, cfg, epochs=2)
+    _, rows_b = train(scenes, cfg, epochs=2)
     assert rows_a == rows_b
 
 
@@ -350,7 +350,7 @@ def write_checkpoint_per_tensor(ckpt_dir, params, config):
 
 def test_per_tensor_checkpoint_loads_and_resaves_byte_identical(tmp_path):
     cfg = dataclasses.replace(CFG, seed=4)
-    params, _, _ = train([small_scene()], cfg, epochs=3)
+    params, _ = train([small_scene()], cfg, epochs=3)
     write_checkpoint_per_tensor(tmp_path / "old", params, cfg)
     loaded, config = load_checkpoint(tmp_path / "old")
     assert config == cfg
