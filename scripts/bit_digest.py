@@ -98,7 +98,7 @@ def digest(src: str) -> dict[str, str]:
     tapeless = []
     for prefix, queries, _ in RUNS:
         config = model.ModelConfig(num_queries=queries)
-        params, *_, rows = training.train(trained[prefix], config, EPOCHS)  # older trees return the state between
+        params, rows = training.train(trained[prefix], config, EPOCHS)
         parts[f"{prefix}.losses"] = _sha([(r.total, r.cls, r.box) for r in rows])
         parts[f"{prefix}.params"] = _sha(model.arena_of(params, "data"))
         parts[f"{prefix}.grads"] = _sha(model.arena_of(params, "grad"))

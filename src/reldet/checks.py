@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numeric
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .evaluation import average_precision
 from .geometry import LossWeights, box_pairs
 from .matching import brute_force_assign, build_cost_matrix, hungarian, hungarian_loss_terms
@@ -40,7 +40,7 @@ def grad_excess(analytic, fd, rtol: float, atol: float = 1e-7) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     f = np.asarray(fd, dtype=np.float64)
     if a.shape != f.shape:
-        raise ShapeError(f"gradient shape {a.shape} vs finite-difference shape {f.shape}")
+        raise ContractError(f"gradient shape {a.shape} vs finite-difference shape {f.shape}")
     excess = np.abs(a - f) - (atol + rtol * np.maximum(np.abs(a), np.abs(f)))
     return float(np.max(np.where(np.isnan(excess), np.inf, excess)))
 

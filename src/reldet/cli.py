@@ -30,15 +30,7 @@ from .data import (
     save_dataset,
     write_atomic,
 )
-from .errors import (
-    CapacityError,
-    ContractError,
-    DomainError,
-    IntegrityError,
-    NumericError,
-    ParseError,
-    ShapeError,
-)
+from .errors import ContractError, IntegrityError, NumericError
 from .geometry import Box, LossWeights
 from .matching import DEFAULT_NULL_WEIGHT, GroundTruth
 from .model import ModelConfig, forward
@@ -263,7 +255,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow stays ignored
             return args.run(args)
-    except (ParseError, ContractError, CapacityError, DomainError, ShapeError, OSError) as e:
+    except (ContractError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DomainError, ParseError
+from .errors import ContractError
 from .geometry import Box
 from .matching import GroundTruth
 from .numeric import Tensor
@@ -133,7 +133,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     try:
         img = rng.uniform(0.15, 0.35, (3, h, w))
     except (MemoryError, ValueError) as e:  # ValueError: more bytes than one array can address
-        raise CapacityError(f"a {h}x{w} image does not fit in memory ({e})") from e
+        raise ContractError(f"a {h}x{w} image does not fit in memory ({e})") from e
     count = int(rng.integers(1, config.max_objects + 1))
     objects = []
     for _ in range(count):
@@ -203,7 +203,7 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise ParseError(f"unexpected end of PPM header at byte {pos}")
+        raise ContractError(f"unexpected end of PPM header at byte {pos}")
     start = pos
     while pos < n and not buf[pos : pos + 1].isspace():
         pos += 1
@@ -215,21 +215,21 @@ def read_ppm(path) -> np.ndarray:
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
     if magic != b"P6":
-        raise ParseError(f"not a binary PPM (magic {magic!r} at byte 0)")
+        raise ContractError(f"not a binary PPM (magic {magic!r} at byte 0)")
     fields = []
     for _ in range(3):
         tok, pos = _next_token(buf, pos)
         if not tok.isdigit():
-            raise ParseError(f"bad PPM header token {tok!r} at byte {pos - len(tok)}")
+            raise ContractError(f"bad PPM header token {tok!r} at byte {pos - len(tok)}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
-        raise ParseError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
+        raise ContractError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
     pos += 1  # single whitespace after maxval
     expected = w * h * 3
     raster = buf[pos : pos + expected]
     if len(raster) != expected:
-        raise ParseError(f"raster truncated at byte {pos + len(raster)} (expected {expected} bytes)")
+        raise ContractError(f"raster truncated at byte {pos + len(raster)} (expected {expected} bytes)")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
     return arr.astype(np.float64) / 255.0
 
@@ -274,29 +274,29 @@ def save_scene(scene: Scene, stem, catalog=DEFAULT_CLASSES) -> None:
 
 
 def _read_json(path: Path):
-    """The JSON document of an annotation, ``catalog.json`` or ``manifest.json``; ParseError names the file."""
+    """The JSON document of an annotation, ``catalog.json`` or ``manifest.json``; ContractError names the file."""
     try:
         return json.loads(path.read_text())
     except (ValueError, RecursionError) as e:  # JSONDecodeError, bytes that are not UTF-8, or nesting too deep
-        raise ParseError(f"bad JSON in {path}: {e}") from e
+        raise ContractError(f"bad JSON in {path}: {e}") from e
 
 
 def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
-    """One entry of an annotation's ``objects`` list; ParseError names the file."""
+    """One entry of an annotation's ``objects`` list; ContractError names the file."""
     fields = ("class_id", "cx", "cy", "w", "h")
     if not isinstance(rec, dict) or any(k not in rec for k in fields):
-        raise ParseError(f"{path}: object {i} is not an object with fields {', '.join(fields)}")
+        raise ContractError(f"{path}: object {i} is not an object with fields {', '.join(fields)}")
     cid, vals = rec["class_id"], [rec[k] for k in fields[1:]]
     if type(cid) is not int or any(type(v) not in (int, float) for v in vals):
-        raise ParseError(f"{path}: object {i} needs an integer class_id and numeric cx, cy, w, h")
+        raise ContractError(f"{path}: object {i} needs an integer class_id and numeric cx, cy, w, h")
     try:
         box = Box(*map(float, vals))
     except OverflowError as e:  # an integer beyond float range, such as 10**400
-        raise ParseError(f"{path}: object {i} has a box field beyond float range") from e
-    except DomainError as e:
-        raise ParseError(f"{path}: object {i}: {e}") from e
+        raise ContractError(f"{path}: object {i} has a box field beyond float range") from e
+    except ContractError as e:
+        raise ContractError(f"{path}: object {i}: {e}") from e
     if not box.inside_unit():
-        raise ParseError(f"{path}: object {i} box {box} leaves the unit square")
+        raise ContractError(f"{path}: object {i} box {box} leaves the unit square")
     return GroundTruth(cid, box)
 
 
@@ -307,13 +307,13 @@ def load_scene(stem) -> Scene:
     path = stem.with_name(stem.name + ".json")
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("objects", []), list):
-        raise ParseError(f"{path} is not an annotation object with an objects list")
+        raise ContractError(f"{path} is not an annotation object with an objects list")
     h, w = image.shape[1:]
     if doc.get("width") != w or doc.get("height") != h:
-        raise ParseError(f"{path}: annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
+        raise ContractError(f"{path}: annotation size {doc.get('width')}x{doc.get('height')} mismatches image {w}x{h}")
     objects = [_annotation_object(rec, path, i) for i, rec in enumerate(doc.get("objects", []))]
     if not objects:
-        raise ParseError(f"{path}: scene has no objects")
+        raise ContractError(f"{path}: scene has no objects")
     return Scene(Tensor(image), objects)
 
 
@@ -335,11 +335,11 @@ def load_catalog(path) -> list[str]:
     """Class names from a catalog.json: a nonempty JSON list of distinct strings."""
     catalog = _read_json(Path(path))
     if not isinstance(catalog, list):  # tuple("abc") would pass as three class names
-        raise ParseError(f"{path} is not a JSON list of class names")
+        raise ContractError(f"{path} is not a JSON list of class names")
     try:
         check_catalog(tuple(catalog))
     except ContractError as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise ContractError(f"{path}: {e}") from e
     return catalog
 
 
@@ -347,27 +347,27 @@ def load_dataset(data_dir, max_objects: int | None = None) -> tuple[list[Scene],
     """The scenes of a dataset directory, in file name order, and its catalog.
 
     A scene with more objects than ``max_objects``, when given, raises
-    CapacityError naming its annotation file: ``train`` passes its query
+    ContractError naming its annotation file: ``train`` passes its query
     count, so no scene fails at its first step after earlier ones trained.
     """
     root = Path(data_dir)
     cat_path = root / "catalog.json"
     if not cat_path.exists():
-        raise ParseError(f"no catalog.json in {root}")
+        raise ContractError(f"no catalog.json in {root}")
     catalog = load_catalog(cat_path)
     stems = sorted(p.with_suffix("") for p in root.glob("scene_*.ppm"))
     if not stems:
-        raise ParseError(f"no scene_*.ppm files in {root}")
+        raise ContractError(f"no scene_*.ppm files in {root}")
     scenes = [load_scene(stem) for stem in stems]
     for stem, scene in zip(stems, scenes):
         if scene.image.shape != scenes[0].image.shape:
-            raise ParseError(f"{stem.with_name(stem.name + '.ppm')}: image shape {scene.image.shape} differs from "
+            raise ContractError(f"{stem.with_name(stem.name + '.ppm')}: image shape {scene.image.shape} differs from "
                              f"{stems[0].name}.ppm's {scenes[0].image.shape}; a dataset holds one image size")
         path = stem.with_name(stem.name + ".json")
         for g in scene.objects:
             if not 0 <= g.class_id < len(catalog):
-                raise ParseError(f"{path}: class_id {g.class_id} is outside the {len(catalog)}-class catalog")
+                raise ContractError(f"{path}: class_id {g.class_id} is outside the {len(catalog)}-class catalog")
         if max_objects is not None and len(scene.objects) > max_objects:
-            raise CapacityError(f"{path}: {len(scene.objects)} objects exceed the model's {max_objects} queries "
+            raise ContractError(f"{path}: {len(scene.objects)} objects exceed the model's {max_objects} queries "
                                 "(one prediction slot each)")
     return scenes, catalog

@@ -1,29 +1,14 @@
-"""Exception types shared across the package."""
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible with an operation's contract."""
-
-
-class DomainError(ValueError):
-    """A value lies outside an operation's mathematical domain."""
+"""Exception types shared across the package: one per exit code of ``reldet``."""
 
 
 class ContractError(ValueError):
-    """A precondition on an operation's arguments was violated."""
-
-
-class CapacityError(ValueError):
-    """An input exceeds a documented size limit."""
-
-
-class IntegrityError(RuntimeError):
-    """Persisted data is inconsistent with its manifest or invariants."""
-
-
-class ParseError(ValueError):
-    """A file could not be parsed; the message carries the offending position."""
+    """An input or argument breaks a documented rule (shape, domain, size limit
+    or file format); the CLI exits 2."""
 
 
 class NumericError(RuntimeError):
-    """A non-finite value appeared where finite math was required."""
+    """A non-finite value appeared where finite math was required; the CLI exits 3."""
+
+
+class IntegrityError(RuntimeError):
+    """Persisted data is inconsistent with its manifest or invariants; the CLI exits 4."""

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class Box:
     def __post_init__(self):
         vals = (self.cx, self.cy, self.w, self.h)
         if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"box has non-finite fields {vals}")
+            raise ContractError(f"box has non-finite fields {vals}")
         if self.w < 0 or self.h < 0:
-            raise DomainError(f"box has negative size (w={self.w}, h={self.h})")
+            raise ContractError(f"box has negative size (w={self.w}, h={self.h})")
 
     def to_corners(self) -> tuple[float, float, float, float]:
         """(x1, y1, x2, y2) with x1 <= x2 and y1 <= y2."""

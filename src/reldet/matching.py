@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .errors import CapacityError, ContractError, DomainError, NumericError, ShapeError
+from .errors import ContractError, NumericError
 from .geometry import Box, LossWeights, box_pairs, box_rows
 from .numeric import Tensor
 
@@ -57,14 +57,14 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     probs = np.asarray(probs, dtype=np.float64)
     boxes = np.asarray(boxes, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 2 or boxes.shape != (probs.shape[0], 4):
-        raise ShapeError(f"need probs [N, K+1] with K >= 1 and boxes [N, 4], got {probs.shape} and {boxes.shape}")
+        raise ContractError(f"need probs [N, K+1] with K >= 1 and boxes [N, 4], got {probs.shape} and {boxes.shape}")
     n = probs.shape[0]
     if len(gt) > n:
-        raise CapacityError(f"{len(gt)} ground-truth objects exceed {n} prediction slots")
+        raise ContractError(f"{len(gt)} ground-truth objects exceed {n} prediction slots")
     if not np.isfinite(boxes).all():
-        raise DomainError("predicted boxes have non-finite fields")
+        raise ContractError("predicted boxes have non-finite fields")
     if (boxes[:, 2:] < 0).any():
-        raise DomainError("predicted boxes have negative size")
+        raise ContractError("predicted boxes have negative size")
     if (probs < 0).any() or (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ContractError("class probabilities must be nonnegative and sum to 1")
     cls = np.array([y.class_id for y in gt], dtype=np.intp)
@@ -162,7 +162,7 @@ def brute_force_assign(c: np.ndarray) -> Assignment:
     if c.shape[1] != n:
         raise ContractError(f"brute force needs a square matrix, got shape {c.shape}")
     if n > 9:
-        raise CapacityError(f"brute force over {n}! permutations is off the table")
+        raise ContractError(f"brute force over {n}! permutations is off the table")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     totals = c[np.arange(n), perms].sum(axis=1)
     best = perms[int(np.argmin(totals))]
@@ -189,8 +189,8 @@ def hungarian_loss_terms(gt: list[GroundTruth], preds, assign: Assignment, w: Lo
     -log p(class) (down-weighted by ``null_weight`` on the N - G no-object
     slots); real slots add the box loss. Probabilities are clamped to 1e-12
     before the log as a numeric guard. The loss is one ``numeric.set_loss``
-    record; ``set_loss`` raises ShapeError when ``assign`` does not cover N
-    slots or G > N, and ContractError when it repeats a prediction.
+    record; ``set_loss`` raises ContractError when ``assign`` does not cover N
+    slots, repeats a prediction, or G > N.
     """
     total, cls, box = numeric.set_loss(preds.class_probs, preds.boxes, assign.perm, [y.class_id for y in gt],
                                        box_rows(y.box for y in gt), null_weight, w)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import numeric
 from .data import SceneConfig, check_catalog, check_image_size
-from .errors import CapacityError, ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError
 from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
 
@@ -233,7 +233,7 @@ def init_params(config: ModelConfig) -> dict[str, Tensor]:
     try:
         arena = np.zeros(size)
     except (MemoryError, ValueError) as e:  # ValueError: more entries or bytes than one array can address
-        raise CapacityError(f"the model's {size} parameters do not fit in memory ({e})") from e
+        raise ContractError(f"the model's {size} parameters do not fit in memory ({e})") from e
     params = arena_views([(name, shape) for name, shape, _ in spec], arena)
     for name, shape, fan in spec:
         if fan == "query":
@@ -252,7 +252,7 @@ def backbone_forward(image: Tensor, params, config: ModelConfig) -> Tensor:
     """Three stride-2 3x3 conv + ReLU stages of a [3, H, W] image, one record:
     the [C, H/8, W/8] map's pixels as [H/8 * W/8, C] rows, in row-major order."""
     if image.shape != (3, *config.image_size):
-        raise ShapeError(f"image shape {image.shape} does not match configured {(3, *config.image_size)}")
+        raise ContractError(f"image shape {image.shape} does not match configured {(3, *config.image_size)}")
     return numeric.backbone(image, _param_getter("backbone", _BACKBONE_LAYERS)(params))
 
 

@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .geometry import box_pairs
 
 _LN_EPS = 1e-5  # added to the variance in _layer_norm
@@ -195,7 +195,7 @@ def backward(y: Tensor, grad=None) -> None:
     else:
         grad = np.array(grad, dtype=np.float64)
         if grad.shape != y.data.shape:
-            raise ShapeError(f"backward seed of shape {grad.shape} for an output of shape {y.data.shape}")
+            raise ContractError(f"backward seed of shape {grad.shape} for an output of shape {y.data.shape}")
     grads: list[Optional[np.ndarray]] = [None] * tape._n
     grads[y.node_id] = grad
     for _, out_id, in_ids, rule in reversed(tape.records):
@@ -312,9 +312,9 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, ids) -> tuple:
 
 
 def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
-    """The output width of an affine map of ``width``-wide rows by (w, b); raises ShapeError."""
+    """The output width of an affine map of ``width``-wide rows by (w, b); raises ContractError."""
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != width or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
+        raise ContractError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
     return w.shape[1]
 
 
@@ -343,7 +343,7 @@ def backbone(image: Tensor, layers: Sequence[Tensor]) -> Tensor:
     for w, b in zip(ts[0::2], ts[1::2]):
         dw, db = w.data, b.data
         if y.ndim != 3 or 0 in y.shape or db.ndim != 1 or dw.shape != (9 * y.shape[0], db.size):
-            raise ShapeError(f"backbone: a weight {dw.shape} and bias {db.shape} do not convolve a {y.shape} map")
+            raise ContractError(f"backbone: a weight {dw.shape} and bias {db.shape} do not convolve a {y.shape} map")
         (c, h, wd), c_out = y.shape, db.size
         gather, scatter = _conv3x3_indices(c, h, wd)
         padded = np.zeros((c, h + 2, wd + 2))
@@ -414,15 +414,15 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
         raise ContractError(f"attention_block needs 8 projection tensors (wq, bq, ..., wo, bo), got {len(proj)}")
     xx, xv = x.data, kv.data
     if xx.ndim != 2 or xv.ndim != 2 or xx.shape[1] != xv.shape[1] or pos.shape != xx.shape or kv_pos.shape != xv.shape:
-        raise ShapeError(f"attention_block shapes disagree: x {xx.shape}, pos {pos.shape}, kv {xv.shape}, "
+        raise ContractError(f"attention_block shapes disagree: x {xx.shape}, pos {pos.shape}, kv {xv.shape}, "
                          f"kv_pos {kv_pos.shape}")
     (n, d), m = xx.shape, xv.shape[0]
     if num_heads < 1 or d % num_heads:
-        raise ShapeError(f"attention_block: width {d} not divisible by {num_heads} heads")
+        raise ContractError(f"attention_block: width {d} not divisible by {num_heads} heads")
     wq, bq, wk, bk, wv, bv, wo, bo = [t.data for t in proj]
     for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
         if _check_affine("attention_block", d, w, b) != d:
-            raise ShapeError(f"attention_block: a projection weight {w.shape} does not map width {d} to itself")
+            raise ContractError(f"attention_block: a projection weight {w.shape} does not map width {d} to itself")
     self_attn = kv is x and kv_pos is pos
     xq = xx + pos.data
     xk = xq if self_attn else xv + kv_pos.data
@@ -473,7 +473,7 @@ def _mlp_core(op: str, h: np.ndarray, ts: list) -> tuple:
     if not ts or len(ts) % 2:
         raise ContractError(f"{op} needs a weight and a bias per layer, got {len(ts)} tensors")
     if h.ndim != 2:
-        raise ShapeError(f"{op} needs a rank-2 input, got shape {h.shape}")
+        raise ContractError(f"{op} needs a rank-2 input, got shape {h.shape}")
     layers = []  # each layer's input, weight and the ReLU mask of that input (None at the first layer)
     for k in range(0, len(ts), 2):
         w, b = ts[k].data, ts[k + 1].data
@@ -525,7 +525,7 @@ def ffn_block(x: Tensor, layers: Sequence[Tensor]) -> Tensor:
     x, *ts = _tensor_args("ffn_block", x, *layers)
     h, rule = _mlp_core("ffn_block", x.data, ts)
     if h.shape != x.shape:
-        raise ShapeError(f"ffn_block: the layers map {x.shape} rows to {h.shape}, not to the residual's shape")
+        raise ContractError(f"ffn_block: the layers map {x.shape} rows to {h.shape}, not to the residual's shape")
     y, inv = _layer_norm(x.data + h)
 
     def bwd(g, ids):
@@ -545,7 +545,7 @@ def relation(x: Tensor, m, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = _tensor_args("relation", x, w, b)
     xx, m = x.data, np.asarray(m, dtype=np.float64)
     if xx.ndim != 2 or m.shape != (xx.shape[0],) * 2:
-        raise ShapeError(f"relation: rows {xx.shape} and a mixing matrix {m.shape} disagree")
+        raise ContractError(f"relation: rows {xx.shape} and a mixing matrix {m.shape} disagree")
     d = xx.shape[1]
     wt = np.ascontiguousarray(w.data.T)  # C order, as the chain held it: the BLAS bits depend on the layout
     _check_affine("relation", 2 * d, wt, b.data)
@@ -593,7 +593,7 @@ def set_loss(probs: Tensor, boxes: Tensor, perm, classes, targets, null_weight: 
     n, g = rows.size, cls_ids.size
     if probs.data.ndim != 2 or probs.data.shape[0] != n or boxes.data.shape != (n, 4) \
             or rows.shape != (n,) or t.shape != (g, 4) or g > n:
-        raise ShapeError(f"set_loss shapes disagree: probs {probs.data.shape}, boxes {boxes.data.shape}, "
+        raise ContractError(f"set_loss shapes disagree: probs {probs.data.shape}, boxes {boxes.data.shape}, "
                          f"perm {rows.shape}, classes {cls_ids.shape}, targets {t.shape}")
     if sorted(rows.tolist()) != list(range(n)):
         raise ContractError(f"set_loss needs a permutation of the {n} predictions")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numeric
 from .data import Scene, _read_json, encode_json, write_atomic
-from .errors import ContractError, IntegrityError, NumericError, ParseError
+from .errors import ContractError, IntegrityError, NumericError
 from .geometry import LossWeights
 from .matching import DEFAULT_NULL_WEIGHT, build_cost_matrix, hungarian, hungarian_loss_terms
 from .model import ModelConfig, arena_of, arena_views, forward, init_params, param_spec
@@ -220,7 +220,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         manifest = _read_json(root / "manifest.json")
     except FileNotFoundError:
         raise IntegrityError(f"no manifest.json in {root}") from None
-    except ParseError as e:
+    except ContractError as e:
         raise IntegrityError(f"bad manifest.json in {root}: {e.__cause__}") from e
     try:
         d = manifest["config"]

@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from reldet.errors import ContractError, DomainError, ShapeError
+from reldet.errors import ContractError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import LossBreakdown
 from reldet.numeric import (Tensor, _affine, _affine_grads, _conv3x3_indices, _record, _softmax, _softmax_grad,
@@ -66,7 +66,7 @@ def _as_pair(a, b, op: str):
     at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
     if at and bt:
         if a.data.shape != b.data.shape:
-            raise ShapeError(
+            raise ContractError(
                 f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
                 "(only exact-shape tensors or a python scalar are supported)"
             )
@@ -161,7 +161,7 @@ def absolute(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "log")
     if np.any(x.data <= 0):
-        raise DomainError(f"log of non-positive value (min entry {x.data.min()!r})")
+        raise ContractError(f"log of non-positive value (min entry {x.data.min()!r})")
     d = x.data
     return _record("log", Tensor(np.log(d)), (x,), lambda g, ids: (g / d,))
 
@@ -184,7 +184,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean, unit variance (no affine)."""
     x = _tensor_arg(x, "layer_norm")
     if x.data.ndim < 1:
-        raise ShapeError("layer_norm needs rank >= 1")
+        raise ContractError("layer_norm needs rank >= 1")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -204,11 +204,11 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     x = _tensor_arg(x, "narrow")
     rank = x.data.ndim
     if not -rank <= axis < rank:
-        raise ShapeError(f"narrow axis {axis} out of range for rank {rank}")
+        raise ContractError(f"narrow axis {axis} out of range for rank {rank}")
     axis = axis % rank
     dim = x.data.shape[axis]
     if start < 0 or length < 0 or start + length > dim:
-        raise ShapeError(f"narrow [{start}:{start + length}] on axis {axis} exceeds extent {dim}")
+        raise ContractError(f"narrow [{start}:{start + length}] on axis {axis} exceeds extent {dim}")
     sl = [slice(None)] * rank
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
@@ -227,12 +227,12 @@ def take_rows(x: Tensor, rows) -> Tensor:
     """Gather rows of a matrix by index; backward scatter-adds."""
     x = _tensor_arg(x, "take_rows")
     if x.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a rank-2 tensor, got shape {x.data.shape}")
+        raise ContractError(f"take_rows needs a rank-2 tensor, got shape {x.data.shape}")
     idx = np.asarray(rows, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("take_rows needs a 1-d index list")
+        raise ContractError("take_rows needs a 1-d index list")
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ShapeError(f"take_rows index out of range for {x.data.shape[0]} rows")
+        raise ContractError(f"take_rows index out of range for {x.data.shape[0]} rows")
     shape = x.data.shape
     out = Tensor(x.data[idx])
 
@@ -248,14 +248,14 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     """Gather entries x[rows[i], cols[i]] into a vector; backward scatter-adds."""
     x = _tensor_arg(x, "take_pairs")
     if x.data.ndim != 2:
-        raise ShapeError(f"take_pairs needs a rank-2 tensor, got shape {x.data.shape}")
+        raise ContractError(f"take_pairs needs a rank-2 tensor, got shape {x.data.shape}")
     ri = np.asarray(rows, dtype=np.intp)
     ci = np.asarray(cols, dtype=np.intp)
     if ri.shape != ci.shape or ri.ndim != 1:
-        raise ShapeError("take_pairs needs matching 1-d row and column index lists")
+        raise ContractError("take_pairs needs matching 1-d row and column index lists")
     m, n = x.data.shape
     if ri.size and (ri.min() < 0 or ri.max() >= m or ci.min() < -1 or ci.max() >= n):
-        raise ShapeError(f"take_pairs index out of range for shape {x.data.shape}")
+        raise ContractError(f"take_pairs index out of range for shape {x.data.shape}")
     shape = x.data.shape
     out = Tensor(x.data[ri, ci])
 
@@ -284,9 +284,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = _tensor_arg(a, "matmul")
     b = _tensor_arg(b, "matmul")
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
+        raise ContractError(f"matmul needs rank-2 operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner extents disagree for shapes {a.data.shape} and {b.data.shape}")
+        raise ContractError(f"matmul: inner extents disagree for shapes {a.data.shape} and {b.data.shape}")
     da, db = a.data, b.data
     out = Tensor(da @ db)
     return _record("matmul", out, (a, b), lambda g, ids: (
@@ -296,7 +296,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     x = _tensor_arg(x, "transpose")
     if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
+        raise ContractError(f"transpose needs a rank-2 tensor, got shape {x.data.shape}")
     return _record("transpose", Tensor(x.data.T), (x,), lambda g, ids: (g.T,))
 
 
@@ -304,7 +304,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     x = _tensor_arg(x, "reshape")
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.data.size:
-        raise ShapeError(f"reshape from {x.data.shape} to {shape} changes the element count")
+        raise ContractError(f"reshape from {x.data.shape} to {shape} changes the element count")
     old = x.data.shape
     return _record("reshape", Tensor(x.data.reshape(shape)), (x,), lambda g, ids: (g.reshape(old),))
 
@@ -317,7 +317,7 @@ def concat(tensors) -> Tensor:
     lead = ts[0].data.shape[:-1]
     for t in ts:
         if t.data.ndim != len(lead) + 1 or t.data.shape[:-1] != lead:
-            raise ShapeError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
+            raise ContractError(f"concat needs rank >= 1 and equal leading extents: {ts[0].data.shape}, {t.data.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=-1))
     bounds = [0]
     for t in ts:
@@ -461,14 +461,14 @@ def im2col(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     """
     x = _tensor_arg(x, "im2col")
     if x.data.ndim != 3:
-        raise ShapeError(f"im2col needs a rank-3 tensor, got shape {x.data.shape}")
+        raise ContractError(f"im2col needs a rank-3 tensor, got shape {x.data.shape}")
     if kernel < 1 or stride < 1 or pad < 0:
         raise ContractError(f"im2col: bad kernel/stride/pad ({kernel}, {stride}, {pad})")
     c, h, w = x.data.shape
     ho = (h + 2 * pad - kernel) // stride + 1
     wo = (w + 2 * pad - kernel) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(f"im2col: kernel {kernel} does not fit input {x.data.shape} with pad {pad}")
+        raise ContractError(f"im2col: kernel {kernel} does not fit input {x.data.shape} with pad {pad}")
     padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
     patches = np.empty((c, kernel, kernel, ho, wo))
     for i in range(kernel):
@@ -497,7 +497,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     b = _tensor_arg(b, "linear")
     dx, dw, db = x.data, w.data, b.data
     if dx.ndim != 2 or dw.ndim != 2 or db.ndim != 1 or dw.shape != (dx.shape[1], db.shape[0]):
-        raise ShapeError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {db.shape}")
+        raise ContractError(f"linear: incompatible shapes {dx.shape}, {dw.shape} and {db.shape}")
     y = dx @ dw
     y += db
     return _record("linear", Tensor(y), (x, w, b), lambda g, ids: (
@@ -523,7 +523,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     b = _tensor_arg(b, "conv3x3")
     dx, dw = x.data, w.data
     if dx.ndim != 3 or 0 in dx.shape or b.data.ndim != 1 or dw.shape != (9 * dx.shape[0], b.data.size):
-        raise ShapeError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
+        raise ContractError(f"conv3x3: incompatible shapes {dx.shape}, {dw.shape} and {b.data.shape}")
     (c, h, wd), c_out = dx.shape, b.data.size
     ho, wo = (h + 1) // 2, (wd + 1) // 2
     gather, scatter = _conv3x3_indices(c, h, wd)
@@ -588,10 +588,10 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
     kp = _tensor_arg(kp, "attention")
     vp = _tensor_arg(vp, "attention")
     if qp.data.ndim != 2 or kp.data.ndim != 2 or kp.data.shape != vp.data.shape or qp.data.shape[1] != kp.data.shape[1]:
-        raise ShapeError(f"attention shapes disagree: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}")
+        raise ContractError(f"attention shapes disagree: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}")
     (n, d), m = qp.data.shape, kp.data.shape[0]
     if num_heads < 1 or d % num_heads:
-        raise ShapeError(f"attention: width {d} not divisible by {num_heads} heads")
+        raise ContractError(f"attention: width {d} not divisible by {num_heads} heads")
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
     # per-head operands, each head's matrix C-contiguous: q [h,n,dh], k^T [h,dh,m], v [h,m,dh]

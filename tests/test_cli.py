@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reldet import checks, cli, data, numeric
+from reldet import checks, cli, data, errors, numeric
 from reldet.data import SceneConfig, load_dataset, read_ppm
-from reldet.errors import CapacityError
+from reldet.errors import ContractError
 from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
 from reldet.geometry import LossWeights
 from reldet.matching import DEFAULT_NULL_WEIGHT, hungarian_loss_terms
@@ -84,7 +84,7 @@ def test_gen_data_failing_part_way_removes_the_directory_it_made(tmp_path, monke
 
     def fail_on_the_third(seed, cfg):
         if seed == 3:
-            raise CapacityError("the third scene does not fit")
+            raise ContractError("the third scene does not fit")
         return draw(seed, cfg)
 
     monkeypatch.setattr(cli, "generate_scene", fail_on_the_third)
@@ -630,6 +630,18 @@ def test_selftest_negative_seed_exits_2():
     code, err = run_captured("selftest", "--seed", "-1")
     assert code == 2 and "Traceback" not in err, err
     assert err.startswith("error: selftest: --seed must be nonnegative")
+
+
+def test_each_error_type_is_one_exit_code(monkeypatch):
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined == {"ContractError", "NumericError", "IntegrityError"}
+    for error, code, prefix in ((errors.ContractError, 2, "error:"), (errors.NumericError, 3, "numeric divergence:"),
+                                (errors.IntegrityError, 4, "checkpoint mismatch:")):
+        def fail(args):
+            raise error("raised by the command")
+
+        monkeypatch.setattr(cli, "cmd_selftest", fail)
+        assert run_captured("selftest") == (code, f"{prefix} raised by the command\n")
 
 
 def test_train_zero_heads_exits_2(dataset, tmp_path, capsys):

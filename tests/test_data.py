@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reldet import data
-from reldet.errors import ContractError, ParseError
+from reldet.errors import ContractError
 from reldet.data import (
     DEFAULT_CLASSES,
     Scene,
@@ -177,7 +177,7 @@ def test_hand_written_white_pixel_ppm(tmp_path):
 def test_malformed_ppm_raises_parse_error(tmp_path, payload):
     path = tmp_path / "bad.ppm"
     path.write_bytes(payload)
-    with pytest.raises(ParseError, match="byte"):
+    with pytest.raises(ContractError, match="byte"):
         read_ppm(path)
 
 
@@ -195,7 +195,7 @@ def test_empty_object_annotation_rejected(tmp_path):
     doc = json.loads((tmp_path / "scene_00000.json").read_text())
     doc["objects"] = []
     (tmp_path / "scene_00000.json").write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match=r"scene_00000\.json: scene has no objects"):
+    with pytest.raises(ContractError, match=r"scene_00000\.json: scene has no objects"):
         load_scene(tmp_path / "scene_00000")
 
 
@@ -205,7 +205,7 @@ def test_out_of_bounds_annotation_rejected(tmp_path):
     doc = json.loads((tmp_path / "scene_00000.json").read_text())
     doc["objects"][0]["cx"] = 0.99
     (tmp_path / "scene_00000.json").write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match=r"scene_00000\.json: object 0 box .* leaves the unit square"):
+    with pytest.raises(ContractError, match=r"scene_00000\.json: object 0 box .* leaves the unit square"):
         load_scene(tmp_path / "scene_00000")
 
 
@@ -238,7 +238,7 @@ def test_dotted_scene_names_load_their_own_files(tmp_path):
 
     doc["objects"][0]["class_id"] = len(DEFAULT_CLASSES)
     (tmp_path / "scene_1.5.json").write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match=r"scene_1\.5\.json: class_id"):
+    with pytest.raises(ContractError, match=r"scene_1\.5\.json: class_id"):
         load_dataset(tmp_path)
 
 
@@ -255,7 +255,7 @@ def test_load_dataset_rejects_mixed_image_sizes_naming_the_first_odd_file(tmp_pa
     save_dataset(small, tmp_path)
     for i in (3, 4):
         save_scene(generate_scene(i, SceneConfig(image_size=(32, 32))), tmp_path / f"scene_{i:05d}")
-    with pytest.raises(ParseError, match=r"scene_00003\.ppm: image shape \(3, 32, 32\) differs from scene_00000\.ppm"):
+    with pytest.raises(ContractError, match=r"scene_00003\.ppm: image shape \(3, 32, 32\) differs from scene_00000\.ppm"):
         load_dataset(tmp_path)
 
 
@@ -286,7 +286,7 @@ def test_encode_json_is_the_dataset_file_format(tmp_path):
 
 def test_load_dataset_requires_catalog_and_scenes(tmp_path):
     (tmp_path / "empty").mkdir()
-    with pytest.raises(ParseError):
+    with pytest.raises(ContractError):
         load_dataset(tmp_path / "empty")
 
 
@@ -322,13 +322,13 @@ def _drop_first_cx(doc):
 ], ids=["list", "no-cx", "class-id-x", "w-big", "class-id-bool", "objects-not-list", "object-not-dict"])
 def test_malformed_annotation_raises_parse_error_naming_the_file(tmp_path, edit):
     stem = _edited_scene(tmp_path, edit)
-    with pytest.raises(ParseError, match="scene_00000.json"):
+    with pytest.raises(ContractError, match="scene_00000.json"):
         load_scene(stem)
 
 
 def test_non_finite_annotation_box_raises_parse_error(tmp_path):
     stem = _edited_scene(tmp_path, _set_first("h", float("nan")))
-    with pytest.raises(ParseError, match="non-finite"):
+    with pytest.raises(ContractError, match="non-finite"):
         load_scene(stem)
 
 
@@ -336,5 +336,5 @@ def test_non_finite_annotation_box_raises_parse_error(tmp_path):
 def test_annotation_box_field_beyond_float_range_raises_parse_error(tmp_path, field):
     # 10**400 is a valid JSON number that no float64 holds
     stem = _edited_scene(tmp_path, _set_first(field, 10**400))
-    with pytest.raises(ParseError, match=r"scene_00000\.json: object 0 .*float range"):
+    with pytest.raises(ContractError, match=r"scene_00000\.json: object 0 .*float range"):
         load_scene(stem)

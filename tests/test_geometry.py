@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reldet import numeric
-from reldet.errors import ContractError, DomainError
+from reldet.errors import ContractError
 from reldet.geometry import Box, BoxPairs, LossWeights, box_pairs, box_rows
 from reldet.numeric import Tensor
 
@@ -26,7 +26,7 @@ def test_to_corners_cases():
 
 
 def test_box_rejects_negative_size():
-    with pytest.raises(DomainError):
+    with pytest.raises(ContractError):
         Box(0.5, 0.5, -0.1, 0.1)
 
 

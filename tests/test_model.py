@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reldet import checks, data, model, numeric, training
-from reldet.errors import ContractError, NumericError, ShapeError
+from reldet.errors import ContractError, NumericError
 from reldet.geometry import Box, LossWeights
 from reldet.matching import GroundTruth, build_cost_matrix, hungarian, hungarian_loss_terms
 from reldet.model import (
@@ -102,7 +102,7 @@ def test_backbone_shape_and_zero_image():
     assert out.shape == (16, 16)  # the 4x4 last map's pixels as rows of its 16 channels
     # zero input with zero-initialized biases stays exactly zero
     np.testing.assert_array_equal(out.data, np.zeros((16, 16)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         backbone_forward(Tensor(np.zeros((3, 16, 16))), params, cfg)
 
 
@@ -142,9 +142,9 @@ def test_channel_reduce_identity_and_oracle(rng):
     expected = np.einsum("chw,cd->hwd", f, wr).reshape(16, 8)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         channel_reduce(Tensor(np.zeros((16, 4))), params)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         channel_reduce(Tensor(f), params)
 
 
@@ -333,10 +333,10 @@ def test_attention_bad_width_raises_shape_error(rng):
     params = init_params(TINY)
     proj = [params[f"encoder.0.attn.{name}"] for name in model._ATTN_PROJ]
     x = Tensor(rng.standard_normal((3, 8)))
-    with pytest.raises(ShapeError):  # 8 columns do not split into 3 heads
+    with pytest.raises(ContractError):  # 8 columns do not split into 3 heads
         numeric.attention_block(x, x, x, x, proj, 3)
     narrow = Tensor(rng.standard_normal((3, 6)))
-    with pytest.raises(ShapeError):  # 6-wide rows meet an 8-wide projection
+    with pytest.raises(ContractError):  # 6-wide rows meet an 8-wide projection
         numeric.attention_block(narrow, narrow, narrow, narrow, proj, 2)
 
 
