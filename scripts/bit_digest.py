@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Bit-identity digest of reldet's training and inference, part by part.
 
-Each part is the sha256 of float64 bytes, or of file bytes for ``checkpoint``:
+Each part is the sha256 of float64 bytes, or of file bytes for ``weights``
+and ``manifest``:
 
 - ``scenes``: the images, class ids and boxes (cx, cy, w, h) of every scene
   the parts below train on or run, so a renderer change that alters a scene
@@ -12,9 +13,11 @@ Each part is the sha256 of float64 bytes, or of file bytes for ``checkpoint``:
 - ``q64.*``: the same at 64 queries on scenes of up to 12 objects;
 - ``tapeless``: the class probabilities and boxes of a tape-less ``forward``
   of the trained 16-query model on 5 further scenes;
-- ``checkpoint``: the file bytes of that model's ``weights.bin`` and
-  ``manifest.json``, as ``save_checkpoint`` writes them, and of its
-  ``write_log`` loss log.
+- ``weights``: the file bytes of that model's ``weights.bin``, as
+  ``save_checkpoint`` writes it;
+- ``manifest``: the file bytes of its ``manifest.json`` and of its
+  ``write_log`` loss log, so a change of the manifest's format alone reads
+  ``weights equal``.
 
 Usage:
 
@@ -109,10 +112,10 @@ def digest(src: str) -> dict[str, str]:
             with tempfile.TemporaryDirectory() as tmp:
                 training.save_checkpoint(tmp, params, config)
                 training.write_log(rows, Path(tmp) / "train_log.csv")
-                files = [Path(tmp) / name for name in ("weights.bin", "manifest.json", "train_log.csv")]
-                checkpoint = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+                sha = lambda *names: hashlib.sha256(b"".join((Path(tmp) / n).read_bytes() for n in names)).hexdigest()
+                files = {"weights": sha("weights.bin"), "manifest": sha("manifest.json", "train_log.csv")}
     parts["tapeless"] = _sha(*tapeless)
-    parts["checkpoint"] = checkpoint
+    parts.update(files)
     return parts
 
 

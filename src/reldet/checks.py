@@ -102,7 +102,7 @@ def op_cases(rng) -> list:
     bias = Tensor(rng.standard_normal(2))
     keys = Tensor(rng.standard_normal((5, 4)))
     key_pos = Tensor(rng.standard_normal((5, 4)))
-    proj = [Tensor(rng.standard_normal(shape) / 2) for shape in [(4, 4), (4,)] * 4]  # wq, bq, ..., wo, bo
+    proj = [Tensor(rng.standard_normal(shape) / 2) for shape in [(4, 4, 4), (4, 4)]]  # q, k, v, o weights and biases
     # a 4 -> 5 -> 4 perceptron whose hidden pre-activations stay within 1 of +-3: clear of the
     # relu kink, with units on both sides of it
     rows = rng.uniform(-0.5, 0.5, (3, 4))
@@ -154,8 +154,8 @@ def op_cases(rng) -> list:
         ("attention_block/pos", lambda p: attend(pos=p), mat),
         ("attention_block/kv", lambda kv: attend(kv=kv), keys.data),
         ("attention_block/kv_pos", lambda p: attend(kv_pos=p), key_pos.data),
-        ("attention_block/wq", lambda w: attend(proj=[w, *proj[1:]]), proj[0].data),
-        ("attention_block/bv", lambda b: attend(proj=[*proj[:5], b, *proj[6:]]), proj[5].data),
+        ("attention_block/w", lambda w: attend(proj=[w, proj[1]]), proj[0].data),
+        ("attention_block/b", lambda b: attend(proj=[proj[0], b]), proj[1].data),
         ("attention_block/x=pos=kv=kv_pos", lambda x: attend(x, x, x, x), mat),  # self-attention
         *mlp_cases(None),
         *mlp_cases("sigmoid"),

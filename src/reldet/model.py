@@ -20,8 +20,8 @@ count and width and shared read-only; the decoder's are its learned query
 embeddings. So the first decoder layer's self-attention reads those
 embeddings alone and depends on parameters only: a tape-less forward takes
 its output from a one-entry cache, shared read-only, keyed by the head count
-and the shapes and bytes of the query embeddings and of that sublayer's eight
-projection tensors. Any changed byte, an in-place edit or a rebound tensor
+and the shapes and bytes of the query embeddings and of that sublayer's
+weight and bias. Any changed byte, an in-place edit or a rebound tensor
 alike, recomputes it. A forward under a tape bypasses the cache, because its
 record must be on the tape for gradients to reach those parameters.
 
@@ -116,7 +116,7 @@ class DetectionOutput:
     boxes: Tensor
 
 
-_ATTN_PROJ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # the order numeric.attention_block takes them in
+_ATTN_PROJ = ("w", "b")  # numeric.attention_block's stacked q, k, v, o projections: w [4, d, d], b [4, d]
 _FFN_LAYERS = ("w1", "b1", "w2", "b2")
 _BOX_LAYERS = ("w0", "b0", "w1", "b1", "w2", "b2")
 _BACKBONE_LAYERS = tuple(f"conv{stage}.{name}" for stage in range(3) for name in ("weight", "bias"))
@@ -129,10 +129,8 @@ def _param_getter(prefix: str, names: tuple) -> operator.itemgetter:
 
 
 def _attention_param_names(prefix: str, d: int):
-    for proj in ("wq", "wk", "wv", "wo"):
-        yield f"{prefix}.{proj}", (d, d), d
-    for bias in ("bq", "bk", "bv", "bo"):
-        yield f"{prefix}.{bias}", (d,), None
+    yield f"{prefix}.w", (4, d, d), d
+    yield f"{prefix}.b", (4, d), None
 
 
 def _ffn_param_names(prefix: str, d: int):
@@ -302,8 +300,8 @@ _query_attention_entry: tuple = (None, None)
 def _query_attention(queries: Tensor, proj, heads: int) -> Tensor:
     """``attention_block(queries, queries, queries, queries, proj, heads)``
     for a tape-less forward, reused while ``heads`` and the shape and bytes
-    of the queries and of every tensor in ``proj`` stay those of the last
-    call; any other value recomputes it and replaces the entry."""
+    of the queries and of the weight and bias in ``proj`` stay those of the
+    last call; any other value recomputes it and replaces the entry."""
     global _query_attention_entry
     key = (heads, *[(t.data.shape, t.data.tobytes()) for t in (queries, *proj)])
     cached_key, y = _query_attention_entry

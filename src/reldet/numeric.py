@@ -33,7 +33,7 @@ in the order in which the chain's backward added its gradients:
 
 - ``backbone(image, layers)``: stride-2 3x3 conv + ReLU stages, handing
   over the last map's pixels as rows.
-- ``attention_block(x, pos, kv, kv_pos, proj, num_heads)``: the post-norm
+- ``attention_block(x, pos, kv, kv_pos, (w, b), num_heads)``: the post-norm
   attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos, kv))``.
 - ``ffn_block(x, layers)``: the post-norm feed-forward sublayer
   ``LN(x + mlp(x, layers))``.
@@ -311,11 +311,10 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, ids) -> tuple:
     )
 
 
-def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> int:
-    """The output width of an affine map of ``width``-wide rows by (w, b); raises ContractError."""
+def _check_affine(op: str, width: int, w: np.ndarray, b: np.ndarray) -> None:
+    """ContractError unless (w, b) is an affine map of ``width``-wide rows."""
     if w.ndim != 2 or b.ndim != 1 or w.shape[0] != width or w.shape[1] != b.shape[0]:
         raise ContractError(f"{op}: a weight {w.shape} and bias {b.shape} do not map {width}-wide rows")
-    return w.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +395,24 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
     """The post-norm attention sublayer ``LN(x + MHA(x + pos, kv + kv_pos,
     kv))`` of [n, d] rows x over [m, d] rows kv, as one record.
 
-    ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo), each w [d, d] and b [d].
-    Head h owns columns [h*dh, (h+1)*dh) of the projections, dh = d /
-    num_heads, and writes softmax(Q_h K_h^T / sqrt(dh)) V_h into the same
-    columns of the map that wo and bo project; the scale multiplies the
+    ``proj`` is (w, b), w [4, d, d] and b [4, d]: the query, key, value and
+    output projections in that order, each read as a C-contiguous view. Head
+    h owns columns [h*dh, (h+1)*dh) of the projections, dh = d / num_heads,
+    and writes softmax(Q_h K_h^T / sqrt(dh)) V_h into the same columns of
+    the map that the output projection maps; the scale multiplies the
     product and all heads run as one batched product each way. Forward and
     backward keep the IEEE operations, operand layouts and BLAS shapes of
     the chain of adds, affine records, attention and layer norm this
-    replaces, so the output and every gradient are its bits. Self-attention
-    is the call with ``kv is x and kv_pos is pos``: queries and keys read one
-    array x + pos, and the record lists (x, x, x, pos, *proj), x taking the
-    layer norm's, the value's and then the query-plus-key gradient, in the
-    chain's order; otherwise it lists (x, kv, x, pos, kv, kv_pos, *proj).
+    replaces, so the output and every gradient are its bits, w's and b's the
+    four projections' joined. Self-attention is the call with ``kv is x and
+    kv_pos is pos``: queries and keys read one array x + pos, and the record
+    lists (x, x, x, pos, w, b), x taking the layer norm's, the value's and
+    then the query-plus-key gradient, in the chain's order; otherwise it
+    lists (x, kv, x, pos, kv, kv_pos, w, b).
     """
     x, pos, kv, kv_pos, *proj = _tensor_args("attention_block", x, pos, kv, kv_pos, *proj)
-    if len(proj) != 8:
-        raise ContractError(f"attention_block needs 8 projection tensors (wq, bq, ..., wo, bo), got {len(proj)}")
+    if len(proj) != 2:
+        raise ContractError(f"attention_block needs a stacked projection weight and bias, got {len(proj)} tensors")
     xx, xv = x.data, kv.data
     if xx.ndim != 2 or xv.ndim != 2 or xx.shape[1] != xv.shape[1] or pos.shape != xx.shape or kv_pos.shape != xv.shape:
         raise ContractError(f"attention_block shapes disagree: x {xx.shape}, pos {pos.shape}, kv {xv.shape}, "
@@ -419,10 +420,10 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
     (n, d), m = xx.shape, xv.shape[0]
     if num_heads < 1 or d % num_heads:
         raise ContractError(f"attention_block: width {d} not divisible by {num_heads} heads")
-    wq, bq, wk, bk, wv, bv, wo, bo = [t.data for t in proj]
-    for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
-        if _check_affine("attention_block", d, w, b) != d:
-            raise ContractError(f"attention_block: a projection weight {w.shape} does not map width {d} to itself")
+    w, b = proj[0].data, proj[1].data
+    if w.shape != (4, d, d) or b.shape != (4, d):
+        raise ContractError(f"attention_block: weight {w.shape} and bias {b.shape} are not 4 width-{d} projections")
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = w, b
     self_attn = kv is x and kv_pos is pos
     xq = xx + pos.data
     xk = xq if self_attn else xv + kv_pos.data
@@ -438,7 +439,6 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
     mixed = (p @ vh).transpose(1, 0, 2).reshape(n, d)
     y, inv = _layer_norm(xx + _affine(mixed, wo, bo))
     inputs = (x, x, x, pos) if self_attn else (x, kv, x, pos, kv, kv_pos)
-    k0, w0 = (2 if self_attn else 4), len(inputs)  # the slots of k's first input and of wq
 
     def bwd(g, ids):
         either = lambda i: ids[i] if ids[i] is not None else ids[i + 1]  # an id of slot i or i + 1
@@ -446,21 +446,22 @@ def attention_block(x: Tensor, pos: Tensor, kv: Tensor, kv_pos: Tensor, proj: Se
         go = np.dot(g, wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
         ds = _softmax_grad(p, go @ vh.transpose(0, 2, 1)) * scale
         gqp = (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, d)
-        gq = _affine_grads(xq, wq, gqp, (either(2), *ids[w0:w0 + 2]))
+        gq = _affine_grads(xq, wq, gqp, (either(2), *ids[-2:]))
         # in C order: the reshape of dk^T is an F-order view, which would change
         # the summation order of the bias sum and of the BLAS products downstream
         gkp = np.ascontiguousarray((qh.transpose(0, 2, 1) @ ds).transpose(2, 0, 1).reshape(m, d))
-        gk = _affine_grads(xk, wk, gkp, (either(k0), *ids[w0 + 2:w0 + 4]))
+        gk = _affine_grads(xk, wk, gkp, (either(2 if self_attn else 4), *ids[-2:]))  # slot of k's first input
         gvp = (p.transpose(0, 2, 1) @ go).transpose(1, 0, 2).reshape(m, d)
-        gv = _affine_grads(xv, wv, gvp, (ids[1], *ids[w0 + 4:w0 + 6]))
-        _, gwo, gbo = _affine_grads(mixed, wo, g, (None, *ids[w0 + 6:w0 + 8]))
+        gv = _affine_grads(xv, wv, gvp, (ids[1], *ids[-2:]))
+        _, gwo, gbo = _affine_grads(mixed, wo, g, (None, *ids[-2:]))
         if self_attn:  # queries and keys are one array: the chain summed their gradients before its add
             gqk = None if gq[0] is None else gq[0] + gk[0]
             slots = (g, gv[0], gqk, gqk)
         else:
             slots = (g, gv[0], gq[0], gq[0], gk[0], gk[0])
-        return (*(gi if nid is not None else None for gi, nid in zip(slots, ids)),
-                gq[1], gq[2], gk[1], gk[2], gv[1], gv[2], gwo, gbo)
+        gw = None if ids[-2] is None else np.concatenate([gq[1], gk[1], gv[1], gwo]).reshape(w.shape)
+        gb = None if ids[-1] is None else np.concatenate([gq[2], gk[2], gv[2], gbo]).reshape(b.shape)
+        return (*(gi if nid is not None else None for gi, nid in zip(slots, ids)), gw, gb)
 
     return _record("attention_block", Tensor(y), (*inputs, *proj), bwd)
 

@@ -35,9 +35,12 @@
   built from before its fused ops: ``sigmoid`` by boolean-mask indexing,
   ``attention`` over projected queries, keys and values with an
   out-of-place max-shifted softmax. ``mha_chain`` is four ``linear`` around
-  ``attention``, and ``mlp_chain`` is ``linear`` and ``relu``, then
-  ``sigmoid``, ``softmax`` or nothing; ``numeric.mlp`` must equal the latter
-  bit for bit, forward and backward;
+  ``attention``, over one leaf per projection: ``projection_leaves`` splits
+  the stacked weight and bias of ``numeric.attention_block`` into those
+  leaves, whose gradients land, joined, in the stacked gradients.
+  ``mlp_chain`` is ``linear`` and ``relu``, then ``sigmoid``, ``softmax`` or
+  nothing; ``numeric.mlp`` must equal the latter bit for bit, forward and
+  backward;
 - ``attention_block_chain`` and ``ffn_block_chain``, the post-norm
   transformer sublayers as the model recorded them before
   ``numeric.attention_block`` and ``numeric.ffn_block``: the positional
@@ -621,9 +624,30 @@ def attention(qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int) -> Tensor:
     return _record("attention", out, (qp, kp, vp), bwd)
 
 
+def projection_leaves(w: Tensor, b: Tensor) -> list:
+    """(wq, bq, wk, bk, wv, bv, wo, bo): one leaf per projection of a stacked
+    weight w [4, d, d] and bias b [4, d], each a view of its block of w or b
+    whose ``grad`` views the same block of ``w.grad`` or ``b.grad`` (zeros
+    first where that is None). A backward through the leaves thus writes the
+    four projections' gradients, joined in q, k, v, o order, into the stacked
+    gradients; it overwrites them, so one set of leaves serves one use of w
+    and b per tape."""
+    for t in (w, b):
+        if t.requires_grad and t.grad is None:
+            t.grad = np.zeros_like(t.data)
+    leaves = []
+    for i in range(4):
+        for t in (w, b):
+            leaf = Tensor(t.data[i], requires_grad=t.requires_grad)
+            leaf.grad = None if t.grad is None else t.grad[i]
+            leaves.append(leaf)
+    return leaves
+
+
 def mha_chain(q, k, v, proj, num_heads):
     """Multi-head attention as the chain the fused op replaced, the attention of
-    ``attention_block_chain``; ``proj`` is (wq, bq, wk, bk, wv, bv, wo, bo)."""
+    ``attention_block_chain``; ``proj`` is one tensor per projection, (wq, bq,
+    wk, bk, wv, bv, wo, bo)."""
     wq, bq, wk, bk, wv, bv, wo, bo = proj
     mixed = attention(linear(q, wq, bq), linear(k, wk, bk), linear(v, wv, bv), num_heads)
     return linear(mixed, wo, bo)
@@ -637,7 +661,8 @@ def mlp_chain(x, layers, output=None):
 
 
 def attention_block_chain(x, pos, kv, kv_pos, proj, num_heads):
-    """``numeric.attention_block`` as the chain it replaces. Self-attention
+    """``numeric.attention_block`` as the chain it replaces, over one tensor
+    per projection, (wq, bq, ..., wo, bo), as ``mha_chain``. Self-attention
     (``kv is x and kv_pos is pos``) reads queries and keys from one add;
     otherwise the keys' add is recorded before the queries', as the decoder
     recorded them."""

@@ -671,6 +671,26 @@ def test_eval_manifest_with_a_huge_layer_count_exits_4(dataset, checkpoint, tmp_
     assert err.startswith("checkpoint mismatch: bad config") and f"layer counts must lie in [0, {MAX_LAYERS}]" in err
 
 
+def test_eval_of_a_per_projection_checkpoint_exits_4(dataset, checkpoint, tmp_path, capsys):
+    # the layout before each attention sublayer stacked its projections lists the
+    # same weights.bin bytes, so its sha256 still holds, as wq, wk, wv, wo [d, d]
+    # and bq, bk, bv, bo [d]
+    ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    tensors = []
+    for t in manifest["tensors"]:
+        prefix, _, name = t["name"].rpartition(".")
+        if prefix.endswith("attn") and name in ("w", "b"):
+            tensors += [{"name": f"{prefix}.{name}{proj}", "shape": t["shape"][1:]} for proj in "qkvo"]
+        else:
+            tensors.append(t)
+    manifest["tensors"] = tensors
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    assert capsys.readouterr().err == \
+        "checkpoint mismatch: manifest tensor list does not match the model layout for its config\n"
+
+
 def test_eval_undecodable_manifest_exits_4(dataset, checkpoint, tmp_path):
     ckpt = shutil.copytree(checkpoint, tmp_path / "ckpt")
     (ckpt / "manifest.json").write_bytes(b"\xff\xfe{")

@@ -34,8 +34,8 @@ from conftest import op_names
 
 def multi_head_attention(q, k, v, params, prefix, num_heads):
     """The multi-head attention inside ``numeric.attention_block``, through its
-    oracle ``tape_chains.mha_chain``, with the projections ``prefix.wq`` .. ``prefix.bo``."""
-    return chain.mha_chain(q, k, v, [params[f"{prefix}.{name}"] for name in model._ATTN_PROJ], num_heads)
+    oracle ``tape_chains.mha_chain``, with one leaf per projection of ``prefix.w`` and ``prefix.b``."""
+    return chain.mha_chain(q, k, v, chain.projection_leaves(params[f"{prefix}.w"], params[f"{prefix}.b"]), num_heads)
 
 
 TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
@@ -93,6 +93,20 @@ def test_init_params_deterministic_and_finite():
         assert a[name].requires_grad
     c = init_params(dataclasses.replace(cfg, seed=99))
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
+
+
+def test_each_attention_sublayer_is_one_weight_and_one_bias():
+    # the q, k, v and o projections stacked in that order: 8 sublayers of 2 tensors
+    cfg = ModelConfig()
+    params, d = init_params(cfg), cfg.model_dim
+    prefixes = sorted({name.rsplit(".", 1)[0] for name in params if "attn." in name})
+    assert len(params) == 55 and len(prefixes) == 8
+    for prefix in prefixes:
+        assert params[f"{prefix}.w"].shape == (4, d, d) and params[f"{prefix}.b"].shape == (4, d)
+        assert not params[f"{prefix}.b"].data.any()
+    # one uniform draw of a stacked weight takes the stream of four [d, d] draws in turn
+    one, four = np.random.default_rng(5), np.random.default_rng(5)
+    assert one.uniform(-1, 1, (4, d, d)).tobytes() == b"".join(four.uniform(-1, 1, (d, d)).tobytes() for _ in range(4))
 
 
 def test_backbone_shape_and_zero_image():
@@ -240,7 +254,7 @@ def test_tapeless_forward_follows_every_edit_of_the_query_attention_parameters(r
     if edit == "query_embed entry in place":
         params["query_embed"].data[1, 2] += 0.25
     elif edit == "bq +0.0 to -0.0":
-        bq = params["decoder.0.self_attn.bq"].data
+        bq = params["decoder.0.self_attn.b"].data[0]
         assert bq[0] == 0.0 and not np.signbit(bq[0])
         bq[0] = -0.0
     else:  # as checks.equivariance_deviations permutes the queries
@@ -324,8 +338,8 @@ def test_attention_single_position_is_value_projection(rng):
     params = init_params(cfg)
     x = rng.standard_normal((1, 8))
     out = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), params, "encoder.0.attn", cfg.num_heads)
-    v = x @ params["encoder.0.attn.wv"].data + params["encoder.0.attn.bv"].data
-    expected = v @ params["encoder.0.attn.wo"].data + params["encoder.0.attn.bo"].data
+    (_, _, wv, wo), (_, _, bv, bo) = params["encoder.0.attn.w"].data, params["encoder.0.attn.b"].data
+    expected = (x @ wv + bv) @ wo + bo
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -342,21 +356,16 @@ def test_attention_bad_width_raises_shape_error(rng):
 
 def test_attention_matches_hand_computation(rng):
     d = 2
-    names = {}
-    for proj in ("wq", "wk", "wv", "wo"):
-        names[f"a.{proj}"] = Tensor(rng.standard_normal((d, d)))
-    for bias in ("bq", "bk", "bv", "bo"):
-        names[f"a.{bias}"] = Tensor(rng.standard_normal(d))
+    names = {"a.w": Tensor(rng.standard_normal((4, d, d))), "a.b": Tensor(rng.standard_normal((4, d)))}
     x = rng.standard_normal((2, d))
     out = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), names, "a", 1).data
 
-    q = x @ names["a.wq"].data + names["a.bq"].data
-    k = x @ names["a.wk"].data + names["a.bk"].data
-    v = x @ names["a.wv"].data + names["a.bv"].data
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = names["a.w"].data, names["a.b"].data
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
     s = q @ k.T / np.sqrt(d)
     s = np.exp(s - s.max(axis=1, keepdims=True))
     s /= s.sum(axis=1, keepdims=True)
-    expected = (s @ v) @ names["a.wo"].data + names["a.bo"].data
+    expected = (s @ v) @ wo + bo
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -375,9 +384,10 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
     """Reference: each head as its own column slices, matmuls and softmax,
     concatenated, composed from unfused primitives."""
     dh = q.shape[1] // num_heads
-    qp = chain.linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    kp = chain.linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    vp = chain.linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    wq, bq, wk, bk, wv, bv, wo, bo = chain.projection_leaves(params[f"{prefix}.w"], params[f"{prefix}.b"])
+    qp = chain.linear(q, wq, bq)
+    kp = chain.linear(k, wk, bk)
+    vp = chain.linear(v, wv, bv)
     heads = []
     for h in range(num_heads):
         qh = chain.narrow(qp, 1, h * dh, dh)
@@ -386,7 +396,7 @@ def _per_head_attention(q, k, v, params, prefix, num_heads):
         scores = chain.mul(chain.matmul(qh, chain.transpose(kh)), 1.0 / math.sqrt(dh))
         heads.append(chain.matmul(chain.softmax(scores), vh))
     mixed = heads[0] if num_heads == 1 else chain.concat(heads)
-    return chain.linear(mixed, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return chain.linear(mixed, wo, bo)
 
 
 @pytest.mark.parametrize("num_queries", [16, 64])
@@ -398,12 +408,11 @@ def test_attention_matches_per_head_reference_bit_for_bit(num_heads, num_queries
     memory = rng.standard_normal((16, cfg.model_dim))
     probe = rng.standard_normal((num_queries, cfg.model_dim))
     prefix = "decoder.0.cross_attn"
-    biases = {f"{prefix}.{b}": 0.1 * rng.standard_normal(cfg.model_dim) for b in ("bq", "bk", "bv", "bo")}
+    biases = 0.1 * rng.standard_normal((4, cfg.model_dim))  # q, k, v, o
     results = []
     for attend in (_per_head_attention, multi_head_attention):
         params = init_params(cfg)
-        for name, bias in biases.items():
-            params[name].data[:] = bias
+        params[f"{prefix}.b"].data[:] = biases
         q, kv = Tensor(x, requires_grad=True), Tensor(memory, requires_grad=True)
         with numeric.Tape():
             out = attend(q, kv, kv, params, prefix, num_heads)

@@ -107,7 +107,7 @@ def _valid_block_calls():
     return [
         ("backbone", lambda ts: numeric.backbone(ts[0], ts[1:]), [z(3, 8, 8), z(27, 4), z(4), z(36, 2), z(2)]),
         ("attention_block", lambda ts: numeric.attention_block(*ts[:4], ts[4:], 2),
-         [z(2, 4), z(2, 4), z(3, 4), z(3, 4), *[z(4, 4), z(4)] * 4]),
+         [z(2, 4), z(2, 4), z(3, 4), z(3, 4), z(4, 4, 4), z(4, 4)]),
         ("ffn_block", lambda ts: numeric.ffn_block(ts[0], ts[1:]), [z(2, 4), z(4, 5), z(5), z(5, 4), z(4)]),
         ("mlp", lambda ts: numeric.mlp(ts[0], ts[1:], "softmax"), [z(2, 4), z(4, 3), z(3), z(3, 2), z(2)]),
         ("relation", lambda ts: numeric.relation(ts[0], np.eye(3), *ts[1:]), [z(3, 2), z(4, 4), z(4)]),
@@ -437,7 +437,7 @@ def test_exact_shape_rule_rejects_general_broadcast():
     # in the attention sublayer as in the oracle's add
     with pytest.raises(ContractError):
         chain.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-    x, proj = Tensor(np.zeros((2, 4))), [Tensor(np.zeros(shape)) for shape in [(4, 4), (4,)] * 4]
+    x, proj = Tensor(np.zeros((2, 4))), [Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((4, 4)))]
     numeric.attention_block(x, Tensor(np.zeros((2, 4))), x, Tensor(np.zeros((2, 4))), proj, 2)
     for pos, kv_pos in [(Tensor(np.zeros(4)), x), (x, Tensor(np.zeros(4))), (x, Tensor(np.zeros((1, 4))))]:
         with pytest.raises(ContractError):
@@ -469,7 +469,7 @@ def test_linear_and_attention_shape_errors():
 def test_mha_and_mlp_shape_errors():
     # the attention and the perceptron inside the sublayer ops check their widths
     z = lambda *shape: Tensor(np.zeros(shape))
-    proj = [z(4, 4), z(4)] * 4
+    proj = [z(4, 4, 4), z(4, 4)]
     attend = lambda x, kv, heads, proj=proj: numeric.attention_block(x, z(*x.shape), kv, z(*kv.shape), proj, heads)
     attend(z(2, 4), z(3, 4), 2)
     for x, kv, heads in [
@@ -481,11 +481,13 @@ def test_mha_and_mlp_shape_errors():
     ]:
         with pytest.raises(ContractError):
             attend(x, kv, heads)
-    for i, bad in [(0, z(4, 3)), (2, z(3, 4)), (6, z(4, 4, 1)), (1, z(3)), (7, z(4, 1))]:
-        with pytest.raises(ContractError):  # a projection weight or bias of the wrong shape
+    for i, bad in [(0, z(4, 4, 3)), (0, z(3, 4, 4)), (0, z(4, 4)), (0, z(4, 4, 4, 1)), (1, z(4, 3)), (1, z(3, 4)),
+                   (1, z(4))]:
+        with pytest.raises(ContractError, match=r"^attention_block: weight .* are not 4 width-4 projections$"):
             attend(z(2, 4), z(3, 4), 2, [*proj[:i], bad, *proj[i + 1:]])
-    with pytest.raises(ContractError):
-        attend(z(2, 4), z(3, 4), 2, proj[:7])
+    for tensors in [proj[:1], [*proj, z(4, 4)], [z(4, 4), z(4)] * 4]:  # the last: one tensor per projection
+        with pytest.raises(ContractError, match=r"^attention_block needs a stacked projection weight and bias"):
+            attend(z(2, 4), z(3, 4), 2, tensors)
     numeric.mlp(z(2, 4), [z(4, 5), z(5), z(5, 3), z(3)])
     numeric.ffn_block(z(2, 4), [z(4, 5), z(5), z(5, 4), z(4)])
     for layers in [[z(3, 5), z(5)], [z(4, 5), z(5), z(4, 3), z(3)], [z(4, 5), z(4)]]:
@@ -812,12 +814,13 @@ def test_mha_equals_the_chain_bit_for_bit(kind, heads, queries):
         x0, q0, m0, pe = (rng.standard_normal(shape) for shape in [(queries, 32), (queries, 32), (16, 32), (16, 32)])
         if kind == "self":
             pe = rng.standard_normal((queries, 32))
-        proj0 = [rng.standard_normal(shape) / 6 for shape in [(32, 32), (32,)] * 4]
+        proj0 = [rng.standard_normal(shape) / 6 for shape in [(32, 32), (32,)] * 4]  # wq, bq, ..., wo, bo
+        stacked = [np.stack(proj0[0::2]), np.stack(proj0[1::2])]
         probe = rng.standard_normal((queries, 32))
         got = []
-        for op in (numeric.attention_block, chain.attention_block_chain):
+        for op, arrays in ((numeric.attention_block, stacked), (chain.attention_block_chain, proj0)):
             x, qe, memory = (Tensor(a, requires_grad=True) for a in (x0, q0, m0))
-            proj = [Tensor(a, requires_grad=True) for a in proj0]
+            proj = [Tensor(a, requires_grad=True) for a in arrays]
             with Tape():
                 if kind == "self":
                     y = op(x, Tensor(pe), x, Tensor(pe), proj, heads)
@@ -827,7 +830,10 @@ def test_mha_equals_the_chain_bit_for_bit(kind, heads, queries):
                     y = op(op(qe, qe, qe, qe, proj, heads), qe, memory, Tensor(pe), proj, heads)
             backward(y, probe)
             inputs = {"self": [x], "cross": [x, qe, memory], "query": [qe, memory]}[kind]
-            got.append([_bits(y.data)] + [_bits(t.grad) for t in inputs + proj])
+            grads = [t.grad for t in proj]
+            if len(grads) == 8:  # the chain's one leaf per projection, joined as the op stacks them
+                grads = [np.concatenate(grads[0::2]), np.concatenate(grads[1::2])]
+            got.append([_bits(y.data)] + [_bits(t.grad) for t in inputs] + [_bits(g) for g in grads])
         assert got[0] == got[1], f"seed {seed}: {[a == b for a, b in zip(*got)]}"
 
 
@@ -921,11 +927,14 @@ def test_mha_and_mlp_skip_the_gradients_of_constant_inputs(rng):
     # a slot whose input has no node id gets None: backward indexes by id
     param = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=True)
     const = lambda *shape: Tensor(rng.standard_normal(shape))
-    proj = [param(4, 4), param(4)] * 4
-    # cross-attention slots: x, kv, x, pos, kv, kv_pos
+    proj = [param(4, 4, 4), param(4, 4)]
+    # cross-attention slots: x, kv, x, pos, kv, kv_pos, w, b
     grads = _rule_grads(numeric.attention_block, const(2, 4), const(2, 4), const(3, 4), const(3, 4), proj, 2)
     assert grads[:6] == (None,) * 6
-    assert all(g is not None for g in grads[6:])
+    assert [g.shape for g in grads[6:]] == [(4, 4, 4), (4, 4)]
+    grads = _rule_grads(numeric.attention_block, param(2, 4), const(2, 4), param(3, 4), const(3, 4),
+                        [const(4, 4, 4), proj[1]], 2)
+    assert grads[6] is None and grads[7].shape == (4, 4)
     grads = _rule_grads(numeric.attention_block, param(2, 4), const(2, 4), param(3, 4), const(3, 4), proj, 2)
     assert [g is None for g in grads[:6]] == [False, False, False, True, False, True]
     grads = _rule_grads(numeric.attention_block, const(2, 4), param(2, 4), const(3, 4), param(3, 4), proj, 2)
@@ -975,7 +984,7 @@ def test_fused_backward_rules_are_named_after_their_ops():
     probs, boxes = Tensor(np.full((2, 2), 0.5), requires_grad=True), Tensor(np.full((2, 4), 0.5), requires_grad=True)
     with Tape() as tape:
         layer = [Tensor(np.eye(4)), Tensor(np.zeros(4))]
-        numeric.attention_block(x, x, x, x, layer * 4, 2)
+        numeric.attention_block(x, x, x, x, [Tensor(np.stack([np.eye(4)] * 4)), Tensor(np.zeros((4, 4)))], 2)
         numeric.ffn_block(x, layer)
         numeric.set_loss(probs, boxes, [1, 0], [0], [[0.4, 0.4, 0.2, 0.2]], 0.1, LossWeights())
         kernel = Tensor(np.ones((9, 4)), requires_grad=True)

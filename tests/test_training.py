@@ -418,7 +418,9 @@ def test_fused_training_equals_the_chains_bit_for_bit(num_queries, max_objects, 
 
     fused = run()
     monkeypatch.setattr(numeric, "backbone", chain.backbone_chain)
-    monkeypatch.setattr(numeric, "attention_block", chain.attention_block_chain)
+    # each sublayer's stacked weight and bias is read once per forward, so one set of leaves per call
+    monkeypatch.setattr(numeric, "attention_block", lambda x, pos, kv, kv_pos, proj, heads: chain.attention_block_chain(
+        x, pos, kv, kv_pos, chain.projection_leaves(*proj), heads))
     monkeypatch.setattr(numeric, "ffn_block", chain.ffn_block_chain)
     monkeypatch.setattr(numeric, "relation", chain.relation_chain)
     monkeypatch.setattr(numeric, "mlp", chain.mlp_chain)
