@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Bit-identity digest of reldet's training and inference, part by part.
 
-Each part is the sha256 of float64 bytes, or of file bytes for ``weights``
-and ``manifest``:
+Each part is the sha256 of float64 bytes, or of file bytes for ``checkpoint``:
 
 - ``scenes``: the images, class ids and boxes (cx, cy, w, h) of every scene
   the parts below train on or run, so a renderer change that alters a scene
@@ -13,11 +12,10 @@ and ``manifest``:
 - ``q64.*``: the same at 64 queries on scenes of up to 12 objects;
 - ``tapeless``: the class probabilities and boxes of a tape-less ``forward``
   of the trained 16-query model on 5 further scenes;
-- ``weights``: the file bytes of that model's ``weights.bin``, as
-  ``save_checkpoint`` writes it;
-- ``manifest``: the file bytes of its ``manifest.json`` and of its
-  ``write_log`` loss log, so a change of the manifest's format alone reads
-  ``weights equal``.
+- ``checkpoint``: the file bytes of that model's ``manifest.json``, as
+  ``save_checkpoint`` writes it, and of its ``write_log`` loss log. Its
+  ``weights.bin`` holds the bytes of the arena ``q16.params`` hashes, so a
+  change of the manifest's format alone differs in this part only.
 
 Usage:
 
@@ -112,10 +110,10 @@ def digest(src: str) -> dict[str, str]:
             with tempfile.TemporaryDirectory() as tmp:
                 training.save_checkpoint(tmp, params, config)
                 training.write_log(rows, Path(tmp) / "train_log.csv")
-                sha = lambda *names: hashlib.sha256(b"".join((Path(tmp) / n).read_bytes() for n in names)).hexdigest()
-                files = {"weights": sha("weights.bin"), "manifest": sha("manifest.json", "train_log.csv")}
+                files = [Path(tmp) / name for name in ("manifest.json", "train_log.csv")]
+                checkpoint = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
     parts["tapeless"] = _sha(*tapeless)
-    parts.update(files)
+    parts["checkpoint"] = checkpoint
     return parts
 
 

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bit_digest.py"
 GOLDEN = Path(__file__).resolve().parent / "golden_digest.json"
 PARTS = ["scenes", "q16.losses", "q16.params", "q16.grads", "q64.losses", "q64.params", "q64.grads", "tapeless",
-         "weights", "manifest"]
+         "checkpoint"]
 
 
 def _bit_digest():
