@@ -13,6 +13,7 @@ import shutil
 import sys
 import traceback
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,13 +133,12 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         raise ContractError("train: --epochs must be positive (nothing to train)")
+    config = ModelConfig(**{field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()})
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out / "train_log.csv"
     with _directories_for_run(out, log_path.parent):
-        scenes, catalog = load_dataset(args.data, max_objects=args.queries)
-        h, w = scenes[0].image.shape[1:]
-        config = ModelConfig(image_size=(h, w), catalog=tuple(catalog),
-                             **{field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()})
+        scenes, catalog = load_dataset(args.data, max_objects=config.num_queries)
+        config = replace(config, image_size=scenes[0].image.shape[1:], catalog=tuple(catalog))
         weights = LossWeights(args.lambda_iou, args.lambda_l1)
         params, rows = train(scenes, config, args.epochs, weights, args.null_weight, args.lr)
         save_checkpoint(out, params, config)

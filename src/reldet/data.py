@@ -219,8 +219,8 @@ def read_ppm(path) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _next_token(buf, pos)
-        if not tok.isdigit():
-            raise ContractError(f"bad PPM header token {tok!r} at byte {pos - len(tok)}")
+        if not tok.isdigit() or len(tok) > 18:  # 18 digits overflow no int64 and outsize any raster
+            raise ContractError(f"bad PPM header token {tok[:18]!r} ({len(tok)} bytes) at byte {pos - len(tok)}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:

@@ -43,7 +43,12 @@ class ClassResult:
 class APReport:
     iou_thresh: float
     per_class: dict[int, ClassResult]
-    mean_ap: float
+
+    @property
+    def mean_ap(self) -> float:
+        """The mean of the class APs that are not None, in class order; 0.0 when there are none."""
+        aps = [r.ap for _, r in sorted(self.per_class.items()) if r.ap is not None]
+        return float(np.mean(aps)) if aps else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,17 +186,13 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
             if g.class_id in gt_count:
                 gt_count[g.class_id] += 1
     per_class: dict[int, ClassResult] = {}
-    aps = []
     for cid in range(num_classes):
         ranked = sorted(pooled[cid])  # descending confidence, then scene and index; the flag never decides
         ordered_flags = [rec[3] for rec in ranked]
         ap = average_precision(ordered_flags, gt_count[cid])
         tp = sum(ordered_flags)
         per_class[cid] = ClassResult(names[cid], ap, tp, len(ordered_flags) - tp, gt_count[cid])
-        if ap is not None:
-            aps.append(ap)
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return APReport(iou_thresh, per_class, mean_ap)
+    return APReport(iou_thresh, per_class)
 
 
 def evaluate_dataset(dataset: list[Scene], params, config: ModelConfig,

@@ -115,7 +115,6 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
         raise ContractError(f"{len(per_scene_dets)} scenes of detections but {len(per_scene_gts)} of ground truth")
     per_scene_flags = [match_detections(dets, gts, iou_thresh) for dets, gts in zip(per_scene_dets, per_scene_gts)]
     per_class = {}
-    aps = []
     for cid in range(num_classes):
         pooled = [
             (d.confidence, s, i, f)
@@ -129,7 +128,4 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
         ap = average_precision(ordered_flags, gt_count)
         tp = sum(ordered_flags)
         per_class[cid] = ClassResult(names[cid], ap, tp, len(ordered_flags) - tp, gt_count)
-        if ap is not None:
-            aps.append(ap)
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return APReport(iou_thresh, per_class, mean_ap)
+    return APReport(iou_thresh, per_class)

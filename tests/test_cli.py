@@ -278,13 +278,16 @@ def test_train_refuses_a_scene_with_more_objects_than_queries_before_the_first_s
 
 @pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
                                          ("--null-weight", "-1"), ("--null-weight", "nan"), ("--null-weight", "inf"),
-                                         ("--lambda-iou", "-1"), ("--heads", "3"), ("--queries", "0")])
+                                         ("--lambda-iou", "-1"), ("--heads", "3"), ("--queries", "0"),
+                                         ("--queries", "-3")])
 def test_train_nonpositive_learning_rate_or_negative_null_weight_exits_2(dataset, tmp_path, capsys, flag, value):
     # a rejected run removes the output directory it made
     out = tmp_path / "ck"
     assert run("train", "--data", str(dataset), "--out", str(out), *TRAIN_FLAGS, flag, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if flag == "--queries":  # the model flags are judged before any scene is read
+        assert err == "error: need at least one query\n"
     assert not out.exists()
 
 
@@ -599,6 +602,14 @@ def test_eval_on_another_catalog_exits_4_naming_both(checkpoint, tmp_path, capsy
 def test_predict_unreadable_image_exits_2(checkpoint, tmp_path):
     assert run("predict", "--image", str(tmp_path / "missing.ppm"),
                "--checkpoint", str(checkpoint), "--out", str(tmp_path / "p")) == 2
+
+
+def test_predict_image_with_a_5000_digit_width_exits_2_in_one_line(checkpoint, tmp_path, capsys):
+    image = tmp_path / "wide.ppm"
+    image.write_bytes(b"P6\n" + b"9" * 5000 + b" 16\n255\n")
+    assert run("predict", "--image", str(image), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "p")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad PPM header token b'999999999999999999' (5000 bytes) at byte 3\n"
 
 
 def test_selftest_passes_and_reports_suites(capsys):

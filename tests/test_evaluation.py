@@ -9,6 +9,8 @@ from reldet import data, model
 from reldet.checks import ap_enumerated
 from reldet.errors import ContractError
 from reldet.evaluation import (
+    APReport,
+    ClassResult,
     ScoredDetection,
     _scene_overlaps,
     average_precision,
@@ -203,6 +205,15 @@ def test_evaluate_detections_hand_built_two_scene_fixture():
     expected = ap_enumerated([True, True, False], 3)
     assert report.per_class[0].ap == pytest.approx(expected, abs=1e-12)
     assert report.mean_ap == pytest.approx(expected, abs=1e-12)
+
+
+def test_report_mean_ap_is_derived_from_its_class_aps():
+    per_class = {cid: ClassResult(NAMES[cid], ap, 0, 0, 1) for cid, ap in enumerate([0.25, None, 0.5, 1.0])}
+    assert [f.name for f in dataclasses.fields(APReport)] == ["iou_thresh", "per_class"]
+    assert APReport(0.5, per_class).mean_ap == np.mean([0.25, 0.5, 1.0])
+    none = {cid: ClassResult(NAMES[cid], None, 0, 0, 0) for cid in range(3)}
+    assert APReport(0.5, none).mean_ap == 0.0
+    assert APReport(0.5, {}).mean_ap == 0.0
 
 
 def test_classes_without_gt_excluded_from_map():

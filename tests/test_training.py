@@ -100,6 +100,16 @@ def test_adam_rejects_non_finite_gradients():
     assert state.step == 0
 
 
+def test_adam_state_is_its_step_and_two_moments():
+    # the update's scratch lives for one step; the state keeps only what the next step reads
+    params = arena(w=[0.5, -0.5])
+    params["w"].grad[...] = [0.3, -4.0]
+    state = OptimizerState()
+    adam_step(params, state)
+    assert [f.name for f in dataclasses.fields(OptimizerState)] == ["lr", "step", "m", "v"]
+    assert vars(state).keys() == {"lr", "step", "m", "v"}
+
+
 def test_adam_matches_per_tensor_oracle_bit_for_bit():
     rng = np.random.default_rng(7)
     flat_params, loop_params = init_params(CFG), init_params(CFG)
