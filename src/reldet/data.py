@@ -7,6 +7,11 @@ small JSON schema; a dataset directory holds scene_%05d.ppm / .json pairs and
 a catalog.json naming the classes. ``encode_json`` encodes every JSON file the
 package writes, and ``_read_json`` reads those it loads back.
 
+A PPM header is ``P6``, width, height and maxval 255, split by the six ASCII
+whitespace bytes and by ``#`` comments that run to the end of their line; a
+number has at most 18 digits. ``read_ppm`` errors name their byte, and
+``load_scene`` adds the ``.ppm`` file's path.
+
 Every object's mask reads one grid of pixel centres per image size, built
 once and shared: ``_pixel_grid`` caches it read-only, so no caller can write
 to the grid that later scenes are drawn from.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,23 +197,15 @@ def encode_ppm(image: np.ndarray | Tensor) -> bytes:
     return f"P6\n{w} {h}\n255\n".encode("ascii") + raster.transpose(1, 2, 0).tobytes()
 
 
+# whitespace, then '#' comments (each to its line's end, with the whitespace after it), then one token, empty at the end
+_HEADER_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*(\S*)")
+
+
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ContractError(f"unexpected end of PPM header at byte {pos}")
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+    m = _HEADER_TOKEN.match(buf, pos)
+    if not m[1]:
+        raise ContractError(f"unexpected end of PPM header at byte {m.end()}")
+    return m[1], m.end()
 
 
 def read_ppm(path) -> np.ndarray:
@@ -224,12 +222,11 @@ def read_ppm(path) -> np.ndarray:
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
-        raise ContractError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
-    pos += 1  # single whitespace after maxval
+        raise ContractError(f"unsupported maxval {maxval} at byte {pos - len(tok)}")
     expected = w * h * 3
-    raster = buf[pos : pos + expected]
+    raster = buf[pos + 1 : pos + 1 + expected]  # one whitespace byte ends the header
     if len(raster) != expected:
-        raise ContractError(f"raster truncated at byte {pos + len(raster)} (expected {expected} bytes)")
+        raise ContractError(f"raster truncated at byte {len(buf)} (expected {expected} bytes)")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
     return arr.astype(np.float64) / 255.0
 
@@ -303,8 +300,11 @@ def _annotation_object(rec, path: Path, i: int) -> GroundTruth:
 def load_scene(stem) -> Scene:
     """Read a <stem>.ppm / <stem>.json pair back into a Scene."""
     stem = Path(stem)
-    image = read_ppm(stem.with_name(stem.name + ".ppm"))
-    path = stem.with_name(stem.name + ".json")
+    ppm, path = (stem.with_name(stem.name + suffix) for suffix in (".ppm", ".json"))
+    try:
+        image = read_ppm(ppm)
+    except ContractError as e:
+        raise ContractError(f"{ppm}: {e}") from e
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("objects", []), list):
         raise ContractError(f"{path} is not an annotation object with an objects list")

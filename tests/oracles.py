@@ -1,5 +1,5 @@
-"""The scene renderer and the detection scorer before their fast paths, kept
-as test oracles.
+"""The scene renderer, the detection scorer and the PPM header scanner before
+their fast paths, kept as test oracles.
 
 - ``generate_scene``: the renderer that built a fresh ``np.meshgrid`` of
   pixel centres for every object. ``data.generate_scene`` reads one cached,
@@ -10,7 +10,11 @@ as test oracles.
   over every detection, and ``average_precision``, which built one
   ``Fraction`` per rank. ``evaluation.evaluate_detections``,
   ``evaluation.match_detections`` and ``evaluation.average_precision`` must
-  return equal reports, flags and floats.
+  return equal reports, flags and floats;
+- ``next_token``: the header scanner that walked whitespace, ``#`` comments
+  and each token one byte at a time. ``data._next_token``, one regular
+  expression match, must return the same ``(token, end)`` or raise the same
+  ``ContractError`` message.
 """
 
 from fractions import Fraction
@@ -129,3 +133,22 @@ def evaluate_detections(per_scene_dets, per_scene_gts, num_classes: int, iou_thr
         tp = sum(ordered_flags)
         per_class[cid] = ClassResult(names[cid], ap, tp, len(ordered_flags) - tp, gt_count)
     return APReport(iou_thresh, per_class)
+
+
+def next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    n = len(buf)
+    while pos < n:
+        c = buf[pos : pos + 1]
+        if c == b"#":
+            while pos < n and buf[pos : pos + 1] != b"\n":
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise ContractError(f"unexpected end of PPM header at byte {pos}")
+    start = pos
+    while pos < n and not buf[pos : pos + 1].isspace():
+        pos += 1
+    return buf[start:pos], pos

@@ -240,6 +240,17 @@ def test_dataset_error_exits_2_naming_the_file(dataset, checkpoint, tmp_path, ca
     assert "scene_00001.json" in err and message in err and "checkpoint mismatch" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_ppm_header_in_a_dataset_exits_2_naming_the_file(dataset, checkpoint, tmp_path, capsys, command):
+    ds = shutil.copytree(dataset, tmp_path / "ds")
+    (ds / "scene_00001.ppm").write_bytes(b"P6\n" + b"9" * 5000 + b" 16\n255\n")
+    argv = {"train": ["train", "--data", str(ds), "--out", str(tmp_path / "ck"), *TRAIN_FLAGS],
+            "eval": ["eval", "--data", str(ds), "--checkpoint", str(checkpoint)]}[command]
+    assert run(*argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "scene_00001.ppm" in line and "bad PPM header token" in line
+
+
 @pytest.fixture(scope="module")
 def mixed_sizes(dataset, tmp_path_factory):
     """The 16 px dataset plus a 32 px scene_00005."""

@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -183,6 +184,47 @@ def test_malformed_ppm_raises_parse_error(tmp_path, payload):
     with pytest.raises(ContractError, match="byte") as caught:
         read_ppm(path)
     assert len(str(caught.value)) < 100  # names the token, does not echo all of it
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # the offset is the token's, zero padding included, not that of str(maxval)
+        (b"P6\n1 1\n00127\n\xff\xff\xff", "unsupported maxval 127 at byte 7"),
+        # a header that ends right after maxval is truncated at the file's end
+        (b"P6\n1 1\n255", "raster truncated at byte 10 (expected 3 bytes)"),
+    ],
+    ids=["zero-padded maxval", "no byte after maxval"],
+)
+def test_ppm_header_error_names_its_true_byte(tmp_path, payload, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(payload)
+    with pytest.raises(ContractError) as caught:
+        read_ppm(path)
+    assert str(caught.value) == message
+
+
+def _token_or_error(next_token, buf, pos):
+    try:
+        return next_token(buf, pos)
+    except ContractError as e:
+        return str(e)
+
+
+def test_next_token_matches_the_byte_walker():
+    buffers = [bytes(t) for n in range(6) for t in itertools.product(b" \t\n\r\x0b\x0c#6x", repeat=n)]
+    # every byte value, so a byte that one side alone takes for whitespace shows
+    buffers += [bytes([c]) + tail for c in range(256) for tail in (b"", b"7 8", b"#x\n9")]
+    buffers += [
+        b"P6\n#" + b"c" * 2_000_000 + b"\n1 1\n255\n",  # 2 MB comment
+        b"P6" + b" \t\r\n" * 500_000 + b"1 1\n255\n",  # 2 MB whitespace run
+        b"P6\n" + b"9" * 2_000_000 + b" 1\n255\n",  # 2 MB digit token
+    ]
+    for buf in buffers:
+        starts = range(len(buf) + 1) if len(buf) <= 8 else (0, 2, 3)
+        for pos in starts:
+            got = _token_or_error(data._next_token, buf, pos)
+            assert got == _token_or_error(oracles.next_token, buf, pos), (buf[:20], pos)
 
 
 def test_scene_roundtrip_exact_boxes(tmp_path):
