@@ -26,7 +26,8 @@ Usage:
 With two source trees each runs in its own interpreter; the exit code is 1
 when any part differs. ``--stamp FILE`` records one tree's parts in FILE
 under this machine's env stamp (numpy's version and the OpenBLAS build and
-CPU core it runs on), replacing an earlier entry of the same env; the
+CPU core it runs on), replacing an earlier entry of the same env, and first
+prints each part as kept, replaced or new against that entry; the
 tier-1 test ``tests/test_bit_digest.py`` checks the tree against the entry
 of the env it runs on.
 """
@@ -71,9 +72,14 @@ def _blas_core() -> str:
 
 
 def write_stamp(path: Path, parts: dict[str, str]) -> None:
-    """Record ``parts`` in the golden file ``path`` under this env's stamp."""
+    """Record ``parts`` in the golden file ``path`` under this env's stamp,
+    first printing each part as ``kept``, ``replaced`` or ``new`` against the
+    stamp of this env that the file held before."""
     env = env_stamp()
     stamps = json.loads(path.read_text())["stamps"] if path.exists() else []
+    earlier = next((s["parts"] for s in stamps if s["env"] == env), {})
+    for name, sha in parts.items():
+        print(f"{name:<12} {'new' if name not in earlier else 'kept' if earlier[name] == sha else 'replaced'}")
     stamps = [s for s in stamps if s["env"] != env] + [{"env": env, "parts": parts}]
     doc = {"command": f"python scripts/bit_digest.py src --stamp {path.as_posix()}", "stamps": stamps}
     path.write_text(json.dumps(doc, indent=1) + "\n")

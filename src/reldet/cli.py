@@ -212,9 +212,8 @@ def cmd_predict(args) -> int:
 # sizes that run in about a second
 
 
-_TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                    num_encoder_layers=1, num_decoder_layers=1, num_queries=5, catalog=("a", "b"),
-                    knn_k=2, seed=0)
+_TINY = ModelConfig(image_size=(16, 16), model_dim=8, num_heads=2, num_encoder_layers=1, num_decoder_layers=1,
+                    num_queries=5, catalog=("a", "b"), knn_k=2, seed=0)
 
 # (suite name, checks routine, sizes); every routine draws from one shared rng
 SELFTEST_SUITES = (

@@ -7,10 +7,10 @@ small JSON schema; a dataset directory holds scene_%05d.ppm / .json pairs and
 a catalog.json naming the classes. ``encode_json`` encodes every JSON file the
 package writes, and ``_read_json`` reads those it loads back.
 
-A PPM header is ``P6``, width, height and maxval 255, split by the six ASCII
-whitespace bytes and by ``#`` comments that run to the end of their line; a
-number has at most 18 digits. ``read_ppm`` errors name their byte, and
-``load_scene`` adds the ``.ppm`` file's path.
+A PPM file opens with ``P6``; width, height and maxval 255 follow, each after
+whitespace and ``#`` comments to the end of their line. A comment starts only
+where a token could (``1#c`` is one bad token); a number has at most 18
+digits. ``read_ppm`` errors name their byte, ``load_scene`` the file's path.
 
 Every object's mask reads one grid of pixel centres per image size, built
 once and shared: ``_pixel_grid`` caches it read-only, so no caller can write
@@ -212,8 +212,8 @@ def read_ppm(path) -> np.ndarray:
     """Read a binary P6 PPM into a [3, H, W] float64 array in [0, 1]."""
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
-    if magic != b"P6":
-        raise ContractError(f"not a binary PPM (magic {magic!r} at byte 0)")
+    if magic != b"P6" or pos != 2:  # nothing, not even whitespace or a comment, comes before the magic
+        raise ContractError(f"not a binary PPM (magic {magic[:18]!r} at byte {pos - len(magic)}, not b'P6' at byte 0)")
     fields = []
     for _ in range(3):
         tok, pos = _next_token(buf, pos)

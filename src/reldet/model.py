@@ -33,10 +33,9 @@ checkpoint does not read the arena: it writes the tensors one after another
 in ``param_spec`` order, which save and load both check. The config names
 the classes the heads score (``catalog``; ``num_classes`` is its length),
 so a checkpoint's manifest carries the class names with the rest of the
-config. Rebinding a dict
-entry to a fresh Tensor takes that parameter out of the arena: a forward
-(such as the query permutation in ``checks.equivariance_deviations``) or a
-save accepts it, ``arena_of`` and so Adam refuses it.
+config. Rebinding a dict entry to a fresh Tensor takes that parameter out of
+the arena: a forward (such as ``checks.equivariance_deviations``' query
+permutation) or a save accepts it, ``arena_of`` and so Adam refuses it.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .numeric import Tensor
 from .relation import aggregate, build_knn_graph
 
 _FFN_MULT = 2  # feed-forward hidden width, in units of model_dim
+_BACKBONE_CHANNELS = 16  # width of every backbone stage's map
 
 # The most encoder or decoder layers a config may ask for. ``param_spec`` lists
 # each layer's tensors one by one, so a count such as 10**400 would grow that
@@ -66,7 +66,6 @@ MAX_LAYERS = 1024
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: tuple[int, int] = SceneConfig().image_size
-    backbone_channels: int = 16
     model_dim: int = 32
     num_heads: int = 4
     num_encoder_layers: int = 2
@@ -89,8 +88,6 @@ class ModelConfig:
             raise ContractError(f"model_dim {self.model_dim} must be positive and even (sin/cos encodings)")
         if self.model_dim % self.num_heads:
             raise ContractError(f"model_dim {self.model_dim} not divisible by {self.num_heads} heads")
-        if self.backbone_channels < 1:
-            raise ContractError("need at least one backbone channel")
         if not (0 <= self.num_encoder_layers <= MAX_LAYERS and 0 <= self.num_decoder_layers <= MAX_LAYERS):
             raise ContractError(f"layer counts must lie in [0, {MAX_LAYERS}], got {self.num_encoder_layers} encoder "
                                 f"and {self.num_decoder_layers} decoder layers")
@@ -146,7 +143,7 @@ def param_spec(config: ModelConfig):
 
     Checkpoints and optimizer state follow this exact order.
     """
-    c, d, k = config.backbone_channels, config.model_dim, config.num_classes
+    c, d, k = _BACKBONE_CHANNELS, config.model_dim, config.num_classes
     spec: list[tuple[str, tuple, object]] = []
     in_ch = 3
     for stage in range(3):

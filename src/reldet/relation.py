@@ -20,11 +20,14 @@ from .numeric import Tensor
 
 @dataclass(frozen=True, eq=False)
 class RelationGraph:
-    """Undirected kNN graph: node count and the symmetric boolean adjacency
-    [n, n] (False on the diagonal)."""
+    """Undirected kNN graph: the symmetric boolean adjacency [n, n] (False on
+    the diagonal); ``n``, the node count, is its side."""
 
-    n: int
     adjacency: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     def neighbors(self, i: int) -> list[int]:
         return np.flatnonzero(self.adjacency[i]).tolist()
@@ -55,7 +58,7 @@ def build_knn_graph(centers, k: int) -> RelationGraph:
             flat_adj[nearest] = True
             flat_dist[nearest] = np.inf
         adj |= adj.T
-    return RelationGraph(n, adj)
+    return RelationGraph(adj)
 
 
 def neighbor_mean_matrix(g: RelationGraph) -> np.ndarray:

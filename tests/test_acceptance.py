@@ -60,7 +60,7 @@ def test_a2_gradient_suite():
         failures += [f"{f} (draw {draw})" for f in fails]
 
     # end-to-end: 16x16 image, d=8, N=4, 20 sampled parameters, rel <= 1e-3
-    cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
+    cfg = ModelConfig(image_size=(16, 16), model_dim=8, num_heads=2,
                       num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
                       knn_k=1, seed=5)
     gts = [GroundTruth(0, Box(0.35, 0.4, 0.3, 0.3)), GroundTruth(1, Box(0.7, 0.6, 0.25, 0.2))]

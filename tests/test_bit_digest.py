@@ -1,7 +1,8 @@
 """``scripts/bit_digest.py``, the bit-identity check of reldet's training and
 inference: it runs on the current source tree and reads every part equal
-against itself, and every part equals the golden digest stamped for the env
-the test runs on (``tests/golden_digest.json``)."""
+against itself, every part equals the golden digest stamped for the env the
+test runs on (``tests/golden_digest.json``), and a re-stamp says which parts
+it replaced."""
 
 import importlib.util
 import json
@@ -43,3 +44,16 @@ def test_bit_digest_equals_the_golden_stamp_of_this_env():
     assert list(parts) == PARTS
     differ = [name for name in PARTS if parts[name] != stamped[0][name]]
     assert not differ, f"parts differ from the golden digest: {differ}"
+
+
+def test_write_stamp_reports_each_part_against_the_earlier_stamp_of_this_env(tmp_path, capsys):
+    bit_digest = _bit_digest()
+    golden = tmp_path / "golden_digest.json"
+    parts = {name: f"{i:064x}" for i, name in enumerate(PARTS)}
+    bit_digest.write_stamp(golden, parts)
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [[part, "new"] for part in PARTS]
+    bit_digest.write_stamp(golden, {**parts, "checkpoint": "f" * 64})
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == \
+        [[part, "replaced" if part == "checkpoint" else "kept"] for part in PARTS]
+    stamps = json.loads(golden.read_text())["stamps"]
+    assert [s["parts"] for s in stamps] == [{**parts, "checkpoint": "f" * 64}]

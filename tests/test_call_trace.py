@@ -2,7 +2,7 @@
 
 The five commands run in-process under ``sys.setprofile`` on a 3-scene
 dataset. A definition that none of them calls is code that only the tests
-use, which belongs in the tests. The only exceptions are the two names the
+use, which belongs in the tests. The only exceptions are the names the
 benchmark's tracer reads, and the test checks that it still reads them.
 """
 
@@ -21,6 +21,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # (file, qualified name) -> the text by which perfbench/tracing.py reads it
 READ_BY_TRACING = {
     ("numeric.py", "Tape.__len__"): "len(loss.tape)",
+    ("relation.py", "RelationGraph.n"): "g.n",
     ("relation.py", "RelationGraph.neighbors"): ".neighbors(",
 }
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reldet import data
 from reldet.errors import ContractError
@@ -173,9 +174,12 @@ def test_hand_written_white_pixel_ppm(tmp_path):
         b"P6\n1 1\n127\n\xff\xff\xff",  # unsupported maxval
         b"P6\n2 2\n255\n\xff\xff\xff",  # truncated raster
         b"P6\nx 1\n255\n\xff\xff\xff",  # non-numeric field
+        b"P61 1\n255\n\xff\xff\xff",  # no whitespace after the magic
+        b"P6#c\n1 1\n255\n\xff\xff\xff",  # a comment starts only after whitespace
         # header numbers past int()'s digit limit
         pytest.param(b"P6\n" + b"9" * 5000 + b" 1\n255\n\xff\xff\xff", id="5000-digit width"),
         pytest.param(b"P6\n1 1\n" + b"2" * 5000 + b"\n\xff\xff\xff", id="5000-digit maxval"),
+        pytest.param(b"P" + b"6" * 5000 + b"\n1 1\n255\n\xff\xff\xff", id="5000-byte magic"),
     ],
 )
 def test_malformed_ppm_raises_parse_error(tmp_path, payload):
@@ -193,8 +197,14 @@ def test_malformed_ppm_raises_parse_error(tmp_path, payload):
         (b"P6\n1 1\n00127\n\xff\xff\xff", "unsupported maxval 127 at byte 7"),
         # a header that ends right after maxval is truncated at the file's end
         (b"P6\n1 1\n255", "raster truncated at byte 10 (expected 3 bytes)"),
+        # the magic opens the file: no whitespace or comment comes before it
+        (b"  P6\n1 1\n255\n\xff\xff\xff", "not a binary PPM (magic b'P6' at byte 2, not b'P6' at byte 0)"),
+        (b"#c\nP6\n1 1\n255\n\xff\xff\xff", "not a binary PPM (magic b'P6' at byte 3, not b'P6' at byte 0)"),
+        (b"  P5\n1 1\n255\n\xff", "not a binary PPM (magic b'P5' at byte 2, not b'P6' at byte 0)"),
+        (b"P6 1#c\n1 255\n\xff\xff\xff", "bad PPM header token b'1#c' (3 bytes) at byte 3"),
     ],
-    ids=["zero-padded maxval", "no byte after maxval"],
+    ids=["zero-padded maxval", "no byte after maxval", "whitespace before P6", "comment before P6",
+         "whitespace before P5", "comment inside a token"],
 )
 def test_ppm_header_error_names_its_true_byte(tmp_path, payload, message):
     path = tmp_path / "bad.ppm"
@@ -202,6 +212,38 @@ def test_ppm_header_error_names_its_true_byte(tmp_path, payload, message):
     with pytest.raises(ContractError) as caught:
         read_ppm(path)
     assert str(caught.value) == message
+
+
+# a valid 4x3 file, and the bytes a mutation writes: the header's own and a few others
+VALID_PPM = encode_ppm(np.linspace(0.0, 1.0, 36).reshape(3, 3, 4))
+PPM_BYTES = [bytes([c]) for c in b" \t\n\r\x0b\x0c#P60123456789x-\x00\xff"]
+# (kind, position, byte); positions cover the 11-byte header and the raster's first bytes
+PPM_MUTATIONS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 15),
+                                   st.sampled_from(PPM_BYTES)), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def ppm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_ppm") / "mutated.ppm"
+
+
+@settings(max_examples=300)
+@given(PPM_MUTATIONS)
+def test_mutated_ppm_reads_as_an_image_or_raises_contract_error(ppm_path, mutations):
+    buf = VALID_PPM
+    for kind, pos, byte in mutations:
+        if kind == "insert":
+            buf = buf[:pos] + byte + buf[pos:]
+        else:
+            buf = buf[:pos] + (byte if kind == "replace" else b"") + buf[pos + 1 :]
+    ppm_path.write_bytes(buf)
+    try:
+        image = read_ppm(ppm_path)
+    except ContractError:
+        return
+    assert image.dtype == np.float64 and image.ndim == 3 and image.shape[0] == 3
+    assert ((image >= 0.0) & (image <= 1.0)).all()
+    assert buf[:2] == b"P6" and buf[2:3].isspace(), buf[:16]  # only a file that opens with the magic reads
 
 
 def _token_or_error(next_token, buf, pos):

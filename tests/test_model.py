@@ -38,7 +38,7 @@ def multi_head_attention(q, k, v, params, prefix, num_heads):
     return chain.mha_chain(q, k, v, chain.projection_leaves(params[f"{prefix}.w"], params[f"{prefix}.b"]), num_heads)
 
 
-TINY = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
+TINY = ModelConfig(image_size=(16, 16), model_dim=8, num_heads=2,
                    num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
                    knn_k=1, seed=3)
 
@@ -61,7 +61,7 @@ def test_scene_and_model_configs_refuse_an_image_size_that_is_not_two_ints_alike
 
 def test_config_catalog_names_the_classes():
     assert ModelConfig(catalog=("a", "b")).num_classes == 2
-    assert len(dataclasses.fields(ModelConfig)) == 10  # catalog took num_classes' place
+    assert len(dataclasses.fields(ModelConfig)) == 9  # catalog took num_classes' place; the backbone width is fixed
     for catalog in ["abc", ["a", "b"], ("a", 1), ("a", "a"), ()]:
         with pytest.raises(ContractError, match="catalog must be a nonempty tuple of distinct class names"):
             ModelConfig(catalog=catalog)
@@ -110,7 +110,7 @@ def test_each_attention_sublayer_is_one_weight_and_one_bias():
 
 
 def test_backbone_shape_and_zero_image():
-    cfg = ModelConfig(image_size=(32, 32), backbone_channels=16)
+    cfg = ModelConfig(image_size=(32, 32))
     params = init_params(cfg)
     out = backbone_forward(Tensor(np.zeros((3, 32, 32))), params, cfg)
     assert out.shape == (16, 16)  # the 4x4 last map's pixels as rows of its 16 channels
@@ -130,8 +130,8 @@ def test_backbone_stage_matches_hand_convolution(rng):
     b = params["backbone.conv0.bias"].data
     rows = numeric.backbone(Tensor(img), (params["backbone.conv0.weight"], params["backbone.conv0.bias"]))
     padded = np.pad(img, ((0, 0), (1, 1), (1, 1)))
-    expected = np.empty((64, cfg.backbone_channels))
-    for co in range(cfg.backbone_channels):
+    expected = np.empty((64, w.shape[1]))
+    for co in range(w.shape[1]):
         for oy in range(8):
             for ox in range(8):
                 patch = padded[:, 2 * oy : 2 * oy + 3, 2 * ox : 2 * ox + 3]
@@ -140,20 +140,23 @@ def test_backbone_stage_matches_hand_convolution(rng):
 
 
 def test_channel_reduce_identity_and_oracle(rng):
-    cfg = ModelConfig(image_size=(32, 32), backbone_channels=8, model_dim=8, num_heads=2)
+    # model_dim equal to the 16 backbone channels, so an identity reduction exists
+    cfg = ModelConfig(image_size=(32, 32), model_dim=16)
     params = init_params(cfg)
-    f = rng.standard_normal((8, 4, 4))
-    pixels = Tensor(f.reshape(8, 16).T)  # the backbone's rows: pixel (1, 2) with W' = 4 is row 6
-    params["reduce.weight"] = Tensor(np.eye(8), requires_grad=True)
-    params["reduce.bias"] = Tensor(np.zeros(8), requires_grad=True)
+    c = params["reduce.weight"].shape[0]
+    assert c == cfg.model_dim == 16
+    f = rng.standard_normal((c, 4, 4))
+    pixels = Tensor(f.reshape(c, 16).T)  # the backbone's rows: pixel (1, 2) with W' = 4 is row 6
+    params["reduce.weight"] = Tensor(np.eye(c), requires_grad=True)
+    params["reduce.bias"] = Tensor(np.zeros(c), requires_grad=True)
     tokens = channel_reduce(pixels, params).data
     np.testing.assert_array_equal(tokens[6], f[:, 1, 2])
     np.testing.assert_array_equal(tokens, pixels.data)
 
-    wr = rng.standard_normal((8, 8))
+    wr = rng.standard_normal((c, c))
     params["reduce.weight"] = Tensor(wr, requires_grad=True)
     out = channel_reduce(pixels, params).data
-    expected = np.einsum("chw,cd->hwd", f, wr).reshape(16, 8)
+    expected = np.einsum("chw,cd->hwd", f, wr).reshape(16, c)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
     with pytest.raises(ContractError):
@@ -584,9 +587,7 @@ def test_decoder_relation_ablation_equivalence(rng):
     # knn_k = 0 plus an identity-on-self relation layer reduces the relation
     # step to relu, so the refine pass runs directly on the (rectified)
     # pass-1 embeddings
-    cfg = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, num_queries=4, catalog=("a", "b"),
-                      knn_k=0, seed=3)
+    cfg = dataclasses.replace(TINY, knn_k=0)
     params = init_params(cfg)
     d = cfg.model_dim
     params["relation.weight"] = Tensor(np.hstack([np.eye(d), np.zeros((d, d))]), requires_grad=True)

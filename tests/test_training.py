@@ -30,7 +30,7 @@ from reldet.training import (
 
 import tape_chains as chain
 
-CFG = ModelConfig(image_size=(16, 16), backbone_channels=4, model_dim=8, num_heads=2,
+CFG = ModelConfig(image_size=(16, 16), model_dim=8, num_heads=2,
                   num_encoder_layers=1, num_decoder_layers=1, num_queries=6, catalog=DEFAULT_CLASSES,
                   knn_k=2, seed=0)
 
