@@ -86,8 +86,8 @@ def extract_detections(out: DetectionOutput) -> list[ScoredDetection]:
 
 def _scene_overlaps(per_scene_dets, per_scene_gts) -> list:
     """Per scene, the IoU of each detection (row) against each ground truth
-    (column) as nested lists, from one aligned-rows ``box_pairs`` call over
-    every in-scene pair; the pairs run scene by scene, row by row."""
+    (column) as nested lists, from one ``box_pairs`` call over every
+    in-scene pair; the pairs run scene by scene, row by row."""
     dets_n = np.array([len(dets) for dets in per_scene_dets], dtype=np.intp)
     gts_n = np.array([len(gts) for gts in per_scene_gts], dtype=np.intp)
     det_rows = box_rows(d.box for dets in per_scene_dets for d in dets)
@@ -148,8 +148,6 @@ def average_precision(flags: list[bool], num_gt: int) -> float | None:
         raise ContractError("num_gt must be nonnegative")
     if num_gt == 0:
         return None
-    if not flags:
-        return 0.0
     # walk back from the last rank: best_tp/best_rank is the max precision at
     # this or any later (higher-recall) cut, and hits the TPs it serves so far
     tp = sum(map(bool, flags))

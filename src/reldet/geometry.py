@@ -4,16 +4,18 @@ Boxes are (cx, cy, w, h). Detector outputs live in the unit square, but the
 math here works at any scale, so boxes only require w >= 0, h >= 0.
 
 ``box_pairs`` is the only implementation of box overlap geometry: one array
-computation over two stacks of boxes, either over the grid of every first box
-against every second box or over aligned rows. It returns the corners, the
-overlap extents and the enclosing box's sides, each with x and y on one
-leading axis of 2, so a rule is stated once for both axes; the intersection,
-union and enclosing-box areas; and the per-coordinate difference. Each caller
-applies its own degenerate-box guards and its own L1 reduction:
+computation over two stacks of boxes with equal row counts, row i of the
+first against row i of the second. It returns the corners, the overlap
+extents and the enclosing box's sides, each with x and y on one leading axis
+of 2, so a rule is stated once for both axes; the intersection, union and
+enclosing-box areas; and the per-coordinate difference. Each caller lays its
+pairs out as aligned rows and applies its own degenerate-box guards and its
+own L1 reduction:
 
 - ``matching.build_cost_matrix``: GIoU with the exact degenerate branches of
-  ``BoxPairs.giou`` and L1 summed cx, cy, w, h from left to right, on the
-  [G, N] grid of targets against predictions;
+  ``BoxPairs.giou`` and L1 summed cx, cy, w, h from left to right, on G * N
+  rows, every target repeated against the tiled predictions, read back as
+  the [G, N] cost matrix;
 - ``numeric.set_loss``: GIoU with 1e-12 denominator floors and L1 as a
   product with a ones vector, on the G matched rows, with an analytic
   backward;
@@ -80,17 +82,15 @@ def box_rows(boxes) -> np.ndarray:
 
 
 class BoxPairs(NamedTuple):
-    """Overlap terms of box pairs.
+    """Overlap terms of M box pairs.
 
-    Each per-axis term is one array with a leading axis of 2, x then y: the
-    corners ``lo_a``/``hi_a`` of the first boxes and ``lo_b``/``hi_b`` of the
+    Each per-axis term is one [2, M] array, x then y: the corners
+    ``lo_a``/``hi_a`` of the first boxes and ``lo_b``/``hi_b`` of the
     second, as c -+ size/2; the overlap extents ``i`` = min(hi) - max(lo),
     negative when the boxes are apart; and the enclosing box's sides ``e`` =
-    max(hi) - min(lo). The corners broadcast against the pair shape, the
-    extents have it after the axis of 2. ``inter`` is i[0] * i[1] when both
-    are positive, else 0, ``union`` the union area and ``enclose`` = e[0] *
-    e[1], each of the pair shape. ``delta`` is b - a per coordinate (cx, cy,
-    w, h), with a trailing axis of 4.
+    max(hi) - min(lo). ``inter`` [M] is i[0] * i[1] when both are positive,
+    else 0, ``union`` [M] the union area and ``enclose`` [M] = e[0] * e[1].
+    ``delta`` [M, 4] is b - a per coordinate (cx, cy, w, h).
     """
 
     lo_a: np.ndarray
@@ -121,23 +121,17 @@ class BoxPairs(NamedTuple):
         return np.where(ok, self.iou() - slack, np.where(np.all(self.delta == 0, axis=-1), 1.0, 0.0))
 
 
-def box_pairs(a, b, grid: bool = False) -> BoxPairs:
-    """Overlap terms of boxes ``a`` [G, 4] against ``b`` [N, 4].
+def box_pairs(a, b) -> BoxPairs:
+    """Overlap terms of row i of boxes ``a`` [M, 4] against row i of ``b`` [M, 4].
 
-    With ``grid`` the pairs are every row of ``a`` against every row of ``b``,
-    shape [G, N]; otherwise ``a`` and ``b`` have the same row count M and row
-    i pairs with row i, shape [M]. The terms come from C-contiguous [4, rows]
-    copies, so each axis row is contiguous: interleaved x/y is only slower.
+    The terms come from C-contiguous [4, M] copies, so each axis row is
+    contiguous: interleaved x/y is only slower.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4 or not (grid or a.shape == b.shape):
-        raise ContractError(f"box_pairs needs [G, 4] and [N, 4] boxes (equal row counts unless grid), "
-                            f"got {a.shape} and {b.shape}")
-    # in a grid the first boxes run down the rows, the second boxes across the columns
+    if a.ndim != 2 or a.shape[1] != 4 or a.shape != b.shape:
+        raise ContractError(f"box_pairs needs two [M, 4] box arrays, got {a.shape} and {b.shape}")
     ta, tb = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    if grid:
-        a, ta, tb = a[:, None, :], ta[:, :, None], tb[:, None, :]
     half_a, half_b = ta[2:] / 2, tb[2:] / 2
     lo_a, hi_a, lo_b, hi_b = ta[:2] - half_a, ta[:2] + half_a, tb[:2] - half_b, tb[:2] + half_b
     i = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)

@@ -50,7 +50,8 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     ``probs`` [N, K+1] holds each prediction's class probabilities (last
     column = no object) and ``boxes`` [N, 4] its (cx, cy, w, h). The raw
     probability is used, not its log. The box loss is lambda_iou * (1 - GIoU)
-    + lambda_l1 * L1 on the ``geometry.box_pairs`` grid, with the exact
+    + lambda_l1 * L1 over ``geometry.box_pairs`` of the G * N aligned rows
+    that pair every target with every prediction, with the exact
     degenerate-box branches of ``BoxPairs.giou`` and L1 summed cx, cy, w, h
     from left to right.
     """
@@ -58,9 +59,9 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     boxes = np.asarray(boxes, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 2 or boxes.shape != (probs.shape[0], 4):
         raise ContractError(f"need probs [N, K+1] with K >= 1 and boxes [N, 4], got {probs.shape} and {boxes.shape}")
-    n = probs.shape[0]
-    if len(gt) > n:
-        raise ContractError(f"{len(gt)} ground-truth objects exceed {n} prediction slots")
+    g, n = len(gt), probs.shape[0]
+    if g > n:
+        raise ContractError(f"{g} ground-truth objects exceed {n} prediction slots")
     if not np.isfinite(boxes).all():
         raise ContractError("predicted boxes have non-finite fields")
     if (boxes[:, 2:] < 0).any():
@@ -70,10 +71,10 @@ def build_cost_matrix(gt: list[GroundTruth], probs: np.ndarray, boxes: np.ndarra
     cls = np.array([y.class_id for y in gt], dtype=np.intp)
     if ((cls < 0) | (cls >= probs.shape[1] - 1)).any():
         raise ContractError(f"target class ids {cls.tolist()} outside [0, {probs.shape[1] - 1})")
-    pairs = box_pairs(box_rows(y.box for y in gt), boxes, grid=True)
+    pairs = box_pairs(np.repeat(box_rows(y.box for y in gt), n, axis=0), np.tile(boxes, (g, 1)))
     d = np.abs(pairs.delta)
     l1 = d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
-    return -probs[:, cls].T + (w.lambda_iou * (1.0 - pairs.giou()) + w.lambda_l1 * l1)
+    return -probs[:, cls].T + (w.lambda_iou * (1.0 - pairs.giou().reshape(g, n)) + w.lambda_l1 * l1.reshape(g, n))
 
 
 def _finite_matrix(c: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ memory trivial and makes runs bit-deterministic given (seed, dataset, config).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -235,7 +236,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], ModelConfig]:
         blob = (root / "weights.bin").read_bytes()
     except FileNotFoundError:
         raise IntegrityError(f"no weights.bin in {root}") from None
-    total = sum(int(np.prod(shape)) for _, shape in expected)
+    total = sum(math.prod(shape) for _, shape in expected)
     if len(blob) != total * 8:
         raise IntegrityError(f"weights.bin holds {len(blob)} bytes, expected {total * 8}")
     if hashlib.sha256(blob).hexdigest() != sha:

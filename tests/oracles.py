@@ -5,12 +5,13 @@ their fast paths, kept as test oracles.
   pixel centres for every object. ``data.generate_scene`` reads one cached,
   read-only grid per image size and must give the same image bytes, the same
   boxes and the same field types;
-- ``evaluate_detections``: the scorer that ran one [D, G] ``box_pairs`` grid
-  per scene through ``match_detections`` and pooled each class by a pass
-  over every detection, and ``average_precision``, which built one
-  ``Fraction`` per rank. ``evaluation.evaluate_detections``,
-  ``evaluation.match_detections`` and ``evaluation.average_precision`` must
-  return equal reports, flags and floats;
+- ``evaluate_detections``: the scorer that ran one ``box_pairs`` call per
+  scene, every detection repeated against the tiled ground truths, through
+  ``match_detections`` and pooled each class by a pass over every detection,
+  and ``average_precision``, which built one ``Fraction`` per rank.
+  ``evaluation.evaluate_detections``, ``evaluation.match_detections`` and
+  ``evaluation.average_precision`` must return equal reports, flags and
+  floats;
 - ``next_token``: the header scanner that walked whitespace, ``#`` comments
   and each token one byte at a time. ``data._next_token``, one regular
   expression match, must return the same ``(token, end)`` or raise the same
@@ -72,7 +73,9 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
 
 
 def match_detections(dets, gts, iou_thresh: float) -> list[bool]:
-    overlap = box_pairs(box_rows(d.box for d in dets), box_rows(g.box for g in gts), grid=True).iou().tolist()
+    det_rows, gt_rows = box_rows(d.box for d in dets), box_rows(g.box for g in gts)
+    overlap = box_pairs(np.repeat(det_rows, len(gts), axis=0), np.tile(gt_rows, (len(dets), 1))).iou()
+    overlap = overlap.reshape(len(dets), len(gts)).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     taken = [False] * len(gts)
     flags = [False] * len(dets)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reldet import checks, cli, data, errors, numeric
+from reldet import checks, cli, data, errors, numeric, training
 from reldet.data import SceneConfig, load_dataset, read_ppm
 from reldet.errors import ContractError
 from reldet.evaluation import DEFAULT_IOU_THRESH, evaluate_dataset
@@ -693,6 +694,24 @@ def test_eval_manifest_with_a_huge_layer_count_exits_4(dataset, checkpoint, tmp_
     assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint mismatch: bad config") and f"layer counts must lie in [0, {MAX_LAYERS}]" in err
+
+
+def test_eval_manifest_whose_arena_overflows_int64_exits_4(dataset, tmp_path, capsys):
+    # 2**59 queries make a layout of more than 2**64 entries; an int64 count
+    # wraps to a small one, so weights.bin holds exactly that many zeros
+    config = ModelConfig(num_queries=2**59)
+    layout = training._layout(config)
+    wrapped = sum(math.prod(shape) for _, shape in layout) % 2**64
+    blob = bytes(8 * wrapped)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "weights.bin").write_bytes(blob)
+    manifest = {"config": dataclasses.asdict(config), "tensors": [{"name": n, "shape": list(s)} for n, s in layout],
+                "weights_sha256": hashlib.sha256(blob).hexdigest()}
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert run("eval", "--data", str(dataset), "--checkpoint", str(ckpt)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch: weights.bin holds") and err.count("\n") == 1, err
 
 
 def test_eval_of_a_per_projection_checkpoint_exits_4(dataset, checkpoint, tmp_path, capsys):

@@ -137,33 +137,34 @@ PER_AXIS = ("lo_a", "hi_a", "lo_b", "hi_b", "i", "e")  # the BoxPairs fields wit
 
 @pytest.mark.parametrize("g, n", [(5, 7), (6, 3), (0, 4), (3, 0)])
 def test_box_pairs_put_x_and_y_on_one_contiguous_leading_axis(rng, g, n):
-    # every per-axis term is [2, ...], C-contiguous, so each axis row is one
-    # contiguous array, in both modes and for empty inputs; the aligned pairs
-    # equal the grid's diagonal bit for bit
+    # on the G * N rows that pair every first box with every second box, as
+    # the cost matrix lays them out, every per-axis term is [2, G * N] and
+    # C-contiguous, so each axis row is one contiguous array, for empty inputs too
     a = box_rows([random_box(rng) for _ in range(g)])
     b = box_rows([random_box(rng) for _ in range(n)])
-    m = min(g, n)
-    grid, rows = box_pairs(a, b, grid=True), box_pairs(a[:m], b[:m])
-    diag = np.arange(m)
+    pairs = box_pairs(np.repeat(a, n, axis=0), np.tile(b, (g, 1)))
     for name in BoxPairs._fields:
-        full, got = getattr(grid, name), getattr(rows, name)
+        got = getattr(pairs, name)
         if name in PER_AXIS:
-            assert full.shape[0] == 2 and np.broadcast_shapes(full.shape, (2, g, n)) == (2, g, n), name
-            assert got.shape == (2, m) and full.flags.c_contiguous and got.flags.c_contiguous, name
-            full = np.broadcast_to(full, (2, g, n))[:, diag, diag]
+            assert got.shape == (2, g * n) and got.flags.c_contiguous, name
         else:
-            assert full.shape[:2] == (g, n) and got.shape[:1] == (m,), name
-            full = full[diag, diag]
-        assert got.tobytes() == np.ascontiguousarray(full).tobytes(), name
+            assert got.shape == ((g * n, 4) if name == "delta" else (g * n,)), name
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (5, 4)), ((3, 3), (3, 3))])
+def test_box_pairs_refuses_rows_that_do_not_align(a_shape, b_shape):
+    with pytest.raises(ContractError) as refused:
+        box_pairs(np.zeros(a_shape), np.zeros(b_shape))
+    assert f"got {a_shape} and {b_shape}" in str(refused.value)
 
 
 def test_giou_pairwise_batch_consistency(rng):
+    # every pair of a against b, through repeated and tiled rows, equals the scalar oracle
     a = box_rows([random_box(rng) for _ in range(64)])
     b = box_rows([random_box(rng) for _ in range(64)])
-    rows, grid = box_pairs(a, b), box_pairs(a, b, grid=True)
+    pairs = box_pairs(np.repeat(a, 64, axis=0), np.tile(b, (64, 1)))
+    got_giou, got_iou = pairs.giou().reshape(64, 64), pairs.iou().reshape(64, 64)
     for i in range(64):
-        assert rows.giou()[i] == giou(Box(*a[i]), Box(*b[i]))
-        assert rows.iou()[i] == iou(Box(*a[i]), Box(*b[i]))
-        for j in range(0, 64, 7):
-            assert grid.giou()[i, j] == giou(Box(*a[i]), Box(*b[j]))
-            assert grid.iou()[i, j] == iou(Box(*a[i]), Box(*b[j]))
+        for j in range(64):
+            assert got_giou[i, j] == giou(Box(*a[i]), Box(*b[j]))
+            assert got_iou[i, j] == iou(Box(*a[i]), Box(*b[j]))
